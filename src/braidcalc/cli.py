@@ -29,6 +29,7 @@ from .errors import (
     UnknownName,
 )
 from .geometry import (
+    METRICITY,
     Connection,
     Metric,
     _metricity_violation,
@@ -80,6 +81,14 @@ def _section(data, key, required):
     return got
 
 
+def _rational(text):
+    """Exact rational from a literal such as "3", "-2/3" or "1/2"."""
+    try:
+        return Fraction(text)
+    except (ValueError, TypeError, ZeroDivisionError):
+        raise SchemaError(("malformed rational", text)) from None
+
+
 def _split_terms(text):
     """Split an expression on top-level + and -, keeping signs."""
     out = []
@@ -104,7 +113,7 @@ def _parse_factors(ring, term, names):
     exps = [0] * len(names)
     for factor in term.split():
         if _RATIONAL.match(factor):
-            coeff *= Fraction(factor)
+            coeff *= _rational(factor)
             continue
         m = _POWER.match(factor)
         base, power = (m.group(1), int(m.group(2))) if m else (factor, 1)
@@ -228,7 +237,7 @@ class Scenario:
             for g, c in val.items():
                 if g not in gens:
                     raise UnknownName((g, tuple(gens)))
-                comps[gens.index(g)] = self.ring.scalar(sign * Fraction(c))
+                comps[gens.index(g)] = self.ring.scalar(sign * _rational(c))
             brackets[(i, j)] = comps
         return LieAlgebra(self.ring, tuple(gens), brackets)
 
@@ -529,15 +538,10 @@ def run_levi_civita(sc, opts):
         rep = Report("declared-connection", {})
         rep.extend(check_connection(conn, coeff_degree=min(degree, 1)))
         fields = field_family(cal, min(degree, 1))
-        bad = _torsion_violation(conn, fields)
-        rep.add("declared-torsion-free", "T(X, Y) = 0", bad is None, bad)
-        bad = _metricity_violation(conn, metric, fields)
-        rep.add(
-            "declared-metricity",
-            "X(g(Y, Z)) = g(nabla_X Y, Z) + g(Rinv1 |> Y, nabla_{Rinv2 |> X} Z)",
-            bad is None,
-            bad,
-        )
+        rep.record("declared-torsion-free", "T(X, Y) = 0",
+                   _torsion_violation(conn, fields))
+        rep.record("declared-metricity", METRICITY,
+                   _metricity_violation(conn, metric, fields))
         solved = levi_civita(metric)
         rep.add(
             "declared-matches-solve",

@@ -70,6 +70,13 @@ class FramePairingSingular(EngineError):
     """Frame/coframe pairing matrix is not invertible."""
 
 
+class BracketIncompatible(EngineError, AssertionError):
+    """Generator action does not respect the Lie bracket on a coordinate.
+
+    Also an AssertionError, the type this check raised before it became
+    an engine error, so existing callers keep catching it."""
+
+
 class MetricCheckFailed(EngineError):
     """Candidate metric violates symmetry, equivariance or linearity."""
 

@@ -12,7 +12,6 @@ right-contracting the Koszul combination with that witness.
 from fractions import Fraction
 
 from .calculus import (
-    _acc,
     _identity_matrix,
     _matrix_inverse_plain,
     _mu_matrix_inverse,
@@ -26,8 +25,12 @@ from .errors import (
 )
 from .modalg import coordinate_monomials
 from .report import Report
+from .ring import _add_terms
 
 import random
+
+
+METRICITY = "X(g(Y, Z)) = g(nabla_X Y, Z) + g(Rinv1 |> Y, nabla_{Rinv2 |> X} Z)"
 
 
 def field_family(cal, coeff_degree=2):
@@ -83,14 +86,12 @@ class Connection:
     def _nabla_frame_arg(self, Y, v):
         """Derivative of e_v along an arbitrary field Y, as a term map."""
         cal = self.cal
-        out = {}
-        for (u,), cu in Y.terms.items():
-            for w in range(cal.dim):
-                g = self.gamma[u][v][w]
-                if g.is_zero():
-                    continue
-                _acc(out, (w,), cal.M.mul(cu, g))
-        return out
+        return _add_terms({}, (
+            ((w,), cal.M.mul(cu, g))
+            for (u,), cu in Y.terms.items()
+            for w, g in enumerate(self.gamma[u][v])
+            if not g.is_zero()
+        ))
 
     def nabla(self, X, s):
         """Covariant derivative of the grade-1 field s along X."""
@@ -99,9 +100,7 @@ class Connection:
             raise GradeMismatch((X.grade, s.grade))
         out = {}
         for (v,), d in s.terms.items():
-            xd = cal.apply_field(X, d)
-            if not xd.is_zero():
-                _acc(out, (v,), xd)
+            _add_terms(out, (((v,), cal.apply_field(X, d)),))
             for (t1, t2), c in cal.M.triangular.Rinv.terms.items():
                 da = cal.M.action.act_monomial(t1, d)
                 if da.is_zero():
@@ -109,8 +108,10 @@ class Connection:
                 Xa = cal.h_act_exp(t2, X)
                 if Xa.is_zero():
                     continue
-                for w, g in self._nabla_frame_arg(Xa, v).items():
-                    _acc(out, w, cal.M.mul(da, g).scale(c))
+                _add_terms(out, (
+                    (w, cal.M.mul(da, g).scale(c))
+                    for w, g in self._nabla_frame_arg(Xa, v).items()
+                ))
         return cal.mv(1, out)
 
     def nabla_form(self, X, om):
@@ -177,114 +178,89 @@ def check_connection(conn, coeff_degree=1):
     fields = field_family(cal, coeff_degree)
     funcs = coordinate_monomials(cal.alg, coeff_degree)
 
-    ok, bad = True, None
-    for a in funcs:
-        for X in fields:
-            aX = cal.mv(1, {w: M.mul(a, c) for w, c in X.terms.items()})
-            for s in fields:
-                if conn.nabla(aX, s) != conn.nabla(X, s).left_mul(a):
-                    ok, bad = False, {"a": repr(a), "X": repr(X), "s": repr(s)}
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("left-linearity", "nabla_{a X} s = a nabla_X s", ok, bad)
+    def left_linearity():
+        for a in funcs:
+            for X in fields:
+                aX = cal.mv(1, {w: M.mul(a, c) for w, c in X.terms.items()})
+                for s in fields:
+                    if conn.nabla(aX, s) != conn.nabla(X, s).left_mul(a):
+                        yield {"a": repr(a), "X": repr(X), "s": repr(s)}
 
-    ok, bad = True, None
-    for a in funcs:
-        for X in fields:
-            for s in fields:
-                lhs = conn.nabla(X, s.left_mul(a))
-                rhs = cal.mv(1, dict(s.terms)).left_mul(
-                    cal.apply_field(X, a)
-                )
-                for (t1, t2), c in M.triangular.Rinv.terms.items():
-                    aa = M.action.act_monomial(t1, a)
-                    if aa.is_zero():
-                        continue
-                    Xa = cal.h_act_exp(t2, X)
-                    if Xa.is_zero():
-                        continue
-                    rhs = rhs + conn.nabla(Xa, s).left_mul(aa).scale(c)
-                if lhs != rhs:
-                    ok, bad = False, {"a": repr(a), "X": repr(X), "s": repr(s)}
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add(
-        "braided-leibniz",
-        "nabla_X (a s) = X(a) s + (Rinv1 |> a) nabla_{Rinv2 |> X} s",
-        ok,
-        bad,
-    )
+    rep.record("left-linearity", "nabla_{a X} s = a nabla_X s",
+               next(left_linearity(), None))
 
-    ok, bad = True, None
-    for e in cal.lie.monomials_up_to(2):
-        if not any(e):
-            continue
-        for X in fields:
-            for s in fields:
-                lhs = cal.h_act_exp(e, conn.nabla(X, s))
-                rhs = cal.zero_mv(1)
-                for l, r, c in cal.cop_pairs(e):
-                    Xa = cal.h_act_exp(l, X)
-                    if Xa.is_zero():
-                        continue
-                    sa = cal.h_act_exp(r, s)
-                    if sa.is_zero():
-                        continue
-                    rhs = rhs + conn.nabla(Xa, sa).scale(c)
-                if lhs != rhs:
-                    ok, bad = False, {"xi": repr(e), "X": repr(X), "s": repr(s)}
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add(
-        "equivariance",
-        "xi |> nabla_X s = nabla_{xi1 |> X}(xi2 |> s)",
-        ok,
-        bad,
-    )
+    def braided_leibniz():
+        for a in funcs:
+            for X in fields:
+                for s in fields:
+                    lhs = conn.nabla(X, s.left_mul(a))
+                    rhs = cal.mv(1, dict(s.terms)).left_mul(
+                        cal.apply_field(X, a)
+                    )
+                    for (t1, t2), c in M.triangular.Rinv.terms.items():
+                        aa = M.action.act_monomial(t1, a)
+                        if aa.is_zero():
+                            continue
+                        Xa = cal.h_act_exp(t2, X)
+                        if Xa.is_zero():
+                            continue
+                        rhs = rhs + conn.nabla(Xa, s).left_mul(aa).scale(c)
+                    if lhs != rhs:
+                        yield {"a": repr(a), "X": repr(X), "s": repr(s)}
 
-    ok, bad = True, None
-    forms = [cal.coframe(v) for v in range(cal.dim)]
-    for m in coordinate_monomials(cal.alg, coeff_degree):
-        if not m.is_scalar():
-            forms.append(cal.form(1, {(0,): m}))
-    for X in fields:
-        for om in forms:
-            for Y in fields:
-                lhs = cal.apply_field(X, cal.eval_form(om, [Y]))
-                rhs = cal.eval_form(conn.nabla_form(X, om), [Y])
-                for (t1, t2), c in M.triangular.Rinv.terms.items():
-                    oma = cal.h_act_exp(t1, om)
-                    if oma.is_zero():
-                        continue
-                    Xa = cal.h_act_exp(t2, X)
-                    if Xa.is_zero():
-                        continue
-                    rhs = rhs + cal.eval_form(
-                        oma, [conn.nabla(Xa, Y)]
-                    ).scale(c)
-                if lhs != rhs:
-                    ok, bad = False, {
-                        "X": repr(X), "form": repr(om), "Y": repr(Y)
-                    }
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add(
+    rep.record("braided-leibniz",
+               "nabla_X (a s) = X(a) s + (Rinv1 |> a) nabla_{Rinv2 |> X} s",
+               next(braided_leibniz(), None))
+
+    def equivariance():
+        for e in cal.lie.monomials_up_to(2):
+            if not any(e):
+                continue
+            for X in fields:
+                for s in fields:
+                    lhs = cal.h_act_exp(e, conn.nabla(X, s))
+                    rhs = cal.zero_mv(1)
+                    for l, r, c in cal.cop_pairs(e):
+                        Xa = cal.h_act_exp(l, X)
+                        if Xa.is_zero():
+                            continue
+                        sa = cal.h_act_exp(r, s)
+                        if sa.is_zero():
+                            continue
+                        rhs = rhs + conn.nabla(Xa, sa).scale(c)
+                    if lhs != rhs:
+                        yield {"xi": repr(e), "X": repr(X), "s": repr(s)}
+
+    rep.record("equivariance", "xi |> nabla_X s = nabla_{xi1 |> X}(xi2 |> s)",
+               next(equivariance(), None))
+
+    def dual_pairing():
+        forms = [cal.coframe(v) for v in range(cal.dim)]
+        for m in coordinate_monomials(cal.alg, coeff_degree):
+            if not m.is_scalar():
+                forms.append(cal.form(1, {(0,): m}))
+        for X in fields:
+            for om in forms:
+                for Y in fields:
+                    lhs = cal.apply_field(X, cal.eval_form(om, [Y]))
+                    rhs = cal.eval_form(conn.nabla_form(X, om), [Y])
+                    for (t1, t2), c in M.triangular.Rinv.terms.items():
+                        oma = cal.h_act_exp(t1, om)
+                        if oma.is_zero():
+                            continue
+                        Xa = cal.h_act_exp(t2, X)
+                        if Xa.is_zero():
+                            continue
+                        rhs = rhs + cal.eval_form(
+                            oma, [conn.nabla(Xa, Y)]
+                        ).scale(c)
+                    if lhs != rhs:
+                        yield {"X": repr(X), "form": repr(om), "Y": repr(Y)}
+
+    rep.record(
         "dual-pairing",
         "X(w(Y)) = (nabla_X w)(Y) + (Rinv1 |> w)(nabla_{Rinv2 |> X} Y)",
-        ok,
-        bad,
+        next(dual_pairing(), None),
     )
     return rep
 
@@ -335,73 +311,56 @@ def check_metric(metric, coeff_degree=1):
     rep = Report("metric", {"coeff_degree": coeff_degree})
     fields = field_family(cal, coeff_degree)
 
-    ok, bad = True, None
-    for X in fields:
-        for Y in fields:
-            lhs = metric(Y, X)
-            rhs = cal.alg.zero()
-            for (t1, t2), c in M.triangular.Rinv.terms.items():
-                Xa = cal.h_act_exp(t1, X)
-                if Xa.is_zero():
-                    continue
-                Ya = cal.h_act_exp(t2, Y)
-                if Ya.is_zero():
-                    continue
-                rhs = rhs + metric(Xa, Ya).scale(c)
-            if lhs != rhs:
-                ok, bad = False, {"X": repr(X), "Y": repr(Y)}
-                break
-        if not ok:
-            break
-    rep.add(
-        "braided-symmetry",
-        "g(Y, X) = g(Rinv1 |> X, Rinv2 |> Y)",
-        ok,
-        bad,
-    )
-
-    ok, bad = True, None
-    for a in coordinate_monomials(cal.alg, coeff_degree):
+    def braided_symmetry():
         for X in fields:
             for Y in fields:
-                if metric(X.left_mul(a), Y) != M.mul(a, metric(X, Y)):
-                    ok, bad = False, {"a": repr(a), "X": repr(X), "Y": repr(Y)}
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add("left-linearity", "g(a X, Y) = a g(X, Y)", ok, bad)
-
-    ok, bad = True, None
-    for e in cal.lie.monomials_up_to(2):
-        if not any(e):
-            continue
-        for X in fields:
-            for Y in fields:
-                lhs = cal.M.act(cal.lie.monomial(e), metric(X, Y))
+                lhs = metric(Y, X)
                 rhs = cal.alg.zero()
-                for l, r, c in cal.cop_pairs(e):
-                    Xa = cal.h_act_exp(l, X)
+                for (t1, t2), c in M.triangular.Rinv.terms.items():
+                    Xa = cal.h_act_exp(t1, X)
                     if Xa.is_zero():
                         continue
-                    Ya = cal.h_act_exp(r, Y)
+                    Ya = cal.h_act_exp(t2, Y)
                     if Ya.is_zero():
                         continue
                     rhs = rhs + metric(Xa, Ya).scale(c)
                 if lhs != rhs:
-                    ok, bad = False, {"xi": repr(e), "X": repr(X), "Y": repr(Y)}
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add(
-        "equivariance",
-        "xi |> g(X, Y) = g(xi1 |> X, xi2 |> Y)",
-        ok,
-        bad,
-    )
+                    yield {"X": repr(X), "Y": repr(Y)}
+
+    rep.record("braided-symmetry", "g(Y, X) = g(Rinv1 |> X, Rinv2 |> Y)",
+               next(braided_symmetry(), None))
+
+    def left_linearity():
+        for a in coordinate_monomials(cal.alg, coeff_degree):
+            for X in fields:
+                for Y in fields:
+                    if metric(X.left_mul(a), Y) != M.mul(a, metric(X, Y)):
+                        yield {"a": repr(a), "X": repr(X), "Y": repr(Y)}
+
+    rep.record("left-linearity", "g(a X, Y) = a g(X, Y)",
+               next(left_linearity(), None))
+
+    def equivariance():
+        for e in cal.lie.monomials_up_to(2):
+            if not any(e):
+                continue
+            for X in fields:
+                for Y in fields:
+                    lhs = cal.M.act(cal.lie.monomial(e), metric(X, Y))
+                    rhs = cal.alg.zero()
+                    for l, r, c in cal.cop_pairs(e):
+                        Xa = cal.h_act_exp(l, X)
+                        if Xa.is_zero():
+                            continue
+                        Ya = cal.h_act_exp(r, Y)
+                        if Ya.is_zero():
+                            continue
+                        rhs = rhs + metric(Xa, Ya).scale(c)
+                    if lhs != rhs:
+                        yield {"xi": repr(e), "X": repr(X), "Y": repr(Y)}
+
+    rep.record("equivariance", "xi |> g(X, Y) = g(xi1 |> X, xi2 |> Y)",
+               next(equivariance(), None))
     return rep
 
 
@@ -488,31 +447,36 @@ def levi_civita(metric):
 def _metricity_violation(conn, metric, fields):
     """First braided-metricity counterexample over the family, or None."""
     cal = conn.cal
-    M = cal.M
-    for X in fields:
-        for Y in fields:
-            for Z in fields:
-                lhs = cal.apply_field(X, metric(Y, Z))
-                rhs = metric(conn.nabla(X, Y), Z)
-                for (t1, t2), c in M.triangular.Rinv.terms.items():
-                    Ya = cal.h_act_exp(t1, Y)
-                    if Ya.is_zero():
-                        continue
-                    Xa = cal.h_act_exp(t2, X)
-                    if Xa.is_zero():
-                        continue
-                    rhs = rhs + metric(Ya, conn.nabla(Xa, Z)).scale(c)
-                if lhs != rhs:
-                    return {"X": repr(X), "Y": repr(Y), "Z": repr(Z)}
-    return None
+    Rinv = cal.M.triangular.Rinv.terms
+
+    def violations():
+        for X in fields:
+            for Y in fields:
+                for Z in fields:
+                    lhs = cal.apply_field(X, metric(Y, Z))
+                    rhs = metric(conn.nabla(X, Y), Z)
+                    for (t1, t2), c in Rinv.items():
+                        Ya = cal.h_act_exp(t1, Y)
+                        if Ya.is_zero():
+                            continue
+                        Xa = cal.h_act_exp(t2, X)
+                        if Xa.is_zero():
+                            continue
+                        rhs = rhs + metric(Ya, conn.nabla(Xa, Z)).scale(c)
+                    if lhs != rhs:
+                        yield {"X": repr(X), "Y": repr(Y), "Z": repr(Z)}
+
+    return next(violations(), None)
 
 
 def _torsion_violation(conn, fields):
-    for X in fields:
-        for Y in fields:
-            if not conn.torsion(X, Y).is_zero():
-                return {"X": repr(X), "Y": repr(Y)}
-    return None
+    """First torsion counterexample over the family, or None."""
+    return next((
+        {"X": repr(X), "Y": repr(Y)}
+        for X in fields
+        for Y in fields
+        if not conn.torsion(X, Y).is_zero()
+    ), None)
 
 
 def geometry_suite(metric, coeff_degree=2):
@@ -529,15 +493,8 @@ def geometry_suite(metric, coeff_degree=2):
     rep.add("solve", "Koszul solve closes on the frame", True)
     rep.extend(check_metric(metric, coeff_degree=1))
     fields = field_family(cal, coeff_degree)
-    bad = _metricity_violation(conn, metric, fields)
-    rep.add(
-        "metricity",
-        "X(g(Y, Z)) = g(nabla_X Y, Z) + g(Rinv1 |> Y, nabla_{Rinv2 |> X} Z)",
-        bad is None,
-        bad,
-    )
-    bad = _torsion_violation(conn, fields)
-    rep.add("torsion-free", "T(X, Y) = 0", bad is None, bad)
+    rep.record("metricity", METRICITY, _metricity_violation(conn, metric, fields))
+    rep.record("torsion-free", "T(X, Y) = 0", _torsion_violation(conn, fields))
     return rep
 
 
@@ -629,22 +586,14 @@ def geometry_twist_suite(metric, cl, tw, rational_metric=None):
     gF = twist_metric(metric, cl, tw)
     lhs = twist_connection(conn, cl, tw)
     rhs = levi_civita(gF)
-    rep.add(
+    rep.record(
         "lc-naturality",
         "twist(LC(g)) = LC(twist(g))",
-        lhs == rhs,
         None if lhs == rhs else {"lhs": repr(lhs.gamma), "rhs": repr(rhs.gamma)},
     )
     fields = field_family(tw, 2)
-    bad = _metricity_violation(rhs, gF, fields)
-    rep.add(
-        "twisted-metricity",
-        "X(g(Y, Z)) = g(nabla_X Y, Z) + g(Rinv1 |> Y, nabla_{Rinv2 |> X} Z)",
-        bad is None,
-        bad,
-    )
-    bad = _torsion_violation(rhs, fields)
-    rep.add("twisted-torsion-free", "T(X, Y) = 0", bad is None, bad)
+    rep.record("twisted-metricity", METRICITY, _metricity_violation(rhs, gF, fields))
+    rep.record("twisted-torsion-free", "T(X, Y) = 0", _torsion_violation(rhs, fields))
     if rational_metric is not None:
         rcal = rational_metric.cal
         rconn = levi_civita(rational_metric)
@@ -655,11 +604,9 @@ def geometry_twist_suite(metric, cl, tw, rational_metric=None):
             ]
             for row in rhs.gamma
         ]
-        ok = shadow == rconn.gamma
-        rep.add(
+        rep.record(
             "classical-shadow",
             "twisted LC coefficients reduce to the classical ones at h^0",
-            ok,
-            None if ok else {"shadow": repr(shadow)},
+            None if shadow == rconn.gamma else {"shadow": repr(shadow)},
         )
     return rep

@@ -22,13 +22,14 @@ from math import comb
 
 from .errors import (
     BadPositions,
+    BetaNotInvertible,
     IndexOutOfRange,
     JacobiViolation,
     RankMismatch,
     RingMismatch,
 )
 from .report import Report
-from .ring import Ring, Scalar
+from .ring import Ring, Scalar, _add_terms, _exponents_up_to, _memo, _neumann
 
 
 def _exp_to_word(exp):
@@ -67,10 +68,6 @@ class LieAlgebra:
                 table[(i, j)] = comps
         self.brackets = table
         self.is_abelian = not table
-        self._norm_cache = {}
-        self._prod_cache = {}
-        self._coprod_cache = {}
-        self._antipode_cache = {}
         self._check_jacobi()
 
     @property
@@ -92,28 +89,27 @@ class LieAlgebra:
 
     def _check_jacobi(self):
         m = self.dim
-        zero = self.ring.zero()
+        br = self.bracket_components
         for i in range(m):
             for j in range(m):
                 for k in range(m):
                     # [x_i,[x_j,x_k]] + [x_j,[x_k,x_i]] + [x_k,[x_i,x_j]] = 0
-                    acc = {}
-                    for a, b, c in ((i, j, k), (j, k, i), (k, i, j)):
-                        inner = self.bracket_components(b, c)
-                        for l, cl in inner.items():
-                            for l2, cl2 in self.bracket_components(a, l).items():
-                                acc[l2] = acc.get(l2, zero) + cl * cl2
-                    if any(not v.is_zero() for v in acc.values()):
+                    if _add_terms({}, (
+                        (l2, cl * cl2)
+                        for a, b, c in ((i, j, k), (j, k, i), (k, i, j))
+                        for l, cl in br(b, c).items()
+                        for l2, cl2 in br(a, l).items()
+                    )):
                         raise JacobiViolation((i, j, k))
 
     # -- PBW normalization --------------------------------------------
 
     def normalize_word(self, word):
         """Word of generator indices -> {exponent tuple: Scalar}."""
-        word = tuple(word)
-        cached = self._norm_cache.get(word)
-        if cached is not None:
-            return cached
+        return self._normalize_word(tuple(word))
+
+    @_memo
+    def _normalize_word(self, word):
         descent = -1
         for p in range(len(word) - 1):
             if word[p] > word[p + 1]:
@@ -130,29 +126,25 @@ class LieAlgebra:
             p = descent
             a, b = word[p], word[p + 1]
             swapped = word[:p] + (b, a) + word[p + 2:]
-            out = dict(self.normalize_word(swapped))
-            for k, c in self.bracket_components(a, b).items():
-                inserted = word[:p] + (k,) + word[p + 2:]
-                for e, s in self.normalize_word(inserted).items():
-                    prev = out.get(e, None)
-                    v = c * s if prev is None else prev + c * s
-                    if v.is_zero():
-                        out.pop(e, None)
-                    else:
-                        out[e] = v
-        self._norm_cache[word] = out
+            # recurse on the memo itself: one frame fewer per swap
+            out = _add_terms(dict(self._normalize_word(swapped)), (
+                (e, c * s)
+                for k, c in self.bracket_components(a, b).items()
+                for e, s in self._normalize_word(
+                    word[:p] + (k,) + word[p + 2:]
+                ).items()
+            ))
         return out
 
     def monomial_product(self, ea, eb):
         """Product of two PBW monomials as {exponent tuple: Scalar}."""
         if self.is_abelian:
             return {tuple(a + b for a, b in zip(ea, eb)): self.ring.one()}
-        key = (ea, eb)
-        cached = self._prod_cache.get(key)
-        if cached is None:
-            cached = self.normalize_word(_exp_to_word(ea) + _exp_to_word(eb))
-            self._prod_cache[key] = cached
-        return cached
+        return self._monomial_product(ea, eb)
+
+    @_memo
+    def _monomial_product(self, ea, eb):
+        return self.normalize_word(_exp_to_word(ea) + _exp_to_word(eb))
 
     # -- element constructors -----------------------------------------
 
@@ -179,58 +171,36 @@ class LieAlgebra:
 
     def monomials_up_to(self, depth):
         """All PBW exponent tuples of total degree <= depth."""
-        out = []
-
-        def rec(prefix, remaining):
-            if len(prefix) == self.dim:
-                out.append(tuple(prefix))
-                return
-            for k in range(remaining + 1):
-                rec(prefix + [k], remaining - k)
-
-        rec([], depth)
-        out.sort(key=lambda e: (sum(e), e))
-        return out
+        return _exponents_up_to(self.dim, depth)
 
     # -- Hopf structure maps on monomials -----------------------------
 
+    @_memo
     def coproduct_monomial(self, exp):
         """cop(x^exp): {(left exp, right exp): Scalar}; legs stay PBW
         because generator factors are multiplied in increasing order."""
-        cached = self._coprod_cache.get(exp)
-        if cached is not None:
-            return cached
         zero = (0,) * self.dim
         terms = {(zero, zero): self.ring.one()}
         for i, a in enumerate(exp):
             if a == 0:
                 continue
-            new = {}
-            for j in range(a + 1):
-                binom = self.ring.scalar(comb(a, j))
-                for (l, r), c in terms.items():
-                    ll = list(l)
-                    rr = list(r)
-                    ll[i] += j
-                    rr[i] += a - j
-                    key = (tuple(ll), tuple(rr))
-                    prev = new.get(key)
-                    v = c * binom if prev is None else prev + c * binom
-                    new[key] = v
-            terms = new
-        self._coprod_cache[exp] = terms
+            binoms = [self.ring.scalar(comb(a, j)) for j in range(a + 1)]
+            # distinct keys: leg i of every term is still empty
+            terms = {
+                (l[:i] + (j,) + l[i + 1:], r[:i] + (a - j,) + r[i + 1:]):
+                    c * binom
+                for j, binom in enumerate(binoms)
+                for (l, r), c in terms.items()
+            }
         return terms
 
+    @_memo
     def antipode_monomial(self, exp):
         """S(x^exp) = (-1)^deg * reversed word, PBW-normalized."""
-        cached = self._antipode_cache.get(exp)
-        if cached is None:
-            word = _exp_to_word(exp)
-            res = self.normalize_word(tuple(reversed(word)))
-            sign = self.ring.scalar(-1 if len(word) % 2 else 1)
-            cached = {e: c * sign for e, c in res.items()}
-            self._antipode_cache[exp] = cached
-        return cached
+        word = _exp_to_word(exp)
+        res = self.normalize_word(tuple(reversed(word)))
+        sign = self.ring.scalar(-1 if len(word) % 2 else 1)
+        return {e: c * sign for e, c in res.items()}
 
 
 class HopfElement:
@@ -252,15 +222,9 @@ class HopfElement:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            prev = out.get(e)
-            v = c if prev is None else prev + c
-            if v.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = v
-        return HopfElement(self.lie, out)
+        return HopfElement(
+            self.lie, _add_terms(dict(self.terms), other.terms.items())
+        )
 
     def __sub__(self, other):
         return self + (-other)
@@ -275,50 +239,39 @@ class HopfElement:
 
     def __mul__(self, other):
         self._check(other)
-        out = {}
-        for ea, ca in self.terms.items():
-            for eb, cb in other.terms.items():
-                c = ca * cb
-                if c.is_zero():
-                    continue
-                for e, s in self.lie.monomial_product(ea, eb).items():
-                    prev = out.get(e)
-                    v = c * s if prev is None else prev + c * s
-                    if v.is_zero():
-                        out.pop(e, None)
-                    else:
-                        out[e] = v
-        return HopfElement(self.lie, out)
+        prod = self.lie.monomial_product
+
+        def terms():
+            for ea, ca in self.terms.items():
+                for eb, cb in other.terms.items():
+                    c = ca * cb
+                    if not c.is_zero():
+                        for e, s in prod(ea, eb).items():
+                            yield e, c * s
+
+        return HopfElement(self.lie, _add_terms({}, terms()))
+
+    def _expand(self, images):
+        """Sum of c * images(e) over the terms c x^e, as a term map."""
+        return _add_terms({}, (
+            (k, c * s)
+            for e, c in self.terms.items()
+            for k, s in images(e).items()
+        ))
 
     # -- Hopf maps ----------------------------------------------------
 
     def coproduct(self):
-        out = {}
-        for e, c in self.terms.items():
-            for legs, s in self.lie.coproduct_monomial(e).items():
-                prev = out.get(legs)
-                v = c * s if prev is None else prev + c * s
-                if v.is_zero():
-                    out.pop(legs, None)
-                else:
-                    out[legs] = v
-        return TensorElement(self.lie, 2, out)
+        return TensorElement(
+            self.lie, 2, self._expand(self.lie.coproduct_monomial)
+        )
 
     def counit(self):
         zero = (0,) * self.lie.dim
         return self.terms.get(zero, self.lie.ring.zero())
 
     def antipode(self):
-        out = {}
-        for e, c in self.terms.items():
-            for e2, s in self.lie.antipode_monomial(e).items():
-                prev = out.get(e2)
-                v = c * s if prev is None else prev + c * s
-                if v.is_zero():
-                    out.pop(e2, None)
-                else:
-                    out[e2] = v
-        return HopfElement(self.lie, out)
+        return HopfElement(self.lie, self._expand(self.lie.antipode_monomial))
 
     def min_h_order(self):
         if not self.terms:
@@ -330,23 +283,8 @@ class HopfElement:
         one = self.lie.unit()
         n = one - self
         if n.min_h_order() < 1:
-            from .errors import BetaNotInvertible
-
             raise BetaNotInvertible("element is not 1 + O(h)")
-        out = one
-        term = one
-        for _ in range(1, self.lie.ring.order):
-            term = term * n
-            if term.is_zero():
-                break
-            out = out + term
-        return out
-
-    def h0_scalar(self):
-        """Classical limit when the element is a scalar multiple of 1."""
-        zero = (0,) * self.lie.dim
-        assert set(self.terms) <= {zero}
-        return self.terms.get(zero, self.lie.ring.zero())
+        return _neumann(one, n, self.lie.ring.order)
 
     # -- plumbing -------------------------------------------------------
 
@@ -424,15 +362,9 @@ class TensorElement:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            prev = out.get(k)
-            v = c if prev is None else prev + c
-            if v.is_zero():
-                out.pop(k, None)
-            else:
-                out[k] = v
-        return TensorElement(self.lie, self.rank, out)
+        return TensorElement(
+            self.lie, self.rank, _add_terms(dict(self.terms), other.terms.items())
+        )
 
     def __sub__(self, other):
         return self + (-other)
@@ -453,34 +385,24 @@ class TensorElement:
         """Legwise product, each leg PBW-renormalized."""
         self._check(other)
         prod = self.lie.monomial_product
-        out = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                c = ca * cb
-                if c.is_zero():
-                    continue
-                # distribute the per-leg products
-                partial = {(): c}
-                for leg in range(self.rank):
-                    new = {}
-                    for pk, pc in partial.items():
-                        for e, s in prod(ka[leg], kb[leg]).items():
-                            k2 = pk + (e,)
-                            v = pc * s
-                            prev = new.get(k2)
-                            v = v if prev is None else prev + v
-                            new[k2] = v
-                    partial = new
-                for k2, v in partial.items():
-                    if v.is_zero():
+
+        def terms():
+            for ka, ca in self.terms.items():
+                for kb, cb in other.terms.items():
+                    c = ca * cb
+                    if c.is_zero():
                         continue
-                    prev = out.get(k2)
-                    v2 = v if prev is None else prev + v
-                    if v2.is_zero():
-                        out.pop(k2, None)
-                    else:
-                        out[k2] = v2
-        return TensorElement(self.lie, self.rank, out)
+                    # distribute the per-leg products (distinct keys)
+                    partial = {(): c}
+                    for leg in range(self.rank):
+                        partial = {
+                            pk + (e,): pc * s
+                            for pk, pc in partial.items()
+                            for e, s in prod(ka[leg], kb[leg]).items()
+                        }
+                    yield from partial.items()
+
+        return TensorElement(self.lie, self.rank, _add_terms({}, terms()))
 
     # -- leg surgery ----------------------------------------------------
 
@@ -504,12 +426,7 @@ class TensorElement:
         """New tensor with leg i of the result = leg perm[i] of self."""
         perm = tuple(perm)
         assert sorted(perm) == list(range(self.rank)), perm
-        out = {}
-        for k, c in self.terms.items():
-            k2 = tuple(k[p] for p in perm)
-            prev = out.get(k2)
-            v = c if prev is None else prev + c
-            out[k2] = v
+        out = {tuple(k[p] for p in perm): c for k, c in self.terms.items()}
         return TensorElement(self.lie, self.rank, out)
 
     def flip(self):
@@ -530,17 +447,9 @@ class TensorElement:
                 pieces = {(e,): s for e, s in img.terms.items()}
             else:
                 pieces = img.terms
-            for sub, s in pieces.items():
-                k2 = k[:idx] + sub + k[idx + 1:]
-                v = c * s
-                if v.is_zero():
-                    continue
-                prev = out.get(k2)
-                v2 = v if prev is None else prev + v
-                if v2.is_zero():
-                    out.pop(k2, None)
-                else:
-                    out[k2] = v2
+            _add_terms(out, (
+                (k[:idx] + sub + k[idx + 1:], c * s) for sub, s in pieces.items()
+            ))
         return TensorElement(self.lie, rank, out)
 
     def coproduct_leg(self, idx, coproduct=None):
@@ -557,17 +466,11 @@ class TensorElement:
         zero = (0,) * self.lie.dim
         if self.rank == 1:
             raise RankMismatch("cannot drop the only leg")
-        out = {}
-        for k, c in self.terms.items():
-            if k[idx] != zero:
-                continue
-            k2 = k[:idx] + k[idx + 1:]
-            prev = out.get(k2)
-            v = c if prev is None else prev + c
-            if v.is_zero():
-                out.pop(k2, None)
-            else:
-                out[k2] = v
+        out = _add_terms({}, (
+            (k[:idx] + k[idx + 1:], c)
+            for k, c in self.terms.items()
+            if k[idx] == zero
+        ))
         return TensorElement(self.lie, self.rank - 1, out)
 
     def antipode_leg(self, idx):
@@ -679,63 +582,59 @@ def check_hopf(lie, depth=3, antipode_table=None):
         return out
 
     monos = lie.monomials_up_to(depth)
-    unit_t = TensorElement.unit(lie, 1)
 
-    ok, bad = True, None
-    for e in monos:
-        xi = lie.monomial(e)
-        cop = xi.coproduct()
-        lhs = cop.coproduct_leg(0)
-        rhs = cop.coproduct_leg(1)
-        if lhs != rhs:
-            ok, bad = False, {"monomial": repr(xi)}
-            break
-    rep.add("coassociativity", "(cop (x) id) cop = (id (x) cop) cop", ok, bad)
+    def coassociativity():
+        for e in monos:
+            xi = lie.monomial(e)
+            cop = xi.coproduct()
+            if cop.coproduct_leg(0) != cop.coproduct_leg(1):
+                yield {"monomial": repr(xi)}
 
-    ok, bad = True, None
-    for e in monos:
-        xi = lie.monomial(e)
-        cop = xi.coproduct()
-        left = cop.counit_leg(0).as_hopf()
-        right = cop.counit_leg(1).as_hopf()
-        if left != xi or right != xi:
-            ok, bad = False, {"monomial": repr(xi)}
-            break
-    rep.add("counit", "(eps (x) id) cop = id = (id (x) eps) cop", ok, bad)
+    rep.record("coassociativity", "(cop (x) id) cop = (id (x) cop) cop",
+               next(coassociativity(), None))
 
-    ok, bad = True, None
-    for e in monos:
-        xi = lie.monomial(e)
-        cop = xi.coproduct()
-        target = lie.unit(xi.counit())
-        lhs = cop.map_leg(0, lambda m: S(lie.monomial(m))).contract()
-        rhs = cop.map_leg(1, lambda m: S(lie.monomial(m))).contract()
-        if lhs != target or rhs != target:
-            ok, bad = False, {
-                "monomial": repr(xi),
-                "mu(S(x)id)cop": repr(lhs),
-                "mu(id(x)S)cop": repr(rhs),
-                "eta eps": repr(target),
-            }
-            break
-    rep.add("antipode", "mu(S (x) id)cop = eta eps = mu(id (x) S)cop", ok, bad)
+    def counit():
+        for e in monos:
+            xi = lie.monomial(e)
+            cop = xi.coproduct()
+            left = cop.counit_leg(0).as_hopf()
+            right = cop.counit_leg(1).as_hopf()
+            if left != xi or right != xi:
+                yield {"monomial": repr(xi)}
 
-    ok, bad = True, None
-    half = max(1, depth // 2 + 1)
-    small = lie.monomials_up_to(half)
-    for ea in small:
-        for eb in small:
-            if sum(ea) + sum(eb) > depth:
-                continue
-            a, b = lie.monomial(ea), lie.monomial(eb)
-            if (a * b).coproduct() != a.coproduct() * b.coproduct():
-                ok, bad = False, {"pair": (repr(a), repr(b))}
-                break
-        if not ok:
-            break
-    rep.add(
-        "coproduct-multiplicative", "cop(xy) = cop(x) cop(y)", ok, bad
-    )
+    rep.record("counit", "(eps (x) id) cop = id = (id (x) eps) cop",
+               next(counit(), None))
+
+    def antipode():
+        for e in monos:
+            xi = lie.monomial(e)
+            cop = xi.coproduct()
+            target = lie.unit(xi.counit())
+            lhs = cop.map_leg(0, lambda m: S(lie.monomial(m))).contract()
+            rhs = cop.map_leg(1, lambda m: S(lie.monomial(m))).contract()
+            if lhs != target or rhs != target:
+                yield {
+                    "monomial": repr(xi),
+                    "mu(S(x)id)cop": repr(lhs),
+                    "mu(id(x)S)cop": repr(rhs),
+                    "eta eps": repr(target),
+                }
+
+    rep.record("antipode", "mu(S (x) id)cop = eta eps = mu(id (x) S)cop",
+               next(antipode(), None))
+
+    def multiplicative():
+        small = lie.monomials_up_to(max(1, depth // 2 + 1))
+        for ea in small:
+            for eb in small:
+                if sum(ea) + sum(eb) > depth:
+                    continue
+                a, b = lie.monomial(ea), lie.monomial(eb)
+                if (a * b).coproduct() != a.coproduct() * b.coproduct():
+                    yield {"pair": (repr(a), repr(b))}
+
+    rep.record("coproduct-multiplicative", "cop(xy) = cop(x) cop(y)",
+               next(multiplicative(), None))
     return rep
 
 
@@ -753,42 +652,32 @@ def check_triangular(lie, tri, depth=3, coproduct=None):
     else:
         cop = coproduct
 
-    ok, bad = True, None
-    for e in lie.monomials_up_to(depth):
-        xi = lie.monomial(e)
-        delta = cop(xi)
-        if delta.flip() * R != R * delta:
-            ok, bad = False, {"monomial": repr(xi)}
-            break
-    rep.add(
-        "quasi-cocommutativity", "cop_op(xi) R = R cop(xi)", ok, bad
-    )
+    def quasi_cocommutativity():
+        for e in lie.monomials_up_to(depth):
+            xi = lie.monomial(e)
+            delta = cop(xi)
+            if delta.flip() * R != R * delta:
+                yield {"monomial": repr(xi)}
+
+    rep.record("quasi-cocommutativity", "cop_op(xi) R = R cop(xi)",
+               next(quasi_cocommutativity(), None))
 
     lhs = R.coproduct_leg(0, coproduct)
     r13 = R.embed(3, (0, 2))
     r23 = R.embed(3, (1, 2))
-    rep.add(
-        "hexagon-left",
-        "(cop (x) id)(R) = R13 R23",
-        lhs == r13 * r23,
-        None if lhs == r13 * r23 else {"lhs": repr(lhs)},
-    )
+    rep.record("hexagon-left", "(cop (x) id)(R) = R13 R23",
+               None if lhs == r13 * r23 else {"lhs": repr(lhs)})
 
     lhs2 = R.coproduct_leg(1, coproduct)
     r12 = R.embed(3, (0, 1))
-    rep.add(
-        "hexagon-right",
-        "(id (x) cop)(R) = R13 R12",
-        lhs2 == r13 * r12,
-        None if lhs2 == r13 * r12 else {"lhs": repr(lhs2)},
-    )
+    rep.record("hexagon-right", "(id (x) cop)(R) = R13 R12",
+               None if lhs2 == r13 * r12 else {"lhs": repr(lhs2)})
 
     ok = R * Rinv == unit2 and Rinv * R == unit2
     rep.add("r-inverse", "R Rinv = 1 (x) 1 = Rinv R", ok)
 
-    ok = R.flip() == Rinv
-    rep.add("unitarity", "R21 = Rinv", ok,
-            None if ok else {"R21": repr(R.flip()), "Rinv": repr(Rinv)})
+    rep.record("unitarity", "R21 = Rinv", None if R.flip() == Rinv
+               else {"R21": repr(R.flip()), "Rinv": repr(Rinv)})
 
     lhs3 = R.embed(3, (0, 1)) * R.embed(3, (0, 2)) * R.embed(3, (1, 2))
     rhs3 = R.embed(3, (1, 2)) * R.embed(3, (0, 2)) * R.embed(3, (0, 1))

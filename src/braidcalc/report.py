@@ -7,8 +7,6 @@ the structured rendering is deterministic (no wall-clock data), the
 text rendering carries per-check timing for humans.
 """
 
-import json
-
 
 class Check:
     __slots__ = ("name", "law", "passed", "counterexample", "seconds")
@@ -43,6 +41,10 @@ class Report:
     def add(self, name, law, passed, counterexample=None, seconds=0.0):
         self.checks.append(Check(name, law, passed, counterexample, seconds))
 
+    def record(self, name, law, bad):
+        """Add a check from its first counterexample (None: it passed)."""
+        self.add(name, law, bad is None, bad)
+
     def extend(self, other):
         self.checks.extend(other.checks)
 
@@ -60,10 +62,6 @@ class Report:
             "passed": self.passed,
             "checks": [c.as_dict() for c in self.checks],
         }
-
-    def to_json(self):
-        return json.dumps(self.as_dict(), indent=2, sort_keys=False,
-                          default=str) + "\n"
 
     def to_text(self):
         lines = ["== %s ==" % self.title]

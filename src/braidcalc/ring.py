@@ -18,9 +18,16 @@ Everything here is immutable after construction; all operations are
 pure and return fresh objects.
 """
 
+import functools
 from fractions import Fraction
 
-from .errors import IndexOutOfRange, NotInvertible, RingMismatch, WrongRing
+from .errors import (
+    IndexOutOfRange,
+    InverseWitnessInvalid,
+    NotInvertible,
+    RingMismatch,
+    WrongRing,
+)
 
 
 def _frac(v):
@@ -36,6 +43,66 @@ def _frac(v):
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+
+# ---------------------------------------------------------------------
+# the engine's shared idioms
+# ---------------------------------------------------------------------
+
+
+def _add_terms(out, pairs):
+    """Fold (key, coefficient) pairs into the sparse map `out`, dropping
+    keys whose coefficients cancel; returns `out`."""
+    for k, v in pairs:
+        prev = out.get(k)
+        if prev is not None:
+            v = prev + v
+        if v.is_zero():
+            out.pop(k, None)
+        else:
+            out[k] = v
+    return out
+
+
+def _memo(method):
+    """Cache a method per instance, keyed by its positional arguments;
+    the method never returns None."""
+    slot = "_memo_" + method.__name__
+
+    @functools.wraps(method)
+    def cached(self, *args):
+        try:
+            table = self.__dict__[slot]
+        except KeyError:
+            table = self.__dict__[slot] = {}
+        got = table.get(args)
+        if got is None:
+            got = table[args] = method(self, *args)
+        return got
+
+    return cached
+
+
+def _neumann(one, n, order):
+    """Sum of n^k for k < order, stopping at the first zero power: the
+    inverse of one - n when n is of positive h-order."""
+    out = term = one
+    for _ in range(1, order):
+        term = term * n
+        if term.is_zero():
+            break
+        out = out + term
+    return out
+
+
+def _exponents_up_to(arity, depth):
+    """All exponent tuples of total degree <= depth, ordered by
+    (degree, exponent)."""
+    out = [()]
+    for _ in range(arity):
+        out = [e + (k,) for e in out for k in range(depth - sum(e) + 1)]
+    out.sort(key=lambda e: (sum(e), e))
+    return out
 
 
 class Ring:
@@ -116,9 +183,6 @@ class Scalar:
 
     def is_zero(self):
         return all(v == 0 for v in self.c)
-
-    def is_one(self):
-        return self.c[0] == 1 and all(v == 0 for v in self.c[1:])
 
     def min_h_order(self):
         """Smallest k with a nonzero h^k coefficient; ring order if zero."""
@@ -236,30 +300,15 @@ class Scalar:
 
 
 def _map_add(a, b):
-    out = dict(a)
-    for e, c in b.items():
-        prev = out.get(e)
-        s = c if prev is None else prev + c
-        if s.is_zero():
-            out.pop(e, None)
-        else:
-            out[e] = s
-    return out
+    return _add_terms(dict(a), b.items())
 
 
 def _map_mul(a, b):
-    out = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = tuple(x + y for x, y in zip(ea, eb))
-            p = ca * cb
-            prev = out.get(e)
-            s = p if prev is None else prev + p
-            if s.is_zero():
-                out.pop(e, None)
-            else:
-                out[e] = s
-    return out
+    return _add_terms({}, (
+        (tuple(x + y for x, y in zip(ea, eb)), ca * cb)
+        for ea, ca in a.items()
+        for eb, cb in b.items()
+    ))
 
 
 def _map_scale(a, s):
@@ -360,12 +409,11 @@ class PolyAlgebra:
 
     def from_map(self, m):
         """Build an element from {'x^2 y': '3/2', ...}."""
-        num = {}
-        for key, val in m.items():
-            e = self.parse_exponent(key)
-            s = val if isinstance(val, Scalar) else self.ring.scalar(val)
-            if not s.is_zero():
-                num[e] = num.get(e, self.ring.zero()) + s
+        num = _add_terms({}, (
+            (self.parse_exponent(key),
+             val if isinstance(val, Scalar) else self.ring.scalar(val))
+            for key, val in m.items()
+        ))
         return AlgebraElement(self, num, 0)
 
     def unit_element(self):
@@ -388,14 +436,11 @@ class PolyAlgebra:
                 return None
             coef = rem[e] * lead_c_inv
             q[diff] = coef
-            for ue, uc in self.unit.items():
-                ne = tuple(a + b for a, b in zip(diff, ue))
-                prev = rem.get(ne)
-                s = (prev if prev is not None else self.ring.zero()) - coef * uc
-                if s.is_zero():
-                    rem.pop(ne, None)
-                else:
-                    rem[ne] = s
+            neg = -coef
+            _add_terms(rem, (
+                (tuple(a + b for a, b in zip(diff, ue)), neg * uc)
+                for ue, uc in self.unit.items()
+            ))
         return q
 
 
@@ -500,20 +545,12 @@ class AlgebraElement:
         """Partial derivative along coordinate j (quotient rule on du)."""
         if not 0 <= j < self.algebra.arity:
             raise IndexOutOfRange(("coordinate", j, self.algebra.arity))
-        dnum = {}
-        for e, c in self.num.items():
-            if e[j] == 0:
-                continue
-            ne = list(e)
-            ne[j] -= 1
-            ne = tuple(ne)
-            s = c * self.algebra.ring.scalar(e[j])
-            prev = dnum.get(ne)
-            s = s if prev is None else prev + s
-            if s.is_zero():
-                dnum.pop(ne, None)
-            else:
-                dnum[ne] = s
+        scalar = self.algebra.ring.scalar
+        dnum = _add_terms({}, (
+            (e[:j] + (e[j] - 1,) + e[j + 1:], c * scalar(e[j]))
+            for e, c in self.num.items()
+            if e[j]
+        ))
         if self.du == 0:
             return AlgebraElement(self.algebra, dnum, 0)
         # d(p/u^k) = dp/u^k - k p du/u^(k+1)
@@ -556,15 +593,7 @@ class AlgebraElement:
             if min(c.min_h_order() for c in n_elem.num.values()) < 1:
                 raise NotInvertible("remainder is not of positive h-order")
         # (1 + n)^(-1) = 1 - n + n^2 - ... truncates since n is O(h)
-        inv_rest = alg.one()
-        term = alg.one()
-        sign = -1
-        for _ in range(1, alg.ring.order):
-            term = term * n_elem
-            if term.is_zero():
-                break
-            inv_rest = inv_rest + term.scale(alg.ring.scalar(sign))
-            sign = -sign
+        inv_rest = _neumann(alg.one(), -n_elem, alg.ring.order)
         inv_rest = inv_rest.scale(c0.inverse())
         # unit^k / 1 -> move to denominator: inverse carries du += uk... and
         # the original du moves to the numerator as unit^du.
@@ -572,7 +601,8 @@ class AlgebraElement:
         if self.du:
             unit_pow = alg.unit_element() ** self.du
             out = out * unit_pow
-        assert (out * self - alg.one()).is_zero(), "inverse verification"
+        if not (out * self - alg.one()).is_zero():
+            raise InverseWitnessInvalid("inverse verification")
         return out
 
     # -- ring changes -------------------------------------------------

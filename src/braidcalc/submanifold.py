@@ -261,8 +261,6 @@ class Projection:
                 raise NotTangent((w, c))
         return self.q.mv(X.grade, terms)
 
-    field = multivector
-
     def form(self, om):
         """Pull a form back to the submanifold: normal coframe letters
         restrict to zero, so those words drop with no condition."""
@@ -280,13 +278,6 @@ class Projection:
             for w, c in Xbar.terms.items()
         }
         return self.cal.mv(Xbar.grade, terms)
-
-    def lift_form(self, ombar):
-        terms = {
-            tuple(self.tangent_idx[u] for u in w): self.lift_function(c)
-            for w, c in ombar.terms.items()
-        }
-        return self.cal.form(ombar.grade, terms)
 
     # -- geometry ------------------------------------------------------
 
@@ -369,44 +360,40 @@ def check_sequence(proj, coeff_degree=2):
     rep = Report("sequence", {"coeff_degree": coeff_degree})
     cal, ideal = proj.cal, proj.ideal
 
-    ok, bad = True, None
-    for Xbar in field_family(proj.q, coeff_degree):
-        back = proj.multivector(proj.lift_multivector(Xbar))
-        if back != Xbar:
-            ok, bad = False, {"field": Xbar, "round_trip": back}
-            break
-    rep.add("lift-section", "pr(lift(X)) = X", ok, bad)
+    def lift_section():
+        for Xbar in field_family(proj.q, coeff_degree):
+            back = proj.multivector(proj.lift_multivector(Xbar))
+            if back != Xbar:
+                yield {"field": Xbar, "round_trip": back}
 
-    ok, bad = True, None
-    kernel = []
-    for g in ideal.generators:
-        for u in range(cal.dim):
-            kernel.append(cal.mv(1, {(u,): g}))
-            for m in coordinate_monomials(cal.alg, coeff_degree):
-                if m.is_scalar():
-                    continue
-                kernel.append(cal.mv(1, {(u,): g * m}))
-    for X in kernel:
-        if not proj.multivector(X).is_zero():
-            ok, bad = False, {"field": X, "note": "kernel not killed"}
-            break
-        try:
-            pieces = axiom_one_witness(proj, X)
-        except AxiomOneUnwitnessed as exc:
-            ok, bad = False, {"field": X, "unwitnessed": exc.args}
-            break
-        back = cal.zero_mv(1)
-        for c, u in pieces:
-            back = back + cal.mv(1, {(u,): c})
-        if back != X:
-            ok, bad = False, {"field": X, "recombined": back}
-            break
-    rep.add(
-        "kernel-witness",
-        "pr(X) = 0 and X = sum c_i e_i with ideal coefficients",
-        ok,
-        bad,
-    )
+    rep.record("lift-section", "pr(lift(X)) = X", next(lift_section(), None))
+
+    def kernel_witness():
+        kernel = []
+        for g in ideal.generators:
+            for u in range(cal.dim):
+                kernel.append(cal.mv(1, {(u,): g}))
+                for m in coordinate_monomials(cal.alg, coeff_degree):
+                    if m.is_scalar():
+                        continue
+                    kernel.append(cal.mv(1, {(u,): g * m}))
+        for X in kernel:
+            if not proj.multivector(X).is_zero():
+                yield {"field": X, "note": "kernel not killed"}
+            try:
+                pieces = axiom_one_witness(proj, X)
+            except AxiomOneUnwitnessed as exc:
+                yield {"field": X, "unwitnessed": exc.args}
+                continue
+            back = cal.zero_mv(1)
+            for c, u in pieces:
+                back = back + cal.mv(1, {(u,): c})
+            if back != X:
+                yield {"field": X, "recombined": back}
+
+    rep.record("kernel-witness",
+               "pr(X) = 0 and X = sum c_i e_i with ideal coefficients",
+               next(kernel_witness(), None))
     return rep
 
 
@@ -456,107 +443,73 @@ def projection_suite(proj, coeff_degree=2, depth=2):
     fields = _tangent_field_family(proj, coeff_degree)
     forms = _form_family(proj, coeff_degree)
 
-    ok, bad = True, None
-    for a in funcs:
-        for b in funcs:
-            lhs = proj.function(cal.M.mul(a, b))
-            rhs = q.M.mul(proj.function(a), proj.function(b))
-            if lhs != rhs:
-                ok, bad = False, {"a": a, "b": b, "lhs": lhs, "rhs": rhs}
-                break
-        if not ok:
-            break
-    rep.add("product", "pr(a b) = pr(a) pr(b)", ok, bad)
-
-    ok, bad = True, None
-    for X in fields:
-        Xq = proj.multivector(X)
+    def product():
         for a in funcs:
-            lhs = q.apply_field(Xq, proj.function(a))
-            rhs = proj.function(cal.apply_field(X, a))
-            if lhs != rhs:
-                ok, bad = False, {"field": X, "function": a}
-                break
-        if not ok:
-            break
-    rep.add("field-application", "pr(X)(pr(a)) = pr(X(a))", ok, bad)
+            for b in funcs:
+                lhs = proj.function(cal.M.mul(a, b))
+                rhs = q.M.mul(proj.function(a), proj.function(b))
+                if lhs != rhs:
+                    yield {"a": a, "b": b, "lhs": lhs, "rhs": rhs}
 
-    ok, bad = True, None
-    for om in forms:
-        lhs = proj.form(cal.d(om))
-        rhs = q.d(proj.form(om))
-        if lhs != rhs:
-            ok, bad = False, {"form": om, "lhs": lhs, "rhs": rhs}
-            break
-    rep.add("differential", "pr(d w) = d pr(w)", ok, bad)
+    rep.record("product", "pr(a b) = pr(a) pr(b)", next(product(), None))
 
-    ok, bad = True, None
-    for X in fields:
-        Xq = proj.multivector(X)
+    def field_application():
+        for X in fields:
+            Xq = proj.multivector(X)
+            for a in funcs:
+                lhs = q.apply_field(Xq, proj.function(a))
+                if lhs != proj.function(cal.apply_field(X, a)):
+                    yield {"field": X, "function": a}
+
+    rep.record("field-application", "pr(X)(pr(a)) = pr(X(a))",
+               next(field_application(), None))
+
+    def differential():
         for om in forms:
-            lhs = proj.form(cal.insert(X, om))
-            rhs = q.insert(Xq, proj.form(om))
+            lhs = proj.form(cal.d(om))
+            rhs = q.d(proj.form(om))
             if lhs != rhs:
-                ok, bad = False, {"field": X, "form": om}
-                break
-        if not ok:
-            break
-    rep.add("insertion", "pr(i_X w) = i_{pr(X)} pr(w)", ok, bad)
+                yield {"form": om, "lhs": lhs, "rhs": rhs}
 
-    ok, bad = True, None
-    for X in fields:
-        Xq = proj.multivector(X)
-        for om in forms:
-            lhs = proj.form(cal.lie_derivative(X, om))
-            rhs = q.lie_derivative(Xq, proj.form(om))
-            if lhs != rhs:
-                ok, bad = False, {"field": X, "form": om}
-                break
-        if not ok:
-            break
-    rep.add("lie-derivative", "pr(L_X w) = L_{pr(X)} pr(w)", ok, bad)
+    rep.record("differential", "pr(d w) = d pr(w)", next(differential(), None))
 
-    ok, bad = True, None
-    for X in fields:
-        Xq = proj.multivector(X)
-        for Y in fields:
-            lhs = proj.multivector(cal.bracket(X, Y))
-            rhs = q.bracket(Xq, proj.multivector(Y))
-            if lhs != rhs:
-                ok, bad = False, {"X": X, "Y": Y}
-                break
-        if not ok:
-            break
-    rep.add("bracket", "pr([X, Y]) = [pr(X), pr(Y)]", ok, bad)
+    def operator(op, qop):
+        """First (field, form) where pr(op_X w) != qop_{pr(X)} pr(w)."""
+        for X in fields:
+            Xq = proj.multivector(X)
+            for om in forms:
+                if proj.form(op(X, om)) != qop(Xq, proj.form(om)):
+                    yield {"field": X, "form": om}
 
-    ok, bad = True, None
-    for exp in cal.lie.monomials_up_to(depth):
-        if not any(exp):
-            continue
-        for g in ideal.generators:
-            for u in range(cal.dim):
-                acted = cal.h_act_exp(exp, cal.mv(1, {(u,): g}))
-                for w, c in acted.terms.items():
-                    if not ideal.contains(c):
-                        ok, bad = False, {
-                            "monomial": exp,
-                            "generator": g,
-                            "frame": u,
-                            "coefficient": c,
-                        }
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    rep.add(
-        "kernel-stability",
-        "H |> (C . frame) keeps ideal coefficients",
-        ok,
-        bad,
-    )
+    rep.record("insertion", "pr(i_X w) = i_{pr(X)} pr(w)",
+               next(operator(cal.insert, q.insert), None))
+    rep.record("lie-derivative", "pr(L_X w) = L_{pr(X)} pr(w)",
+               next(operator(cal.lie_derivative, q.lie_derivative), None))
+
+    def bracket():
+        for X in fields:
+            Xq = proj.multivector(X)
+            for Y in fields:
+                lhs = proj.multivector(cal.bracket(X, Y))
+                if lhs != q.bracket(Xq, proj.multivector(Y)):
+                    yield {"X": X, "Y": Y}
+
+    rep.record("bracket", "pr([X, Y]) = [pr(X), pr(Y)]", next(bracket(), None))
+
+    def kernel_stability():
+        for exp in cal.lie.monomials_up_to(depth):
+            if not any(exp):
+                continue
+            for g in ideal.generators:
+                for u in range(cal.dim):
+                    acted = cal.h_act_exp(exp, cal.mv(1, {(u,): g}))
+                    for w, c in acted.terms.items():
+                        if not ideal.contains(c):
+                            yield {"monomial": exp, "generator": g,
+                                   "frame": u, "coefficient": c}
+
+    rep.record("kernel-stability", "H |> (C . frame) keeps ideal coefficients",
+               next(kernel_stability(), None))
     return rep
 
 
@@ -570,34 +523,23 @@ def projection_geometry_suite(proj, metric, coeff_degree=1):
     ambient = levi_civita(metric)
     pushed = proj.connection(ambient)
     solved = levi_civita(qmetric)
-    rep.add(
+    rep.record(
         "quotient-solve",
         "pr(metric connection) = metric connection of pr(metric)",
-        pushed == solved,
-        None if pushed == solved else {
-            "pushed": pushed.gamma,
-            "solved": solved.gamma,
-        },
+        None if pushed == solved
+        else {"pushed": pushed.gamma, "solved": solved.gamma},
     )
 
-    ok, bad = True, None
-    for Xbar in field_family(proj.q, coeff_degree):
-        for Ybar in field_family(proj.q, coeff_degree):
-            X = proj.lift_multivector(Xbar)
-            Y = proj.lift_multivector(Ybar)
-            lhs = proj.function(metric(X, Y))
-            rhs = qmetric(Xbar, Ybar)
-            if lhs != rhs:
-                ok, bad = False, {"X": Xbar, "Y": Ybar}
-                break
-        if not ok:
-            break
-    rep.add(
-        "metric-restriction",
-        "pr(g(lift X, lift Y)) = pr(g)(X, Y)",
-        ok,
-        bad,
-    )
+    def restriction():
+        for Xbar in field_family(proj.q, coeff_degree):
+            for Ybar in field_family(proj.q, coeff_degree):
+                X = proj.lift_multivector(Xbar)
+                Y = proj.lift_multivector(Ybar)
+                if proj.function(metric(X, Y)) != qmetric(Xbar, Ybar):
+                    yield {"X": Xbar, "Y": Ybar}
+
+    rep.record("metric-restriction", "pr(g(lift X, lift Y)) = pr(g)(X, Y)",
+               next(restriction(), None))
     return rep
 
 
@@ -611,34 +553,28 @@ def twist_projection_suite(cal, ideal, coeff_degree=2, depth=2,
         {"coeff_degree": coeff_degree, "depth": depth},
     )
 
-    ok, bad = True, None
-    for a in coordinate_monomials(cal.alg, spot_degree):
-        for b in coordinate_monomials(cal.alg, spot_degree):
-            lhs = proj.function(cal.M.mul(a, b))
-            rhs = proj.q.M.mul(proj.function(a), proj.function(b))
-            if lhs != rhs:
-                ok, bad = False, {"a": a, "b": b}
-                break
-        if not ok:
-            break
-    rep.add("star-naturality", "pr(a * b) = pr(a) * pr(b)", ok, bad)
+    funcs = coordinate_monomials(cal.alg, spot_degree)
 
-    ok, bad = True, None
-    for a in coordinate_monomials(cal.alg, spot_degree):
-        for b in coordinate_monomials(cal.alg, spot_degree):
-            star = proj.q.M.mul(proj.function(a), proj.function(b))
-            plain = proj.function(a) * proj.function(b)
-            if (star - plain).min_h_order() < 1:
-                ok, bad = False, {"a": a, "b": b}
-                break
-        if not ok:
-            break
-    rep.add(
-        "classical-shadow",
-        "quotient star = plain product at order 0",
-        ok,
-        bad,
-    )
+    def naturality():
+        for a in funcs:
+            for b in funcs:
+                lhs = proj.function(cal.M.mul(a, b))
+                if lhs != proj.q.M.mul(proj.function(a), proj.function(b)):
+                    yield {"a": a, "b": b}
+
+    rep.record("star-naturality", "pr(a * b) = pr(a) * pr(b)",
+               next(naturality(), None))
+
+    def shadow():
+        for a in funcs:
+            for b in funcs:
+                star = proj.q.M.mul(proj.function(a), proj.function(b))
+                plain = proj.function(a) * proj.function(b)
+                if (star - plain).min_h_order() < 1:
+                    yield {"a": a, "b": b}
+
+    rep.record("classical-shadow", "quotient star = plain product at order 0",
+               next(shadow(), None))
 
     rep.extend(projection_suite(proj, coeff_degree, depth))
     return rep, proj

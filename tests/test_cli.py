@@ -2,6 +2,9 @@
 exit statuses, and deterministic structured output."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -231,3 +234,67 @@ def test_engine_error_becomes_failing_construction_row(capsys):
     assert code == 1
     assert "construction" in out
     assert "NotTangent" in out
+
+
+def bad_bracket_data():
+    """Heisenberg brackets with X2 acting as d/dy: the action breaks
+    [X1, X2] = X3 on the coordinate y."""
+    data = json.loads((SCENARIOS / "heisenberg.json").read_text())
+    data["action"]["images"]["X2"] = {"y": "1"}
+    return data
+
+
+def test_bracket_incompatible_action_is_a_failing_construction_row(
+        tmp_path, capsys):
+    path = tmp_path / "bad-bracket.json"
+    path.write_text(json.dumps(bad_bracket_data()))
+    code = main(["star", str(path)])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert "construction" in out and "BracketIncompatible" in out
+    assert "[X1, X2] acts on y" in out
+
+
+@pytest.mark.parametrize("section, literal", [
+    ("brackets", "1/0"),
+    ("brackets", "abc"),
+    ("images", "1/0 x"),
+])
+def test_malformed_rational_exits_two(tmp_path, capsys, section, literal):
+    data = json.loads((SCENARIOS / "heisenberg.json").read_text())
+    if section == "brackets":
+        data["lie_algebra"]["brackets"]["X1 X2"] = {"X3": literal}
+    else:
+        data["action"]["images"]["X1"] = {"x": literal}
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(data))
+    code = main(["all", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "SchemaError" in err and "Traceback" not in err
+
+
+def run_cli(args, optimize):
+    """`braidcalc` in a fresh interpreter, optionally under python -O."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    cmd = [sys.executable] + (["-O"] if optimize else []) + [
+        "-m", "braidcalc.cli"] + args
+    return subprocess.run(cmd, capture_output=True, text=True, env=env,
+                          timeout=300)
+
+
+def test_verdicts_survive_python_O(tmp_path):
+    """Assertions vanish under -O; no verdict may depend on them."""
+    bad = tmp_path / "bad-bracket.json"
+    bad.write_text(json.dumps(bad_bracket_data()))
+    inputs = sorted((SCENARIOS / "falsification").glob("*.json")) + [bad]
+    assert len(inputs) == 6
+    for path in inputs:
+        plain = run_cli(["all", str(path)], optimize=False)
+        opt = run_cli(["all", str(path)], optimize=True)
+        assert opt.returncode == plain.returncode == 1, (path, opt.stdout)
+        assert "Traceback" not in plain.stderr + opt.stderr, path
+        assert opt.stdout == plain.stdout, path

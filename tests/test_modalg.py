@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from braidcalc.errors import UnknownModule, WrongRing
+from braidcalc.errors import BracketIncompatible, EngineError, UnknownModule, WrongRing
 from braidcalc.hopf import LieAlgebra, TensorElement
 from braidcalc.modalg import (
     Action,
@@ -298,3 +298,21 @@ def test_coordinate_monomial_family():
     fam = coordinate_monomials(M.algebra, 2)
     assert len(fam) == 6
     assert M.algebra.one() in fam
+
+
+def test_bracket_incompatible_action_names_pair_and_coordinate():
+    # Heisenberg brackets with X2 acting as d/dy: [D1, D2] = 0 but
+    # [X1, X2] = X3 acts as d/dy, so the law fails on y
+    lie = LieAlgebra(
+        RATIONAL, ("X1", "X2", "X3"), {(0, 1): {2: RATIONAL.scalar(1)}}
+    )
+    alg = PolyAlgebra(RATIONAL, ("x", "y"))
+    images = {
+        0: (alg.one(), alg.zero()),
+        1: (alg.zero(), alg.one()),
+        2: (alg.zero(), alg.one()),
+    }
+    with pytest.raises(BracketIncompatible) as info:
+        Action(lie, alg, images)
+    assert isinstance(info.value, EngineError)
+    assert "[X1, X2] acts on y" in str(info.value)

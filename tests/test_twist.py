@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from braidcalc.errors import NonCommutingLegs, WrongRing
+from braidcalc.errors import InverseWitnessInvalid, NonCommutingLegs, WrongRing
 from braidcalc.hopf import LieAlgebra, TensorElement, check_hopf
 from braidcalc.ring import RATIONAL, Ring
 from braidcalc.twist import (
@@ -75,6 +75,12 @@ class TestExpTwist:
         biv = TensorElement.from_factors(lie3.gen(0), lie3.gen(1))
         with pytest.raises(WrongRing):
             exp_twist(lie3, biv)
+
+    def test_wrong_stored_inverse_rejected(self, lie3, moyal3):
+        # F itself is no inverse of the exponential twist; a typed error,
+        # not an assert, so python -O cannot skip the check
+        with pytest.raises(InverseWitnessInvalid):
+            Twist(lie3, moyal3.F, moyal3.F)
 
     def test_noncommuting_legs_rejected(self):
         heis = LieAlgebra(Ring("series", 3), ("X1", "X2", "X3"),
