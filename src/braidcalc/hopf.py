@@ -29,7 +29,15 @@ from .errors import (
     RingMismatch,
 )
 from .report import Report
-from .ring import Ring, Scalar, _add_terms, _exponents_up_to, _memo, _neumann
+from .ring import (
+    Ring,
+    Scalar,
+    _add_terms,
+    _exponents_up_to,
+    _memo,
+    _memo_table,
+    _neumann,
+)
 
 
 def _exp_to_word(exp):
@@ -105,36 +113,46 @@ class LieAlgebra:
     # -- PBW normalization --------------------------------------------
 
     def normalize_word(self, word):
-        """Word of generator indices -> {exponent tuple: Scalar}."""
-        return self._normalize_word(tuple(word))
+        """Word of generator indices -> {exponent tuple: Scalar}.
 
-    @_memo
-    def _normalize_word(self, word):
-        descent = -1
-        for p in range(len(word) - 1):
-            if word[p] > word[p + 1]:
-                descent = p
-                break
-        if descent < 0:
-            exp = [0] * self.dim
-            for i in word:
-                if not 0 <= i < self.dim:
-                    raise IndexOutOfRange(("generator", i, self.dim))
-                exp[i] += 1
-            out = {tuple(exp): self.ring.one()}
-        else:
-            p = descent
-            a, b = word[p], word[p + 1]
-            swapped = word[:p] + (b, a) + word[p + 2:]
-            # recurse on the memo itself: one frame fewer per swap
-            out = _add_terms(dict(self._normalize_word(swapped)), (
+        Straightens by swapping the first descent, x_b x_a = x_a x_b +
+        [x_b, x_a], with an explicit stack of words still to normalize,
+        so word length is bounded by memory, not by recursion depth.
+        Results are memoized per word under the key (word,)."""
+        word = tuple(word)
+        table = _memo_table(self, "_memo_normalize_word")
+        todo = [word]
+        while todo:
+            w = todo[-1]
+            if (w,) in table:
+                todo.pop()
+                continue
+            p = next((p for p in range(len(w) - 1) if w[p] > w[p + 1]), -1)
+            if p < 0:
+                exp = [0] * self.dim
+                for i in w:
+                    if not 0 <= i < self.dim:
+                        raise IndexOutOfRange(("generator", i, self.dim))
+                    exp[i] += 1
+                table[(w,)] = {tuple(exp): self.ring.one()}
+                todo.pop()
+                continue
+            a, b = w[p], w[p + 1]
+            swapped = w[:p] + (b, a) + w[p + 2:]
+            terms = [(c, w[:p] + (k,) + w[p + 2:])
+                     for k, c in self.bracket_components(a, b).items()]
+            missing = [u for u in [swapped] + [u for _, u in terms]
+                       if (u,) not in table]
+            if missing:
+                todo.extend(reversed(missing))
+                continue
+            table[(w,)] = _add_terms(dict(table[(swapped,)]), (
                 (e, c * s)
-                for k, c in self.bracket_components(a, b).items()
-                for e, s in self._normalize_word(
-                    word[:p] + (k,) + word[p + 2:]
-                ).items()
+                for c, u in terms
+                for e, s in table[(u,)].items()
             ))
-        return out
+            todo.pop()
+        return table[(word,)]
 
     def monomial_product(self, ea, eb):
         """Product of two PBW monomials as {exponent tuple: Scalar}."""

@@ -1,9 +1,10 @@
 """Exact coefficient arithmetic and sparse polynomial algebras.
 
-Two coefficient rings share one Scalar representation: a tuple of
-Fractions.  The rational ring keeps a single slot; the truncated-series
-ring keeps N slots holding the coefficients of 1, h, ..., h^(N-1), all
-arithmetic done mod h^N where h is the formal deformation parameter.
+Two coefficient rings share one Scalar representation: a tuple of int
+numerators over one positive int denominator, in lowest terms.  The
+rational ring keeps a single numerator; the truncated-series ring keeps
+N numerators for the coefficients of 1, h, ..., h^(N-1), all arithmetic
+done mod h^N where h is the formal deformation parameter.
 Which ring is in force is a run-time value carried by every Scalar;
 mixing rings raises RingMismatch.
 
@@ -19,13 +20,16 @@ pure and return fresh objects.
 """
 
 import functools
+import math
 from fractions import Fraction
 
 from .errors import (
+    ArityMismatch,
     IndexOutOfRange,
     InverseWitnessInvalid,
     NotInvertible,
     RingMismatch,
+    SchemaError,
     WrongRing,
 )
 
@@ -37,12 +41,11 @@ def _frac(v):
     if isinstance(v, int):
         return Fraction(v)
     if isinstance(v, str):
-        return Fraction(v.strip())
-    assert 0, ("not a rational literal", v)
-
-
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+        try:
+            return Fraction(v.strip())
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise SchemaError(("not a rational literal", v))
 
 
 # ---------------------------------------------------------------------
@@ -64,6 +67,15 @@ def _add_terms(out, pairs):
     return out
 
 
+def _memo_table(obj, slot):
+    """The cache `_memo` keeps on `obj` under the attribute `slot`."""
+    try:
+        return obj.__dict__[slot]
+    except KeyError:
+        table = obj.__dict__[slot] = {}
+        return table
+
+
 def _memo(method):
     """Cache a method per instance, keyed by its positional arguments;
     the method never returns None."""
@@ -71,10 +83,7 @@ def _memo(method):
 
     @functools.wraps(method)
     def cached(self, *args):
-        try:
-            table = self.__dict__[slot]
-        except KeyError:
-            table = self.__dict__[slot] = {}
+        table = _memo_table(self, slot)
         got = table.get(args)
         if got is None:
             got = table[args] = method(self, *args)
@@ -123,7 +132,7 @@ class Ring:
         return self.kind == "series"
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, Ring)
             and self.kind == other.kind
             and self.order == other.order
@@ -140,14 +149,21 @@ class Ring:
     # -- constructors ------------------------------------------------
 
     def from_coeffs(self, coeffs):
-        c = tuple(_frac(v) for v in coeffs)
-        assert len(c) == self.order, (len(c), self.order)
-        return Scalar(self, c)
+        c = [_frac(v) for v in coeffs]
+        if len(c) != self.order:
+            raise ArityMismatch(("series coefficients", len(c), self.order))
+        d = math.lcm(*(v.denominator for v in c))
+        return Scalar(self, tuple(v.numerator * (d // v.denominator)
+                                  for v in c), d)
 
     def scalar(self, v):
         """Embed a rational literal as a Scalar of this ring."""
-        c = [_frac(v)] + [_ZERO] * (self.order - 1)
-        return Scalar(self, tuple(c))
+        if type(v) is int:
+            n, d = v, 1
+        else:
+            v = _frac(v)
+            n, d = v.numerator, v.denominator
+        return Scalar(self, (n,) + (0,) * (self.order - 1), d)
 
     def zero(self):
         return self.scalar(0)
@@ -160,34 +176,51 @@ class Ring:
         if not self.is_series:
             raise WrongRing("h lives in the truncated-series ring only")
         assert power >= 1, power
-        c = [_ZERO] * self.order
+        n = [0] * self.order
         if power < self.order:
-            c[power] = _ONE
-        return Scalar(self, tuple(c))
+            n[power] = 1
+        return Scalar(self, tuple(n), 1)
 
 
 RATIONAL = Ring("rational")
 
 
 class Scalar:
-    """Immutable ring element: a rational, or a series coefficient tuple."""
+    """Immutable ring element: the rational or truncated series n / d.
 
-    __slots__ = ("ring", "c")
+    `n` holds the int numerators of 1, h, ..., h^(order-1) and `d` their
+    one positive int denominator, in lowest terms: gcd(d, *n) == 1, so
+    zero is ((0,) * order, 1) and equal values have equal fields.
+    """
 
-    def __init__(self, ring, c):
-        assert isinstance(c, tuple) and len(c) == ring.order
+    __slots__ = ("ring", "n", "d")
+
+    def __init__(self, ring, n, d):
+        """Store n / d, reduced; the caller passes len(n) == ring.order
+        and d > 0."""
+        if d != 1:
+            g = math.gcd(d, *n)
+            if g != 1:
+                n = tuple(v // g for v in n)
+                d //= g
         self.ring = ring
-        self.c = c
+        self.n = n
+        self.d = d
+
+    @property
+    def c(self):
+        """The coefficients of 1, h, ..., h^(order-1) as Fractions."""
+        return tuple(Fraction(v, self.d) for v in self.n)
 
     # -- predicates --------------------------------------------------
 
     def is_zero(self):
-        return all(v == 0 for v in self.c)
+        return not any(self.n)
 
     def min_h_order(self):
         """Smallest k with a nonzero h^k coefficient; ring order if zero."""
-        for k, v in enumerate(self.c):
-            if v != 0:
+        for k, v in enumerate(self.n):
+            if v:
                 return k
         return self.ring.order
 
@@ -197,50 +230,63 @@ class Scalar:
         if not isinstance(other, Scalar) or other.ring != self.ring:
             raise RingMismatch((self.ring, getattr(other, "ring", other)))
 
-    def __add__(self, other):
+    def _add(self, other, sign):
         self._check(other)
-        return Scalar(self.ring, tuple(a + b for a, b in zip(self.c, other.c)))
+        a, b, da, db = self.n, other.n, self.d, other.d
+        if da == db:
+            return Scalar(self.ring,
+                          tuple(x + sign * y for x, y in zip(a, b)), da)
+        ka, kb = db, sign * da
+        return Scalar(self.ring,
+                      tuple(x * ka + y * kb for x, y in zip(a, b)), da * db)
+
+    def __add__(self, other):
+        return self._add(other, 1)
 
     def __sub__(self, other):
-        self._check(other)
-        return Scalar(self.ring, tuple(a - b for a, b in zip(self.c, other.c)))
+        return self._add(other, -1)
 
     def __neg__(self):
-        return Scalar(self.ring, tuple(-a for a in self.c))
+        return Scalar(self.ring, tuple(-v for v in self.n), self.d)
 
     def __mul__(self, other):
         self._check(other)
-        n = self.ring.order
-        if n == 1:
-            return Scalar(self.ring, (self.c[0] * other.c[0],))
-        a, b = self.c, other.c
-        out = [_ZERO] * n
+        a, b = self.n, other.n
+        order = len(a)
+        if order == 1:
+            return Scalar(self.ring, (a[0] * b[0],), self.d * other.d)
+        out = [0] * order
         for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j in range(n - i):
-                bj = b[j]
-                if bj != 0:
-                    out[i + j] += ai * bj
-        return Scalar(self.ring, tuple(out))
+            if ai:
+                for k, bj in enumerate(b, i):
+                    if k == order:
+                        break
+                    if bj:
+                        out[k] += ai * bj
+        return Scalar(self.ring, tuple(out), self.d * other.d)
 
     def inverse(self):
         """Exact inverse; series inverses need an invertible h^0 part."""
-        if self.ring.order == 1:
-            if self.c[0] == 0:
-                raise NotInvertible("division by zero")
-            return Scalar(self.ring, (1 / self.c[0],))
-        a0 = self.c[0]
-        if a0 == 0:
-            raise NotInvertible("series with zero constant term")
-        n = self.ring.order
-        b = [1 / a0] + [_ZERO] * (n - 1)
-        for k in range(1, n):
-            s = _ZERO
-            for i in range(1, k + 1):
-                s += self.c[i] * b[k - i]
-            b[k] = -s / a0
-        return Scalar(self.ring, tuple(b))
+        a = self.n
+        a0 = a[0]
+        if not a0:
+            raise NotInvertible("division by zero" if len(a) == 1
+                                else "series with zero constant term")
+        # (a / d)^-1 = d * sum_k B_k h^k / a0^(k+1), where B_0 = 1 and
+        # B_k = -sum_{1<=i<=k} a_i a0^(i-1) B_(k-i); over a0^order,
+        # coefficient k carries a0^(order-1-k).
+        order = len(a)
+        b = [1]
+        for k in range(1, order):
+            b.append(-sum(a[i] * a0 ** (i - 1) * b[k - i]
+                          for i in range(1, k + 1)))
+        d, den = self.d, a0 ** order
+        if den < 0:
+            d, den = -d, -den
+        return Scalar(self.ring,
+                      tuple(d * bk * a0 ** (order - 1 - k)
+                            for k, bk in enumerate(b)),
+                      den)
 
     def __pow__(self, k):
         assert isinstance(k, int) and k >= 0, k
@@ -253,18 +299,17 @@ class Scalar:
 
     def h0(self):
         """Classical limit: the h^0 coefficient as a rational Scalar."""
-        return Scalar(RATIONAL, (self.c[0],))
+        return Scalar(RATIONAL, self.n[:1], self.d)
 
     def lift(self, ring):
         """Re-embed into `ring`; never allowed to drop nonzero coefficients."""
         if ring == self.ring:
             return self
-        assert all(
-            v == 0 for v in self.c[ring.order:]
-        ), "lift would truncate nonzero coefficients"
-        c = list(self.c[: ring.order])
-        c += [_ZERO] * (ring.order - len(c))
-        return Scalar(ring, tuple(c))
+        if any(self.n[ring.order:]):
+            raise WrongRing(("lift would truncate nonzero coefficients",
+                             self, ring))
+        n = self.n[:ring.order] + (0,) * (ring.order - self.ring.order)
+        return Scalar(ring, n, self.d)
 
     # -- plumbing ----------------------------------------------------
 
@@ -272,17 +317,19 @@ class Scalar:
         return (
             isinstance(other, Scalar)
             and self.ring == other.ring
-            and self.c == other.c
+            and self.n == other.n
+            and self.d == other.d
         )
 
     def __hash__(self):
-        return hash((self.ring, self.c))
+        return hash((self.ring, self.n, self.d))
 
     def __repr__(self):
+        c = self.c
         if self.ring.order == 1:
-            return str(self.c[0])
+            return str(c[0])
         parts = []
-        for k, v in enumerate(self.c):
+        for k, v in enumerate(c):
             if v == 0:
                 continue
             if k == 0:
@@ -346,7 +393,7 @@ class PolyAlgebra:
         return len(self.names)
 
     def __eq__(self, other):
-        return (
+        return other is self or (
             isinstance(other, PolyAlgebra)
             and self.ring == other.ring
             and self.names == other.names

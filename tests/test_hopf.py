@@ -5,6 +5,7 @@ worklist-based rewriter kept here in the tests; expected values for
 specific products/coproducts are frozen by hand.
 """
 
+import math
 import random
 
 import pytest
@@ -104,6 +105,25 @@ class TestStraightening:
                     rng.randrange(lie.dim) for _ in range(rng.randint(0, 5))
                 )
                 assert lie.normalize_word(word) == straighten_oracle(lie, word)
+
+    def test_deep_single_descent(self, heisenberg):
+        # x2 x1^300 = x1^300 x2 - 300 x1^299 x3: 300 swaps in a chain
+        got = heisenberg.normalize_word((1,) + (0,) * 300)
+        assert got == {
+            (300, 1, 0): RATIONAL.one(),
+            (299, 0, 1): RATIONAL.scalar(-300),
+        }
+
+    def test_closed_form_x2_power_x1_power(self, heisenberg):
+        # x2^n x1^n = sum_k (-1)^k k! C(n,k)^2 x1^(n-k) x2^(n-k) x3^k
+        n = 30
+        got = heisenberg.normalize_word((1,) * n + (0,) * n)
+        assert got == {
+            (n - k, n - k, k): RATIONAL.scalar(
+                (-1) ** k * math.factorial(k) * math.comb(n, k) ** 2
+            )
+            for k in range(n + 1)
+        }
 
     def test_product_associative_random(self, sl2):
         rng = random.Random(23)

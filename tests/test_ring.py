@@ -5,14 +5,26 @@ the test module (geometric series, dense convolution), never read back
 from the engine.
 """
 
+import math
+import os
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidcalc.errors import NotInvertible, RingMismatch, WrongRing
+from braidcalc.errors import (
+    ArityMismatch,
+    NotInvertible,
+    RingMismatch,
+    SchemaError,
+    WrongRing,
+)
 from braidcalc.ring import RATIONAL, PolyAlgebra, Ring, Scalar
 
 
@@ -127,6 +139,165 @@ class TestScalar:
         s = ring.from_coeffs(["3/2", 1, 2])
         assert s.h0() == RATIONAL.scalar("3/2")
         assert s.h0().ring == RATIONAL
+
+
+# =====================================================================
+# the integer-numerator representation against a dense Fraction oracle
+# =====================================================================
+
+
+def ref_repr(c, rational):
+    """Render a dense Fraction tuple the way Scalar's repr must."""
+    if rational:
+        return str(c[0])
+    parts = []
+    for k, v in enumerate(c):
+        if v == 0:
+            continue
+        power = "" if k == 0 else "h" if k == 1 else "h^%d" % k
+        if not power:
+            parts.append(str(v))
+        else:
+            parts.append(power if v == 1 else "%s*%s" % (v, power))
+    return " + ".join(parts) or "0"
+
+
+def assert_canonical(s, ref):
+    """s holds exactly the dense Fraction tuple `ref`, in lowest terms."""
+    n, d = s.n, s.d
+    assert type(n) is tuple and len(n) == s.ring.order
+    assert all(type(v) is int for v in n) and type(d) is int
+    assert d > 0 and math.gcd(d, *n) == 1
+    assert s.c == tuple(ref)
+    if all(v == 0 for v in ref):
+        assert (n, d) == ((0,) * s.ring.order, 1)
+
+
+RINGS = [RATIONAL] + [Ring("series", k) for k in range(1, 8)]
+FRACTIONS = st.one_of(
+    st.just(Fraction(0)),
+    st.fractions(min_value=-50, max_value=50, max_denominator=36),
+)
+
+
+@st.composite
+def ring_and_coeffs(draw, count):
+    ring = draw(st.sampled_from(RINGS))
+    coeffs = [
+        draw(st.lists(FRACTIONS, min_size=ring.order, max_size=ring.order))
+        for _ in range(count)
+    ]
+    return ring, coeffs
+
+
+class TestRepresentation:
+    @given(ring_and_coeffs(2))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_dense_oracle(self, drawn):
+        ring, (a, b) = drawn
+        order = ring.order
+        sa, sb = ring.from_coeffs(a), ring.from_coeffs(b)
+        assert_canonical(sa, a)
+        assert_canonical(sb, b)
+        assert_canonical(sa + sb, [x + y for x, y in zip(a, b)])
+        assert_canonical(sa - sb, [x - y for x, y in zip(a, b)])
+        assert_canonical(-sa, [-x for x in a])
+        assert_canonical(sa * sb, dense_mul(a, b, order))
+        if a[0] == 0:
+            with pytest.raises(NotInvertible):
+                sa.inverse()
+        else:
+            assert_canonical(sa.inverse(), geometric_inverse(a, order))
+        assert_canonical(sa.h0(), a[:1])
+        assert sa.h0().ring == RATIONAL
+        nonzero = [k for k, v in enumerate(a) if v != 0]
+        assert sa.min_h_order() == (nonzero[0] if nonzero else order)
+        assert sa.is_zero() == (not nonzero)
+        assert repr(sa) == ref_repr(a, ring == RATIONAL)
+        for target in RINGS:
+            if any(v != 0 for v in a[target.order:]):
+                with pytest.raises(WrongRing):
+                    sa.lift(target)
+                continue
+            padded = a[:target.order] + [Fraction(0)] * (target.order - order)
+            lifted = sa.lift(target)
+            assert lifted.ring == target
+            assert_canonical(lifted, padded)
+
+    @given(ring_and_coeffs(1), st.integers(min_value=1, max_value=40))
+    @settings(max_examples=200, deadline=None)
+    def test_equal_values_compare_and_hash_equal(self, drawn, k):
+        ring, (a,) = drawn
+        s = ring.from_coeffs(a)
+        # the same value written with every fraction scaled by k/k
+        t = ring.from_coeffs(
+            ["%d/%d" % (v.numerator * k, v.denominator * k) for v in a]
+        )
+        assert s == t and hash(s) == hash(t)
+        assert (s.n, s.d) == (t.n, t.d)
+
+    def test_unreduced_literal_is_reduced(self):
+        assert RATIONAL.scalar("2/4") == RATIONAL.scalar("1/2")
+        assert hash(RATIONAL.scalar("2/4")) == hash(RATIONAL.scalar("1/2"))
+        half = Ring("series", 3).from_coeffs(["2/4", 0, "-6/4"])
+        assert (half.n, half.d) == ((1, 0, -3), 2)
+
+
+# =====================================================================
+# contracts that must hold without asserts
+# =====================================================================
+
+
+class TestTypedErrors:
+    @pytest.mark.parametrize("literal", [0.5, None, "abc", "1/0"])
+    def test_non_rational_literal(self, literal):
+        with pytest.raises(SchemaError):
+            RATIONAL.scalar(literal)
+        with pytest.raises(SchemaError):
+            Ring("series", 2).from_coeffs([1, literal])
+
+    def test_from_coeffs_wrong_length(self):
+        with pytest.raises(ArityMismatch):
+            Ring("series", 3).from_coeffs([1, 2])
+        with pytest.raises(ArityMismatch):
+            RATIONAL.from_coeffs([1, 0])
+
+    def test_lift_refuses_to_truncate(self):
+        series = Ring("series", 3)
+        with pytest.raises(WrongRing):
+            series.h(2).lift(Ring("series", 2))
+        with pytest.raises(WrongRing):
+            series.h().lift(RATIONAL)
+        assert series.scalar("3/2").lift(RATIONAL) == RATIONAL.scalar("3/2")
+
+    def test_contracts_survive_python_O(self):
+        """The same refusals in a fresh interpreter under python -O."""
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        code = textwrap.dedent("""
+            from braidcalc.errors import EngineError
+            from braidcalc.ring import RATIONAL, Ring
+            series = Ring("series", 3)
+            print(__debug__)
+            for case in (
+                lambda: RATIONAL.scalar(0.5),
+                lambda: RATIONAL.scalar(None),
+                lambda: series.from_coeffs([1, 2]),
+                lambda: series.h(2).lift(Ring("series", 2)),
+            ):
+                try:
+                    print("returned", case())
+                except EngineError as exc:
+                    print(type(exc).__name__)
+        """)
+        got = subprocess.run([sys.executable, "-O", "-c", code],
+                             capture_output=True, text=True, env=env,
+                             timeout=300)
+        assert got.returncode == 0, got.stderr
+        assert got.stdout.split() == [
+            "False", "SchemaError", "SchemaError", "ArityMismatch", "WrongRing"]
 
 
 # =====================================================================
