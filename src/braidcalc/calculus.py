@@ -24,6 +24,7 @@ commutator of insertion with the differential.
 """
 
 import itertools
+import operator
 
 from .errors import (
     FramePairingSingular,
@@ -38,7 +39,7 @@ from .errors import (
 from .hopf import _exp_to_word
 from .modalg import coordinate_monomials, expand_pairs  # noqa: F401 (re-export)
 from .report import Report
-from .ring import AlgebraElement, _add_terms, _memo
+from .ring import AlgebraElement, _add_terms, _leg_sum, _memo
 
 
 def merge_words(w1, w2):
@@ -111,36 +112,22 @@ def _matrix_inverse_plain(alg, E):
                 cof = -cof
             row.append(cof * dinv)
         inv.append(row)
-    if _plain_mmul(E, inv) != _identity_matrix(alg, n) or _plain_mmul(
-        inv, E
-    ) != _identity_matrix(alg, n):
+    ident = _identity_matrix(alg, n)
+    if (_mmul(operator.mul, E, inv) != ident
+            or _mmul(operator.mul, inv, E) != ident):
         raise InverseWitnessInvalid("plain frame matrix inverse")
     return inv
 
 
-def _plain_mmul(A, B):
-    n, m, p = len(A), len(B), len(B[0])
+def _mmul(mul, A, B):
+    """Matrix product over the coordinate algebra, entries multiplied
+    by `mul` (the plain product or the product in force)."""
+    zero = A[0][0].algebra.zero()
     return [
-        [
-            sum((A[i][k] * B[k][j] for k in range(m)), start=A[0][0].algebra.zero())
-            for j in range(p)
-        ]
-        for i in range(n)
+        [sum((mul(row[k], B[k][j]) for k in range(len(B))), start=zero)
+         for j in range(len(B[0]))]
+        for row in A
     ]
-
-
-def _mu_mmul(M, A, B):
-    n, m, p = len(A), len(B), len(B[0])
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(p):
-            tot = M.algebra.zero()
-            for k in range(m):
-                tot = tot + M.mul(A[i][k], B[k][j])
-            row.append(tot)
-        out.append(row)
-    return out
 
 
 def _mu_matrix_inverse(M, E, seed, what="frame matrix inverse in force"):
@@ -150,21 +137,21 @@ def _mu_matrix_inverse(M, E, seed, what="frame matrix inverse in force"):
         return seed
     n = len(E)
     ident = _identity_matrix(M.algebra, n)
-    resid = _mu_mmul(M, seed, E)
+    resid = _mmul(M.mul, seed, E)
     # seed E = 1 - N, so E^-1 = (sum_k N^k) seed
     N = [[ident[i][j] - resid[i][j] for j in range(n)] for i in range(n)]
     if any(
         not c.is_zero() and c.min_h_order() < 1 for row in N for c in row
     ):
-        raise FramePairingSingular("residual is not O(h)")
+        raise FramePairingSingular("%s: residual is not O(h)" % what)
     series = power = ident
     for _ in range(1, M.algebra.ring.order):
-        power = _mu_mmul(M, power, N)
+        power = _mmul(M.mul, power, N)
         series = [
             [series[i][j] + power[i][j] for j in range(n)] for i in range(n)
         ]
-    G = _mu_mmul(M, series, seed)
-    if _mu_mmul(M, G, E) != ident or _mu_mmul(M, E, G) != ident:
+    G = _mmul(M.mul, series, seed)
+    if _mmul(M.mul, G, E) != ident or _mmul(M.mul, E, G) != ident:
         raise InverseWitnessInvalid(what)
     return G
 
@@ -406,12 +393,12 @@ class GradedObject:
     def __add__(self, other):
         if other.kind != self.kind:
             raise GradeMismatch((self.kind, getattr(other, "kind", None)))
+        # a vanishing summand absorbs into any grade
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         if other.grade != self.grade:
-            # a vanishing summand absorbs into any grade
-            if other.is_zero():
-                return self
-            if self.is_zero():
-                return other
             raise GradeMismatch((self.grade, other.grade))
         out = _add_terms(dict(self.terms), other.terms.items())
         return type(self)(self.cal, self.grade, out)
@@ -644,6 +631,8 @@ class Calculus:
         """A grade-1 field on an algebra element, product in force."""
         if X.grade != 1:
             raise GradeMismatch(X.grade)
+        if f.is_zero():
+            return f
         out = self.alg.zero()
         for (u,), c in X.terms.items():
             ef = self.frame.apply_base(u, f)
@@ -659,20 +648,16 @@ class Calculus:
     def bracket(self, X, Y):
         """Braided commutator of grade-1 fields, re-expressed over the
         frame: [X,Y] = X Y - (Rinv1 |> Y)(Rinv2 |> X) as operators."""
+        Rinv = self.M.triangular.Rinv.pairs()
         imgs = []
         for j in range(self.alg.arity):
             xj = self.alg.coord(j)
-            tot = self.apply_field(X, self.apply_field(Y, xj))
-            for (t1, t2), c in self.M.triangular.Rinv.terms.items():
-                Ya = self.h_act_exp(t1, Y)
-                if Ya.is_zero():
-                    continue
-                Xa = self.h_act_exp(t2, X)
-                inner = self.apply_field(Xa, xj)
-                if inner.is_zero():
-                    continue
-                tot = tot - self.apply_field(Ya, inner).scale(c)
-            imgs.append(tot)
+            braided = _leg_sum(
+                Rinv, self.h_act_exp, Y, X,
+                lambda Ya, Xa: self.apply_field(Ya, self.apply_field(Xa, xj)),
+                self.alg.zero(),
+            )
+            imgs.append(self.apply_field(X, self.apply_field(Y, xj)) - braided)
         return self.field_from_images(imgs)
 
     # -- Schouten bracket ---------------------------------------------------
@@ -695,52 +680,50 @@ class Calculus:
 
     def schouten(self, X, Y):
         """Braided Schouten bracket, grade |X|+|Y|-1 (grade-0 pairs
-        give 0)."""
+        give 0).  Each term's sign rides on its prefix factor."""
         k, l = X.grade, Y.grade
         if k == 0 and l == 0:
             return self.zero_mv(0)
-        out = self.zero_mv(k + l - 1)
-        Rinv = self.M.triangular.Rinv.terms
+        zero = out = self.zero_mv(k + l - 1)
+        Rinv = self.M.triangular.Rinv.pairs()
         if l == 0:
             a_full = Y.terms.get((), self.alg.zero())
             for word, coeff in X.terms.items():
                 for i in range(1, k + 1):
-                    sign = -1 if (k - i) % 2 else 1
                     pre = self._term_prefix(word, coeff, i)
+                    if (k - i) % 2:
+                        pre = -pre
                     Xi = self._term_factor(word, coeff, i)
-                    for (t1, t2), c in Rinv.items():
-                        a = self.M.action.act_monomial(t1, a_full)
-                        if a.is_zero():
-                            continue
-                        mid = self.function(self.apply_field(Xi, a))
-                        if mid.is_zero():
-                            continue
-                        suf = self.h_act_exp(t2, self._bare_suffix(word, i))
-                        term = pre.wedge(mid).wedge(suf).scale(c)
-                        out = out + (term if sign > 0 else -term)
+                    out = _leg_sum(
+                        Rinv, self.act_any, a_full, self._bare_suffix(word, i),
+                        lambda a, suf: pre.wedge(
+                            self.function(self.apply_field(Xi, a))
+                        ).wedge(suf),
+                        out,
+                    )
             return out
         if k == 0:
             a_full = X.terms.get((), self.alg.zero())
             for word, coeff in Y.terms.items():
                 for i in range(1, l + 1):
-                    sign = -1 if i % 2 else 1
                     pre = self._term_prefix(word, coeff, i)
+                    if i % 2:
+                        pre = -pre
                     Yi = self._term_factor(word, coeff, i)
                     suf = self._bare_suffix(word, i)
-                    for (t1, t2), c in Rinv.items():
+                    # leg 2 acts first here, and leg 1 splits by the coproduct
+                    for t1, t2, c in Rinv:
                         a = self.M.action.act_monomial(t2, a_full)
                         if a.is_zero():
                             continue
-                        for l1, l2, c2 in self.cop_pairs(t1):
-                            prea = self.h_act_exp(l1, pre)
-                            if prea.is_zero():
-                                continue
-                            Ya = self.h_act_exp(l2, Yi)
-                            mid = self.function(self.apply_field(Ya, a))
-                            if mid.is_zero():
-                                continue
-                            term = prea.wedge(mid).wedge(suf).scale(c * c2)
-                            out = out + (term if sign > 0 else -term)
+                        term = _leg_sum(
+                            self.cop_pairs(t1), self.h_act_exp, pre, Yi,
+                            lambda prea, Ya: prea.wedge(
+                                self.function(self.apply_field(Ya, a))
+                            ).wedge(suf),
+                            zero,
+                        )
+                        out = out + term.scale(c)
             return out
         for wx, cx in X.terms.items():
             for wy, cy in Y.terms.items():
@@ -751,29 +734,20 @@ class Calculus:
                     for j in range(1, l + 1):
                         Yj = self._term_factor(wy, cy, j)
                         preY = self._term_prefix(wy, cy, j)
+                        if (i + j) % 2:
+                            preY = -preY
                         restY = self._bare_suffix(wy, j)
-                        sign = -1 if (i + j) % 2 else 1
-                        for (t1, t2), c in Rinv.items():
-                            Xa = self.h_act_exp(t1, Xi)
-                            if Xa.is_zero():
-                                continue
-                            midX = self.h_act_exp(t2, preX)
-                            if midX.is_zero():
-                                continue
-                            for (s1, s2), c2 in Rinv.items():
-                                Ya = self.h_act_exp(s1, Yj)
-                                if Ya.is_zero():
-                                    continue
-                                br = self.bracket(Xa, Ya)
-                                if br.is_zero():
-                                    continue
-                                mid = midX.wedge(restX).wedge(preY)
-                                mid = self.h_act_exp(s2, mid)
-                                if mid.is_zero():
-                                    continue
-                                term = br.wedge(mid).wedge(restY)
-                                term = term.scale(c * c2)
-                                out = out + (term if sign > 0 else -term)
+
+                        def outer(Xa, midX):
+                            return _leg_sum(
+                                Rinv, self.h_act_exp,
+                                Yj, midX.wedge(restX).wedge(preY),
+                                lambda Ya, mid: self.bracket(Xa, Ya)
+                                .wedge(mid).wedge(restY),
+                                zero,
+                            )
+
+                        out = _leg_sum(Rinv, self.h_act_exp, Xi, preX, outer, out)
         return out
 
     # -- insertion ----------------------------------------------------------
@@ -814,23 +788,15 @@ class Calculus:
         R-matrix in force."""
         if len(fields) != om.grade:
             raise GradeMismatch((om.grade, len(fields)))
-        if not fields:
+        if om.is_zero() or not fields:
             return om.terms.get((), self.alg.zero())
-        k = om.grade
-        last = fields[-1]
-        total = self.alg.zero()
-        for (t1, t2), c in self.M.triangular.R.terms.items():
-            oma = self.h_act_exp(t1, om)
-            if oma.is_zero():
-                continue
-            Xa = self.h_act_exp(t2, last)
-            inner = self.insert(Xa, oma)
-            if inner.is_zero():
-                continue
-            total = total + self.eval_form(inner, fields[:-1]).scale(c)
-        if k % 2 == 0:
-            total = -total
-        return total
+        rest = fields[:-1]
+        total = _leg_sum(
+            self.M.triangular.R.pairs(), self.h_act_exp, om, fields[-1],
+            lambda oma, Xa: self.eval_form(self.insert(Xa, oma), rest),
+            self.alg.zero(),
+        )
+        return -total if om.grade % 2 == 0 else total
 
     # -- differential ---------------------------------------------------------
 
@@ -948,15 +914,11 @@ def graded_commutator(A, B, om):
         # an equivariant operator absorbs its R leg through the counit
         second = B(A(om))
         return first - second if sign > 0 else first + second
-    total = cal.zero_form(max(om.grade + A.degree + B.degree, 0))
-    for (t1, t2), c in cal.M.triangular.Rinv.terms.items():
-        Bp = cal.h_act_exp(t1, B.param)
-        if Bp.is_zero():
-            continue
-        Ap = cal.h_act_exp(t2, A.param)
-        if Ap.is_zero():
-            continue
-        total = total + B.with_param(Bp)(A.with_param(Ap)(om)).scale(c)
+    total = _leg_sum(
+        cal.M.triangular.Rinv.pairs(), cal.h_act_exp, B.param, A.param,
+        lambda Bp, Ap: B.with_param(Bp)(A.with_param(Ap)(om)),
+        cal.zero_form(max(om.grade + A.degree + B.degree, 0)),
+    )
     return first - total if sign > 0 else first + total
 
 
@@ -1108,7 +1070,9 @@ def schouten_suite(cal, coeff_degree=1):
         for c in coeffs
     ]
     fields = grade1 + grade2
-    Rinv = cal.M.triangular.Rinv.terms
+    Rinv = cal.M.triangular.Rinv.pairs()
+    # (-1) Rinv, for the odd-sign Leibniz terms
+    neg_Rinv = tuple((l, r, -c) for l, r, c in Rinv)
 
     def grade1_function():
         for X in grade1:
@@ -1132,13 +1096,8 @@ def schouten_suite(cal, coeff_degree=1):
         for X in fields:
             for Y in fields:
                 lhs = cal.schouten(Y, X)
-                rhs = cal.zero_mv(X.grade + Y.grade - 1)
-                for (t1, t2), c in Rinv.items():
-                    Xa = cal.h_act_exp(t1, X)
-                    Ya = cal.h_act_exp(t2, Y)
-                    if Xa.is_zero() or Ya.is_zero():
-                        continue
-                    rhs = rhs + cal.schouten(Xa, Ya).scale(c)
+                rhs = _leg_sum(Rinv, cal.h_act_exp, X, Y, cal.schouten,
+                               cal.zero_mv(X.grade + Y.grade - 1))
                 s = (X.grade - 1) * (Y.grade - 1)
                 rhs = rhs if s % 2 else -rhs
                 if lhs != rhs:
@@ -1153,15 +1112,12 @@ def schouten_suite(cal, coeff_degree=1):
             for Y in grade1:
                 for Z in grade1:
                     lhs = cal.schouten(X, cal.wedge(Y, Z))
-                    rhs = cal.wedge(cal.schouten(X, Y), Z)
-                    s = (X.grade - 1) * Y.grade
-                    for (t1, t2), c in Rinv.items():
-                        Ya = cal.h_act_exp(t1, Y)
-                        Xa = cal.h_act_exp(t2, X)
-                        if Ya.is_zero() or Xa.is_zero():
-                            continue
-                        piece = cal.wedge(Ya, cal.schouten(Xa, Z)).scale(c)
-                        rhs = rhs + (-piece if s % 2 else piece)
+                    rhs = _leg_sum(
+                        neg_Rinv if (X.grade - 1) * Y.grade % 2 else Rinv,
+                        cal.h_act_exp, Y, X,
+                        lambda Ya, Xa: cal.wedge(Ya, cal.schouten(Xa, Z)),
+                        cal.wedge(cal.schouten(X, Y), Z),
+                    )
                     if lhs != rhs:
                         yield {"X": repr(X), "Y": repr(Y), "Z": repr(Z)}
 
@@ -1195,41 +1151,29 @@ def gauge_transport(cl, tw, obj):
         return _transport_oneform(cl, tw, obj)
     kind = tw.mv if obj.kind == "mv" else tw.form
     res = kind(obj.grade, {})
-    F = tw.M.twist.F.terms
+    F = tw.M.twist.F.pairs()
     for w, c in obj.terms.items():
         head = (cl.mv if obj.kind == "mv" else cl.form)(
             obj.grade - 1, {w[:-1]: c}
         )
         tail = (cl.frame_field if obj.kind == "mv" else cl.coframe)(w[-1])
-        for (f1, f2), s in F.items():
-            ha = cl.h_act_exp(f1, head)
-            if ha.is_zero():
-                continue
-            ta = cl.h_act_exp(f2, tail)
-            if ta.is_zero():
-                continue
-            piece = tw.wedge(
+        res = _leg_sum(
+            F, cl.h_act_exp, head, tail,
+            lambda ha, ta: tw.wedge(
                 gauge_transport(cl, tw, ha), gauge_transport(cl, tw, ta)
-            )
-            res = res + piece.scale(s)
+            ),
+            res,
+        )
     return res
 
 
 def _transport_field(cl, tw, X):
-    Finv = tw.M.twist.Finv.terms
-    imgs = []
-    for j in range(cl.alg.arity):
-        tot = cl.alg.zero()
-        for (e1, e2), c in Finv.items():
-            Xa = cl.h_act_exp(e1, X)
-            if Xa.is_zero():
-                continue
-            arg = cl.M.action.act_monomial(e2, cl.alg.coord(j))
-            if arg.is_zero():
-                continue
-            tot = tot + cl.apply_field(Xa, arg).scale(c)
-        imgs.append(tot)
-    return tw.field_from_images(imgs)
+    Finv = tw.M.twist.Finv.pairs()
+    return tw.field_from_images([
+        _leg_sum(Finv, cl.act_any, X, cl.alg.coord(j), cl.apply_field,
+                 cl.alg.zero())
+        for j in range(cl.alg.arity)
+    ])
 
 
 def _transport_oneform(cl, tw, om):
@@ -1246,30 +1190,15 @@ def _transport_oneform(cl, tw, om):
     if G == ident:
         sol = rhs
     else:
-        N = [[G[i][j] - ident[i][j] for j in range(n)] for i in range(n)]
-        if any(
-            not c.is_zero() and c.min_h_order() < 1
-            for row in N for c in row
-        ):
-            raise FramePairingSingular("transported pairing not O(h)")
         Ginv = _mu_matrix_inverse(tw.M, G, ident, "twisted pairing inverse")
-        sol = _mu_mmul(tw.M, Ginv, rhs)
+        sol = _mmul(tw.M.mul, Ginv, rhs)
     return tw.form(1, {(c,): sol[c][0] for c in range(n)})
 
 
 def deformed_binary(cl, tw, op, U, V):
     """Twist deformation of a binary operation on classical objects:
     op_F(U, V) = sum op(Finv1 |> U, Finv2 |> V)."""
-    res = None
-    for (e1, e2), c in tw.M.twist.Finv.terms.items():
-        Ua = cl.h_act_exp(e1, U)
-        if Ua.is_zero():
-            continue
-        Va = cl.h_act_exp(e2, V)
-        if Va.is_zero():
-            continue
-        piece = op(Ua, Va).scale(c)
-        res = piece if res is None else res + piece
+    res = _leg_sum(tw.M.twist.Finv.pairs(), cl.h_act_exp, U, V, op, None)
     if res is None:
         # only reachable when an input is already zero
         return op(U, V)

@@ -14,8 +14,9 @@ from fractions import Fraction
 from .calculus import (
     _identity_matrix,
     _matrix_inverse_plain,
+    _mmul,
     _mu_matrix_inverse,
-    _mu_mmul,
+    deformed_binary,
 )
 from .errors import (
     GradeMismatch,
@@ -25,7 +26,7 @@ from .errors import (
 )
 from .modalg import coordinate_monomials
 from .report import Report
-from .ring import _add_terms
+from .ring import _add_terms, _leg_sum
 
 import random
 
@@ -121,49 +122,35 @@ class Connection:
         cal = self.cal
         if om.kind != "form" or om.grade != 1 or X.grade != 1:
             raise GradeMismatch((X.grade, om.grade))
+        Rinv = cal.M.triangular.Rinv.pairs()
         coeffs = {}
         for v in range(cal.dim):
             ev = cal.frame_field(v)
-            val = cal.apply_field(X, cal.eval_form(om, [ev]))
-            for (t1, t2), c in cal.M.triangular.Rinv.terms.items():
-                oma = cal.h_act_exp(t1, om)
-                if oma.is_zero():
-                    continue
-                Xa = cal.h_act_exp(t2, X)
-                if Xa.is_zero():
-                    continue
-                val = val - cal.eval_form(oma, [self.nabla(Xa, ev)]).scale(c)
-            coeffs[(v,)] = val
+            braided = _leg_sum(
+                Rinv, cal.h_act_exp, om, X,
+                lambda oma, Xa: cal.eval_form(oma, [self.nabla(Xa, ev)]),
+                cal.alg.zero(),
+            )
+            coeffs[(v,)] = cal.apply_field(X, cal.eval_form(om, [ev])) - braided
         return cal.form(1, coeffs)
 
     def torsion(self, X, Y):
         """nabla_X Y - nabla_{Rinv1 |> Y}(Rinv2 |> X) - [X, Y]_R."""
         cal = self.cal
-        res = self.nabla(X, Y)
-        for (t1, t2), c in cal.M.triangular.Rinv.terms.items():
-            Ya = cal.h_act_exp(t1, Y)
-            if Ya.is_zero():
-                continue
-            Xa = cal.h_act_exp(t2, X)
-            if Xa.is_zero():
-                continue
-            res = res - self.nabla(Ya, Xa).scale(c)
-        return res - cal.bracket(X, Y)
+        braided = _leg_sum(cal.M.triangular.Rinv.pairs(), cal.h_act_exp,
+                           Y, X, self.nabla, cal.zero_mv(1))
+        return self.nabla(X, Y) - braided - cal.bracket(X, Y)
 
     def curvature(self, X, Y, s):
         """nabla_X nabla_Y s - nabla_{Rinv1 |> Y} nabla_{Rinv2 |> X} s
         - nabla_{[X, Y]_R} s."""
         cal = self.cal
-        res = self.nabla(X, self.nabla(Y, s))
-        for (t1, t2), c in cal.M.triangular.Rinv.terms.items():
-            Ya = cal.h_act_exp(t1, Y)
-            if Ya.is_zero():
-                continue
-            Xa = cal.h_act_exp(t2, X)
-            if Xa.is_zero():
-                continue
-            res = res - self.nabla(Ya, self.nabla(Xa, s)).scale(c)
-        return res - self.nabla(cal.bracket(X, Y), s)
+        braided = _leg_sum(
+            cal.M.triangular.Rinv.pairs(), cal.h_act_exp, Y, X,
+            lambda Ya, Xa: self.nabla(Ya, self.nabla(Xa, s)), cal.zero_mv(1),
+        )
+        return (self.nabla(X, self.nabla(Y, s)) - braided
+                - self.nabla(cal.bracket(X, Y), s))
 
 
 def covariant_derivative(conn, X, s):
@@ -177,6 +164,7 @@ def check_connection(conn, coeff_degree=1):
     rep = Report("connection", {"coeff_degree": coeff_degree})
     fields = field_family(cal, coeff_degree)
     funcs = coordinate_monomials(cal.alg, coeff_degree)
+    Rinv = M.triangular.Rinv.pairs()
 
     def left_linearity():
         for a in funcs:
@@ -194,17 +182,11 @@ def check_connection(conn, coeff_degree=1):
             for X in fields:
                 for s in fields:
                     lhs = conn.nabla(X, s.left_mul(a))
-                    rhs = cal.mv(1, dict(s.terms)).left_mul(
-                        cal.apply_field(X, a)
+                    rhs = _leg_sum(
+                        Rinv, cal.act_any, a, X,
+                        lambda aa, Xa: conn.nabla(Xa, s).left_mul(aa),
+                        cal.mv(1, dict(s.terms)).left_mul(cal.apply_field(X, a)),
                     )
-                    for (t1, t2), c in M.triangular.Rinv.terms.items():
-                        aa = M.action.act_monomial(t1, a)
-                        if aa.is_zero():
-                            continue
-                        Xa = cal.h_act_exp(t2, X)
-                        if Xa.is_zero():
-                            continue
-                        rhs = rhs + conn.nabla(Xa, s).left_mul(aa).scale(c)
                     if lhs != rhs:
                         yield {"a": repr(a), "X": repr(X), "s": repr(s)}
 
@@ -219,15 +201,8 @@ def check_connection(conn, coeff_degree=1):
             for X in fields:
                 for s in fields:
                     lhs = cal.h_act_exp(e, conn.nabla(X, s))
-                    rhs = cal.zero_mv(1)
-                    for l, r, c in cal.cop_pairs(e):
-                        Xa = cal.h_act_exp(l, X)
-                        if Xa.is_zero():
-                            continue
-                        sa = cal.h_act_exp(r, s)
-                        if sa.is_zero():
-                            continue
-                        rhs = rhs + conn.nabla(Xa, sa).scale(c)
+                    rhs = _leg_sum(cal.cop_pairs(e), cal.h_act_exp, X, s,
+                                   conn.nabla, cal.zero_mv(1))
                     if lhs != rhs:
                         yield {"xi": repr(e), "X": repr(X), "s": repr(s)}
 
@@ -243,17 +218,11 @@ def check_connection(conn, coeff_degree=1):
             for om in forms:
                 for Y in fields:
                     lhs = cal.apply_field(X, cal.eval_form(om, [Y]))
-                    rhs = cal.eval_form(conn.nabla_form(X, om), [Y])
-                    for (t1, t2), c in M.triangular.Rinv.terms.items():
-                        oma = cal.h_act_exp(t1, om)
-                        if oma.is_zero():
-                            continue
-                        Xa = cal.h_act_exp(t2, X)
-                        if Xa.is_zero():
-                            continue
-                        rhs = rhs + cal.eval_form(
-                            oma, [conn.nabla(Xa, Y)]
-                        ).scale(c)
+                    rhs = _leg_sum(
+                        Rinv, cal.h_act_exp, om, X,
+                        lambda oma, Xa: cal.eval_form(oma, [conn.nabla(Xa, Y)]),
+                        cal.eval_form(conn.nabla_form(X, om), [Y]),
+                    )
                     if lhs != rhs:
                         yield {"X": repr(X), "form": repr(om), "Y": repr(Y)}
 
@@ -284,8 +253,8 @@ class Metric:
         else:
             ident = _identity_matrix(cal.alg, dim)
             if (
-                _mu_mmul(cal.M, inverse, matrix) != ident
-                or _mu_mmul(cal.M, matrix, inverse) != ident
+                _mmul(cal.M.mul, inverse, matrix) != ident
+                or _mmul(cal.M.mul, matrix, inverse) != ident
             ):
                 raise InverseWitnessInvalid("supplied witness fails")
         self.inverse = inverse
@@ -312,18 +281,11 @@ def check_metric(metric, coeff_degree=1):
     fields = field_family(cal, coeff_degree)
 
     def braided_symmetry():
+        Rinv = M.triangular.Rinv.pairs()
         for X in fields:
             for Y in fields:
                 lhs = metric(Y, X)
-                rhs = cal.alg.zero()
-                for (t1, t2), c in M.triangular.Rinv.terms.items():
-                    Xa = cal.h_act_exp(t1, X)
-                    if Xa.is_zero():
-                        continue
-                    Ya = cal.h_act_exp(t2, Y)
-                    if Ya.is_zero():
-                        continue
-                    rhs = rhs + metric(Xa, Ya).scale(c)
+                rhs = _leg_sum(Rinv, cal.h_act_exp, X, Y, metric, cal.alg.zero())
                 if lhs != rhs:
                     yield {"X": repr(X), "Y": repr(Y)}
 
@@ -347,15 +309,8 @@ def check_metric(metric, coeff_degree=1):
             for X in fields:
                 for Y in fields:
                     lhs = cal.M.act(cal.lie.monomial(e), metric(X, Y))
-                    rhs = cal.alg.zero()
-                    for l, r, c in cal.cop_pairs(e):
-                        Xa = cal.h_act_exp(l, X)
-                        if Xa.is_zero():
-                            continue
-                        Ya = cal.h_act_exp(r, Y)
-                        if Ya.is_zero():
-                            continue
-                        rhs = rhs + metric(Xa, Ya).scale(c)
+                    rhs = _leg_sum(cal.cop_pairs(e), cal.h_act_exp, X, Y,
+                                   metric, cal.alg.zero())
                     if lhs != rhs:
                         yield {"xi": repr(e), "X": repr(X), "Y": repr(Y)}
 
@@ -447,22 +402,18 @@ def levi_civita(metric):
 def _metricity_violation(conn, metric, fields):
     """First braided-metricity counterexample over the family, or None."""
     cal = conn.cal
-    Rinv = cal.M.triangular.Rinv.terms
+    Rinv = cal.M.triangular.Rinv.pairs()
 
     def violations():
         for X in fields:
             for Y in fields:
                 for Z in fields:
                     lhs = cal.apply_field(X, metric(Y, Z))
-                    rhs = metric(conn.nabla(X, Y), Z)
-                    for (t1, t2), c in Rinv.items():
-                        Ya = cal.h_act_exp(t1, Y)
-                        if Ya.is_zero():
-                            continue
-                        Xa = cal.h_act_exp(t2, X)
-                        if Xa.is_zero():
-                            continue
-                        rhs = rhs + metric(Ya, conn.nabla(Xa, Z)).scale(c)
+                    rhs = _leg_sum(
+                        Rinv, cal.h_act_exp, Y, X,
+                        lambda Ya, Xa: metric(Ya, conn.nabla(Xa, Z)),
+                        metric(conn.nabla(X, Y), Z),
+                    )
                     if lhs != rhs:
                         yield {"X": repr(X), "Y": repr(Y), "Z": repr(Z)}
 
@@ -531,49 +482,25 @@ def twist_metric(metric, cl, tw):
     """Push a metric through the twist: entries are
     g_F(e_u, e_v) = sum g(Finv1 |> e_u, Finv2 |> e_v), the inverse
     witness recomputed for the product in force."""
-    dim = cl.dim
-    matrix = []
-    for u in range(dim):
-        row = []
-        for v in range(dim):
-            tot = cl.alg.zero()
-            for (e1, e2), c in tw.M.twist.Finv.terms.items():
-                Ua = cl.h_act_exp(e1, cl.frame_field(u))
-                if Ua.is_zero():
-                    continue
-                Va = cl.h_act_exp(e2, cl.frame_field(v))
-                if Va.is_zero():
-                    continue
-                tot = tot + metric(Ua, Va).scale(c)
-            row.append(tot)
-        matrix.append(row)
-    return Metric(tw, matrix)
+    frame = [cl.frame_field(u) for u in range(cl.dim)]
+    return Metric(tw, [
+        [deformed_binary(cl, tw, metric, eu, ev) for ev in frame]
+        for eu in frame
+    ])
 
 
 def twist_connection(conn, cl, tw):
     """Push a connection through the twist:
     nabla^F_X s = sum nabla_{Finv1 |> X}(Finv2 |> s), read off on the
     frame to produce the twisted coefficient table."""
-    dim = cl.dim
+    frame = [cl.frame_field(a) for a in range(cl.dim)]
     gamma = []
-    for a in range(dim):
+    for ea in frame:
         row = []
-        for b in range(dim):
-            acc = None
-            for (e1, e2), c in tw.M.twist.Finv.terms.items():
-                Xa = cl.h_act_exp(e1, cl.frame_field(a))
-                if Xa.is_zero():
-                    continue
-                sa = cl.h_act_exp(e2, cl.frame_field(b))
-                if sa.is_zero():
-                    continue
-                piece = conn.nabla(Xa, sa).scale(c)
-                acc = piece if acc is None else acc + piece
-            entry = [cl.alg.zero()] * dim
-            if acc is not None:
-                for (w,), g in acc.terms.items():
-                    entry[w] = g
-            row.append(entry)
+        for eb in frame:
+            nab = deformed_binary(cl, tw, conn.nabla, ea, eb)
+            row.append([nab.terms.get((w,), cl.alg.zero())
+                        for w in range(cl.dim)])
         gamma.append(row)
     return Connection(tw, gamma)
 

@@ -340,7 +340,7 @@ class HopfElement:
 class TensorElement:
     """Rank 1..3 tensor over the envelope: {tuple of exponent tuples: Scalar}."""
 
-    __slots__ = ("lie", "rank", "terms", "_hash")
+    __slots__ = ("lie", "rank", "terms", "_hash", "_pairs")
 
     def __init__(self, lie, rank, terms):
         assert 1 <= rank <= 3, rank
@@ -348,6 +348,7 @@ class TensorElement:
         self.rank = rank
         self.terms = {k: c for k, c in terms.items() if not c.is_zero()}
         self._hash = None
+        self._pairs = None
 
     @classmethod
     def unit(cls, lie, rank):
@@ -512,14 +513,13 @@ class TensorElement:
         return HopfElement(self.lie, {k[0]: c for k, c in self.terms.items()})
 
     def pairs(self):
-        """Rank-2 terms as (HopfElement, HopfElement, Scalar) triples,
-        one per pure tensor term with monomial legs."""
-        assert self.rank == 2
-        lie = self.lie
-        return [
-            (lie.monomial(k[0]), lie.monomial(k[1]), c)
-            for k, c in self.terms.items()
-        ]
+        """Rank-2 terms as (left exponent, right exponent, Scalar)
+        triples, the legs `ring._leg_sum` takes; built once per tensor."""
+        if self.rank != 2:
+            raise RankMismatch("pairs of a rank-%d tensor" % self.rank)
+        if self._pairs is None:
+            self._pairs = tuple((l, r, c) for (l, r), c in self.terms.items())
+        return self._pairs
 
     # -- plumbing -------------------------------------------------------
 

@@ -14,10 +14,12 @@ module algebra over the twisted Hopf structure, so its coproduct and
 antipode (used by every braided formula downstream) are cop_F and S_F.
 """
 
+import operator
+
 from .errors import ArityMismatch, BracketIncompatible, RingMismatch, UnknownModule
 from .hopf import TriangularStructure
 from .report import Report
-from .ring import AlgebraElement, _add_terms, _exponents_up_to, _memo
+from .ring import AlgebraElement, _add_terms, _exponents_up_to, _leg_sum, _memo
 from .twist import Twist, TwistedHopfData
 
 
@@ -146,16 +148,8 @@ class ModuleAlgebra:
 
     @_memo
     def _star(self, a, b):
-        out = self.algebra.zero()
-        for (el, er), c in self.twist.Finv.terms.items():
-            left = self.action.act_monomial(el, a)
-            if left.is_zero():
-                continue
-            right = self.action.act_monomial(er, b)
-            if right.is_zero():
-                continue
-            out = out + (left * right).scale(c)
-        return out
+        return _leg_sum(self.twist.Finv.pairs(), self.action.act_monomial,
+                        a, b, operator.mul, self.algebra.zero())
 
     def one(self):
         return self.algebra.one()
@@ -239,19 +233,12 @@ def check_module_algebra(M, depth=3, degree=2):
         elems = coordinate_monomials(M.algebra, degree)
         for e in monos:
             xi = lie.monomial(e)
-            cop = M.coproduct(xi)
+            cop = M.coproduct(xi).pairs()
             for a in elems:
                 for b in elems:
                     lhs = M.act(xi, M.mul(a, b))
-                    rhs = M.algebra.zero()
-                    for (l, r), c in cop.terms.items():
-                        la = M.action.act_monomial(l, a)
-                        if la.is_zero():
-                            continue
-                        rb = M.action.act_monomial(r, b)
-                        if rb.is_zero():
-                            continue
-                        rhs = rhs + M.mul(la, rb).scale(c)
+                    rhs = _leg_sum(cop, M.action.act_monomial, a, b, M.mul,
+                                   M.algebra.zero())
                     if lhs != rhs:
                         yield {"monomial": repr(xi), "a": repr(a), "b": repr(b)}
 
@@ -264,21 +251,14 @@ def check_braided_commutative(M, degree=2):
     """a b = (Rinv1 |> b)(Rinv2 |> a) for the product and R in force."""
     rep = Report("braided-commutative", {"degree": degree})
     elems = coordinate_monomials(M.algebra, degree)
-    Rinv = M.triangular.Rinv
+    Rinv = M.triangular.Rinv.pairs()
 
     def violations():
         for a in elems:
             for b in elems:
                 lhs = M.mul(a, b)
-                rhs = M.algebra.zero()
-                for (el, er), c in Rinv.terms.items():
-                    lb = M.action.act_monomial(el, b)
-                    if lb.is_zero():
-                        continue
-                    ra = M.action.act_monomial(er, a)
-                    if ra.is_zero():
-                        continue
-                    rhs = rhs + M.mul(lb, ra).scale(c)
+                rhs = _leg_sum(Rinv, M.action.act_monomial, b, a, M.mul,
+                               M.algebra.zero())
                 if lhs != rhs:
                     yield {"a": repr(a), "b": repr(b),
                            "lhs": repr(lhs), "rhs": repr(rhs)}

@@ -92,6 +92,24 @@ def _memo(method):
     return cached
 
 
+def _leg_sum(legs, act, u, v, op, total):
+    """total + sum c * op(l |> u, r |> v) over the (l, r, c) leg triples
+    of a rank-2 tensor, `act(leg, obj)` being the Hopf action.  Leg l is
+    applied first, and a term is skipped as soon as either leg gives
+    zero; a None total starts from the first surviving term (and stays
+    None when none survives)."""
+    for l, r, c in legs:
+        lu = act(l, u)
+        if lu.is_zero():
+            continue
+        rv = act(r, v)
+        if rv.is_zero():
+            continue
+        term = op(lu, rv).scale(c)
+        total = term if total is None else total + term
+    return total
+
+
 def _neumann(one, n, order):
     """Sum of n^k for k < order, stopping at the first zero power: the
     inverse of one - n when n is of positive h-order."""
@@ -379,7 +397,8 @@ class PolyAlgebra:
         self._index = {nm: i for i, nm in enumerate(names)}
         if unit is not None:
             unit = {tuple(e): c for e, c in unit.items() if not c.is_zero()}
-            assert unit, "declared unit must be nonzero"
+            if not unit:
+                raise SchemaError("declared unit must be nonzero")
             lead = max(unit)
             lead_c = unit[lead]
             # leading coefficient must be invertible for exact division
@@ -528,11 +547,6 @@ class AlgebraElement:
         assert self.du == 0, "fraction has no plain constant term"
         return self.num.get((0,) * self.algebra.arity, self.algebra.ring.zero())
 
-    def total_degree(self):
-        if not self.num:
-            return 0
-        return max(sum(e) for e in self.num)
-
     def min_h_order(self):
         """Smallest h power carried by any coefficient; ring order if zero."""
         if not self.num:
@@ -555,6 +569,10 @@ class AlgebraElement:
 
     def __add__(self, other):
         self._check(other)
+        if not other.num:
+            return self
+        if not self.num:
+            return other
         du = max(self.du, other.du)
         return AlgebraElement(
             self.algebra, _map_add(self._raise_du(du), other._raise_du(du)), du

@@ -21,6 +21,7 @@ from .errors import (
     NoBlockSplit,
     NotTangent,
     OracleUnsound,
+    SchemaError,
 )
 from .geometry import Connection, Metric, field_family, levi_civita
 from .modalg import Action, ModuleAlgebra, coordinate_monomials
@@ -51,7 +52,8 @@ class SubmanifoldIdeal:
             self.tangent = tuple(
                 j for j in range(algebra.arity) if j not in normal
             )
-            assert self.tangent, "no tangent coordinate left"
+            if not self.tangent:
+                raise SchemaError("the ideal leaves no tangent coordinate")
             if algebra.unit is not None:
                 for e in algebra.unit:
                     if any(e[j] for j in self.normal):

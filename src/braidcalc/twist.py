@@ -150,18 +150,9 @@ def check_cocycle(twist):
 
 
 class TwistedHopfData:
-    """Twisted coproduct/antipode/R-matrix of an envelope, with the
-    generator tables spelled out."""
+    """Twisted coproduct/antipode/R-matrix of an envelope."""
 
-    __slots__ = (
-        "lie",
-        "twist",
-        "beta",
-        "beta_inv",
-        "triangular",
-        "coproduct_table",
-        "antipode_table",
-    )
+    __slots__ = ("lie", "twist", "beta", "beta_inv", "triangular")
 
     def __init__(self, lie, twist, base_triangular=None):
         self.lie = lie
@@ -183,18 +174,9 @@ class TwistedHopfData:
         if R_F * R_F_inv != unit2 or R_F_inv * R_F != unit2:
             raise CocycleViolation("twisted R-matrix inverse mismatch")
         self.triangular = TriangularStructure(lie, R_F, R_F_inv)
-        self.coproduct_table = {
-            i: self.coproduct(lie.gen(i)) for i in range(lie.dim)
-        }
-        self.antipode_table = {
-            i: self.antipode(lie.gen(i)) for i in range(lie.dim)
-        }
 
     def coproduct(self, xi):
         return self.twist.F * xi.coproduct() * self.twist.Finv
-
-    def counit(self, xi):
-        return xi.counit()
 
     def antipode(self, xi):
         return self.beta * xi.antipode() * self.beta_inv

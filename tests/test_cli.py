@@ -298,3 +298,28 @@ def test_verdicts_survive_python_O(tmp_path):
         assert opt.returncode == plain.returncode == 1, (path, opt.stdout)
         assert "Traceback" not in plain.stderr + opt.stderr, path
         assert opt.stdout == plain.stdout, path
+
+
+def _zero_unit(data):
+    data["action"]["unit"] = "0"
+
+
+def _ideal_without_tangent(data):
+    data["ideal"]["normal_coordinates"] = list(data["action"]["coordinates"])
+
+
+@pytest.mark.parametrize("edit", [_zero_unit, _ideal_without_tangent])
+def test_degenerate_declarations_refused_under_python_O(tmp_path, edit):
+    """A zero declared unit and an ideal with no tangent coordinate are
+    scenario errors: exit 2 with a typed message, also under -O."""
+    data = json.loads((SCENARIOS / "surface.json").read_text())
+    edit(data)
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(data))
+    plain = run_cli(["all", str(path)], optimize=False)
+    opt = run_cli(["all", str(path)], optimize=True)
+    assert opt.returncode == plain.returncode == 2, plain.stderr
+    assert opt.stdout == plain.stdout
+    for run in (plain, opt):
+        assert "Traceback" not in run.stderr, run.stderr
+        assert "SchemaError" in run.stderr, run.stderr

@@ -8,6 +8,8 @@ derivatives, a * b = sum_k (-h)^k / k! (dx^k a)(dy^k b).
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidcalc.errors import BracketIncompatible, EngineError, UnknownModule, WrongRing
 from braidcalc.hopf import LieAlgebra, TensorElement
@@ -212,25 +214,27 @@ def test_star_commutator_stable_in_order():
         assert comm == -alg.scalar(alg.ring.h())
 
 
-def test_star_matches_independent_oracle():
-    M = moyal_instance(4)
+_EXPONENTS = [(i, j) for i in range(5) for j in range(5 - i)]
+_POLYS = st.dictionaries(
+    st.sampled_from(_EXPONENTS),
+    st.fractions(min_value=-9, max_value=9, max_denominator=9),
+    max_size=5,
+)
+
+
+@given(st.integers(min_value=1, max_value=7), _POLYS, _POLYS)
+@settings(max_examples=150, deadline=None)
+def test_star_matches_independent_oracle(order, p, q):
+    """Star products of random polynomials of degree <= 4 against the
+    closed form, at every truncation order from 1 to 7."""
+    M = moyal_instance(order)
     alg = M.algebra
-    samples = [
-        {(1, 0): Fraction(1)},
-        {(0, 1): Fraction(1)},
-        {(2, 1): Fraction(1), (0, 0): Fraction(3, 2)},
-        {(1, 2): Fraction(2), (3, 0): Fraction(-1)},
-        {(2, 2): Fraction(1)},
-    ]
 
-    def to_elem(p):
-        return alg.element({e: alg.ring.scalar(c) for e, c in p.items()})
+    def to_elem(poly):
+        return alg.element({e: alg.ring.scalar(c) for e, c in poly.items()})
 
-    for p in samples:
-        for q in samples:
-            got = M.mul(to_elem(p), to_elem(q))
-            want = oracle_layers(p, q, 4)
-            assert element_layers(got, 4) == want
+    got = M.mul(to_elem(p), to_elem(q))
+    assert element_layers(got, order) == oracle_layers(p, q, order)
 
 
 def test_star_requires_series_ring():
