@@ -39,7 +39,7 @@ from .errors import (
 from .hopf import _exp_to_word
 from .modalg import coordinate_monomials, expand_pairs  # noqa: F401 (re-export)
 from .report import Report
-from .ring import AlgebraElement, _add_terms, _leg_sum, _memo
+from .ring import AlgebraElement, _add_terms, _braid, _derive, _leg_sum, _memo
 
 
 def merge_words(w1, w2):
@@ -173,7 +173,7 @@ class Frame:
     the dual coframe.  Verified at construction; see the module
     docstring for the hypotheses."""
 
-    def __init__(self, M, images, derivation_degree=2):
+    def __init__(self, M, images):
         self.M = M
         self.alg = M.algebra
         self.lie = M.lie
@@ -202,19 +202,11 @@ class Frame:
         self.rho = [self._solve_adjoint(i) for i in range(self.lie.dim)]
         self.dual_rho = [self._solve_dual(i) for i in range(self.lie.dim)]
         self._check_r_invariance()
-        self._check_derivation(derivation_degree)
+        self._check_derivation()
 
     def apply_base(self, a, f):
         """Frame element a as a plain vector field on an algebra element."""
-        out = self.alg.zero()
-        for j in range(self.alg.arity):
-            img = self.images[a][j]
-            if img.is_zero():
-                continue
-            df = f.deriv(j)
-            if not df.is_zero():
-                out = out + img * df
-        return out
+        return _derive(self.images[a], f)
 
     def solve_scalar_row(self, imgs):
         """Scalar coefficients over the frame for a plain field given by
@@ -222,14 +214,7 @@ class Frame:
         if self.is_coordinate:
             cand = list(imgs)
         else:
-            cand = [
-                sum(
-                    (imgs[j] * self._Einv_plain[j][b]
-                     for j in range(self.alg.arity)),
-                    start=self.alg.zero(),
-                )
-                for b in range(self.dim)
-            ]
+            cand = _mmul(operator.mul, [imgs], self._Einv_plain)[0]
         row = {}
         for b, c in enumerate(cand):
             if c.is_zero():
@@ -247,13 +232,7 @@ class Frame:
             self._Einv_mu = _mu_matrix_inverse(
                 self.M, self._E, self._Einv_plain
             )
-        out = {}
-        for b in range(self.dim):
-            tot = self.alg.zero()
-            for j in range(self.alg.arity):
-                tot = tot + self.M.mul(imgs[j], self._Einv_mu[j][b])
-            out[b] = tot
-        return out
+        return dict(enumerate(_mmul(self.M.mul, [imgs], self._Einv_mu)[0]))
 
     def _adjoint_images(self, xi, a):
         """Coordinate images of xi |> e_a via the structure in force:
@@ -283,21 +262,16 @@ class Frame:
             for a in range(self.dim)
         ]
 
-    def act_gen_frame(self, i, vec):
-        """One generator on a frame-basis scalar vector {a: Scalar}."""
-        return _act_rows(self.rho[i], vec)
-
-    def act_hopf_frame(self, h, a):
-        """A Hopf element on the frame basis element a: {b: Scalar}."""
-        out = {}
-        for e, c in h.terms.items():
-            vec = {a: self.ring.scalar(1)}
-            for letter in reversed(_exp_to_word(e)):
-                vec = self.act_gen_frame(letter, vec)
-                if not vec:
-                    break
-            _add_terms(out, ((b, s * c) for b, s in vec.items()))
-        return out
+    def act_exp(self, exp, a, dual):
+        """The PBW monomial exp on the frame (dual: coframe) basis
+        element a, as {b: Scalar}; its rightmost letter acts first."""
+        rows = self.dual_rho if dual else self.rho
+        vec = {a: self.ring.scalar(1)}
+        for letter in reversed(_exp_to_word(exp)):
+            vec = _act_rows(rows[letter], vec)
+            if not vec:
+                break
+        return vec
 
     def _solve_dual(self, i):
         """Coframe action of generator i, from the antipode in force:
@@ -305,43 +279,29 @@ class Frame:
         S = self.M.antipode(self.lie.gen(i))
         rows = [dict() for _ in range(self.dim)]
         for b in range(self.dim):
-            for a, s in self.act_hopf_frame(S, b).items():
-                rows[a][b] = s
+            for e, c in S.terms.items():
+                for a, s in self.act_exp(e, b, False).items():
+                    _add_terms(rows[a], ((b, s * c),))
         return rows
-
-    def act_gen_dual(self, i, vec):
-        return _act_rows(self.dual_rho[i], vec)
 
     def _check_r_invariance(self):
         tri = self.M.triangular
-        legs = set()
-        for tensor in (tri.R, tri.Rinv):
-            for (e1, e2) in tensor.terms:
-                for e in (e1, e2):
-                    if any(e):
-                        legs.add(e)
+        legs = {e for tensor in (tri.R, tri.Rinv) for pair in tensor.terms
+                for e in pair if any(e)}
         for e in legs:
-            h = self.lie.monomial(e)
             for a in range(self.dim):
-                if self.act_hopf_frame(h, a):
-                    raise UnsupportedFrameBraiding(
-                        ("R leg acts on frame", e, a)
-                    )
-                vec = {a: self.ring.scalar(1)}
-                for letter in reversed(_exp_to_word(e)):
-                    vec = self.act_gen_dual(letter, vec)
-                    if not vec:
-                        break
-                if vec:
-                    raise UnsupportedFrameBraiding(
-                        ("R leg acts on coframe", e, a)
-                    )
+                for dual, what in ((False, "frame"), (True, "coframe")):
+                    if self.act_exp(e, a, dual):
+                        raise UnsupportedFrameBraiding(
+                            ("R leg acts on " + what, e, a)
+                        )
 
-    def _check_derivation(self, degree):
-        """Frame elements must be derivations of the product in force.
-        R-invisibility collapses the braided Leibniz rule to this."""
+    def _check_derivation(self):
+        """Frame elements must be derivations of the product in force,
+        on coordinate monomials of degree <= 2.  R-invisibility collapses
+        the braided Leibniz rule to this."""
         M = self.M
-        fam = coordinate_monomials(self.alg, degree)
+        fam = coordinate_monomials(self.alg, 2)
         for a in range(self.dim):
             for f in fam:
                 for g in fam:
@@ -542,13 +502,8 @@ class Calculus:
     @_memo
     def _word_act(self, exp, word, dual):
         if len(word) == 1:
-            vec = {word[0]: self.ring.scalar(1)}
-            step = self.frame.act_gen_dual if dual else self.frame.act_gen_frame
-            for letter in reversed(_exp_to_word(exp)):
-                vec = step(letter, vec)
-                if not vec:
-                    break
-            return {(b,): s for b, s in vec.items()}
+            return {(b,): s for b, s in
+                    self.frame.act_exp(exp, word[0], dual).items()}
         out = {}
         for l, r, c in self.cop_pairs(exp):
             head = self.word_act(l, word[:1], dual)
@@ -601,15 +556,7 @@ class Calculus:
     def braid_pairs(self, pairs):
         """c^R on pure tensors of multivectors, forms or algebra
         elements: sum (Rinv1 |> v) (x) (Rinv2 |> u)."""
-        out = []
-        for u, v in pairs:
-            for (t1, t2), c in self.M.triangular.Rinv.terms.items():
-                nv = self.act_any(t1, v)
-                nu = self.act_any(t2, u)
-                if nv.is_zero() or nu.is_zero():
-                    continue
-                out.append((nv.scale(c), nu))
-        return out
+        return _braid(self.M.triangular.Rinv.pairs(), self.act_any, pairs)
 
     # -- wedge ------------------------------------------------------------
 
@@ -703,28 +650,10 @@ class Calculus:
                     )
             return out
         if k == 0:
-            a_full = X.terms.get((), self.alg.zero())
-            for word, coeff in Y.terms.items():
-                for i in range(1, l + 1):
-                    pre = self._term_prefix(word, coeff, i)
-                    if i % 2:
-                        pre = -pre
-                    Yi = self._term_factor(word, coeff, i)
-                    suf = self._bare_suffix(word, i)
-                    # leg 2 acts first here, and leg 1 splits by the coproduct
-                    for t1, t2, c in Rinv:
-                        a = self.M.action.act_monomial(t2, a_full)
-                        if a.is_zero():
-                            continue
-                        term = _leg_sum(
-                            self.cop_pairs(t1), self.h_act_exp, pre, Yi,
-                            lambda prea, Ya: prea.wedge(
-                                self.function(self.apply_field(Ya, a))
-                            ).wedge(suf),
-                            zero,
-                        )
-                        out = out + term.scale(c)
-            return out
+            # braided graded skew-symmetry:
+            # [[a, Y]] = (-1)^l sum [[Rinv1 |> Y, Rinv2 |> a]]
+            out = _leg_sum(Rinv, self.h_act_exp, Y, X, self.schouten, zero)
+            return -out if l % 2 else out
         for wx, cx in X.terms.items():
             for wy, cy in Y.terms.items():
                 for i in range(1, k + 1):
@@ -937,23 +866,23 @@ def default_field_family(cal, wedge_grade=2, coeff_degree=2):
     return fam
 
 
-def cartan_suite(cal, wedge_grade=2, coeff_degree=2, form_family=None):
+def cartan_suite(cal, wedge_grade=2, coeff_degree=2):
     """The six graded braided commutator identities of the calculus,
     plus the square of the differential and the two Lie derivative
-    splitting rules, on a generated family."""
+    splitting rules, on a generated family: the forms are the frame
+    words of grade <= 2 with coefficient 1 and x."""
     rep = Report(
         "cartan",
         {"wedge_grade": wedge_grade, "coeff_degree": coeff_degree,
          "twisted": cal.M.is_twisted},
     )
     fields = default_field_family(cal, wedge_grade, coeff_degree)
-    if form_family is None:
-        x = cal.alg.coord(0)
-        form_family = []
-        for k in range(0, min(cal.dim, 2) + 1):
-            for w in increasing_words(cal.dim, k):
-                form_family.append(cal.form(k, {w: cal.alg.one()}))
-                form_family.append(cal.form(k, {w: x}))
+    x = cal.alg.coord(0)
+    form_family = []
+    for k in range(0, min(cal.dim, 2) + 1):
+        for w in increasing_words(cal.dim, k):
+            form_family.append(cal.form(k, {w: cal.alg.one()}))
+            form_family.append(cal.form(k, {w: x}))
     d = CartanOperator(cal, "d")
 
     def pairs():
@@ -1141,22 +1070,18 @@ def gauge_transport(cl, tw, obj):
         return obj
     if not isinstance(obj, GradedObject):
         raise UnknownModule(type(obj))
+    kind = type(obj)
     if obj.grade == 0:
-        a = obj.terms.get(())
-        terms = {} if a is None else {(): a}
-        return (tw.mv if obj.kind == "mv" else tw.form)(0, terms)
+        return kind(tw, 0, obj.terms)
     if obj.grade == 1:
         if obj.kind == "mv":
             return _transport_field(cl, tw, obj)
         return _transport_oneform(cl, tw, obj)
-    kind = tw.mv if obj.kind == "mv" else tw.form
-    res = kind(obj.grade, {})
+    res = kind(tw, obj.grade, {})
     F = tw.M.twist.F.pairs()
     for w, c in obj.terms.items():
-        head = (cl.mv if obj.kind == "mv" else cl.form)(
-            obj.grade - 1, {w[:-1]: c}
-        )
-        tail = (cl.frame_field if obj.kind == "mv" else cl.coframe)(w[-1])
+        head = kind(cl, obj.grade - 1, {w[:-1]: c})
+        tail = kind(cl, 1, {w[-1:]: cl.alg.one()})
         res = _leg_sum(
             F, cl.h_act_exp, head, tail,
             lambda ha, ta: tw.wedge(
@@ -1213,9 +1138,8 @@ def deformed_wedge(cl, tw, U, V):
 
 def object_h0(obj, target_cal):
     """Classical shadow of a series-instance object."""
-    factory = target_cal.mv if obj.kind == "mv" else target_cal.form
-    return factory(
-        obj.grade,
+    return type(obj)(
+        target_cal, obj.grade,
         {w: c.h0(target_cal.alg) for w, c in obj.terms.items()},
     )
 

@@ -74,6 +74,19 @@ def _require(cond, err, detail):
         raise err(detail)
 
 
+def _names(value, what):
+    """A non-empty list of distinct names, none of them "h"."""
+    _require(
+        isinstance(value, list) and value and all(isinstance(v, str) for v in value),
+        SchemaError,
+        "%ss must be a non-empty list of names" % what,
+    )
+    for v in value:
+        _require(_NAME.match(v) and v != "h", SchemaError, ("bad %s name" % what, v))
+    _require(len(set(value)) == len(value), SchemaError, "duplicate %s" % what)
+    return tuple(value)
+
+
 def _section(data, key, required):
     got = data.get(key)
     if got is None and required:
@@ -104,14 +117,15 @@ def _split_terms(text):
 def _parse_factors(ring, term, names):
     """One product term -> (Scalar coefficient, exponent list)."""
     sign = 1
-    term = term.strip()
-    while term.startswith("-"):
+    rest = term.strip()
+    while rest.startswith("-"):
         sign = -sign
-        term = term[1:].strip()
+        rest = rest[1:].strip()
+    _require(rest, SchemaError, ("term has no factor", term))
     coeff = Fraction(sign)
     hpow = 0
     exps = [0] * len(names)
-    for factor in term.split():
+    for factor in rest.split():
         if _RATIONAL.match(factor):
             coeff *= _rational(factor)
             continue
@@ -153,6 +167,18 @@ def parse_poly(alg, text):
         s, exps = _parse_factors(alg.ring, term, alg.names)
         tot = tot + AlgebraElement(alg, {tuple(exps): s}, 0)
     return tot
+
+
+def _coordinate_row(alg, row, detail):
+    """A {coordinate: polynomial} object as one polynomial per
+    coordinate, zero where absent; SchemaError(detail) if not an object."""
+    _require(isinstance(row, dict), SchemaError, detail)
+    full = [alg.zero()] * alg.arity
+    for cname, poly in row.items():
+        if cname not in alg.names:
+            raise UnknownName((cname, alg.names))
+        full[alg.names.index(cname)] = parse_poly(alg, poly)
+    return tuple(full)
 
 
 def parse_hopf_monomial(lie, text):
@@ -200,7 +226,7 @@ class Scenario:
         if kind == "series":
             order = sec.get("order")
             _require(
-                isinstance(order, int) and order >= 1,
+                type(order) is int and order >= 1,
                 SchemaError,
                 ("series ring needs a positive integer order", order),
             )
@@ -209,15 +235,7 @@ class Scenario:
 
     def _parse_lie(self, sec):
         _require(isinstance(sec, dict), SchemaError, "lie_algebra must be an object")
-        gens = sec.get("generators")
-        _require(
-            isinstance(gens, list) and gens and all(isinstance(g, str) for g in gens),
-            SchemaError,
-            "generators must be a non-empty list of names",
-        )
-        for g in gens:
-            _require(_NAME.match(g) and g != "h", SchemaError, ("bad generator name", g))
-        _require(len(set(gens)) == len(gens), SchemaError, "duplicate generator")
+        gens = _names(sec.get("generators"), "generator")
         brackets = {}
         for key, val in (sec.get("brackets") or {}).items():
             pair = key.split()
@@ -225,7 +243,7 @@ class Scenario:
             idx = []
             for g in pair:
                 if g not in gens:
-                    raise UnknownName((g, tuple(gens)))
+                    raise UnknownName((g, gens))
                 idx.append(gens.index(g))
             i, j = idx
             _require(i != j, SchemaError, ("bracket of a generator with itself", key))
@@ -236,10 +254,10 @@ class Scenario:
             _require(isinstance(val, dict), SchemaError, ("bracket value must be an object", key))
             for g, c in val.items():
                 if g not in gens:
-                    raise UnknownName((g, tuple(gens)))
+                    raise UnknownName((g, gens))
                 comps[gens.index(g)] = self.ring.scalar(sign * _rational(c))
             brackets[(i, j)] = comps
-        return LieAlgebra(self.ring, tuple(gens), brackets)
+        return LieAlgebra(self.ring, gens, brackets)
 
     # -- structures ----------------------------------------------------
 
@@ -248,22 +266,13 @@ class Scenario:
         if self._alg is None:
             sec = _section(self.data, "action", True)
             _require(isinstance(sec, dict), SchemaError, "action must be an object")
-            coords = sec.get("coordinates")
-            _require(
-                isinstance(coords, list) and coords
-                and all(isinstance(c, str) for c in coords),
-                SchemaError,
-                "coordinates must be a non-empty list of names",
-            )
-            for c in coords:
-                _require(_NAME.match(c) and c != "h", SchemaError, ("bad coordinate name", c))
-            _require(len(set(coords)) == len(coords), SchemaError, "duplicate coordinate")
+            coords = _names(sec.get("coordinates"), "coordinate")
             unit = None
             if sec.get("unit") is not None:
-                plain = PolyAlgebra(self.ring, tuple(coords))
+                plain = PolyAlgebra(self.ring, coords)
                 poly = parse_poly(plain, sec["unit"])
                 unit = dict(poly.num)
-            self._alg = PolyAlgebra(self.ring, tuple(coords), unit=unit)
+            self._alg = PolyAlgebra(self.ring, coords, unit=unit)
         return self._alg
 
     @property
@@ -277,13 +286,8 @@ class Scenario:
             for gname, row in img_sec.items():
                 if gname not in self.lie.generators:
                     raise UnknownName((gname, self.lie.generators))
-                _require(isinstance(row, dict), SchemaError, ("image row must be an object", gname))
-                full = [alg.zero()] * alg.arity
-                for cname, poly in row.items():
-                    if cname not in alg.names:
-                        raise UnknownName((cname, alg.names))
-                    full[alg.names.index(cname)] = parse_poly(alg, poly)
-                images[self.lie.generators.index(gname)] = tuple(full)
+                images[self.lie.generators.index(gname)] = _coordinate_row(
+                    alg, row, ("image row must be an object", gname))
             self._action = Action(self.lie, alg, images)
         return self._action
 
@@ -344,16 +348,10 @@ class Scenario:
             SchemaError,
             "frame must be a non-empty list of rows",
         )
-        frame = []
-        for row in sec:
-            _require(isinstance(row, dict), SchemaError, ("frame row must be an object", row))
-            full = [alg.zero()] * alg.arity
-            for cname, poly in row.items():
-                if cname not in alg.names:
-                    raise UnknownName((cname, alg.names))
-                full[alg.names.index(cname)] = parse_poly(alg, poly)
-            frame.append(tuple(full))
-        return frame
+        return [
+            _coordinate_row(alg, row, ("frame row must be an object", row))
+            for row in sec
+        ]
 
     def calculus(self, twisted=True):
         key = bool(twisted)
@@ -440,7 +438,7 @@ class Scenario:
         got = getattr(opts, name.replace("-", "_"), None)
         if got is None:
             got = self.params.get(name, default)
-        _require(isinstance(got, int) and got >= 0, SchemaError, ("bad %s" % name, got))
+        _require(type(got) is int and got >= 0, SchemaError, ("bad %s" % name, got))
         return got
 
 
@@ -674,9 +672,6 @@ def main(argv=None):
         else:
             fn = dict((n, f) for n, f, _ in _RUNNERS)[opts.command]
             reports = _guarded(opts.command, lambda: fn(sc, opts))
-    except (SchemaError, MissingSection, UnknownName) as exc:
-        print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
-        return 2
     except EngineError as exc:
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)
         return 2

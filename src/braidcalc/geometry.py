@@ -34,13 +34,16 @@ import random
 METRICITY = "X(g(Y, Z)) = g(nabla_X Y, Z) + g(Rinv1 |> Y, nabla_{Rinv2 |> X} Z)"
 
 
-def field_family(cal, coeff_degree=2):
-    """Frame fields plus monomial-coefficient frame fields."""
-    fam = [cal.frame_field(u) for u in range(cal.dim)]
+def field_family(cal, coeff_degree=2, frame=None):
+    """Frame fields plus monomial-coefficient frame fields, over the
+    frame indices `frame` (all of them by default)."""
+    if frame is None:
+        frame = range(cal.dim)
+    fam = [cal.frame_field(u) for u in frame]
     for m in coordinate_monomials(cal.alg, coeff_degree):
         if m.is_scalar():
             continue
-        for u in range(cal.dim):
+        for u in frame:
             fam.append(cal.mv(1, {(u,): m}))
     return fam
 
@@ -320,15 +323,15 @@ def check_metric(metric, coeff_degree=1):
 
 
 def _structure_coefficients(cal):
-    """f[a][b] maps frame index w to the e_w component of [e_a, e_b]_R."""
-    out = []
-    for a in range(cal.dim):
-        row = []
-        for b in range(cal.dim):
-            br = cal.bracket(cal.frame_field(a), cal.frame_field(b))
-            row.append({w: c for (w,), c in br.terms.items()})
-        out.append(row)
-    return out
+    """f[a][b] maps frame index w to the e_w component of [e_a, e_b]_R,
+    read off d theta^w = -sum_{a<b} f[a][b][w] theta^a ^ theta^b (the
+    frame is R-invisible, so its braided bracket is the plain one)."""
+    f = [[{} for _ in range(cal.dim)] for _ in range(cal.dim)]
+    for w, dtheta in enumerate(cal._structure_forms()):
+        for (a, b), c in dtheta.terms.items():
+            f[a][b][w] = -c
+            f[b][a][w] = c
+    return f
 
 
 def levi_civita(metric):
@@ -346,36 +349,35 @@ def levi_civita(metric):
                 )
     f = _structure_coefficients(cal)
     half = Fraction(1, 2)
+
+    def koszul(a, b, c):
+        """2 g(nabla_{e_a} e_b, e_c) by the Koszul formula."""
+        val = (
+            cal.frame.apply_base(a, g[b][c])
+            + cal.frame.apply_base(b, g[a][c])
+            - cal.frame.apply_base(c, g[a][b])
+        )
+        for w in range(dim):
+            fab = f[a][b].get(w)
+            if fab is not None:
+                val = val + M.mul(fab, g[w][c])
+            fac = f[a][c].get(w)
+            if fac is not None:
+                val = val - M.mul(fac, g[w][b])
+            fbc = f[b][c].get(w)
+            if fbc is not None:
+                val = val - M.mul(fbc, g[w][a])
+        return val
+
     gamma = [
-        [[cal.alg.zero()] * dim for _ in range(dim)] for _ in range(dim)
+        [
+            [t.scale(half) for t in _mmul(
+                M.mul, [[koszul(a, b, c) for c in range(dim)]], metric.inverse
+            )[0]]
+            for b in range(dim)
+        ]
+        for a in range(dim)
     ]
-    for a in range(dim):
-        for b in range(dim):
-            K = []
-            for c in range(dim):
-                val = (
-                    cal.frame.apply_base(a, g[b][c])
-                    + cal.frame.apply_base(b, g[a][c])
-                    - cal.frame.apply_base(c, g[a][b])
-                )
-                for w in range(dim):
-                    fab = f[a][b].get(w)
-                    if fab is not None:
-                        val = val + M.mul(fab, g[w][c])
-                    fac = f[a][c].get(w)
-                    if fac is not None:
-                        val = val - M.mul(fac, g[w][b])
-                    fbc = f[b][c].get(w)
-                    if fbc is not None:
-                        val = val - M.mul(fbc, g[w][a])
-                K.append(val)
-            for d in range(dim):
-                tot = cal.alg.zero()
-                for c in range(dim):
-                    if K[c].is_zero():
-                        continue
-                    tot = tot + M.mul(K[c], metric.inverse[c][d])
-                gamma[a][b][d] = tot.scale(half)
     conn = Connection(cal, gamma)
     # solve-time consistency on bare frame triples
     for a in range(dim):

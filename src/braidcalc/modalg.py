@@ -19,14 +19,14 @@ import operator
 from .errors import ArityMismatch, BracketIncompatible, RingMismatch, UnknownModule
 from .hopf import TriangularStructure
 from .report import Report
-from .ring import AlgebraElement, _add_terms, _exponents_up_to, _leg_sum, _memo
+from .ring import AlgebraElement, _add_terms, _braid, _derive, _exponents_up_to, _leg_sum, _memo
 from .twist import Twist, TwistedHopfData
 
 
 class Action:
     """Lie generators acting as derivations on a polynomial algebra."""
 
-    def __init__(self, lie, algebra, images, check=True):
+    def __init__(self, lie, algebra, images):
         if lie.ring != algebra.ring:
             raise RingMismatch((lie.ring, algebra.ring))
         self.lie = lie
@@ -38,8 +38,7 @@ class Action:
                 raise ArityMismatch((lie.generators[i], len(row)))
             imgs[i] = row
         self.images = imgs
-        if check:
-            self._check_bracket_compatibility()
+        self._check_bracket_compatibility()
 
     def _check_bracket_compatibility(self):
         """[D_i, D_j] must equal the action of [x_i, x_j] on coordinates."""
@@ -64,14 +63,7 @@ class Action:
 
     def deriv(self, i, a):
         """Generator i acting as sum_j image_ij * d(a)/d(coord_j)."""
-        out = self.algebra.zero()
-        for j, img in enumerate(self.images[i]):
-            if img.is_zero():
-                continue
-            da = a.deriv(j)
-            if not da.is_zero():
-                out = out + img * da
-        return out
+        return _derive(self.images[i], a)
 
     @_memo
     def act_monomial(self, exp, a):
@@ -159,19 +151,11 @@ class ModuleAlgebra:
     def braid_algebra_pairs(self, pairs):
         """c^R on a sum of algebra-element pure tensors:
         sum_i a_i (x) b_i -> sum (Rinv1 |> b_i) (x) (Rinv2 |> a_i)."""
-        out = []
         for a, b in pairs:
             if not (isinstance(a, AlgebraElement) and isinstance(b, AlgebraElement)):
                 raise UnknownModule((type(a), type(b)))
-            for (el, er), c in self.triangular.Rinv.terms.items():
-                left = self.action.act_monomial(el, b).scale(c)
-                if left.is_zero():
-                    continue
-                right = self.action.act_monomial(er, a)
-                if right.is_zero():
-                    continue
-                out.append((left, right))
-        return out
+        return _braid(self.triangular.Rinv.pairs(), self.action.act_monomial,
+                      pairs)
 
 
 def expand_pairs(pairs):

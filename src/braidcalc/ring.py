@@ -110,6 +110,35 @@ def _leg_sum(legs, act, u, v, op, total):
     return total
 
 
+def _braid(legs, act, pairs):
+    """The braiding c^R on a list of pure tensors u (x) v: the pairs
+    c (l |> v, r |> u) over the (l, r, c) legs of Rinv, skipping a term
+    as soon as either leg gives zero."""
+    out = []
+    for u, v in pairs:
+        for l, r, c in legs:
+            lv = act(l, v)
+            if lv.is_zero():
+                continue
+            ru = act(r, u)
+            if not ru.is_zero():
+                out.append((lv.scale(c), ru))
+    return out
+
+
+def _derive(images, f):
+    """The plain vector field with coordinate images `images` applied
+    to the polynomial f: sum_j images[j] * df/dx_j."""
+    out = f.algebra.zero()
+    for j, img in enumerate(images):
+        if img.is_zero():
+            continue
+        df = f.deriv(j)
+        if not df.is_zero():
+            out = out + img * df
+    return out
+
+
 def _neumann(one, n, order):
     """Sum of n^k for k < order, stopping at the first zero power: the
     inverse of one - n when n is of positive h-order."""

@@ -250,29 +250,28 @@ class Projection:
     def lift_function(self, abar):
         return self.ideal.lift(abar)
 
+    def _push(self, obj):
+        """The words of obj over tangent frame letters, renumbered for
+        the quotient frame, with projected coefficients; words with a
+        normal letter drop."""
+        return type(obj)(self.q, obj.grade, {
+            tuple(self._pos[u] for u in w): self.function(c)
+            for w, c in obj.terms.items()
+            if all(u in self._pos for u in w)
+        })
+
     def multivector(self, X):
         """Project a tangent multivector; NotTangent when a word with a
         normal letter carries a coefficient outside the ideal."""
-        terms = {}
         for w, c in X.terms.items():
-            if all(u in self._pos for u in w):
-                cq = self.function(c)
-                if not cq.is_zero():
-                    terms[tuple(self._pos[u] for u in w)] = cq
-            elif not self.ideal.contains(c):
+            if any(u not in self._pos for u in w) and not self.ideal.contains(c):
                 raise NotTangent((w, c))
-        return self.q.mv(X.grade, terms)
+        return self._push(X)
 
     def form(self, om):
         """Pull a form back to the submanifold: normal coframe letters
         restrict to zero, so those words drop with no condition."""
-        terms = {}
-        for w, c in om.terms.items():
-            if all(u in self._pos for u in w):
-                cq = self.function(c)
-                if not cq.is_zero():
-                    terms[tuple(self._pos[u] for u in w)] = cq
-        return self.q.form(om.grade, terms)
+        return self._push(om)
 
     def lift_multivector(self, Xbar):
         terms = {
@@ -399,17 +398,6 @@ def check_sequence(proj, coeff_degree=2):
     return rep
 
 
-def _tangent_field_family(proj, coeff_degree):
-    cal = proj.cal
-    fam = [cal.frame_field(u) for u in proj.tangent_idx]
-    for m in coordinate_monomials(cal.alg, coeff_degree):
-        if m.is_scalar():
-            continue
-        for u in proj.tangent_idx:
-            fam.append(cal.mv(1, {(u,): m}))
-    return fam
-
-
 def _form_family(proj, coeff_degree):
     cal = proj.cal
     words = [(u,) for u in range(cal.dim)]
@@ -442,7 +430,7 @@ def projection_suite(proj, coeff_degree=2, depth=2):
     )
 
     funcs = coordinate_monomials(cal.alg, coeff_degree)
-    fields = _tangent_field_family(proj, coeff_degree)
+    fields = field_family(cal, coeff_degree, frame=proj.tangent_idx)
     forms = _form_family(proj, coeff_degree)
 
     def product():

@@ -599,6 +599,33 @@ def test_schouten_graded_leibniz_reduces_wedge_to_brackets():
     assert lhs == rhs
 
 
+@pytest.mark.parametrize("make", [lambda: heis_pair()[0], moyal_cal],
+                         ids=["heisenberg", "moyal"])
+def test_schouten_with_function_first(make):
+    """A grade-0 first argument: [[a, X]] = -X(a) when R is trivial, and
+    [[a, Y ^ Z]] = [[a, Y]] ^ Z - sum (Rinv1 |> Y) ^ [[Rinv2 |> a, Z]]
+    in force, for coordinate monomials a of degree <= 2."""
+    cal = make()
+    fields = [
+        cal.mv(1, {(u,): c})
+        for u in range(cal.dim)
+        for c in coordinate_monomials(cal.alg, 1)
+    ]
+    for m in coordinate_monomials(cal.alg, 2):
+        a = cal.function(m)
+        if not cal.M.is_twisted:
+            for X in fields:
+                assert cal.schouten(a, X) == cal.function(-X(m)), (m, X)
+        for Y in fields:
+            for Z in fields:
+                rhs = cal.wedge(cal.schouten(a, Y), Z)
+                for (t1, t2), c in cal.M.triangular.Rinv.terms.items():
+                    Ya = cal.h_act_exp(t1, Y)
+                    aa = cal.h_act_exp(t2, a)
+                    rhs = rhs - cal.wedge(Ya, cal.schouten(aa, Z)).scale(c)
+                assert cal.schouten(a, cal.wedge(Y, Z)) == rhs, (m, Y, Z)
+
+
 # ---------------------------------------------------------------------
 # Cartan identities
 # ---------------------------------------------------------------------

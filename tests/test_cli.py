@@ -55,6 +55,13 @@ def test_parse_scalar_rejects_non_string():
         parse_scalar(RATIONAL, 7)
 
 
+@pytest.mark.parametrize("text", ["1 - - h", "h -", "-"])
+def test_parse_scalar_rejects_bare_sign(text):
+    """A sign with no factor after it is not the constant -1."""
+    with pytest.raises(SchemaError):
+        parse_scalar(SERIES, text)
+
+
 def test_parse_poly():
     alg = PolyAlgebra(RATIONAL, ("x", "y"))
     p = parse_poly(alg, "1 + x^2")
@@ -259,6 +266,8 @@ def test_bracket_incompatible_action_is_a_failing_construction_row(
     ("brackets", "1/0"),
     ("brackets", "abc"),
     ("images", "1/0 x"),
+    ("images", "x -"),
+    ("images", "x - - y"),
 ])
 def test_malformed_rational_exits_two(tmp_path, capsys, section, literal):
     data = json.loads((SCENARIOS / "heisenberg.json").read_text())
@@ -308,10 +317,20 @@ def _ideal_without_tangent(data):
     data["ideal"]["normal_coordinates"] = list(data["action"]["coordinates"])
 
 
-@pytest.mark.parametrize("edit", [_zero_unit, _ideal_without_tangent])
+def _boolean_order(data):
+    data["ring"] = {"kind": "series", "order": True}
+
+
+def _boolean_depth(data):
+    data["params"]["depth"] = True
+
+
+@pytest.mark.parametrize("edit", [_zero_unit, _ideal_without_tangent,
+                                  _boolean_order, _boolean_depth])
 def test_degenerate_declarations_refused_under_python_O(tmp_path, edit):
-    """A zero declared unit and an ideal with no tangent coordinate are
-    scenario errors: exit 2 with a typed message, also under -O."""
+    """A zero declared unit, an ideal with no tangent coordinate and a
+    JSON boolean where an integer belongs are scenario errors: exit 2
+    with a typed message, also under -O."""
     data = json.loads((SCENARIOS / "surface.json").read_text())
     edit(data)
     path = tmp_path / "sc.json"
