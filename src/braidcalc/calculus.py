@@ -39,7 +39,15 @@ from .errors import (
 from .hopf import _exp_to_word
 from .modalg import coordinate_monomials, expand_pairs  # noqa: F401 (re-export)
 from .report import Report
-from .ring import AlgebraElement, _add_terms, _braid, _derive, _leg_sum, _memo
+from .ring import (
+    AlgebraElement,
+    _add_terms,
+    _braid,
+    _derive,
+    _leg_sum,
+    _memo,
+    _Terms,
+)
 
 
 def merge_words(w1, w2):
@@ -321,82 +329,60 @@ class Frame:
 # ---------------------------------------------------------------------
 
 
-class GradedObject:
+class GradedObject(_Terms):
+    """Coefficient-per-word normal form {strictly increasing word:
+    AlgebraElement}; MultiVector and DifferentialForm tell the kinds
+    apart."""
+
     kind = ""
 
-    __slots__ = ("cal", "grade", "terms", "_hash")
+    __slots__ = ("cal", "grade")
+    _ring = operator.attrgetter("cal.ring")
+    # the class tells the kinds apart, and nonzero terms pin the grade,
+    # so zeros of any grade coincide
+    _data = None
+    _scalar_coefficients = False
 
     def __init__(self, cal, grade, terms):
         if grade < 0:
             raise GradeMismatch(grade)
-        clean = {}
-        for word, coeff in terms.items():
-            word = tuple(word)
+        dim = cal.dim
+        for word in terms:
             if len(word) != grade:
                 raise GradeMismatch((word, grade))
-            for p in range(len(word) - 1):
-                if word[p] >= word[p + 1]:
-                    raise GradeMismatch(("word not increasing", word))
-            for u in word:
-                if not 0 <= u < cal.dim:
-                    raise IndexOutOfRange(u)
-            if not coeff.is_zero():
-                clean[word] = coeff
+            if grade:
+                for p in range(grade - 1):
+                    if word[p] >= word[p + 1]:
+                        raise GradeMismatch(("word not increasing", word))
+                if word[0] < 0 or word[-1] >= dim:
+                    raise IndexOutOfRange((word, dim))
         self.cal = cal
         self.grade = grade
-        self.terms = clean
-        self._hash = None
+        _Terms.__init__(self, terms)
 
-    def is_zero(self):
-        return not self.terms
+    def _like(self, terms):
+        """A sibling over the same words; they need no validation."""
+        new = object.__new__(type(self))
+        new.cal = self.cal
+        new.grade = self.grade
+        _Terms.__init__(new, terms)
+        return new
 
-    def __add__(self, other):
-        if other.kind != self.kind:
-            raise GradeMismatch((self.kind, getattr(other, "kind", None)))
+    def _check(self, other):
+        kind = getattr(other, "kind", None)
+        if kind != self.kind:
+            raise GradeMismatch((self.kind, kind))
         # a vanishing summand absorbs into any grade
-        if not other.terms:
-            return self
-        if not self.terms:
-            return other
-        if other.grade != self.grade:
+        if other.grade != self.grade and self.terms and other.terms:
             raise GradeMismatch((self.grade, other.grade))
-        out = _add_terms(dict(self.terms), other.terms.items())
-        return type(self)(self.cal, self.grade, out)
-
-    def __neg__(self):
-        return type(self)(
-            self.cal, self.grade, {w: -c for w, c in self.terms.items()}
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def scale(self, s):
-        return type(self)(
-            self.cal, self.grade, {w: c.scale(s) for w, c in self.terms.items()}
-        )
 
     def left_mul(self, a):
         """Module action of an algebra element, product in force."""
         mul = self.cal.M.mul
-        out = {w: mul(a, c) for w, c in self.terms.items()}
-        return type(self)(self.cal, self.grade, out)
+        return self._like({w: mul(a, c) for w, c in self.terms.items()})
 
     def wedge(self, other):
         return self.cal.wedge(self, other)
-
-    def __eq__(self, other):
-        # nonzero terms pin the grade, so zeros of any grade coincide
-        return (
-            isinstance(other, GradedObject)
-            and self.kind == other.kind
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.kind, frozenset(self.terms.items())))
-        return self._hash
 
     def __repr__(self):
         if not self.terms:
@@ -411,6 +397,7 @@ class GradedObject:
 
 class MultiVector(GradedObject):
     kind = "mv"
+    __slots__ = ()
 
     def __call__(self, f):
         return self.cal.apply_field(self, f)
@@ -418,6 +405,7 @@ class MultiVector(GradedObject):
 
 class DifferentialForm(GradedObject):
     kind = "form"
+    __slots__ = ()
 
     def __call__(self, *fields):
         return self.cal.eval_form(self, list(fields))
@@ -1128,12 +1116,6 @@ def deformed_binary(cl, tw, op, U, V):
         # only reachable when an input is already zero
         return op(U, V)
     return res
-
-
-def deformed_wedge(cl, tw, U, V):
-    """The twist-deformed wedge of classical objects:
-    U ^_F V = sum (Finv1 |> U) ^ (Finv2 |> V)."""
-    return deformed_binary(cl, tw, cl.wedge, U, V)
 
 
 def object_h0(obj, target_cal):

@@ -95,10 +95,12 @@ def _section(data, key, required):
 
 
 def _rational(text):
-    """Exact rational from a literal such as "3", "-2/3" or "1/2"."""
+    """Exact rational from a string literal such as "3", "-2/3" or "1/2"."""
+    _require(isinstance(text, str) and _RATIONAL.fullmatch(text), SchemaError,
+             ("malformed rational", text))
     try:
         return Fraction(text)
-    except (ValueError, TypeError, ZeroDivisionError):
+    except ZeroDivisionError:
         raise SchemaError(("malformed rational", text)) from None
 
 
@@ -187,6 +189,9 @@ def parse_hopf_monomial(lie, text):
     text = text.strip()
     if text == "1":
         return (0,) * lie.dim
+    for factor in text.split():
+        _require(not factor.startswith("-") and not _RATIONAL.match(factor),
+                 SchemaError, ("monomial takes no sign or coefficient", text))
     s, exps = _parse_factors(lie.ring, text, lie.generators)
     if s != lie.ring.one():
         raise SchemaError(("monomial must have coefficient 1", text))
@@ -221,23 +226,18 @@ class Scenario:
     def _parse_ring(sec):
         _require(isinstance(sec, dict), SchemaError, "ring must be an object")
         kind = sec.get("kind")
-        if kind == "rational":
-            return RATIONAL
-        if kind == "series":
-            order = sec.get("order")
-            _require(
-                type(order) is int and order >= 1,
-                SchemaError,
-                ("series ring needs a positive integer order", order),
-            )
-            return Ring("series", order)
-        raise SchemaError(("ring kind must be rational or series", kind))
+        return RATIONAL if kind == "rational" else Ring(kind, sec.get("order"))
 
     def _parse_lie(self, sec):
         _require(isinstance(sec, dict), SchemaError, "lie_algebra must be an object")
         gens = _names(sec.get("generators"), "generator")
+        table = sec.get("brackets")
+        if table is None:
+            table = {}
+        _require(isinstance(table, dict), SchemaError,
+                 ("lie_algebra.brackets must be an object", table))
         brackets = {}
-        for key, val in (sec.get("brackets") or {}).items():
+        for key, val in table.items():
             pair = key.split()
             _require(len(pair) == 2, SchemaError, ("bracket key must be two names", key))
             idx = []
@@ -271,7 +271,7 @@ class Scenario:
             if sec.get("unit") is not None:
                 plain = PolyAlgebra(self.ring, coords)
                 poly = parse_poly(plain, sec["unit"])
-                unit = dict(poly.num)
+                unit = dict(poly.terms)
             self._alg = PolyAlgebra(self.ring, coords, unit=unit)
         return self._alg
 

@@ -85,10 +85,6 @@ class InverseWitnessInvalid(EngineError):
     """Stored inverse matrix does not invert the metric two-sidedly."""
 
 
-class OracleUnsound(EngineError):
-    """User-supplied reduction oracle failed a soundness spot-check."""
-
-
 class NotTangent(EngineError):
     """Derivation or twist leg does not preserve the submanifold ideal."""
 

@@ -66,12 +66,6 @@ class Connection:
         self.cal = cal
         self.gamma = gamma
 
-    @classmethod
-    def zero(cls, cal):
-        z = cal.alg.zero()
-        d = cal.dim
-        return cls(cal, [[[z] * d for _ in range(d)] for _ in range(d)])
-
     def perturbed(self, a, b, c, delta):
         """Copy with a constant shift added to one frame coefficient."""
         gamma = [
@@ -154,10 +148,6 @@ class Connection:
         )
         return (self.nabla(X, self.nabla(Y, s)) - braided
                 - self.nabla(cal.bracket(X, Y), s))
-
-
-def covariant_derivative(conn, X, s):
-    return conn.nabla(X, s)
 
 
 def check_connection(conn, coeff_degree=1):

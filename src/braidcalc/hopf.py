@@ -18,6 +18,7 @@ multiplication, leg embedding, leg permutation and leg maps; these are
 the raw material for coproduct identities, R-matrices and twists.
 """
 
+import operator
 from math import comb
 
 from .errors import (
@@ -32,10 +33,12 @@ from .report import Report
 from .ring import (
     Ring,
     Scalar,
+    _Terms,
     _add_terms,
     _exponents_up_to,
     _memo,
     _memo_table,
+    _monomials_repr,
     _neumann,
 )
 
@@ -221,39 +224,22 @@ class LieAlgebra:
         return {e: c * sign for e, c in res.items()}
 
 
-class HopfElement:
+class HopfElement(_Terms):
     """Envelope element: {PBW exponent tuple: Scalar}."""
 
-    __slots__ = ("lie", "terms", "_hash")
+    __slots__ = ("lie", "_data")
+    _ring = operator.attrgetter("lie.ring")
 
     def __init__(self, lie, terms):
-        self.lie = lie
-        self.terms = {e: c for e, c in terms.items() if not c.is_zero()}
-        self._hash = None
+        self.lie = self._data = lie
+        _Terms.__init__(self, terms)
 
-    def is_zero(self):
-        return not self.terms
+    def _like(self, terms):
+        return HopfElement(self.lie, terms)
 
     def _check(self, other):
         if not isinstance(other, HopfElement) or other.lie is not self.lie:
             raise RingMismatch(("envelope mismatch", self.lie, other))
-
-    def __add__(self, other):
-        self._check(other)
-        return HopfElement(
-            self.lie, _add_terms(dict(self.terms), other.terms.items())
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return HopfElement(self.lie, {e: -c for e, c in self.terms.items()})
-
-    def scale(self, s):
-        if not isinstance(s, Scalar):
-            s = self.lie.ring.scalar(s)
-        return HopfElement(self.lie, {e: c * s for e, c in self.terms.items()})
 
     def __mul__(self, other):
         self._check(other)
@@ -291,11 +277,6 @@ class HopfElement:
     def antipode(self):
         return HopfElement(self.lie, self._expand(self.lie.antipode_monomial))
 
-    def min_h_order(self):
-        if not self.terms:
-            return self.lie.ring.order
-        return min(c.min_h_order() for c in self.terms.values())
-
     def series_inverse(self):
         """Invert 1 + O(h) elements by a terminating Neumann series."""
         one = self.lie.unit()
@@ -304,51 +285,26 @@ class HopfElement:
             raise BetaNotInvertible("element is not 1 + O(h)")
         return _neumann(one, n, self.lie.ring.order)
 
-    # -- plumbing -------------------------------------------------------
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HopfElement)
-            and self.lie is other.lie
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash(frozenset(self.terms.items()))
-        return self._hash
-
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        names = self.lie.generators
-        parts = []
-        for e in sorted(self.terms):
-            c = self.terms[e]
-            mono = " ".join(
-                nm if k == 1 else "%s^%d" % (nm, k)
-                for nm, k in zip(names, e)
-                if k
-            )
-            cs = repr(c)
-            if " + " in cs or " - " in cs[1:]:
-                cs = "(%s)" % cs
-            parts.append("%s*%s" % (cs, mono) if mono else cs)
-        return " + ".join(parts)
+        return _monomials_repr(self.terms, self.lie.generators)
 
 
-class TensorElement:
+class TensorElement(_Terms):
     """Rank 1..3 tensor over the envelope: {tuple of exponent tuples: Scalar}."""
 
-    __slots__ = ("lie", "rank", "terms", "_hash", "_pairs")
+    __slots__ = ("lie", "rank", "_data", "_pairs")
+    _ring = operator.attrgetter("lie.ring")
 
     def __init__(self, lie, rank, terms):
         assert 1 <= rank <= 3, rank
         self.lie = lie
         self.rank = rank
-        self.terms = {k: c for k, c in terms.items() if not c.is_zero()}
-        self._hash = None
+        self._data = (lie, rank)
+        _Terms.__init__(self, terms)
         self._pairs = None
+
+    def _like(self, terms):
+        return TensorElement(self.lie, self.rank, terms)
 
     @classmethod
     def unit(cls, lie, rank):
@@ -370,35 +326,11 @@ class TensorElement:
             out = new
         return cls(lie, len(factors), out)
 
-    def is_zero(self):
-        return not self.terms
-
     def _check(self, other):
         if not isinstance(other, TensorElement) or other.lie is not self.lie:
             raise RingMismatch(("envelope mismatch", self.lie, other))
         if other.rank != self.rank:
             raise RankMismatch((self.rank, other.rank))
-
-    def __add__(self, other):
-        self._check(other)
-        return TensorElement(
-            self.lie, self.rank, _add_terms(dict(self.terms), other.terms.items())
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return TensorElement(
-            self.lie, self.rank, {k: -c for k, c in self.terms.items()}
-        )
-
-    def scale(self, s):
-        if not isinstance(s, Scalar):
-            s = self.lie.ring.scalar(s)
-        return TensorElement(
-            self.lie, self.rank, {k: c * s for k, c in self.terms.items()}
-        )
 
     def __mul__(self, other):
         """Legwise product, each leg PBW-renormalized."""
@@ -521,21 +453,6 @@ class TensorElement:
             self._pairs = tuple((l, r, c) for (l, r), c in self.terms.items())
         return self._pairs
 
-    # -- plumbing -------------------------------------------------------
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TensorElement)
-            and self.lie is other.lie
-            and self.rank == other.rank
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.rank, frozenset(self.terms.items())))
-        return self._hash
-
     def __repr__(self):
         if not self.terms:
             return "0"
@@ -562,10 +479,6 @@ class TriangularStructure:
         self.lie = lie
         self.R = R
         self.Rinv = Rinv
-
-    @property
-    def is_trivial(self):
-        return self.R == TensorElement.unit(self.lie, 2)
 
     def __repr__(self):
         return "TriangularStructure(R=%r)" % (self.R,)

@@ -173,13 +173,13 @@ def _basis_terms(obj):
     """(basis key, Scalar) pairs of obj; multivectors and forms are told
     apart by their kind, as their classes live in calculus, above here."""
     if isinstance(obj, AlgebraElement):
-        return [(("alg", e, obj.du), c) for e, c in obj.num.items()]
+        return [(("alg", e, obj.du), c) for e, c in obj.terms.items()]
     if getattr(obj, "kind", None) not in ("mv", "form"):
         raise UnknownModule(type(obj))
     return [
         ((obj.kind, obj.grade, w, e, coeff.du), c)
         for w, coeff in obj.terms.items()
-        for e, c in coeff.num.items()
+        for e, c in coeff.terms.items()
     ]
 
 

@@ -8,12 +8,14 @@ done mod h^N where h is the formal deformation parameter.
 Which ring is in force is a run-time value carried by every Scalar;
 mixing rings raises RingMismatch.
 
-AlgebraElement is a sparse polynomial in commuting coordinates with
-Scalar coefficients, stored as {exponent tuple: Scalar}.  An algebra
-may declare one unit polynomial u; elements are then fractions
-num / u^du, canonicalized by exact division of num by u.  This is the
-smallest extension of the plain polynomial ring in which metrics like
-diag(1, 1+x^2) admit exact two-sided inverse witnesses.
+_Terms is the sparse linear combination {basis key: coefficient} that
+every element type of the engine builds on.  AlgebraElement is the one
+defined here: a sparse polynomial in commuting coordinates with Scalar
+coefficients, stored as {exponent tuple: Scalar}.  An algebra may
+declare one unit polynomial u; elements are then fractions
+terms / u^du, canonicalized by exact division of the numerator by u.
+This is the smallest extension of the plain polynomial ring in which
+metrics like diag(1, 1+x^2) admit exact two-sided inverse witnesses.
 
 Everything here is immutable after construction; all operations are
 pure and return fresh objects.
@@ -21,6 +23,7 @@ pure and return fresh objects.
 
 import functools
 import math
+import operator
 from fractions import Fraction
 
 from .errors import (
@@ -167,10 +170,13 @@ class Ring:
     __slots__ = ("kind", "order")
 
     def __init__(self, kind, order=1):
-        assert kind in ("rational", "series"), kind
         if kind == "rational":
             order = 1
-        assert isinstance(order, int) and order >= 1, order
+        elif kind != "series":
+            raise SchemaError(("ring kind must be rational or series", kind))
+        if type(order) is not int or order < 1:
+            raise SchemaError(("series ring needs a positive integer order",
+                               order))
         self.kind = kind
         self.order = order
 
@@ -335,13 +341,6 @@ class Scalar:
                             for k, bk in enumerate(b)),
                       den)
 
-    def __pow__(self, k):
-        assert isinstance(k, int) and k >= 0, k
-        out = self.ring.one()
-        for _ in range(k):
-            out = out * self
-        return out
-
     # -- ring changes ------------------------------------------------
 
     def h0(self):
@@ -389,12 +388,112 @@ class Scalar:
 
 
 # ---------------------------------------------------------------------
-# sparse polynomials, optionally localized at one declared unit
+# sparse linear combinations
 # ---------------------------------------------------------------------
 
 
-def _map_add(a, b):
-    return _add_terms(dict(a), b.items())
+class _Terms:
+    """A finite sum of basis keys with coefficients, held as the map
+    `terms` {key: coefficient} of its nonzero coefficients.
+
+    AlgebraElement, HopfElement, TensorElement and GradedObject share
+    this plumbing.  Each subclass supplies its product and repr and:
+      * `__init__`, validating its keys and passing its terms through
+        `_Terms.__init__`, the one zero filter;
+      * `_check(other)`, raising its own error for an incompatible operand;
+      * `_like(terms)`, a sibling with the same extra data;
+      * `_data`, the extra data that equality and the hash take besides
+        the terms: a slot set at construction or a class constant, so
+        that reading it costs no call;
+      * `_ring`, a getter of its coefficient ring.
+    Coefficients are Scalars, or AlgebraElements for GradedObject, whose
+    `_scalar_coefficients` is false.
+    """
+
+    __slots__ = ("terms", "_hash")
+    _scalar_coefficients = True
+
+    def __init__(self, terms):
+        nonzero = {}
+        for k, c in terms.items():
+            if not c.is_zero():
+                nonzero[k] = c
+        self.terms = nonzero
+        self._hash = None
+
+    def is_zero(self):
+        return not self.terms
+
+    def min_h_order(self):
+        """Smallest h power carried by any coefficient; ring order if zero."""
+        if not self.terms:
+            return self._ring(self).order
+        return min(c.min_h_order() for c in self.terms.values())
+
+    def __add__(self, other):
+        self._check(other)
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
+        return self._plus(other)
+
+    def _plus(self, other):
+        """The sum of two nonzero compatible operands."""
+        return self._like(_add_terms(dict(self.terms), other.terms.items()))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._like({k: -c for k, c in self.terms.items()})
+
+    def scale(self, s):
+        """Every coefficient times s, a Scalar or a rational literal."""
+        ring = self._ring(self)
+        if not isinstance(s, Scalar):
+            s = ring.scalar(s)
+        elif s.ring is not ring and s.ring != ring:
+            raise RingMismatch((s.ring, ring))
+        if s.is_zero():
+            return self._like({})
+        if self._scalar_coefficients:
+            return self._like({k: c * s for k, c in self.terms.items()})
+        return self._like({k: c.scale(s) for k, c in self.terms.items()})
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self._data == other._data
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        if self._hash is None:
+            self._hash = hash((self._data, frozenset(self.terms.items())))
+        return self._hash
+
+
+def _monomials_repr(terms, names, reverse=False):
+    """The sum c*x^2 y + ... of a {exponent tuple: Scalar} map, its
+    monomials sorted (descending if `reverse`)."""
+    if not terms:
+        return "0"
+    parts = []
+    for e in sorted(terms, reverse=reverse):
+        mono = " ".join(
+            nm if k == 1 else "%s^%d" % (nm, k) for nm, k in zip(names, e) if k
+        )
+        cs = repr(terms[e])
+        if " + " in cs or " - " in cs[1:]:
+            cs = "(%s)" % cs
+        parts.append("%s*%s" % (cs, mono) if mono else cs)
+    return " + ".join(parts)
+
+
+# ---------------------------------------------------------------------
+# sparse polynomials, optionally localized at one declared unit
+# ---------------------------------------------------------------------
 
 
 def _map_mul(a, b):
@@ -405,17 +504,11 @@ def _map_mul(a, b):
     ))
 
 
-def _map_scale(a, s):
-    if s.is_zero():
-        return {}
-    return {e: c * s for e, c in a.items()}
-
-
 class PolyAlgebra:
     """Polynomial algebra over a Ring in named commuting coordinates,
     optionally localized at a single declared unit polynomial."""
 
-    __slots__ = ("ring", "names", "unit", "_unit_lead", "_index")
+    __slots__ = ("ring", "names", "unit", "_unit_lead", "_index", "_hash")
 
     def __init__(self, ring, names, unit=None):
         assert isinstance(ring, Ring)
@@ -435,6 +528,8 @@ class PolyAlgebra:
         else:
             self._unit_lead = None
         self.unit = unit
+        self._hash = hash((ring, names,
+                           None if unit is None else frozenset(unit.items())))
 
     @property
     def arity(self):
@@ -449,16 +544,15 @@ class PolyAlgebra:
         )
 
     def __hash__(self):
-        u = None if self.unit is None else frozenset(self.unit.items())
-        return hash((self.ring, self.names, u))
+        return self._hash
 
     def __repr__(self):
         return "PolyAlgebra(%s; %s)" % (", ".join(self.names), self.ring)
 
     # -- element constructors ----------------------------------------
 
-    def element(self, num, du=0):
-        return AlgebraElement(self, num, du)
+    def element(self, terms, du=0):
+        return AlgebraElement(self, terms, du)
 
     def zero(self):
         return AlgebraElement(self, {}, 0)
@@ -539,48 +633,44 @@ class PolyAlgebra:
         return q
 
 
-class AlgebraElement:
-    """Sparse polynomial num / unit^du with Scalar coefficients."""
+class AlgebraElement(_Terms):
+    """Sparse polynomial terms / unit^du with Scalar coefficients, keyed
+    by exponent tuples."""
 
-    __slots__ = ("algebra", "num", "du", "_hash")
+    __slots__ = ("algebra", "du", "_data")
+    _ring = operator.attrgetter("algebra.ring")
 
-    def __init__(self, algebra, num, du=0):
+    def __init__(self, algebra, terms, du=0):
         assert du >= 0, du
-        num = {e: c for e, c in num.items() if not c.is_zero()}
-        if not num:
+        _Terms.__init__(self, terms)
+        if not self.terms:
             du = 0
         # canonicalize: cancel unit powers while the numerator divides
         while du > 0:
-            q = algebra._divide_by_unit(num)
+            q = algebra._divide_by_unit(self.terms)
             if q is None:
                 break
-            num, du = q, du - 1
+            self.terms, du = q, du - 1
         self.algebra = algebra
-        self.num = num
         self.du = du
-        self._hash = None
+        # the pair only when du > 0, sparing most polynomials a tuple
+        self._data = (algebra, du) if du else algebra
+
+    def _like(self, terms):
+        return AlgebraElement(self.algebra, terms, self.du)
 
     # -- predicates --------------------------------------------------
 
-    def is_zero(self):
-        return not self.num
-
     def is_scalar(self):
-        if not self.num:
+        if not self.terms:
             return True
         zero_e = (0,) * self.algebra.arity
-        return self.du == 0 and set(self.num) == {zero_e}
+        return self.du == 0 and set(self.terms) == {zero_e}
 
     def constant_scalar(self):
         """The coefficient of the unit monomial (du must be 0)."""
         assert self.du == 0, "fraction has no plain constant term"
-        return self.num.get((0,) * self.algebra.arity, self.algebra.ring.zero())
-
-    def min_h_order(self):
-        """Smallest h power carried by any coefficient; ring order if zero."""
-        if not self.num:
-            return self.algebra.ring.order
-        return min(c.min_h_order() for c in self.num.values())
+        return self.terms.get((0,) * self.algebra.arity, self.algebra.ring.zero())
 
     # -- arithmetic --------------------------------------------------
 
@@ -589,44 +679,23 @@ class AlgebraElement:
             raise RingMismatch((self.algebra, getattr(other, "algebra", other)))
 
     def _raise_du(self, target_du):
-        """Numerator rescaled so the element reads num / unit^target_du."""
+        """Numerator rescaled so the element reads terms / unit^target_du."""
         assert target_du >= self.du
-        num = self.num
+        num = self.terms
         for _ in range(target_du - self.du):
             num = _map_mul(num, self.algebra.unit)
         return num
 
-    def __add__(self, other):
-        self._check(other)
-        if not other.num:
-            return self
-        if not self.num:
-            return other
+    def _plus(self, other):
         du = max(self.du, other.du)
-        return AlgebraElement(
-            self.algebra, _map_add(self._raise_du(du), other._raise_du(du)), du
-        )
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return AlgebraElement(
-            self.algebra, {e: -c for e, c in self.num.items()}, self.du
-        )
+        return AlgebraElement(self.algebra, _add_terms(
+            dict(self._raise_du(du)), other._raise_du(du).items()), du)
 
     def __mul__(self, other):
         self._check(other)
         return AlgebraElement(
-            self.algebra, _map_mul(self.num, other.num), self.du + other.du
+            self.algebra, _map_mul(self.terms, other.terms), self.du + other.du
         )
-
-    def scale(self, s):
-        if not isinstance(s, Scalar):
-            s = self.algebra.ring.scalar(s)
-        if s.ring != self.algebra.ring:
-            raise RingMismatch((s.ring, self.algebra.ring))
-        return AlgebraElement(self.algebra, _map_scale(self.num, s), self.du)
 
     def __pow__(self, k):
         assert isinstance(k, int) and k >= 0
@@ -642,7 +711,7 @@ class AlgebraElement:
         scalar = self.algebra.ring.scalar
         dnum = _add_terms({}, (
             (e[:j] + (e[j] - 1,) + e[j + 1:], c * scalar(e[j]))
-            for e, c in self.num.items()
+            for e, c in self.terms.items()
             if e[j]
         ))
         if self.du == 0:
@@ -653,9 +722,9 @@ class AlgebraElement:
         part1 = AlgebraElement(
             self.algebra, _map_mul(dnum, self.algebra.unit), self.du + 1
         )
-        part2 = AlgebraElement(
-            self.algebra, _map_scale(_map_mul(self.num, dunit.num), k), self.du + 1
-        )
+        part2 = AlgebraElement(self.algebra, {
+            e: c * k for e, c in _map_mul(self.terms, dunit.terms).items()
+        }, self.du + 1)
         return part1 - part2
 
     def inverse(self):
@@ -668,7 +737,7 @@ class AlgebraElement:
         if self.is_zero():
             raise NotInvertible("zero algebra element")
         alg = self.algebra
-        num, uk = dict(self.num), 0
+        num, uk = dict(self.terms), 0
         while True:
             q = alg._divide_by_unit(num)
             if q is None:
@@ -676,7 +745,7 @@ class AlgebraElement:
             num, uk = q, uk + 1
         rest = AlgebraElement(alg, num, 0)
         zero_e = (0,) * alg.arity
-        c0 = rest.num.get(zero_e)
+        c0 = rest.terms.get(zero_e)
         if c0 is None:
             raise NotInvertible("no invertible scalar-unit factorization")
         # rest = c0 (1 + n) with n of positive h-order
@@ -684,14 +753,14 @@ class AlgebraElement:
         if not n_elem.is_zero():
             if not alg.ring.is_series:
                 raise NotInvertible("non-scalar remainder over the rational ring")
-            if min(c.min_h_order() for c in n_elem.num.values()) < 1:
+            if n_elem.min_h_order() < 1:
                 raise NotInvertible("remainder is not of positive h-order")
         # (1 + n)^(-1) = 1 - n + n^2 - ... truncates since n is O(h)
         inv_rest = _neumann(alg.one(), -n_elem, alg.ring.order)
         inv_rest = inv_rest.scale(c0.inverse())
         # unit^k / 1 -> move to denominator: inverse carries du += uk... and
         # the original du moves to the numerator as unit^du.
-        out = AlgebraElement(alg, inv_rest.num, inv_rest.du + uk)
+        out = AlgebraElement(alg, inv_rest.terms, inv_rest.du + uk)
         if self.du:
             unit_pow = alg.unit_element() ** self.du
             out = out * unit_pow
@@ -703,50 +772,16 @@ class AlgebraElement:
 
     def h0(self, target):
         """Classical limit into `target`, a rational-ring sibling algebra."""
-        num = {}
-        for e, c in self.num.items():
-            c0 = c.h0()
-            if not c0.is_zero():
-                num[e] = c0
-        return AlgebraElement(target, num, self.du)
+        return AlgebraElement(
+            target, {e: c.h0() for e, c in self.terms.items()}, self.du)
 
     def lift(self, target):
         """Embed into `target`, a series-ring sibling algebra."""
-        num = {e: c.lift(target.ring) for e, c in self.num.items()}
+        num = {e: c.lift(target.ring) for e, c in self.terms.items()}
         return AlgebraElement(target, num, self.du)
 
-    # -- plumbing ----------------------------------------------------
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AlgebraElement)
-            and self.algebra == other.algebra
-            and self.du == other.du
-            and self.num == other.num
-        )
-
-    def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((frozenset(self.num.items()), self.du))
-        return self._hash
-
     def __repr__(self):
-        if not self.num:
-            return "0"
-        names = self.algebra.names
-        parts = []
-        for e in sorted(self.num, reverse=True):
-            c = self.num[e]
-            mono = " ".join(
-                nm if k == 1 else "%s^%d" % (nm, k)
-                for nm, k in zip(names, e)
-                if k
-            )
-            cs = repr(c)
-            if " + " in cs or " - " in cs[1:]:
-                cs = "(%s)" % cs
-            parts.append(cs if not mono else ("%s*%s" % (cs, mono)))
-        s = " + ".join(parts)
+        s = _monomials_repr(self.terms, self.algebra.names, reverse=True)
         if self.du:
             s = "(%s)/unit^%d" % (s, self.du)
         return s

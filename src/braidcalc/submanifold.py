@@ -20,7 +20,6 @@ from .errors import (
     AxiomOneUnwitnessed,
     NoBlockSplit,
     NotTangent,
-    OracleUnsound,
     SchemaError,
 )
 from .geometry import Connection, Metric, field_family, levi_civita
@@ -28,78 +27,42 @@ from .modalg import Action, ModuleAlgebra, coordinate_monomials
 from .report import Report
 from .ring import AlgebraElement
 
+# Coordinate monomials up to this degree sample the star-product checks
+# of a projection.
+_SAMPLE_DEGREE = 2
+
 
 class SubmanifoldIdeal:
-    """Functions vanishing on a submanifold of the coordinate algebra.
+    """Functions vanishing on a submanifold of the coordinate algebra:
+    the ideal generated by a subset of the coordinates, reduced by
+    substituting them to zero."""
 
-    Native mode: the ideal generated by a subset of the coordinates,
-    reduced by substituting them to zero.  Oracle mode: a user-supplied
-    reduction map to normal forms, spot-checked for soundness at
-    construction; quotient building requires the native mode.
-    """
-
-    def __init__(self, algebra, normal_coords=None, reducer=None,
-                 generators=None, spot_degree=2):
-        assert (normal_coords is None) != (reducer is None)
+    def __init__(self, algebra, normal_coords):
         self.algebra = algebra
-        self.reducer = reducer
-        if normal_coords is not None:
-            normal = tuple(sorted(set(normal_coords)))
-            assert normal, "ideal needs at least one normal coordinate"
-            for j in normal:
-                assert 0 <= j < algebra.arity, j
-            self.normal = normal
-            self.tangent = tuple(
-                j for j in range(algebra.arity) if j not in normal
-            )
-            if not self.tangent:
-                raise SchemaError("the ideal leaves no tangent coordinate")
-            if algebra.unit is not None:
-                for e in algebra.unit:
-                    if any(e[j] for j in self.normal):
-                        raise NotTangent(
-                            "localized unit depends on a normal coordinate"
-                        )
-            self.generators = [algebra.coord(j) for j in normal]
-        else:
-            self.normal = None
-            self.tangent = None
-            assert generators, "oracle mode needs the ideal generators"
-            self.generators = list(generators)
-            self._spot_check(spot_degree)
-
-    def _spot_check(self, degree):
-        """Reduction oracles must behave like a quotient map on samples."""
-        red = self.reducer
-        alg = self.algebra
-        if not red(alg.zero()).is_zero() or red(alg.one()) != alg.one():
-            raise OracleUnsound("reduction moves 0 or 1")
-        for g in self.generators:
-            if not red(g).is_zero():
-                raise OracleUnsound(("generator does not reduce to zero", g))
-        sample = coordinate_monomials(alg, degree)
-        for a in sample:
-            ra = red(a)
-            if red(ra) != ra:
-                raise OracleUnsound(("not idempotent", a))
-            for g in self.generators:
-                if not red(g * a).is_zero():
-                    raise OracleUnsound(("not an ideal", g, a))
-        for a in sample:
-            for b in sample:
-                if red(a + b) != red(red(a) + red(b)):
-                    raise OracleUnsound(("additivity fails", a, b))
-                if red(a * b) != red(red(a) * red(b)):
-                    raise OracleUnsound(("multiplicativity fails", a, b))
+        normal = tuple(sorted(set(normal_coords)))
+        assert normal, "ideal needs at least one normal coordinate"
+        for j in normal:
+            assert 0 <= j < algebra.arity, j
+        self.normal = normal
+        self.tangent = tuple(
+            j for j in range(algebra.arity) if j not in normal
+        )
+        if not self.tangent:
+            raise SchemaError("the ideal leaves no tangent coordinate")
+        if algebra.unit is not None:
+            for e in algebra.unit:
+                if any(e[j] for j in self.normal):
+                    raise NotTangent(
+                        "localized unit depends on a normal coordinate"
+                    )
+        self.generators = [algebra.coord(j) for j in normal]
 
     def reduce(self, a):
         """Normal form of an ambient element modulo the ideal."""
         assert a.algebra == self.algebra
-        if self.reducer is not None:
-            return self.reducer(a)
         num = {
             e: c
-            for e, c in a.num.items()
+            for e, c in a.terms.items()
             if not any(e[j] for j in self.normal)
         }
         return AlgebraElement(self.algebra, num, a.du)
@@ -107,15 +70,10 @@ class SubmanifoldIdeal:
     def contains(self, a):
         return self.reduce(a).is_zero()
 
-    # -- native-mode quotient data ------------------------------------
-
-    def _need_coordinates(self):
-        if self.normal is None:
-            raise NoBlockSplit("quotient data needs a coordinate ideal")
+    # -- quotient data ------------------------------------------------
 
     def quotient_algebra(self):
         """Coordinate algebra of the submanifold."""
-        self._need_coordinates()
         alg = self.algebra
         names = tuple(alg.names[j] for j in self.tangent)
         unit = None
@@ -127,20 +85,18 @@ class SubmanifoldIdeal:
         return type(alg)(alg.ring, names, unit=unit)
 
     def to_quotient(self, a, qalg=None):
-        self._need_coordinates()
         if qalg is None:
             qalg = self.quotient_algebra()
         r = self.reduce(a)
         num = {
-            tuple(e[j] for j in self.tangent): c for e, c in r.num.items()
+            tuple(e[j] for j in self.tangent): c for e, c in r.terms.items()
         }
         return AlgebraElement(qalg, num, r.du)
 
     def lift(self, abar):
         """Tautological section of the quotient map, monomial by monomial."""
-        self._need_coordinates()
         num = {}
-        for e, c in abar.num.items():
+        for e, c in abar.terms.items():
             full = [0] * self.algebra.arity
             for pos, j in enumerate(self.tangent):
                 full[j] = e[pos]
@@ -182,15 +138,14 @@ class Projection:
     tangent/normal partition matching the quotient dimension.
     """
 
-    def __init__(self, cal, ideal, depth=2, spot_degree=2):
+    def __init__(self, cal, ideal, depth=2):
         assert ideal.algebra == cal.alg
-        ideal._need_coordinates()
         self.cal = cal
         self.ideal = ideal
         bad = ideal_invariance(cal.M, ideal, depth)
         if bad is not None:
             raise NotTangent(bad)
-        self._check_star_ideal(spot_degree)
+        self._check_star_ideal()
 
         self.tangent_idx = [
             u
@@ -233,10 +188,10 @@ class Projection:
             ]
         self.q = Calculus(qM, qframe)
 
-    def _check_star_ideal(self, degree):
+    def _check_star_ideal(self):
         M = self.cal.M
         for g in self.ideal.generators:
-            for a in coordinate_monomials(self.cal.alg, degree):
+            for a in coordinate_monomials(self.cal.alg, _SAMPLE_DEGREE):
                 if not self.ideal.contains(M.mul(g, a)):
                     raise NotTangent(("left product leaves ideal", g, a))
                 if not self.ideal.contains(M.mul(a, g)):
@@ -327,31 +282,6 @@ def axiom_one_witness(proj, X):
             raise AxiomOneUnwitnessed((u, c))
         out.append((c, u))
     return out
-
-
-def normal_decomposition(proj, X):
-    """Split a grade-1 field as tangent + canonical normal + kernel.
-
-    Both named parts carry one canonical representative per frame
-    component (the tangent part is the lift of the projection), so the
-    remainder has every coefficient in the ideal."""
-    assert X.kind == "mv" and X.grade == 1
-    cal = proj.cal
-    t_terms, n_terms = {}, {}
-    for (u,), c in X.terms.items():
-        rep = proj.ideal.lift(proj.ideal.to_quotient(c, proj.qalg))
-        if rep.is_zero():
-            continue
-        if u in proj._pos:
-            t_terms[(u,)] = rep
-        else:
-            n_terms[(u,)] = rep
-    t = cal.mv(1, t_terms)
-    n = cal.mv(1, n_terms)
-    r = X - t - n
-    for (u,), c in r.terms.items():
-        assert proj.ideal.contains(c), (u, c)
-    return t, n, r
 
 
 def check_sequence(proj, coeff_degree=2):
@@ -533,17 +463,16 @@ def projection_geometry_suite(proj, metric, coeff_degree=1):
     return rep
 
 
-def twist_projection_suite(cal, ideal, coeff_degree=2, depth=2,
-                           spot_degree=2):
+def twist_projection_suite(cal, ideal, coeff_degree=2, depth=2):
     """Projection commutes with a twisted calculus when every twist leg
     is tangent; building the Projection raises NotTangent otherwise."""
-    proj = Projection(cal, ideal, depth=depth, spot_degree=spot_degree)
+    proj = Projection(cal, ideal, depth=depth)
     rep = Report(
         "twist-projection",
         {"coeff_degree": coeff_degree, "depth": depth},
     )
 
-    funcs = coordinate_monomials(cal.alg, spot_degree)
+    funcs = coordinate_monomials(cal.alg, _SAMPLE_DEGREE)
 
     def naturality():
         for a in funcs:

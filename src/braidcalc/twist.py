@@ -29,17 +29,11 @@ from .report import Report
 from .ring import _neumann
 
 
-def _tensor_min_h_order(t):
-    if not t.terms:
-        return t.lie.ring.order
-    return min(c.min_h_order() for c in t.terms.values())
-
-
 def _tensor_series_inverse(t):
     """Inverse of unit + O(h) rank-2 tensors by Neumann series."""
     unit = TensorElement.unit(t.lie, t.rank)
     n = unit - t
-    if _tensor_min_h_order(n) < 1:
+    if n.min_h_order() < 1:
         raise WrongRing("tensor is not 1(x)1 + O(h); no series inverse")
     return _neumann(unit, n, t.lie.ring.order)
 
@@ -88,7 +82,7 @@ def exp_twist(lie, bivector):
         raise WrongRing("exponential twists live over the series ring")
     if bivector.rank != 2:
         raise RankMismatch("bivector must have rank 2")
-    if _tensor_min_h_order(bivector) < 1:
+    if bivector.min_h_order() < 1:
         raise WrongRing("bivector must be of positive h-order")
     involved = set()
     for key in bivector.terms:
@@ -235,35 +229,3 @@ def check_twisted_hopf(data, depth=3):
     )
     rep.extend(tri_rep)
     return rep
-
-
-def compose_twists(second, first, base_triangular=None, depth=2):
-    """Compose: apply `first`, then `second` (a twist of the
-    first-twisted structure).  Returns (composite, report)."""
-    lie = second.lie
-    assert first.lie is lie
-    data1 = TwistedHopfData(lie, first, base_triangular)
-    rep = Report("compose-twists")
-
-    F2 = second.F
-    lhs = F2.embed(3, (0, 1)) * F2.coproduct_leg(0, data1.coproduct)
-    rhs = F2.embed(3, (1, 2)) * F2.coproduct_leg(1, data1.coproduct)
-    rep.record(
-        "cocycle-over-twisted",
-        "(F2 (x) 1)(cop_F1 (x) id)(F2) = (1 (x) F2)(id (x) cop_F1)(F2)",
-        None if lhs == rhs else {"lhs": repr(lhs), "rhs": repr(rhs)},
-    )
-
-    composite = Twist(lie, second.F * first.F, first.Finv * second.Finv)
-    data12 = TwistedHopfData(lie, composite, base_triangular)
-
-    def sequential():
-        for i in range(lie.dim):
-            xi = lie.gen(i)
-            if second.F * data1.coproduct(xi) * second.Finv != data12.coproduct(xi):
-                yield {"generator": lie.generators[i]}
-
-    rep.record("sequential-matches-composite",
-               "F2 cop_F1(x) F2inv = cop_(F2 F1)(x) on generators",
-               next(sequential(), None))
-    return composite, rep

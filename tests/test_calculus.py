@@ -8,7 +8,7 @@ import pytest
 from braidcalc.calculus import (
     Calculus,
     cartan_suite,
-    deformed_wedge,
+    deformed_binary,
     default_field_family,
     gauge_suite,
     gauge_transport,
@@ -690,7 +690,8 @@ def test_gauge_transport_frozen():
     x, y = cl.alg.coord(0), cl.alg.coord(1)
     X = cl.mv(1, {(1,): x})
     assert gauge_transport(cl, tw, X) == tw.mv(1, {(1,): x})
-    U = deformed_wedge(cl, tw, cl.mv(1, {(0,): x}), cl.mv(1, {(1,): y}))
+    U = deformed_binary(cl, tw, cl.wedge, cl.mv(1, {(0,): x}),
+                        cl.mv(1, {(1,): y}))
     h = cl.ring.h()
     assert U.terms == {(0, 1): x * y - cl.alg.one().scale(h)}
     got = gauge_transport(cl, tw, U)

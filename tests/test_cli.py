@@ -95,6 +95,14 @@ def test_parse_hopf_monomial():
         parse_hopf_monomial(sc.lie, "Q1")
 
 
+@pytest.mark.parametrize("text", ["- - P1", "-1 -1 P1", "2 1/2 P1",
+                                  "- P1", "1 P1", "-1 P1 P2"])
+def test_parse_hopf_monomial_refuses_signs_and_coefficients(text):
+    sc = Scenario(plane_data())
+    with pytest.raises(SchemaError):
+        parse_hopf_monomial(sc.lie, text)
+
+
 def test_scenario_builds_structures():
     sc = Scenario(plane_data())
     assert sc.lie.generators == ("P1", "P2")
@@ -262,9 +270,18 @@ def test_bracket_incompatible_action_is_a_failing_construction_row(
     assert "[X1, X2] acts on y" in out
 
 
+class RawJSON(str):
+    """A literal spliced into the scenario file as raw JSON text."""
+
+
 @pytest.mark.parametrize("section, literal", [
     ("brackets", "1/0"),
     ("brackets", "abc"),
+    ("brackets", RawJSON("1e400")),
+    ("brackets", 0.1),
+    ("brackets", True),
+    ("brackets", "0.1"),
+    ("brackets", "1e-3"),
     ("images", "1/0 x"),
     ("images", "x -"),
     ("images", "x - - y"),
@@ -275,6 +292,21 @@ def test_malformed_rational_exits_two(tmp_path, capsys, section, literal):
         data["lie_algebra"]["brackets"]["X1 X2"] = {"X3": literal}
     else:
         data["action"]["images"]["X1"] = {"x": literal}
+    text = json.dumps(data)
+    if isinstance(literal, RawJSON):
+        text = text.replace(json.dumps(literal), literal)
+    path = tmp_path / "sc.json"
+    path.write_text(text)
+    code = main(["all", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "SchemaError" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("brackets", [True, "x^0", 3, ["X1 X2"]])
+def test_non_object_brackets_exit_two(tmp_path, capsys, brackets):
+    data = json.loads((SCENARIOS / "heisenberg.json").read_text())
+    data["lie_algebra"]["brackets"] = brackets
     path = tmp_path / "sc.json"
     path.write_text(json.dumps(data))
     code = main(["all", str(path)])

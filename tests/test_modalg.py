@@ -72,7 +72,7 @@ def oracle_layers(p, q, order):
 def element_layers(elem, order):
     assert elem.du == 0
     layers = [{} for _ in range(order)]
-    for e, c in elem.num.items():
+    for e, c in elem.terms.items():
         for k in range(order):
             if c.c[k]:
                 layers[k][e] = c.c[k]

@@ -256,6 +256,14 @@ class TestTypedErrors:
         with pytest.raises(SchemaError):
             Ring("series", 2).from_coeffs([1, literal])
 
+    @pytest.mark.parametrize("kind, order", [
+        ("p-adic", 2), (None, 1), ("series", 0), ("series", -1),
+        ("series", True), ("series", False), ("series", 2.0), ("series", None),
+    ])
+    def test_ring_descriptor(self, kind, order):
+        with pytest.raises(SchemaError):
+            Ring(kind, order)
+
     def test_from_coeffs_wrong_length(self):
         with pytest.raises(ArityMismatch):
             Ring("series", 3).from_coeffs([1, 2])
@@ -286,6 +294,9 @@ class TestTypedErrors:
                 lambda: RATIONAL.scalar(None),
                 lambda: series.from_coeffs([1, 2]),
                 lambda: series.h(2).lift(Ring("series", 2)),
+                lambda: Ring("p-adic", 2),
+                lambda: Ring("series", 0),
+                lambda: Ring("series", True),
             ):
                 try:
                     print("returned", case())
@@ -297,7 +308,8 @@ class TestTypedErrors:
                              timeout=300)
         assert got.returncode == 0, got.stderr
         assert got.stdout.split() == [
-            "False", "SchemaError", "SchemaError", "ArityMismatch", "WrongRing"]
+            "False", "SchemaError", "SchemaError", "ArityMismatch", "WrongRing",
+            "SchemaError", "SchemaError", "SchemaError"]
 
 
 # =====================================================================

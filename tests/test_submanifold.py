@@ -1,4 +1,4 @@
-"""Quotients by coordinate ideals: reduction oracles, tangency, the
+"""Quotients by coordinate ideals: reduction, tangency, the
 projected calculus and geometry, and twisted projections."""
 
 import pytest
@@ -8,7 +8,6 @@ from braidcalc.errors import (
     AxiomOneUnwitnessed,
     NoBlockSplit,
     NotTangent,
-    OracleUnsound,
 )
 from braidcalc.geometry import Metric, levi_civita
 from braidcalc.hopf import LieAlgebra, TensorElement
@@ -21,7 +20,6 @@ from braidcalc.submanifold import (
     check_sequence,
     ideal_invariance,
     is_tangent,
-    normal_decomposition,
     projection_geometry_suite,
     projection_suite,
     twist_projection_suite,
@@ -120,40 +118,6 @@ def test_localized_unit_must_be_tangent():
     alg = PolyAlgebra(RATIONAL, ("x", "y", "z"), unit=unit)
     with pytest.raises(NotTangent):
         SubmanifoldIdeal(alg, normal_coords=(2,))
-
-
-def test_oracle_mode_sound_reducer():
-    alg = PolyAlgebra(RATIONAL, ("x", "y", "z"))
-    z = alg.coord(2)
-
-    def drop_z(a):
-        num = {e: c for e, c in a.num.items() if e[2] == 0}
-        return AlgebraElement(alg, num, a.du)
-
-    ideal = SubmanifoldIdeal(alg, reducer=drop_z, generators=[z])
-    assert ideal.contains(z * alg.coord(0))
-    assert not ideal.contains(alg.coord(0))
-    with pytest.raises(NoBlockSplit):
-        ideal.quotient_algebra()
-
-
-def test_oracle_mode_unsound_reducers():
-    alg = PolyAlgebra(RATIONAL, ("x", "y", "z"))
-    z = alg.coord(2)
-
-    with pytest.raises(OracleUnsound):
-        SubmanifoldIdeal(alg, reducer=lambda a: a, generators=[z])
-
-    def drop_bare_z_only(a):
-        num = {
-            e: c
-            for e, c in a.num.items()
-            if e != (0, 0, 1)
-        }
-        return AlgebraElement(alg, num, a.du)
-
-    with pytest.raises(OracleUnsound):
-        SubmanifoldIdeal(alg, reducer=drop_bare_z_only, generators=[z])
 
 
 # ---------------------------------------------------------------------
@@ -257,19 +221,6 @@ def test_axiom_one_witness():
         axiom_one_witness(proj, cal.mv(1, {(0,): alg.coord(0)}))
 
 
-def test_normal_decomposition():
-    cal = ambient_cal()
-    proj = Projection(cal, z_ideal(cal))
-    alg = cal.alg
-    x, y, z = alg.coord(0), alg.coord(1), alg.coord(2)
-    X = cal.mv(1, {(0,): x, (1,): z, (2,): y + z})
-    t, n, r = normal_decomposition(proj, X)
-    assert t == cal.mv(1, {(0,): x})
-    assert n == cal.mv(1, {(2,): y})
-    assert r == cal.mv(1, {(1,): z, (2,): z})
-    assert t + n + r == X
-
-
 # ---------------------------------------------------------------------
 # projected geometry
 # ---------------------------------------------------------------------
@@ -317,9 +268,7 @@ def test_mixed_metric_entry_refuses_to_split():
 
 def test_twist_projection_suite_passes():
     cal = moyal_ambient_cal(order=3)
-    rep, proj = twist_projection_suite(
-        cal, z_ideal(cal), coeff_degree=1, spot_degree=2
-    )
+    rep, proj = twist_projection_suite(cal, z_ideal(cal), coeff_degree=1)
     assert rep.passed, [c.name for c in rep.failing()]
 
 

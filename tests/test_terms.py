@@ -1,0 +1,152 @@
+"""The sparse term-map contract shared by the four element types:
+polynomials, envelope elements, tensors, and multivectors and forms.
+
+Each is a finite sum {basis key: coefficient}; they share the zero
+filter, sums and differences, negation, scaling, and value equality
+with a matching hash, and each refuses an operand from another space
+with its own error."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from braidcalc.calculus import Calculus, DifferentialForm, MultiVector
+from braidcalc.errors import GradeMismatch, RankMismatch, RingMismatch
+from braidcalc.hopf import HopfElement, LieAlgebra, TensorElement
+from braidcalc.modalg import Action, ModuleAlgebra
+from braidcalc.ring import RATIONAL, AlgebraElement, PolyAlgebra, Ring
+
+SERIES = Ring("series", 3)
+# Q[[h]][x, y] localized at 1 + x^2, and a foreign algebra
+ALG = PolyAlgebra(SERIES, ("x", "y"),
+                  unit={(0, 0): SERIES.one(), (2, 0): SERIES.one()})
+OTHER_ALG = PolyAlgebra(SERIES, ("x", "z"))
+# the Heisenberg algebra, and an equal but distinct presentation
+HEIS = LieAlgebra(SERIES, ("X1", "X2", "X3"), {(0, 1): {2: 1}})
+OTHER_HEIS = LieAlgebra(SERIES, ("X1", "X2", "X3"), {(0, 1): {2: 1}})
+
+
+def _plane_calculus():
+    alg = PolyAlgebra(RATIONAL, ("x", "y"))
+    lie = LieAlgebra(RATIONAL, ("P1", "P2"), {})
+    action = Action(lie, alg, {0: (alg.one(), alg.zero()),
+                               1: (alg.zero(), alg.one())})
+    return Calculus(ModuleAlgebra(action))
+
+
+CAL = _plane_calculus()
+WORDS = {0: [()], 1: [(0,), (1,)], 2: [(0, 1)]}
+
+series_scalars = st.builds(
+    lambda num, den: SERIES.from_coeffs([Fraction(n, den) for n in num]),
+    st.lists(st.integers(-2, 2), min_size=3, max_size=3),
+    st.sampled_from([1, 2, 3]),
+)
+rational_polys = st.builds(
+    lambda terms: CAL.alg.element(terms),
+    st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        st.builds(RATIONAL.scalar, st.integers(-2, 2)),
+        max_size=3,
+    ),
+)
+
+
+def exps(arity, top):
+    return st.tuples(*[st.integers(0, top)] * arity)
+
+
+@st.composite
+def cases(draw):
+    """(build, ta, tb, exact): two term maps of one type and space, the
+    constructor of its elements, and whether the constructor keeps the
+    nonzero terms as given (no canonicalization by the unit)."""
+    kind = draw(st.sampled_from(["poly", "hopf", "tensor", "graded"]))
+    if kind == "poly":
+        du = draw(st.integers(0, 1))
+        keys, values = exps(2, 2), series_scalars
+        build = lambda t: AlgebraElement(ALG, t, du)
+    elif kind == "hopf":
+        keys, values = exps(3, 1), series_scalars
+        build = lambda t: HopfElement(HEIS, t)
+        du = 0
+    elif kind == "tensor":
+        rank = draw(st.integers(1, 3))
+        keys = st.tuples(*[exps(3, 1)] * rank)
+        values = series_scalars
+        build = lambda t: TensorElement(HEIS, rank, t)
+        du = 0
+    else:
+        cls = draw(st.sampled_from([MultiVector, DifferentialForm]))
+        grade = draw(st.integers(0, 2))
+        keys, values = st.sampled_from(WORDS[grade]), rational_polys
+        build = lambda t: cls(CAL, grade, t)
+        du = 0
+    ta = draw(st.dictionaries(keys, values, max_size=4))
+    tb = draw(st.dictionaries(keys, values, max_size=4))
+    return build, ta, tb, du == 0
+
+
+def foreign(a):
+    """An operand of another space, with the error its type raises."""
+    if isinstance(a, AlgebraElement):
+        return OTHER_ALG.one(), RingMismatch
+    if isinstance(a, HopfElement):
+        return OTHER_HEIS.unit(), RingMismatch
+    if isinstance(a, TensorElement):
+        return TensorElement.unit(HEIS, a.rank % 3 + 1), RankMismatch
+    other = DifferentialForm if isinstance(a, MultiVector) else MultiVector
+    return other(CAL, a.grade, {}), GradeMismatch
+
+
+@settings(max_examples=200, deadline=None)
+@given(cases())
+def test_shared_contract(case):
+    build, ta, tb, exact = case
+    a, b = build(ta), build(tb)
+    # the zero filter
+    assert not any(c.is_zero() for c in a.terms.values())
+    if exact:
+        assert a.terms == {k: c for k, c in ta.items() if not c.is_zero()}
+    assert a.is_zero() == (not a.terms)
+    # sums, differences, negation and scaling
+    assert a + b - b == a
+    assert -(-a) == a
+    assert (a - a).is_zero()
+    assert a.scale(0).is_zero()
+    assert a.scale(1) == a
+    # equal values hash equal, however they were built
+    assert hash(a + b - b) == hash(a)
+    again = build(dict(reversed(list(ta.items()))))
+    assert again == a and hash(again) == hash(a)
+    # an operand from another space is refused with the type's error
+    other, error = foreign(a)
+    with pytest.raises(error):
+        a + other
+    with pytest.raises(error):
+        other - a
+    if error is GradeMismatch:
+        with pytest.raises(GradeMismatch):
+            a + CAL.alg.one()
+
+
+@given(st.sampled_from([CAL.mv, CAL.form]), st.integers(0, 2),
+       st.integers(0, 2), rational_polys)
+def test_graded_zeros_of_any_grade_coincide(make, g1, g2, coeff):
+    z1, z2 = make(g1, {}), make(g2, {})
+    assert z1 == z2 and hash(z1) == hash(z2)
+    x = make(g1, {WORDS[g1][0]: coeff})
+    assert x.scale(0) == z2 and hash(x.scale(0)) == hash(z2)
+    assert x + z2 == x and z2 + x == x
+    if g1 != g2 and not coeff.is_zero():
+        with pytest.raises(GradeMismatch):
+            x + make(g2, {WORDS[g2][0]: coeff})
+
+
+@given(st.integers(0, 2), st.dictionaries(st.integers(0, 1), rational_polys,
+                                          max_size=2))
+def test_multivector_never_equals_form(grade, picks):
+    terms = {WORDS[grade][i % len(WORDS[grade])]: c for i, c in picks.items()}
+    assert CAL.mv(grade, terms) != CAL.form(grade, terms)

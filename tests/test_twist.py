@@ -16,7 +16,6 @@ from braidcalc.twist import (
     Twist,
     check_cocycle,
     check_twisted_hopf,
-    compose_twists,
     exp_twist,
     twist_hopf,
 )
@@ -182,12 +181,3 @@ class TestTwistedHopf:
         rep = check_twisted_hopf(data, depth=2)
         assert rep.passed, rep.to_text()
         assert check_hopf(heis, depth=2).passed
-
-    def test_compose_twists_matches_doubled_bivector(self, lie3, moyal3):
-        ring = lie3.ring
-        composite, rep = compose_twists(moyal3, moyal3)
-        assert rep.passed, rep.to_text()
-        doubled = TensorElement.from_factors(lie3.gen(0), lie3.gen(1)).scale(
-            h(ring) + h(ring)
-        )
-        assert composite.F == exp_twist(lie3, doubled).F
