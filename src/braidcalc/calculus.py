@@ -23,8 +23,8 @@ the graded Leibniz rule.  The Lie derivative is the graded braided
 commutator of insertion with the differential.
 """
 
-import itertools
 import operator
+from itertools import combinations, product
 
 from .errors import (
     FramePairingSingular,
@@ -38,7 +38,7 @@ from .errors import (
 )
 from .hopf import _exp_to_word
 from .modalg import coordinate_monomials, expand_pairs  # noqa: F401 (re-export)
-from .report import Report
+from .report import Report, hoisted, violations
 from .ring import (
     AlgebraElement,
     _add_terms,
@@ -70,7 +70,7 @@ def merge_words(w1, w2):
 
 
 def increasing_words(dim, length):
-    return list(itertools.combinations(range(dim), length))
+    return list(combinations(range(dim), length))
 
 
 # ---------------------------------------------------------------------
@@ -873,102 +873,46 @@ def cartan_suite(cal, wedge_grade=2, coeff_degree=2):
             form_family.append(cal.form(k, {w: x}))
     d = CartanOperator(cal, "d")
 
-    def pairs():
-        for X in fields:
-            for Y in fields:
-                yield X, Y
+    def i(X):
+        return CartanOperator(cal, "i", X)
 
-    def check_dd():
-        for om in form_family:
-            if not cal.d(cal.d(om)).is_zero():
-                yield {"form": repr(om)}
+    def L(X):
+        return CartanOperator(cal, "L", X)
 
-    rep.record("d-squared", "d . d = 0", next(check_dd(), None))
+    forms = list(product(form_family))
+    rep.check("d-squared", "d . d = 0", violations(
+        ("form",), forms, lambda om: cal.d(cal.d(om)).is_zero()))
+    rep.check("insert-d", "[i_X, d] = L_X", violations(
+        ("X", "form"), product(fields, form_family),
+        lambda X, om: graded_commutator(i(X), d, om) == cal.lie_derivative(X, om)))
+    rep.check("lie-d", "[L_X, d] = 0", violations(
+        ("X", "form"), product(fields, form_family),
+        lambda X, om: graded_commutator(L(X), d, om).is_zero()))
+    rep.check("insert-insert", "[i_X, i_Y] = 0", violations(
+        ("X", "Y", "form"), product(fields, fields, form_family),
+        lambda X, Y, om: graded_commutator(i(X), i(Y), om).is_zero()))
 
-    def check_id():
-        for X in fields:
-            iX = CartanOperator(cal, "i", X)
-            for om in form_family:
-                lhs = graded_commutator(iX, d, om)
-                rhs = cal.lie_derivative(X, om)
-                if lhs != rhs:
-                    yield {"X": repr(X), "form": repr(om)}
+    def with_bracket():
+        return hoisted(product(fields, fields), forms, cal.schouten)
 
-    rep.record("insert-d", "[i_X, d] = L_X", next(check_id(), None))
-
-    def check_ld():
-        for X in fields:
-            LX = CartanOperator(cal, "L", X)
-            for om in form_family:
-                if not graded_commutator(LX, d, om).is_zero():
-                    yield {"X": repr(X), "form": repr(om)}
-
-    rep.record("lie-d", "[L_X, d] = 0", next(check_ld(), None))
-
-    def check_ii():
-        for X, Y in pairs():
-            iX = CartanOperator(cal, "i", X)
-            iY = CartanOperator(cal, "i", Y)
-            for om in form_family:
-                if not graded_commutator(iX, iY, om).is_zero():
-                    yield {"X": repr(X), "Y": repr(Y), "form": repr(om)}
-
-    rep.record("insert-insert", "[i_X, i_Y] = 0", next(check_ii(), None))
-
-    def check_li():
-        for X, Y in pairs():
-            LX = CartanOperator(cal, "L", X)
-            iY = CartanOperator(cal, "i", Y)
-            Z = cal.schouten(X, Y)
-            for om in form_family:
-                lhs = graded_commutator(LX, iY, om)
-                rhs = cal.insert(Z, om)
-                if lhs != rhs:
-                    yield {"X": repr(X), "Y": repr(Y), "form": repr(om)}
-
-    rep.record("lie-insert", "[L_X, i_Y] = i_{[[X,Y]]}", next(check_li(), None))
-
-    def check_ll():
-        for X, Y in pairs():
-            LX = CartanOperator(cal, "L", X)
-            LY = CartanOperator(cal, "L", Y)
-            Z = cal.schouten(X, Y)
-            for om in form_family:
-                lhs = graded_commutator(LX, LY, om)
-                rhs = cal.lie_derivative(Z, om)
-                if lhs != rhs:
-                    yield {"X": repr(X), "Y": repr(Y), "form": repr(om)}
-
-    rep.record("lie-lie", "[L_X, L_Y] = L_{[[X,Y]]}", next(check_ll(), None))
-
-    def check_l0():
-        coeffs = coordinate_monomials(cal.alg, coeff_degree)
-        for a in coeffs:
-            A = cal.function(a)
-            da = cal.d0(a)
-            for om in form_family:
-                lhs = cal.lie_derivative(A, om)
-                rhs = -cal.wedge(da, om)
-                if lhs != rhs:
-                    yield {"a": repr(a), "form": repr(om)}
-
-    rep.record("lie-function", "L_a w = -(da) ^ w", next(check_l0(), None))
-
-    def check_lsplit():
-        grade1 = [X for X in fields if X.grade == 1]
-        for X in grade1:
-            for Y in grade1:
-                XY = cal.wedge(X, Y)
-                for om in form_family:
-                    lhs = cal.lie_derivative(XY, om)
-                    rhs = cal.insert(X, cal.lie_derivative(Y, om)) - cal.lie_derivative(
-                        X, cal.insert(Y, om)
-                    )
-                    if lhs != rhs:
-                        yield {"X": repr(X), "Y": repr(Y), "form": repr(om)}
-
-    rep.record("lie-wedge-split", "L_{X^Y} = i_X L_Y + (-1)^{|Y|} L_X i_Y",
-               next(check_lsplit(), None))
+    rep.check("lie-insert", "[L_X, i_Y] = i_{[[X,Y]]}", violations(
+        ("X", "Y", "form"), with_bracket(),
+        lambda X, Y, om, Z: graded_commutator(L(X), i(Y), om) == cal.insert(Z, om)))
+    rep.check("lie-lie", "[L_X, L_Y] = L_{[[X,Y]]}", violations(
+        ("X", "Y", "form"), with_bracket(),
+        lambda X, Y, om, Z:
+            graded_commutator(L(X), L(Y), om) == cal.lie_derivative(Z, om)))
+    rep.check("lie-function", "L_a w = -(da) ^ w", violations(
+        ("a", "form"),
+        hoisted(product(coordinate_monomials(cal.alg, coeff_degree)), forms, cal.d0),
+        lambda a, om, da:
+            cal.lie_derivative(cal.function(a), om) == -cal.wedge(da, om)))
+    grade1 = [X for X in fields if X.grade == 1]
+    rep.check("lie-wedge-split", "L_{X^Y} = i_X L_Y + (-1)^{|Y|} L_X i_Y", violations(
+        ("X", "Y", "form"), hoisted(product(grade1, grade1), forms, cal.wedge),
+        lambda X, Y, om, XY: cal.lie_derivative(XY, om) == (
+            cal.insert(X, cal.lie_derivative(Y, om))
+            - cal.lie_derivative(X, cal.insert(Y, om)))))
     return rep
 
 
@@ -991,57 +935,37 @@ def schouten_suite(cal, coeff_degree=1):
     # (-1) Rinv, for the odd-sign Leibniz terms
     neg_Rinv = tuple((l, r, -c) for l, r, c in Rinv)
 
-    def grade1_function():
-        for X in grade1:
-            for a in coeffs:
-                lhs = cal.schouten(X, cal.function(a))
-                if lhs != cal.function(cal.apply_field(X, a)):
-                    yield {"X": repr(X), "a": repr(a)}
+    rep.check("grade1-function", "[[X, a]] = X(a)", violations(
+        ("X", "a"), product(grade1, coeffs),
+        lambda X, a: cal.schouten(X, cal.function(a))
+        == cal.function(cal.apply_field(X, a))))
+    rep.check("grade1-grade1", "[[X, Y]] = [X, Y]", violations(
+        ("X", "Y"), product(grade1, grade1),
+        lambda X, Y: cal.schouten(X, Y) == cal.bracket(X, Y)))
 
-    rep.record("grade1-function", "[[X, a]] = X(a)",
-               next(grade1_function(), None))
+    def skew(X, Y):
+        lhs = cal.schouten(Y, X)
+        rhs = _leg_sum(Rinv, cal.h_act_exp, X, Y, cal.schouten,
+                       cal.zero_mv(X.grade + Y.grade - 1))
+        return lhs == (rhs if (X.grade - 1) * (Y.grade - 1) % 2 else -rhs)
 
-    def grade1_grade1():
-        for X in grade1:
-            for Y in grade1:
-                if cal.schouten(X, Y) != cal.bracket(X, Y):
-                    yield {"X": repr(X), "Y": repr(Y)}
+    rep.check("graded-skew",
+              "[[Y, X]] = -(-1)^{(k-1)(l-1)} [[Rinv1 |> X, Rinv2 |> Y]]",
+              violations(("X", "Y"), product(fields, fields), skew))
 
-    rep.record("grade1-grade1", "[[X, Y]] = [X, Y]", next(grade1_grade1(), None))
+    def leibniz(X, Y, Z):
+        lhs = cal.schouten(X, cal.wedge(Y, Z))
+        return lhs == _leg_sum(
+            neg_Rinv if (X.grade - 1) * Y.grade % 2 else Rinv,
+            cal.h_act_exp, Y, X,
+            lambda Ya, Xa: cal.wedge(Ya, cal.schouten(Xa, Z)),
+            cal.wedge(cal.schouten(X, Y), Z),
+        )
 
-    def graded_skew():
-        for X in fields:
-            for Y in fields:
-                lhs = cal.schouten(Y, X)
-                rhs = _leg_sum(Rinv, cal.h_act_exp, X, Y, cal.schouten,
-                               cal.zero_mv(X.grade + Y.grade - 1))
-                s = (X.grade - 1) * (Y.grade - 1)
-                rhs = rhs if s % 2 else -rhs
-                if lhs != rhs:
-                    yield {"X": repr(X), "Y": repr(Y)}
-
-    rep.record("graded-skew",
-               "[[Y, X]] = -(-1)^{(k-1)(l-1)} [[Rinv1 |> X, Rinv2 |> Y]]",
-               next(graded_skew(), None))
-
-    def graded_leibniz():
-        for X in fields:
-            for Y in grade1:
-                for Z in grade1:
-                    lhs = cal.schouten(X, cal.wedge(Y, Z))
-                    rhs = _leg_sum(
-                        neg_Rinv if (X.grade - 1) * Y.grade % 2 else Rinv,
-                        cal.h_act_exp, Y, X,
-                        lambda Ya, Xa: cal.wedge(Ya, cal.schouten(Xa, Z)),
-                        cal.wedge(cal.schouten(X, Y), Z),
-                    )
-                    if lhs != rhs:
-                        yield {"X": repr(X), "Y": repr(Y), "Z": repr(Z)}
-
-    rep.record(
+    rep.check(
         "graded-leibniz",
         "[[X, Y^Z]] = [[X,Y]]^Z + (-1)^{(k-1)l} (Rinv1|>Y)^[[Rinv2|>X, Z]]",
-        next(graded_leibniz(), None),
+        violations(("X", "Y", "Z"), product(fields, grade1, grade1), leibniz),
     )
     return rep
 
@@ -1157,36 +1081,25 @@ def gauge_suite(cl, tw, rational_cal=None, transport_cal=None):
     def tr(obj):
         return gauge_transport(cl, tcal, obj)
 
-    def binary(op, twisted_op, family, names):
-        """First pair where transport fails to intertwine op_F with the
-        twisted op."""
-        for U in fields:
-            for V in family:
-                lhs = tr(deformed_binary(cl, tcal, op, U, V))
-                if lhs != twisted_op(tr(U), tr(V)):
-                    yield {names[0]: repr(U), names[1]: repr(V)}
+    def intertwines(op, twisted_op):
+        """Whether transport intertwines op_F with the twisted op."""
+        return lambda U, V: (
+            tr(deformed_binary(cl, tcal, op, U, V)) == twisted_op(tr(U), tr(V)))
 
-    rep.record("wedge", "T(U ^_F V) = T(U) ^ T(V)",
-               next(binary(cl.wedge, tw.wedge, fields, ("U", "V")), None))
-    rep.record("schouten", "T([[X, Y]]_F) = [[T(X), T(Y)]]",
-               next(binary(cl.schouten, tw.schouten, fields, ("X", "Y")), None))
-    rep.record("lie", "T(L_X^F w) = L_{T(X)} T(w)", next(binary(
-        cl.lie_derivative, tw.lie_derivative, forms, ("X", "form")), None))
-    rep.record("insert", "T(i_X^F w) = i_{T(X)} T(w)", next(binary(
-        cl.insert, tw.insert, forms, ("X", "form")), None))
-
-    def differential():
-        for om in forms:
-            if tr(cl.d(om)) != tw.d(tr(om)):
-                yield {"form": repr(om)}
-
-    rep.record("differential", "T(d w) = d T(w)", next(differential(), None))
-
+    rep.check("wedge", "T(U ^_F V) = T(U) ^ T(V)", violations(
+        ("U", "V"), product(fields, fields), intertwines(cl.wedge, tw.wedge)))
+    rep.check("schouten", "T([[X, Y]]_F) = [[T(X), T(Y)]]", violations(
+        ("X", "Y"), product(fields, fields), intertwines(cl.schouten, tw.schouten)))
+    rep.check("lie", "T(L_X^F w) = L_{T(X)} T(w)", violations(
+        ("X", "form"), product(fields, forms),
+        intertwines(cl.lie_derivative, tw.lie_derivative)))
+    rep.check("insert", "T(i_X^F w) = i_{T(X)} T(w)", violations(
+        ("X", "form"), product(fields, forms), intertwines(cl.insert, tw.insert)))
+    rep.check("differential", "T(d w) = d T(w)", violations(
+        ("form",), product(forms), lambda om: tr(cl.d(om)) == tw.d(tr(om))))
     if rational_cal is not None:
-        def shadow():
-            for obj in fields + forms:
-                if object_h0(tr(obj), rational_cal) != object_h0(obj, rational_cal):
-                    yield {"obj": repr(obj)}
-
-        rep.record("classical-shadow", "T(obj) = obj at h^0", next(shadow(), None))
+        rep.check("classical-shadow", "T(obj) = obj at h^0", violations(
+            ("obj",), product(fields + forms),
+            lambda obj: object_h0(tr(obj), rational_cal)
+            == object_h0(obj, rational_cal)))
     return rep

@@ -32,8 +32,8 @@ from .geometry import (
     METRICITY,
     Connection,
     Metric,
-    _metricity_violation,
-    _torsion_violation,
+    _metricity_violations,
+    _torsion_violations,
     check_connection,
     check_metric,
     field_family,
@@ -72,6 +72,18 @@ _POWER = re.compile(r"^([A-Za-z_][A-Za-z_0-9]*)\^(\d+)$")
 def _require(cond, err, detail):
     if not cond:
         raise err(detail)
+
+
+_SECTIONS = ("ring", "lie_algebra", "action", "twist", "frame", "metric",
+             "connection", "ideal", "suites", "params")
+_PARAMS = ("depth", "degree", "wedge_grade", "seed", "trials",
+           "classical_shadow", "transport_swap", "antipode_override")
+
+
+def _known_keys(obj, known, what):
+    for key in obj:
+        if key not in known:
+            raise UnknownName((what, key))
 
 
 def _names(value, what):
@@ -204,16 +216,11 @@ class Scenario:
 
     def __init__(self, data, ring_override=None, include_twist=True):
         _require(isinstance(data, dict), SchemaError, "scenario must be a JSON object")
-        known = {
-            "ring", "lie_algebra", "action", "twist", "frame",
-            "metric", "connection", "ideal", "suites", "params",
-        }
-        for key in data:
-            if key not in known:
-                raise UnknownName(("scenario section", key))
+        _known_keys(data, _SECTIONS, "scenario section")
         self.data = data
         self.params = data.get("params") or {}
         _require(isinstance(self.params, dict), SchemaError, "params must be an object")
+        _known_keys(self.params, _PARAMS, "scenario param")
         self.ring = ring_override or self._parse_ring(_section(data, "ring", True))
         self.include_twist = include_twist
         self.lie = self._parse_lie(_section(data, "lie_algebra", True))
@@ -536,10 +543,10 @@ def run_levi_civita(sc, opts):
         rep = Report("declared-connection", {})
         rep.extend(check_connection(conn, coeff_degree=min(degree, 1)))
         fields = field_family(cal, min(degree, 1))
-        rep.record("declared-torsion-free", "T(X, Y) = 0",
-                   _torsion_violation(conn, fields))
-        rep.record("declared-metricity", METRICITY,
-                   _metricity_violation(conn, metric, fields))
+        rep.check("declared-torsion-free", "T(X, Y) = 0",
+                  _torsion_violations(conn, fields))
+        rep.check("declared-metricity", METRICITY,
+                  _metricity_violations(conn, metric, fields))
         solved = levi_civita(metric)
         rep.add(
             "declared-matches-solve",

@@ -9,7 +9,9 @@ force.  The torsion-free metric connection is solved for by
 right-contracting the Koszul combination with that witness.
 """
 
+import operator
 from fractions import Fraction
+from itertools import product
 
 from .calculus import (
     _identity_matrix,
@@ -25,7 +27,7 @@ from .errors import (
     RankMismatch,
 )
 from .modalg import coordinate_monomials
-from .report import Report
+from .report import Report, hoisted, violations
 from .ring import _add_terms, _leg_sum
 
 import random
@@ -159,70 +161,53 @@ def check_connection(conn, coeff_degree=1):
     funcs = coordinate_monomials(cal.alg, coeff_degree)
     Rinv = M.triangular.Rinv.pairs()
 
-    def left_linearity():
-        for a in funcs:
-            for X in fields:
-                aX = cal.mv(1, {w: M.mul(a, c) for w, c in X.terms.items()})
-                for s in fields:
-                    if conn.nabla(aX, s) != conn.nabla(X, s).left_mul(a):
-                        yield {"a": repr(a), "X": repr(X), "s": repr(s)}
+    rep.check("left-linearity", "nabla_{a X} s = a nabla_X s", violations(
+        ("a", "X", "s"),
+        hoisted(product(funcs, fields), product(fields), lambda a, X: cal.mv(
+            1, {w: M.mul(a, c) for w, c in X.terms.items()})),
+        lambda a, X, s, aX: conn.nabla(aX, s) == conn.nabla(X, s).left_mul(a)))
 
-    rep.record("left-linearity", "nabla_{a X} s = a nabla_X s",
-               next(left_linearity(), None))
+    def braided_leibniz(a, X, s):
+        lhs = conn.nabla(X, s.left_mul(a))
+        return lhs == _leg_sum(
+            Rinv, cal.act_any, a, X,
+            lambda aa, Xa: conn.nabla(Xa, s).left_mul(aa),
+            cal.mv(1, dict(s.terms)).left_mul(cal.apply_field(X, a)),
+        )
 
-    def braided_leibniz():
-        for a in funcs:
-            for X in fields:
-                for s in fields:
-                    lhs = conn.nabla(X, s.left_mul(a))
-                    rhs = _leg_sum(
-                        Rinv, cal.act_any, a, X,
-                        lambda aa, Xa: conn.nabla(Xa, s).left_mul(aa),
-                        cal.mv(1, dict(s.terms)).left_mul(cal.apply_field(X, a)),
-                    )
-                    if lhs != rhs:
-                        yield {"a": repr(a), "X": repr(X), "s": repr(s)}
+    rep.check("braided-leibniz",
+              "nabla_X (a s) = X(a) s + (Rinv1 |> a) nabla_{Rinv2 |> X} s",
+              violations(("a", "X", "s"), product(funcs, fields, fields),
+                         braided_leibniz))
 
-    rep.record("braided-leibniz",
-               "nabla_X (a s) = X(a) s + (Rinv1 |> a) nabla_{Rinv2 |> X} s",
-               next(braided_leibniz(), None))
+    monos = [e for e in cal.lie.monomials_up_to(2) if any(e)]
 
-    def equivariance():
-        for e in cal.lie.monomials_up_to(2):
-            if not any(e):
-                continue
-            for X in fields:
-                for s in fields:
-                    lhs = cal.h_act_exp(e, conn.nabla(X, s))
-                    rhs = _leg_sum(cal.cop_pairs(e), cal.h_act_exp, X, s,
-                                   conn.nabla, cal.zero_mv(1))
-                    if lhs != rhs:
-                        yield {"xi": repr(e), "X": repr(X), "s": repr(s)}
+    def equivariant(e, X, s):
+        lhs = cal.h_act_exp(e, conn.nabla(X, s))
+        return lhs == _leg_sum(cal.cop_pairs(e), cal.h_act_exp, X, s,
+                               conn.nabla, cal.zero_mv(1))
 
-    rep.record("equivariance", "xi |> nabla_X s = nabla_{xi1 |> X}(xi2 |> s)",
-               next(equivariance(), None))
+    rep.check("equivariance", "xi |> nabla_X s = nabla_{xi1 |> X}(xi2 |> s)",
+              violations(("xi", "X", "s"),
+                         product(monos, fields, fields),
+                         equivariant))
 
-    def dual_pairing():
-        forms = [cal.coframe(v) for v in range(cal.dim)]
-        for m in coordinate_monomials(cal.alg, coeff_degree):
-            if not m.is_scalar():
-                forms.append(cal.form(1, {(0,): m}))
-        for X in fields:
-            for om in forms:
-                for Y in fields:
-                    lhs = cal.apply_field(X, cal.eval_form(om, [Y]))
-                    rhs = _leg_sum(
-                        Rinv, cal.h_act_exp, om, X,
-                        lambda oma, Xa: cal.eval_form(oma, [conn.nabla(Xa, Y)]),
-                        cal.eval_form(conn.nabla_form(X, om), [Y]),
-                    )
-                    if lhs != rhs:
-                        yield {"X": repr(X), "form": repr(om), "Y": repr(Y)}
+    forms = [cal.coframe(v) for v in range(cal.dim)]
+    forms += [cal.form(1, {(0,): m}) for m in funcs if not m.is_scalar()]
 
-    rep.record(
+    def dual_pairing(X, om, Y):
+        lhs = cal.apply_field(X, cal.eval_form(om, [Y]))
+        return lhs == _leg_sum(
+            Rinv, cal.h_act_exp, om, X,
+            lambda oma, Xa: cal.eval_form(oma, [conn.nabla(Xa, Y)]),
+            cal.eval_form(conn.nabla_form(X, om), [Y]),
+        )
+
+    rep.check(
         "dual-pairing",
         "X(w(Y)) = (nabla_X w)(Y) + (Rinv1 |> w)(nabla_{Rinv2 |> X} Y)",
-        next(dual_pairing(), None),
+        violations(("X", "form", "Y"), product(fields, forms, fields),
+                   dual_pairing),
     )
     return rep
 
@@ -273,42 +258,27 @@ def check_metric(metric, coeff_degree=1):
     rep = Report("metric", {"coeff_degree": coeff_degree})
     fields = field_family(cal, coeff_degree)
 
-    def braided_symmetry():
-        Rinv = M.triangular.Rinv.pairs()
-        for X in fields:
-            for Y in fields:
-                lhs = metric(Y, X)
-                rhs = _leg_sum(Rinv, cal.h_act_exp, X, Y, metric, cal.alg.zero())
-                if lhs != rhs:
-                    yield {"X": repr(X), "Y": repr(Y)}
+    Rinv = M.triangular.Rinv.pairs()
+    rep.check("braided-symmetry", "g(Y, X) = g(Rinv1 |> X, Rinv2 |> Y)", violations(
+        ("X", "Y"), product(fields, fields),
+        lambda X, Y: metric(Y, X)
+        == _leg_sum(Rinv, cal.h_act_exp, X, Y, metric, cal.alg.zero())))
+    rep.check("left-linearity", "g(a X, Y) = a g(X, Y)", violations(
+        ("a", "X", "Y"),
+        product(coordinate_monomials(cal.alg, coeff_degree), fields, fields),
+        lambda a, X, Y: metric(X.left_mul(a), Y) == M.mul(a, metric(X, Y))))
 
-    rep.record("braided-symmetry", "g(Y, X) = g(Rinv1 |> X, Rinv2 |> Y)",
-               next(braided_symmetry(), None))
+    monos = [e for e in cal.lie.monomials_up_to(2) if any(e)]
 
-    def left_linearity():
-        for a in coordinate_monomials(cal.alg, coeff_degree):
-            for X in fields:
-                for Y in fields:
-                    if metric(X.left_mul(a), Y) != M.mul(a, metric(X, Y)):
-                        yield {"a": repr(a), "X": repr(X), "Y": repr(Y)}
+    def equivariant(e, X, Y):
+        lhs = M.act(cal.lie.monomial(e), metric(X, Y))
+        return lhs == _leg_sum(cal.cop_pairs(e), cal.h_act_exp, X, Y,
+                               metric, cal.alg.zero())
 
-    rep.record("left-linearity", "g(a X, Y) = a g(X, Y)",
-               next(left_linearity(), None))
-
-    def equivariance():
-        for e in cal.lie.monomials_up_to(2):
-            if not any(e):
-                continue
-            for X in fields:
-                for Y in fields:
-                    lhs = cal.M.act(cal.lie.monomial(e), metric(X, Y))
-                    rhs = _leg_sum(cal.cop_pairs(e), cal.h_act_exp, X, Y,
-                                   metric, cal.alg.zero())
-                    if lhs != rhs:
-                        yield {"xi": repr(e), "X": repr(X), "Y": repr(Y)}
-
-    rep.record("equivariance", "xi |> g(X, Y) = g(xi1 |> X, xi2 |> Y)",
-               next(equivariance(), None))
+    rep.check("equivariance", "xi |> g(X, Y) = g(xi1 |> X, xi2 |> Y)",
+              violations(("xi", "X", "Y"),
+                         product(monos, fields, fields),
+                         equivariant))
     return rep
 
 
@@ -391,35 +361,27 @@ def levi_civita(metric):
     return conn
 
 
-def _metricity_violation(conn, metric, fields):
-    """First braided-metricity counterexample over the family, or None."""
+def _metricity_violations(conn, metric, fields):
+    """Braided-metricity counterexamples over the family."""
     cal = conn.cal
     Rinv = cal.M.triangular.Rinv.pairs()
 
-    def violations():
-        for X in fields:
-            for Y in fields:
-                for Z in fields:
-                    lhs = cal.apply_field(X, metric(Y, Z))
-                    rhs = _leg_sum(
-                        Rinv, cal.h_act_exp, Y, X,
-                        lambda Ya, Xa: metric(Ya, conn.nabla(Xa, Z)),
-                        metric(conn.nabla(X, Y), Z),
-                    )
-                    if lhs != rhs:
-                        yield {"X": repr(X), "Y": repr(Y), "Z": repr(Z)}
+    def metric_compatible(X, Y, Z):
+        lhs = cal.apply_field(X, metric(Y, Z))
+        return lhs == _leg_sum(
+            Rinv, cal.h_act_exp, Y, X,
+            lambda Ya, Xa: metric(Ya, conn.nabla(Xa, Z)),
+            metric(conn.nabla(X, Y), Z),
+        )
 
-    return next(violations(), None)
+    return violations(("X", "Y", "Z"), product(fields, fields, fields),
+                      metric_compatible)
 
 
-def _torsion_violation(conn, fields):
-    """First torsion counterexample over the family, or None."""
-    return next((
-        {"X": repr(X), "Y": repr(Y)}
-        for X in fields
-        for Y in fields
-        if not conn.torsion(X, Y).is_zero()
-    ), None)
+def _torsion_violations(conn, fields):
+    """Torsion counterexamples over the family."""
+    return violations(("X", "Y"), product(fields, fields),
+                      lambda X, Y: conn.torsion(X, Y).is_zero())
 
 
 def geometry_suite(metric, coeff_degree=2):
@@ -436,8 +398,8 @@ def geometry_suite(metric, coeff_degree=2):
     rep.add("solve", "Koszul solve closes on the frame", True)
     rep.extend(check_metric(metric, coeff_degree=1))
     fields = field_family(cal, coeff_degree)
-    rep.record("metricity", METRICITY, _metricity_violation(conn, metric, fields))
-    rep.record("torsion-free", "T(X, Y) = 0", _torsion_violation(conn, fields))
+    rep.check("metricity", METRICITY, _metricity_violations(conn, metric, fields))
+    rep.check("torsion-free", "T(X, Y) = 0", _torsion_violations(conn, fields))
     return rep
 
 
@@ -457,10 +419,8 @@ def perturbation_suite(metric, seed=0, trials=20, coeff_degree=1):
         if rng.random() < 0.5:
             delta = -delta
         wrong = conn.perturbed(a, b, c, delta)
-        caught = (
-            _torsion_violation(wrong, fields) is not None
-            or _metricity_violation(wrong, metric, fields) is not None
-        )
+        caught = (any(_torsion_violations(wrong, fields))
+                  or any(_metricity_violations(wrong, metric, fields)))
         rep.add(
             "perturbation-%02d" % n,
             "shifted Gamma[%d][%d][%d] by %s breaks a law" % (a, b, c, delta),
@@ -505,14 +465,11 @@ def geometry_twist_suite(metric, cl, tw, rational_metric=None):
     gF = twist_metric(metric, cl, tw)
     lhs = twist_connection(conn, cl, tw)
     rhs = levi_civita(gF)
-    rep.record(
-        "lc-naturality",
-        "twist(LC(g)) = LC(twist(g))",
-        None if lhs == rhs else {"lhs": repr(lhs.gamma), "rhs": repr(rhs.gamma)},
-    )
+    rep.check("lc-naturality", "twist(LC(g)) = LC(twist(g))",
+              violations(("lhs", "rhs"), [(lhs.gamma, rhs.gamma)], operator.eq))
     fields = field_family(tw, 2)
-    rep.record("twisted-metricity", METRICITY, _metricity_violation(rhs, gF, fields))
-    rep.record("twisted-torsion-free", "T(X, Y) = 0", _torsion_violation(rhs, fields))
+    rep.check("twisted-metricity", METRICITY, _metricity_violations(rhs, gF, fields))
+    rep.check("twisted-torsion-free", "T(X, Y) = 0", _torsion_violations(rhs, fields))
     if rational_metric is not None:
         rcal = rational_metric.cal
         rconn = levi_civita(rational_metric)
@@ -523,9 +480,9 @@ def geometry_twist_suite(metric, cl, tw, rational_metric=None):
             ]
             for row in rhs.gamma
         ]
-        rep.record(
+        rep.check(
             "classical-shadow",
             "twisted LC coefficients reduce to the classical ones at h^0",
-            None if shadow == rconn.gamma else {"shadow": repr(shadow)},
+            violations(("shadow",), [(shadow, rconn.gamma)], operator.eq),
         )
     return rep

@@ -19,6 +19,7 @@ the raw material for coproduct identities, R-matrices and twists.
 """
 
 import operator
+from itertools import product
 from math import comb
 
 from .errors import (
@@ -29,12 +30,13 @@ from .errors import (
     RankMismatch,
     RingMismatch,
 )
-from .report import Report
+from .report import Report, violations
 from .ring import (
     Ring,
     Scalar,
     _Terms,
     _add_terms,
+    _exponent,
     _exponents_up_to,
     _memo,
     _memo_table,
@@ -184,8 +186,7 @@ class LieAlgebra:
         return HopfElement(self, {tuple(e): self.ring.one()})
 
     def monomial(self, exp, coeff=None):
-        exp = tuple(exp)
-        assert len(exp) == self.dim and all(k >= 0 for k in exp)
+        exp = _exponent(exp, self.dim)
         return HopfElement(
             self, {exp: self.ring.one() if coeff is None else coeff}
         )
@@ -512,60 +513,49 @@ def check_hopf(lie, depth=3, antipode_table=None):
             out = out + piece
         return out
 
-    monos = lie.monomials_up_to(depth)
+    monos = [lie.monomial(e) for e in lie.monomials_up_to(depth)]
 
-    def coassociativity():
-        for e in monos:
-            xi = lie.monomial(e)
-            cop = xi.coproduct()
-            if cop.coproduct_leg(0) != cop.coproduct_leg(1):
-                yield {"monomial": repr(xi)}
+    def coassociative(xi):
+        cop = xi.coproduct()
+        return cop.coproduct_leg(0) == cop.coproduct_leg(1)
 
-    rep.record("coassociativity", "(cop (x) id) cop = (id (x) cop) cop",
-               next(coassociativity(), None))
+    rep.check("coassociativity", "(cop (x) id) cop = (id (x) cop) cop",
+              violations(("monomial",), product(monos), coassociative))
 
-    def counit():
-        for e in monos:
-            xi = lie.monomial(e)
-            cop = xi.coproduct()
-            left = cop.counit_leg(0).as_hopf()
-            right = cop.counit_leg(1).as_hopf()
-            if left != xi or right != xi:
-                yield {"monomial": repr(xi)}
+    def counital(xi):
+        cop = xi.coproduct()
+        left = cop.counit_leg(0).as_hopf()
+        right = cop.counit_leg(1).as_hopf()
+        return left == xi and right == xi
 
-    rep.record("counit", "(eps (x) id) cop = id = (id (x) eps) cop",
-               next(counit(), None))
+    rep.check("counit", "(eps (x) id) cop = id = (id (x) eps) cop",
+              violations(("monomial",), product(monos), counital))
 
-    def antipode():
-        for e in monos:
-            xi = lie.monomial(e)
+    def antipode_cases():
+        for xi in monos:
             cop = xi.coproduct()
             target = lie.unit(xi.counit())
             lhs = cop.map_leg(0, lambda m: S(lie.monomial(m))).contract()
             rhs = cop.map_leg(1, lambda m: S(lie.monomial(m))).contract()
-            if lhs != target or rhs != target:
-                yield {
-                    "monomial": repr(xi),
-                    "mu(S(x)id)cop": repr(lhs),
-                    "mu(id(x)S)cop": repr(rhs),
-                    "eta eps": repr(target),
-                }
+            yield xi, lhs, rhs, target
 
-    rep.record("antipode", "mu(S (x) id)cop = eta eps = mu(id (x) S)cop",
-               next(antipode(), None))
+    rep.check("antipode", "mu(S (x) id)cop = eta eps = mu(id (x) S)cop",
+              violations(("monomial", "mu(S(x)id)cop", "mu(id(x)S)cop", "eta eps"),
+                         antipode_cases(),
+                         lambda xi, lhs, rhs, target: lhs == target and rhs == target))
 
-    def multiplicative():
-        small = lie.monomials_up_to(max(1, depth // 2 + 1))
-        for ea in small:
-            for eb in small:
-                if sum(ea) + sum(eb) > depth:
-                    continue
-                a, b = lie.monomial(ea), lie.monomial(eb)
-                if (a * b).coproduct() != a.coproduct() * b.coproduct():
-                    yield {"pair": (repr(a), repr(b))}
+    small = lie.monomials_up_to(max(1, depth // 2 + 1))
+    pairs = product(
+        (lie.monomial(ea), lie.monomial(eb))
+        for ea, eb in product(small, small) if sum(ea) + sum(eb) <= depth
+    )
 
-    rep.record("coproduct-multiplicative", "cop(xy) = cop(x) cop(y)",
-               next(multiplicative(), None))
+    def multiplicative(pair):
+        a, b = pair
+        return (a * b).coproduct() == a.coproduct() * b.coproduct()
+
+    rep.check("coproduct-multiplicative", "cop(xy) = cop(x) cop(y)",
+              violations(("pair",), pairs, multiplicative))
     return rep
 
 
@@ -583,32 +573,27 @@ def check_triangular(lie, tri, depth=3, coproduct=None):
     else:
         cop = coproduct
 
-    def quasi_cocommutativity():
-        for e in lie.monomials_up_to(depth):
-            xi = lie.monomial(e)
-            delta = cop(xi)
-            if delta.flip() * R != R * delta:
-                yield {"monomial": repr(xi)}
+    def quasi_cocommutative(xi):
+        delta = cop(xi)
+        return delta.flip() * R == R * delta
 
-    rep.record("quasi-cocommutativity", "cop_op(xi) R = R cop(xi)",
-               next(quasi_cocommutativity(), None))
+    rep.check("quasi-cocommutativity", "cop_op(xi) R = R cop(xi)", violations(
+        ("monomial",), product(lie.monomial(e) for e in lie.monomials_up_to(depth)),
+        quasi_cocommutative))
 
-    lhs = R.coproduct_leg(0, coproduct)
     r13 = R.embed(3, (0, 2))
-    r23 = R.embed(3, (1, 2))
-    rep.record("hexagon-left", "(cop (x) id)(R) = R13 R23",
-               None if lhs == r13 * r23 else {"lhs": repr(lhs)})
-
-    lhs2 = R.coproduct_leg(1, coproduct)
-    r12 = R.embed(3, (0, 1))
-    rep.record("hexagon-right", "(id (x) cop)(R) = R13 R12",
-               None if lhs2 == r13 * r12 else {"lhs": repr(lhs2)})
+    rep.check("hexagon-left", "(cop (x) id)(R) = R13 R23", violations(
+        ("lhs",), [(R.coproduct_leg(0, coproduct), r13 * R.embed(3, (1, 2)))],
+        operator.eq))
+    rep.check("hexagon-right", "(id (x) cop)(R) = R13 R12", violations(
+        ("lhs",), [(R.coproduct_leg(1, coproduct), r13 * R.embed(3, (0, 1)))],
+        operator.eq))
 
     ok = R * Rinv == unit2 and Rinv * R == unit2
     rep.add("r-inverse", "R Rinv = 1 (x) 1 = Rinv R", ok)
 
-    rep.record("unitarity", "R21 = Rinv", None if R.flip() == Rinv
-               else {"R21": repr(R.flip()), "Rinv": repr(Rinv)})
+    rep.check("unitarity", "R21 = Rinv",
+              violations(("R21", "Rinv"), [(R.flip(), Rinv)], operator.eq))
 
     lhs3 = R.embed(3, (0, 1)) * R.embed(3, (0, 2)) * R.embed(3, (1, 2))
     rhs3 = R.embed(3, (1, 2)) * R.embed(3, (0, 2)) * R.embed(3, (0, 1))

@@ -15,10 +15,11 @@ antipode (used by every braided formula downstream) are cop_F and S_F.
 """
 
 import operator
+from itertools import product
 
 from .errors import ArityMismatch, BracketIncompatible, RingMismatch, UnknownModule
 from .hopf import TriangularStructure
-from .report import Report
+from .report import Report, hoisted, violations
 from .ring import AlgebraElement, _add_terms, _braid, _derive, _exponents_up_to, _leg_sum, _memo
 from .twist import Twist, TwistedHopfData
 
@@ -203,31 +204,19 @@ def check_module_algebra(M, depth=3, degree=2):
                            "twisted": M.is_twisted}
     )
     lie = M.lie
-    monos = lie.monomials_up_to(depth)
+    monos = [lie.monomial(e) for e in lie.monomials_up_to(depth)]
+    rep.check("unit-law", "xi |> 1 = eps(xi) 1", violations(
+        ("monomial",), product(monos),
+        lambda xi: M.act(xi, M.one()) == M.one().scale(xi.counit())))
 
-    def unit_law():
-        for e in monos:
-            xi = lie.monomial(e)
-            if M.act(xi, M.one()) != M.one().scale(xi.counit()):
-                yield {"monomial": repr(xi)}
+    elems = coordinate_monomials(M.algebra, degree)
 
-    rep.record("unit-law", "xi |> 1 = eps(xi) 1", next(unit_law(), None))
-
-    def leibniz():
-        elems = coordinate_monomials(M.algebra, degree)
-        for e in monos:
-            xi = lie.monomial(e)
-            cop = M.coproduct(xi).pairs()
-            for a in elems:
-                for b in elems:
-                    lhs = M.act(xi, M.mul(a, b))
-                    rhs = _leg_sum(cop, M.action.act_monomial, a, b, M.mul,
-                                   M.algebra.zero())
-                    if lhs != rhs:
-                        yield {"monomial": repr(xi), "a": repr(a), "b": repr(b)}
-
-    rep.record("leibniz", "xi |> (a b) = (xi_(1) |> a)(xi_(2) |> b)",
-               next(leibniz(), None))
+    cases = hoisted(product(monos), product(elems, elems),
+                    lambda xi: M.coproduct(xi).pairs())
+    rep.check("leibniz", "xi |> (a b) = (xi_(1) |> a)(xi_(2) |> b)", violations(
+        ("monomial", "a", "b"), cases,
+        lambda xi, a, b, cop: M.act(xi, M.mul(a, b)) == _leg_sum(
+            cop, M.action.act_monomial, a, b, M.mul, M.algebra.zero())))
     return rep
 
 
@@ -237,18 +226,14 @@ def check_braided_commutative(M, degree=2):
     elems = coordinate_monomials(M.algebra, degree)
     Rinv = M.triangular.Rinv.pairs()
 
-    def violations():
-        for a in elems:
-            for b in elems:
-                lhs = M.mul(a, b)
-                rhs = _leg_sum(Rinv, M.action.act_monomial, b, a, M.mul,
-                               M.algebra.zero())
-                if lhs != rhs:
-                    yield {"a": repr(a), "b": repr(b),
-                           "lhs": repr(lhs), "rhs": repr(rhs)}
-
-    rep.record("braided-commutativity", "a b = (Rinv1 |> b)(Rinv2 |> a)",
-               next(violations(), None))
+    cases = (
+        (a, b, M.mul(a, b),
+         _leg_sum(Rinv, M.action.act_monomial, b, a, M.mul, M.algebra.zero()))
+        for a, b in product(elems, elems)
+    )
+    rep.check("braided-commutativity", "a b = (Rinv1 |> b)(Rinv2 |> a)",
+              violations(("a", "b", "lhs", "rhs"), cases,
+                         lambda a, b, lhs, rhs: lhs == rhs))
     return rep
 
 
@@ -257,14 +242,12 @@ def check_braid_involutive(M, degree=2):
     rep = Report("braid-involutive", {"degree": degree})
     elems = coordinate_monomials(M.algebra, degree)
 
-    def violations():
-        for a in elems:
-            for b in elems:
-                twice = M.braid_algebra_pairs(M.braid_algebra_pairs([(a, b)]))
-                if expand_pairs(twice) != expand_pairs([(a, b)]):
-                    yield {"a": repr(a), "b": repr(b)}
+    def involutive(a, b):
+        twice = M.braid_algebra_pairs(M.braid_algebra_pairs([(a, b)]))
+        return expand_pairs(twice) == expand_pairs([(a, b)])
 
-    rep.record("involutive", "c^R . c^R = id", next(violations(), None))
+    rep.check("involutive", "c^R . c^R = id",
+              violations(("a", "b"), product(elems, elems), involutive))
     return rep
 
 
@@ -273,14 +256,9 @@ def star_product_suite(M, degree=3):
     rep = Report("star-product", {"degree": degree})
     elems = coordinate_monomials(M.algebra, degree)
 
-    def associativity():
-        for a in elems:
-            for b in elems:
-                for c in elems:
-                    if M.mul(M.mul(a, b), c) != M.mul(a, M.mul(b, c)):
-                        yield {"a": repr(a), "b": repr(b), "c": repr(c)}
-
-    rep.record("associativity", "(a b) c = a (b c)", next(associativity(), None))
+    rep.check("associativity", "(a b) c = a (b c)", violations(
+        ("a", "b", "c"), product(elems, elems, elems),
+        lambda a, b, c: M.mul(M.mul(a, b), c) == M.mul(a, M.mul(b, c))))
 
     rep.extend(check_braided_commutative(M, degree))
     return rep

@@ -2,10 +2,37 @@
 
 A Check records one verified identity: a stable name, the symbolic law
 it tested, pass/fail, and on failure the first counterexample found
-(rendered so it can be re-verified by hand).  Reports aggregate checks;
-the structured rendering is deterministic (no wall-clock data), the
-text rendering carries per-check timing for humans.
+(rendered so it can be re-verified by hand).  Every law over a family
+is a search for a first counterexample: `violations` renders each one,
+and `Report.check` runs the search to its first hit and times it.
+Reports aggregate checks; the structured rendering is deterministic (no
+wall-clock data), the text rendering carries per-check timing for
+humans.
 """
+
+import time
+
+
+def violations(names, cases, holds):
+    """Counterexamples to a law, lazily: for each case (a tuple) where
+    `holds(*case)` is false, {name: repr(value)} over the leading values
+    of the case.  Values past the last name are work hoisted out of
+    `holds` by the case generator, and are not shown."""
+    for case in cases:
+        if not holds(*case):
+            yield {name: repr(value) for name, value in zip(names, case)}
+
+
+def hoisted(outer, inner, work):
+    """Cases `outer + inner + (work(*outer),)` over every outer and inner
+    case (tuples both): the work an outer case shares with all its inner
+    cases is done once and carried as a trailing value, which
+    `violations` leaves out of the counterexample."""
+    inner = list(inner)
+    for o in outer:
+        shared = work(*o)
+        for i in inner:
+            yield o + i + (shared,)
 
 
 class Check:
@@ -41,9 +68,13 @@ class Report:
     def add(self, name, law, passed, counterexample=None, seconds=0.0):
         self.checks.append(Check(name, law, passed, counterexample, seconds))
 
-    def record(self, name, law, bad):
-        """Add a check from its first counterexample (None: it passed)."""
-        self.add(name, law, bad is None, bad)
+    def check(self, name, law, found):
+        """Add a search row: the first item of the iterable `found` is
+        its counterexample (none: the law held).  The search is timed
+        into Check.seconds."""
+        start = time.perf_counter()
+        bad = next(iter(found), None)
+        self.add(name, law, bad is None, bad, time.perf_counter() - start)
 
     def extend(self, other):
         self.checks.extend(other.checks)

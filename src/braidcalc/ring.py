@@ -164,6 +164,16 @@ def _exponents_up_to(arity, depth):
     return out
 
 
+def _exponent(exp, arity):
+    """`exp` as a tuple of `arity` non-negative exponents."""
+    exp = tuple(exp)
+    if len(exp) != arity:
+        raise ArityMismatch(("exponent length", len(exp), arity))
+    if any(k < 0 for k in exp):
+        raise IndexOutOfRange(("negative exponent", exp))
+    return exp
+
+
 class Ring:
     """Coefficient ring descriptor: exact rationals, or series mod h^order."""
 
@@ -228,7 +238,8 @@ class Ring:
         """The deformation parameter h^power; series ring only."""
         if not self.is_series:
             raise WrongRing("h lives in the truncated-series ring only")
-        assert power >= 1, power
+        if type(power) is not int or power < 1:
+            raise IndexOutOfRange(("h power must be a positive int", power))
         n = [0] * self.order
         if power < self.order:
             n[power] = 1
@@ -574,8 +585,7 @@ class PolyAlgebra:
         return AlgebraElement(self, {tuple(e): self.ring.one()}, 0)
 
     def monomial(self, exp, coeff=1):
-        exp = tuple(exp)
-        assert len(exp) == self.arity and all(k >= 0 for k in exp), exp
+        exp = _exponent(exp, self.arity)
         s = coeff if isinstance(coeff, Scalar) else self.ring.scalar(coeff)
         return AlgebraElement(self, {exp: s}, 0)
 

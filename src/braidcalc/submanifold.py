@@ -15,6 +15,9 @@ ambient one; projection_geometry_suite verifies that against a fresh
 solve on the quotient.
 """
 
+import operator
+from itertools import product
+
 from .calculus import Calculus
 from .errors import (
     AxiomOneUnwitnessed,
@@ -24,7 +27,7 @@ from .errors import (
 )
 from .geometry import Connection, Metric, field_family, levi_civita
 from .modalg import Action, ModuleAlgebra, coordinate_monomials
-from .report import Report
+from .report import Report, hoisted, violations
 from .ring import AlgebraElement
 
 # Coordinate monomials up to this degree sample the star-product checks
@@ -291,13 +294,11 @@ def check_sequence(proj, coeff_degree=2):
     rep = Report("sequence", {"coeff_degree": coeff_degree})
     cal, ideal = proj.cal, proj.ideal
 
-    def lift_section():
-        for Xbar in field_family(proj.q, coeff_degree):
-            back = proj.multivector(proj.lift_multivector(Xbar))
-            if back != Xbar:
-                yield {"field": Xbar, "round_trip": back}
-
-    rep.record("lift-section", "pr(lift(X)) = X", next(lift_section(), None))
+    rep.check("lift-section", "pr(lift(X)) = X", violations(
+        ("field", "round_trip"),
+        ((Xbar, proj.multivector(proj.lift_multivector(Xbar)))
+         for Xbar in field_family(proj.q, coeff_degree)),
+        lambda Xbar, back: back == Xbar))
 
     def kernel_witness():
         kernel = []
@@ -310,21 +311,21 @@ def check_sequence(proj, coeff_degree=2):
                     kernel.append(cal.mv(1, {(u,): g * m}))
         for X in kernel:
             if not proj.multivector(X).is_zero():
-                yield {"field": X, "note": "kernel not killed"}
+                yield {"field": repr(X), "note": "kernel not killed"}
             try:
                 pieces = axiom_one_witness(proj, X)
             except AxiomOneUnwitnessed as exc:
-                yield {"field": X, "unwitnessed": exc.args}
+                yield {"field": repr(X), "unwitnessed": repr(exc.args)}
                 continue
             back = cal.zero_mv(1)
             for c, u in pieces:
                 back = back + cal.mv(1, {(u,): c})
             if back != X:
-                yield {"field": X, "recombined": back}
+                yield {"field": repr(X), "recombined": repr(back)}
 
-    rep.record("kernel-witness",
-               "pr(X) = 0 and X = sum c_i e_i with ideal coefficients",
-               next(kernel_witness(), None))
+    rep.check("kernel-witness",
+              "pr(X) = 0 and X = sum c_i e_i with ideal coefficients",
+              kernel_witness())
     return rep
 
 
@@ -363,73 +364,47 @@ def projection_suite(proj, coeff_degree=2, depth=2):
     fields = field_family(cal, coeff_degree, frame=proj.tangent_idx)
     forms = _form_family(proj, coeff_degree)
 
-    def product():
-        for a in funcs:
-            for b in funcs:
-                lhs = proj.function(cal.M.mul(a, b))
-                rhs = q.M.mul(proj.function(a), proj.function(b))
-                if lhs != rhs:
-                    yield {"a": a, "b": b, "lhs": lhs, "rhs": rhs}
+    rep.check("product", "pr(a b) = pr(a) pr(b)", violations(
+        ("a", "b", "lhs", "rhs"),
+        ((a, b, proj.function(cal.M.mul(a, b)),
+          q.M.mul(proj.function(a), proj.function(b)))
+         for a, b in product(funcs, funcs)),
+        lambda a, b, lhs, rhs: lhs == rhs))
+    rep.check("field-application", "pr(X)(pr(a)) = pr(X(a))", violations(
+        ("field", "function"),
+        hoisted(product(fields), product(funcs), proj.multivector),
+        lambda X, a, Xq: q.apply_field(Xq, proj.function(a))
+        == proj.function(cal.apply_field(X, a))))
+    rep.check("differential", "pr(d w) = d pr(w)", violations(
+        ("form", "lhs", "rhs"),
+        ((om, proj.form(cal.d(om)), q.d(proj.form(om))) for om in forms),
+        lambda om, lhs, rhs: lhs == rhs))
 
-    rep.record("product", "pr(a b) = pr(a) pr(b)", next(product(), None))
+    def commutes(op, qop):
+        """Whether pr(op_X w) = qop_{pr(X)} pr(w)."""
+        return lambda X, om, Xq: proj.form(op(X, om)) == qop(Xq, proj.form(om))
 
-    def field_application():
-        for X in fields:
-            Xq = proj.multivector(X)
-            for a in funcs:
-                lhs = q.apply_field(Xq, proj.function(a))
-                if lhs != proj.function(cal.apply_field(X, a)):
-                    yield {"field": X, "function": a}
-
-    rep.record("field-application", "pr(X)(pr(a)) = pr(X(a))",
-               next(field_application(), None))
-
-    def differential():
-        for om in forms:
-            lhs = proj.form(cal.d(om))
-            rhs = q.d(proj.form(om))
-            if lhs != rhs:
-                yield {"form": om, "lhs": lhs, "rhs": rhs}
-
-    rep.record("differential", "pr(d w) = d pr(w)", next(differential(), None))
-
-    def operator(op, qop):
-        """First (field, form) where pr(op_X w) != qop_{pr(X)} pr(w)."""
-        for X in fields:
-            Xq = proj.multivector(X)
-            for om in forms:
-                if proj.form(op(X, om)) != qop(Xq, proj.form(om)):
-                    yield {"field": X, "form": om}
-
-    rep.record("insertion", "pr(i_X w) = i_{pr(X)} pr(w)",
-               next(operator(cal.insert, q.insert), None))
-    rep.record("lie-derivative", "pr(L_X w) = L_{pr(X)} pr(w)",
-               next(operator(cal.lie_derivative, q.lie_derivative), None))
-
-    def bracket():
-        for X in fields:
-            Xq = proj.multivector(X)
-            for Y in fields:
-                lhs = proj.multivector(cal.bracket(X, Y))
-                if lhs != q.bracket(Xq, proj.multivector(Y)):
-                    yield {"X": X, "Y": Y}
-
-    rep.record("bracket", "pr([X, Y]) = [pr(X), pr(Y)]", next(bracket(), None))
-
-    def kernel_stability():
-        for exp in cal.lie.monomials_up_to(depth):
-            if not any(exp):
-                continue
-            for g in ideal.generators:
-                for u in range(cal.dim):
-                    acted = cal.h_act_exp(exp, cal.mv(1, {(u,): g}))
-                    for w, c in acted.terms.items():
-                        if not ideal.contains(c):
-                            yield {"monomial": exp, "generator": g,
-                                   "frame": u, "coefficient": c}
-
-    rep.record("kernel-stability", "H |> (C . frame) keeps ideal coefficients",
-               next(kernel_stability(), None))
+    rep.check("insertion", "pr(i_X w) = i_{pr(X)} pr(w)", violations(
+        ("field", "form"),
+        hoisted(product(fields), product(forms), proj.multivector),
+        commutes(cal.insert, q.insert)))
+    rep.check("lie-derivative", "pr(L_X w) = L_{pr(X)} pr(w)", violations(
+        ("field", "form"),
+        hoisted(product(fields), product(forms), proj.multivector),
+        commutes(cal.lie_derivative, q.lie_derivative)))
+    rep.check("bracket", "pr([X, Y]) = [pr(X), pr(Y)]", violations(
+        ("X", "Y"), hoisted(product(fields), product(fields), proj.multivector),
+        lambda X, Y, Xq: proj.multivector(cal.bracket(X, Y))
+        == q.bracket(Xq, proj.multivector(Y))))
+    rep.check("kernel-stability", "H |> (C . frame) keeps ideal coefficients",
+              violations(
+                  ("monomial", "generator", "frame", "coefficient"),
+                  ((exp, g, u, c)
+                   for exp in cal.lie.monomials_up_to(depth) if any(exp)
+                   for g in ideal.generators
+                   for u in range(cal.dim)
+                   for c in cal.h_act_exp(exp, cal.mv(1, {(u,): g})).terms.values()),
+                  lambda exp, g, u, c: ideal.contains(c)))
     return rep
 
 
@@ -443,23 +418,19 @@ def projection_geometry_suite(proj, metric, coeff_degree=1):
     ambient = levi_civita(metric)
     pushed = proj.connection(ambient)
     solved = levi_civita(qmetric)
-    rep.record(
+    rep.check(
         "quotient-solve",
         "pr(metric connection) = metric connection of pr(metric)",
-        None if pushed == solved
-        else {"pushed": pushed.gamma, "solved": solved.gamma},
+        violations(("pushed", "solved"), [(pushed.gamma, solved.gamma)],
+                   operator.eq),
     )
 
-    def restriction():
-        for Xbar in field_family(proj.q, coeff_degree):
-            for Ybar in field_family(proj.q, coeff_degree):
-                X = proj.lift_multivector(Xbar)
-                Y = proj.lift_multivector(Ybar)
-                if proj.function(metric(X, Y)) != qmetric(Xbar, Ybar):
-                    yield {"X": Xbar, "Y": Ybar}
-
-    rep.record("metric-restriction", "pr(g(lift X, lift Y)) = pr(g)(X, Y)",
-               next(restriction(), None))
+    qfields = field_family(proj.q, coeff_degree)
+    rep.check("metric-restriction", "pr(g(lift X, lift Y)) = pr(g)(X, Y)", violations(
+        ("X", "Y"), product(qfields, qfields),
+        lambda Xbar, Ybar: proj.function(metric(
+            proj.lift_multivector(Xbar), proj.lift_multivector(Ybar)))
+        == qmetric(Xbar, Ybar)))
     return rep
 
 
@@ -474,26 +445,17 @@ def twist_projection_suite(cal, ideal, coeff_degree=2, depth=2):
 
     funcs = coordinate_monomials(cal.alg, _SAMPLE_DEGREE)
 
-    def naturality():
-        for a in funcs:
-            for b in funcs:
-                lhs = proj.function(cal.M.mul(a, b))
-                if lhs != proj.q.M.mul(proj.function(a), proj.function(b)):
-                    yield {"a": a, "b": b}
+    rep.check("star-naturality", "pr(a * b) = pr(a) * pr(b)", violations(
+        ("a", "b"), product(funcs, funcs),
+        lambda a, b: proj.function(cal.M.mul(a, b))
+        == proj.q.M.mul(proj.function(a), proj.function(b))))
 
-    rep.record("star-naturality", "pr(a * b) = pr(a) * pr(b)",
-               next(naturality(), None))
+    def classical(a, b):
+        star = proj.q.M.mul(proj.function(a), proj.function(b))
+        return (star - proj.function(a) * proj.function(b)).min_h_order() >= 1
 
-    def shadow():
-        for a in funcs:
-            for b in funcs:
-                star = proj.q.M.mul(proj.function(a), proj.function(b))
-                plain = proj.function(a) * proj.function(b)
-                if (star - plain).min_h_order() < 1:
-                    yield {"a": a, "b": b}
-
-    rep.record("classical-shadow", "quotient star = plain product at order 0",
-               next(shadow(), None))
+    rep.check("classical-shadow", "quotient star = plain product at order 0",
+              violations(("a", "b"), product(funcs, funcs), classical))
 
     rep.extend(projection_suite(proj, coeff_degree, depth))
     return rep, proj

@@ -14,6 +14,8 @@ falsification fixtures use one with a broken cocycle) with the inverse
 computed by a terminating Neumann series.
 """
 
+import operator
+from itertools import product
 from math import factorial
 
 from .errors import (
@@ -25,7 +27,7 @@ from .errors import (
     WrongRing,
 )
 from .hopf import TensorElement, TriangularStructure, check_triangular
-from .report import Report
+from .report import Report, violations
 from .ring import _neumann
 
 
@@ -115,30 +117,31 @@ def check_cocycle(twist):
     F, Finv = twist.F, twist.Finv
     rep = Report("twist-cocycle")
 
-    lhs = F.embed(3, (0, 1)) * F.coproduct_leg(0)
-    rhs = F.embed(3, (1, 2)) * F.coproduct_leg(1)
-    rep.record(
+    rep.check(
         "cocycle",
         "(F (x) 1)(cop (x) id)(F) = (1 (x) F)(id (x) cop)(F)",
-        None if lhs == rhs else {"lhs": repr(lhs), "rhs": repr(rhs)},
+        violations(("lhs", "rhs"), [(
+            F.embed(3, (0, 1)) * F.coproduct_leg(0),
+            F.embed(3, (1, 2)) * F.coproduct_leg(1),
+        )], operator.eq),
     )
 
     unit1 = TensorElement.unit(lie, 1)
-    left = F.counit_leg(0)
-    right = F.counit_leg(1)
-    rep.record(
+    rep.check(
         "normalization",
         "(eps (x) id)(F) = 1 = (id (x) eps)(F)",
-        None if left == unit1 and right == unit1
-        else {"eps-left": repr(left), "eps-right": repr(right)},
+        violations(("eps-left", "eps-right"),
+                   [(F.counit_leg(0), F.counit_leg(1))],
+                   lambda left, right: left == unit1 and right == unit1),
     )
 
-    lhs2 = Finv.coproduct_leg(0) * Finv.embed(3, (0, 1))
-    rhs2 = Finv.coproduct_leg(1) * Finv.embed(3, (1, 2))
-    rep.record(
+    rep.check(
         "inverse-cocycle",
         "(cop (x) id)(Finv)(Finv (x) 1) = (id (x) cop)(Finv)(1 (x) Finv)",
-        None if lhs2 == rhs2 else {"lhs": repr(lhs2), "rhs": repr(rhs2)},
+        violations(("lhs", "rhs"), [(
+            Finv.coproduct_leg(0) * Finv.embed(3, (0, 1)),
+            Finv.coproduct_leg(1) * Finv.embed(3, (1, 2)),
+        )], operator.eq),
     )
     return rep
 
@@ -188,41 +191,34 @@ def check_twisted_hopf(data, depth=3):
     triangular suite for R_F against cop_F."""
     lie = data.lie
     rep = Report("twisted-hopf", {"depth": depth})
-    monos = lie.monomials_up_to(depth)
+    monos = [lie.monomial(e) for e in lie.monomials_up_to(depth)]
 
-    def coassociativity():
-        for e in monos:
-            xi = lie.monomial(e)
-            cop = data.coproduct(xi)
-            lhs = cop.coproduct_leg(0, data.coproduct)
-            if lhs != cop.coproduct_leg(1, data.coproduct):
-                yield {"monomial": repr(xi)}
+    def coassociative(xi):
+        cop = data.coproduct(xi)
+        lhs = cop.coproduct_leg(0, data.coproduct)
+        return lhs == cop.coproduct_leg(1, data.coproduct)
 
-    rep.record("coassociativity", "(cop_F (x) id)cop_F = (id (x) cop_F)cop_F",
-               next(coassociativity(), None))
+    rep.check("coassociativity", "(cop_F (x) id)cop_F = (id (x) cop_F)cop_F",
+              violations(("monomial",), product(monos), coassociative))
 
-    def counit():
-        for e in monos:
-            xi = lie.monomial(e)
-            cop = data.coproduct(xi)
-            if cop.counit_leg(0).as_hopf() != xi or cop.counit_leg(1).as_hopf() != xi:
-                yield {"monomial": repr(xi)}
+    def counital(xi):
+        cop = data.coproduct(xi)
+        return cop.counit_leg(0).as_hopf() == xi and cop.counit_leg(1).as_hopf() == xi
 
-    rep.record("counit", "(eps (x) id)cop_F = id = (id (x) eps)cop_F",
-               next(counit(), None))
+    rep.check("counit", "(eps (x) id)cop_F = id = (id (x) eps)cop_F",
+              violations(("monomial",), product(monos), counital))
 
-    def antipode():
-        for e in monos:
-            xi = lie.monomial(e)
+    def antipode_cases():
+        for xi in monos:
             cop = data.coproduct(xi)
             target = lie.unit(xi.counit())
             lhs = cop.map_leg(0, lambda m: data.antipode(lie.monomial(m))).contract()
             rhs = cop.map_leg(1, lambda m: data.antipode(lie.monomial(m))).contract()
-            if lhs != target or rhs != target:
-                yield {"monomial": repr(xi), "lhs": repr(lhs), "rhs": repr(rhs)}
+            yield xi, lhs, rhs, target
 
-    rep.record("antipode", "mu(S_F (x) id)cop_F = eta eps = mu(id (x) S_F)cop_F",
-               next(antipode(), None))
+    rep.check("antipode", "mu(S_F (x) id)cop_F = eta eps = mu(id (x) S_F)cop_F",
+              violations(("monomial", "lhs", "rhs"), antipode_cases(),
+                         lambda xi, lhs, rhs, target: lhs == target and rhs == target))
 
     tri_rep = check_triangular(
         lie, data.triangular, depth=depth, coproduct=data.coproduct

@@ -3,6 +3,7 @@ exit statuses, and deterministic structured output."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -181,6 +182,17 @@ def test_main_unknown_suite_exit_two(tmp_path, capsys):
     assert "UnknownName" in err
 
 
+def test_main_unknown_param_exit_two(tmp_path, capsys):
+    data = json.loads((SCENARIOS / "heisenberg.json").read_text())
+    data["params"] = {"degre": 9}
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(data))
+    code = main(["all", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "UnknownName" in err and "degre" in err
+
+
 def test_main_missing_section_exit_two(tmp_path, capsys):
     data = plane_data()
     path = tmp_path / "sc.json"
@@ -205,6 +217,21 @@ def test_structured_output_deterministic(capsys):
     assert payload["command"] == "check-hopf"
     names = [c["name"] for r in payload["reports"] for c in r["checks"]]
     assert "antipode" in names
+
+
+def test_text_rows_carry_search_time(capsys):
+    """A text row shows how long its check's search took; the structured
+    output carries no wall time and stays byte-identical."""
+    args = ["star", str(SCENARIOS / "heisenberg.json")]
+    assert main(args) == 0
+    text = capsys.readouterr().out
+    row = next(line for line in text.splitlines() if "] leibniz " in line)
+    assert float(re.search(r"\((\d+\.\d+)s\)$", row).group(1)) > 0, row
+    runs = []
+    for _ in range(2):
+        assert main(args + ["--format", "structured"]) == 0
+        runs.append(capsys.readouterr().out)
+    assert runs[0] == runs[1]
 
 
 def test_order_override_truncates_series(capsys):
@@ -328,14 +355,17 @@ def run_cli(args, optimize):
 
 
 def test_verdicts_survive_python_O(tmp_path):
-    """Assertions vanish under -O; no verdict may depend on them."""
+    """Assertions vanish under -O; no verdict may depend on them.  The
+    structured output holds every verdict and counterexample, and no
+    wall time."""
     bad = tmp_path / "bad-bracket.json"
     bad.write_text(json.dumps(bad_bracket_data()))
     inputs = sorted((SCENARIOS / "falsification").glob("*.json")) + [bad]
     assert len(inputs) == 6
     for path in inputs:
-        plain = run_cli(["all", str(path)], optimize=False)
-        opt = run_cli(["all", str(path)], optimize=True)
+        args = ["all", str(path), "--format", "structured"]
+        plain = run_cli(args, optimize=False)
+        opt = run_cli(args, optimize=True)
         assert opt.returncode == plain.returncode == 1, (path, opt.stdout)
         assert "Traceback" not in plain.stderr + opt.stderr, path
         assert opt.stdout == plain.stdout, path

@@ -286,8 +286,11 @@ class TestTypedErrors:
             p for p in (src, env.get("PYTHONPATH")) if p)
         code = textwrap.dedent("""
             from braidcalc.errors import EngineError
-            from braidcalc.ring import RATIONAL, Ring
+            from braidcalc.hopf import LieAlgebra
+            from braidcalc.ring import RATIONAL, PolyAlgebra, Ring
             series = Ring("series", 3)
+            plane = PolyAlgebra(RATIONAL, ("x", "y"))
+            lie = LieAlgebra(RATIONAL, ["X", "Y"])
             print(__debug__)
             for case in (
                 lambda: RATIONAL.scalar(0.5),
@@ -297,6 +300,12 @@ class TestTypedErrors:
                 lambda: Ring("p-adic", 2),
                 lambda: Ring("series", 0),
                 lambda: Ring("series", True),
+                lambda: series.h(-1),
+                lambda: series.h(0),
+                lambda: plane.monomial((1,)),
+                lambda: plane.monomial((1, -1)),
+                lambda: lie.monomial((1,)),
+                lambda: lie.monomial((0, -1)),
             ):
                 try:
                     print("returned", case())
@@ -309,7 +318,9 @@ class TestTypedErrors:
         assert got.returncode == 0, got.stderr
         assert got.stdout.split() == [
             "False", "SchemaError", "SchemaError", "ArityMismatch", "WrongRing",
-            "SchemaError", "SchemaError", "SchemaError"]
+            "SchemaError", "SchemaError", "SchemaError",
+            "IndexOutOfRange", "IndexOutOfRange", "ArityMismatch",
+            "IndexOutOfRange", "ArityMismatch", "IndexOutOfRange"]
 
 
 # =====================================================================
