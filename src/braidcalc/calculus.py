@@ -99,32 +99,13 @@ def _det(rows):
     return total
 
 
-def _matrix_inverse_plain(alg, E):
-    """Adjugate over determinant; the determinant must be a unit."""
-    n = len(E)
-    det = _det(E)
-    try:
-        dinv = det.inverse()
-    except NotInvertible as exc:
-        raise FramePairingSingular(repr(det)) from exc
-    inv = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            minor = [
-                [E[r][c] for c in range(n) if c != i]
-                for r in range(n) if r != j
-            ]
-            cof = _det(minor) if n > 1 else alg.one()
-            if (i + j) % 2:
-                cof = -cof
-            row.append(cof * dinv)
-        inv.append(row)
-    ident = _identity_matrix(alg, n)
-    if (_mmul(operator.mul, E, inv) != ident
-            or _mmul(operator.mul, inv, E) != ident):
-        raise InverseWitnessInvalid("plain frame matrix inverse")
-    return inv
+def _cofactor(E, i, j):
+    """Entry (i, j) of the adjugate: the signed minor of E without row j
+    and column i."""
+    minor = [[E[r][c] for c in range(len(E)) if c != i]
+             for r in range(len(E)) if r != j]
+    cof = _det(minor) if minor else E[0][0].algebra.one()
+    return -cof if (i + j) % 2 else cof
 
 
 def _mmul(mul, A, B):
@@ -138,28 +119,34 @@ def _mmul(mul, A, B):
     ]
 
 
-def _mu_matrix_inverse(M, E, seed, what="frame matrix inverse in force"):
-    """Two-sided inverse for the product in force, by a Neumann series
-    seeded with an inverse modulo h (the residual must be O(h))."""
-    if not M.is_twisted:
-        return seed
+def _inverse(mul, E, what):
+    """Two-sided inverse of E for the product `mul`.  The plain adjugate
+    over the determinant (which must be a unit) inverts E modulo h; as
+    seed E = 1 - N with N of order h, E^-1 = (sum_k N^k) seed.  The
+    result is verified once."""
     n = len(E)
-    ident = _identity_matrix(M.algebra, n)
-    resid = _mmul(M.mul, seed, E)
-    # seed E = 1 - N, so E^-1 = (sum_k N^k) seed
+    alg = E[0][0].algebra
+    det = _det(E)
+    try:
+        dinv = det.inverse()
+    except NotInvertible as exc:
+        raise FramePairingSingular(repr(det)) from exc
+    seed = [[_cofactor(E, i, j) * dinv for j in range(n)] for i in range(n)]
+    ident = _identity_matrix(alg, n)
+    resid = _mmul(mul, seed, E)
     N = [[ident[i][j] - resid[i][j] for j in range(n)] for i in range(n)]
-    if any(
-        not c.is_zero() and c.min_h_order() < 1 for row in N for c in row
-    ):
-        raise FramePairingSingular("%s: residual is not O(h)" % what)
-    series = power = ident
-    for _ in range(1, M.algebra.ring.order):
-        power = _mmul(M.mul, power, N)
-        series = [
-            [series[i][j] + power[i][j] for j in range(n)] for i in range(n)
-        ]
-    G = _mmul(M.mul, series, seed)
-    if _mmul(M.mul, G, E) != ident or _mmul(M.mul, E, G) != ident:
+    G = seed
+    if any(not c.is_zero() for row in N for c in row):
+        if any(c.min_h_order() < 1 for row in N for c in row):
+            raise FramePairingSingular("%s: residual is not O(h)" % what)
+        series = power = ident
+        for _ in range(1, alg.ring.order):
+            power = _mmul(mul, power, N)
+            series = [
+                [series[i][j] + power[i][j] for j in range(n)] for i in range(n)
+            ]
+        G = _mmul(mul, series, seed)
+    if _mmul(mul, G, E) != ident or _mmul(mul, E, G) != ident:
         raise InverseWitnessInvalid(what)
     return G
 
@@ -201,12 +188,11 @@ class Frame:
             for a in range(self.dim)
             for j in range(self.alg.arity)
         )
-        self._Einv_plain = (
+        self._Einv = (
             None
             if self.is_coordinate
-            else _matrix_inverse_plain(self.alg, self._E)
+            else _inverse(M.mul, self._E, "frame matrix inverse in force")
         )
-        self._Einv_mu = None
         self.rho = [self._solve_adjoint(i) for i in range(self.lie.dim)]
         self.dual_rho = [self._solve_dual(i) for i in range(self.lie.dim)]
         self._check_r_invariance()
@@ -218,13 +204,10 @@ class Frame:
 
     def solve_scalar_row(self, imgs):
         """Scalar coefficients over the frame for a plain field given by
-        its coordinate images."""
-        if self.is_coordinate:
-            cand = list(imgs)
-        else:
-            cand = _mmul(operator.mul, [imgs], self._Einv_plain)[0]
+        its coordinate images; constant coefficients multiply plainly in
+        force, so the inverse in force finds them."""
         row = {}
-        for b, c in enumerate(cand):
+        for b, c in self.solve_field(imgs).items():
             if c.is_zero():
                 continue
             if not c.is_scalar():
@@ -235,12 +218,8 @@ class Frame:
     def solve_field(self, imgs):
         """Left coefficients over the frame, for the product in force."""
         if self.is_coordinate:
-            return {b: imgs[b] for b in range(self.dim)}
-        if self._Einv_mu is None:
-            self._Einv_mu = _mu_matrix_inverse(
-                self.M, self._E, self._Einv_plain
-            )
-        return dict(enumerate(_mmul(self.M.mul, [imgs], self._Einv_mu)[0]))
+            return dict(enumerate(imgs))
+        return dict(enumerate(_mmul(self.M.mul, [imgs], self._Einv)[0]))
 
     def _adjoint_images(self, xi, a):
         """Coordinate images of xi |> e_a via the structure in force:
@@ -844,14 +823,12 @@ def graded_commutator(A, B, om):
 # ---------------------------------------------------------------------
 
 
-def default_field_family(cal, wedge_grade=2, coeff_degree=2):
-    fam = []
-    coeffs = coordinate_monomials(cal.alg, coeff_degree)
-    for k in range(1, wedge_grade + 1):
-        for w in increasing_words(cal.dim, k):
-            for c in coeffs:
-                fam.append(cal.mv(k, {w: c}))
-    return fam
+def graded_family(make, dim, grades, coeffs):
+    """make(k, {w: c}) (a multivector or form constructor) for each
+    grade k in order, each increasing frame word w of that grade and
+    each coefficient c in order."""
+    return [make(k, {w: c}) for k in grades
+            for w in increasing_words(dim, k) for c in coeffs]
 
 
 def cartan_suite(cal, wedge_grade=2, coeff_degree=2):
@@ -864,13 +841,10 @@ def cartan_suite(cal, wedge_grade=2, coeff_degree=2):
         {"wedge_grade": wedge_grade, "coeff_degree": coeff_degree,
          "twisted": cal.M.is_twisted},
     )
-    fields = default_field_family(cal, wedge_grade, coeff_degree)
-    x = cal.alg.coord(0)
-    form_family = []
-    for k in range(0, min(cal.dim, 2) + 1):
-        for w in increasing_words(cal.dim, k):
-            form_family.append(cal.form(k, {w: cal.alg.one()}))
-            form_family.append(cal.form(k, {w: x}))
+    fields = graded_family(cal.mv, cal.dim, range(1, wedge_grade + 1),
+                           coordinate_monomials(cal.alg, coeff_degree))
+    form_family = graded_family(cal.form, cal.dim, range(min(cal.dim, 2) + 1),
+                                [cal.alg.one(), cal.alg.coord(0)])
     d = CartanOperator(cal, "d")
 
     def i(X):
@@ -920,17 +894,8 @@ def schouten_suite(cal, coeff_degree=1):
     """Defining properties of the Schouten bracket on small families."""
     rep = Report("schouten", {"coeff_degree": coeff_degree})
     coeffs = coordinate_monomials(cal.alg, coeff_degree)
-    grade1 = [
-        cal.mv(1, {w: c})
-        for w in increasing_words(cal.dim, 1)
-        for c in coeffs
-    ]
-    grade2 = [
-        cal.mv(2, {w: c})
-        for w in increasing_words(cal.dim, 2)
-        for c in coeffs
-    ]
-    fields = grade1 + grade2
+    fields = graded_family(cal.mv, cal.dim, (1, 2), coeffs)
+    grade1 = [X for X in fields if X.grade == 1]
     Rinv = cal.M.triangular.Rinv.pairs()
     # (-1) Rinv, for the odd-sign Leibniz terms
     neg_Rinv = tuple((l, r, -c) for l, r, c in Rinv)
@@ -1023,12 +988,10 @@ def _transport_oneform(cl, tw, om):
         for b in range(n)
     ]
     rhs = [[om.terms.get((b,), cl.alg.zero())] for b in range(n)]
-    ident = _identity_matrix(tw.alg, n)
-    if G == ident:
+    if G == _identity_matrix(tw.alg, n):
         sol = rhs
     else:
-        Ginv = _mu_matrix_inverse(tw.M, G, ident, "twisted pairing inverse")
-        sol = _mmul(tw.M.mul, Ginv, rhs)
+        sol = _mmul(tw.M.mul, _inverse(tw.M.mul, G, "twisted pairing inverse"), rhs)
     return tw.form(1, {(c,): sol[c][0] for c in range(n)})
 
 

@@ -42,7 +42,7 @@ from .geometry import (
     levi_civita,
     perturbation_suite,
 )
-from .hopf import LieAlgebra, TensorElement, TriangularStructure, check_hopf, check_triangular
+from .hopf import HopfStructure, LieAlgebra, TensorElement, check_hopf, check_triangular
 from .modalg import (
     Action,
     ModuleAlgebra,
@@ -99,9 +99,9 @@ def _names(value, what):
     return tuple(value)
 
 
-def _section(data, key, required):
+def _section(data, key):
     got = data.get(key)
-    if got is None and required:
+    if got is None:
         raise MissingSection(key)
     return got
 
@@ -214,16 +214,15 @@ class Scenario:
     """Parsed scenario: ring and symmetry up front, instance structures
     built on demand and cached."""
 
-    def __init__(self, data, ring_override=None, include_twist=True):
+    def __init__(self, data, ring_override=None):
         _require(isinstance(data, dict), SchemaError, "scenario must be a JSON object")
         _known_keys(data, _SECTIONS, "scenario section")
         self.data = data
         self.params = data.get("params") or {}
         _require(isinstance(self.params, dict), SchemaError, "params must be an object")
         _known_keys(self.params, _PARAMS, "scenario param")
-        self.ring = ring_override or self._parse_ring(_section(data, "ring", True))
-        self.include_twist = include_twist
-        self.lie = self._parse_lie(_section(data, "lie_algebra", True))
+        self.ring = ring_override or self._parse_ring(_section(data, "ring"))
+        self.lie = self._parse_lie(_section(data, "lie_algebra"))
         self._alg = None
         self._action = None
         self._twist = None
@@ -271,7 +270,7 @@ class Scenario:
     @property
     def algebra(self):
         if self._alg is None:
-            sec = _section(self.data, "action", True)
+            sec = _section(self.data, "action")
             _require(isinstance(sec, dict), SchemaError, "action must be an object")
             coords = _names(sec.get("coordinates"), "coordinate")
             unit = None
@@ -285,7 +284,7 @@ class Scenario:
     @property
     def action(self):
         if self._action is None:
-            sec = _section(self.data, "action", True)
+            sec = _section(self.data, "action")
             alg = self.algebra
             images = {}
             img_sec = sec.get("images") or {}
@@ -301,7 +300,7 @@ class Scenario:
     @property
     def twist(self):
         if self._twist is None:
-            sec = _section(self.data, "twist", True)
+            sec = _section(self.data, "twist")
             _require(isinstance(sec, dict), SchemaError, "twist must be an object")
             kind = sec.get("kind")
             if kind == "exp":
@@ -341,7 +340,7 @@ class Scenario:
 
     def module_algebra(self, twisted=True):
         twist = None
-        if twisted and self.include_twist and self.data.get("twist") is not None:
+        if twisted and self.data.get("twist") is not None:
             twist = self.twist
         return ModuleAlgebra(self.action, twist=twist)
 
@@ -369,7 +368,7 @@ class Scenario:
         return self._cal[key]
 
     def metric(self, cal):
-        sec = _section(self.data, "metric", True)
+        sec = _section(self.data, "metric")
         dim = cal.dim
         _require(
             isinstance(sec, list) and len(sec) == dim
@@ -381,7 +380,7 @@ class Scenario:
         return Metric(cal, matrix)
 
     def connection(self, cal):
-        sec = _section(self.data, "connection", True)
+        sec = _section(self.data, "connection")
         dim = cal.dim
         _require(
             isinstance(sec, list) and len(sec) == dim
@@ -400,7 +399,7 @@ class Scenario:
         return Connection(cal, gamma)
 
     def ideal(self):
-        sec = _section(self.data, "ideal", True)
+        sec = _section(self.data, "ideal")
         _require(isinstance(sec, dict), SchemaError, "ideal must be an object")
         coords = sec.get("normal_coordinates")
         alg = self.algebra
@@ -476,7 +475,7 @@ def run_check_hopf(sc, opts):
     lie = sc.lie
     return [
         check_hopf(lie, depth, antipode_table=table),
-        check_triangular(lie, TriangularStructure(lie), depth),
+        check_triangular(HopfStructure(lie), depth),
     ]
 
 
@@ -512,12 +511,12 @@ def run_cartan(sc, opts):
 
 
 def run_gauge(sc, opts):
-    _section(sc.data, "twist", True)
+    _section(sc.data, "twist")
     cl = sc.calculus(twisted=False)
     tw = sc.calculus(twisted=True)
     rational_cal = None
     if sc.params.get("classical_shadow"):
-        shadow = Scenario(sc.data, ring_override=RATIONAL, include_twist=False)
+        shadow = Scenario(sc.data, ring_override=RATIONAL)
         rational_cal = shadow.calculus(twisted=False)
     transport_cal = None
     if sc.params.get("transport_swap"):
@@ -558,7 +557,7 @@ def run_levi_civita(sc, opts):
         twc = sc.calculus(twisted=True)
         rational_metric = None
         if sc.params.get("classical_shadow"):
-            shadow = Scenario(sc.data, ring_override=RATIONAL, include_twist=False)
+            shadow = Scenario(sc.data, ring_override=RATIONAL)
             rational_metric = shadow.metric(shadow.calculus(twisted=False))
         reports.append(geometry_twist_suite(metric, cal, twc, rational_metric))
     return reports
@@ -577,7 +576,7 @@ def run_project(sc, opts):
         reports.append(rep)
     else:
         proj = Projection(cal, ideal, depth=depth)
-        reports.append(projection_suite(proj, degree, depth))
+        reports.append(projection_suite(proj, degree))
     reports.append(check_sequence(proj, degree))
     if sc.data.get("metric") is not None:
         metric = sc.metric(cal)

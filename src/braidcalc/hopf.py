@@ -26,9 +26,12 @@ from .errors import (
     BadPositions,
     BetaNotInvertible,
     IndexOutOfRange,
+    InverseWitnessInvalid,
     JacobiViolation,
     RankMismatch,
     RingMismatch,
+    SchemaError,
+    WrongRing,
 )
 from .report import Report, violations
 from .ring import (
@@ -58,9 +61,11 @@ class LieAlgebra:
     def __init__(self, ring, generators, brackets=None):
         """brackets maps (i, j) with i < j to {k: Scalar} for
         [x_i, x_j] = sum_k c_k x_k; omitted pairs commute."""
-        assert isinstance(ring, Ring)
+        if not isinstance(ring, Ring):
+            raise WrongRing(("not a coefficient ring", ring))
         generators = tuple(generators)
-        assert len(set(generators)) == len(generators), generators
+        if len(set(generators)) != len(generators):
+            raise SchemaError(("duplicate generator", generators))
         self.ring = ring
         self.generators = generators
         table = {}
@@ -297,7 +302,8 @@ class TensorElement(_Terms):
     _ring = operator.attrgetter("lie.ring")
 
     def __init__(self, lie, rank, terms):
-        assert 1 <= rank <= 3, rank
+        if not 1 <= rank <= 3:
+            raise RankMismatch(("tensor rank must be 1..3", rank))
         self.lie = lie
         self.rank = rank
         self._data = (lie, rank)
@@ -377,12 +383,12 @@ class TensorElement(_Terms):
     def permute(self, perm):
         """New tensor with leg i of the result = leg perm[i] of self."""
         perm = tuple(perm)
-        assert sorted(perm) == list(range(self.rank)), perm
+        if sorted(perm) != list(range(self.rank)):
+            raise BadPositions(perm)
         out = {tuple(k[p] for p in perm): c for k, c in self.terms.items()}
         return TensorElement(self.lie, self.rank, out)
 
     def flip(self):
-        assert self.rank == 2
         return self.permute((1, 0))
 
     def map_leg(self, idx, fn, out_rank_delta=0):
@@ -390,8 +396,6 @@ class TensorElement(_Terms):
         TensorElement; tensor results splice their legs in place."""
         if not 0 <= idx < self.rank:
             raise IndexOutOfRange(("leg", idx, self.rank))
-        rank = self.rank + out_rank_delta
-        assert 1 <= rank <= 3, rank
         out = {}
         for k, c in self.terms.items():
             img = fn(k[idx])
@@ -402,16 +406,15 @@ class TensorElement(_Terms):
             _add_terms(out, (
                 (k[:idx] + sub + k[idx + 1:], c * s) for sub, s in pieces.items()
             ))
-        return TensorElement(self.lie, rank, out)
+        return TensorElement(self.lie, self.rank + out_rank_delta, out)
 
-    def coproduct_leg(self, idx, coproduct=None):
-        """Apply a coproduct (default: the untwisted one) to leg idx."""
+    def coproduct_leg(self, idx):
+        """Apply the envelope's own coproduct to leg idx, monomial by
+        monomial."""
         lie = self.lie
-        if coproduct is None:
-            fn = lambda e: TensorElement(lie, 2, lie.coproduct_monomial(e))
-        else:
-            fn = lambda e: coproduct(lie.monomial(e))
-        return self.map_leg(idx, fn, out_rank_delta=1)
+        return self.map_leg(
+            idx, lambda e: TensorElement(lie, 2, lie.coproduct_monomial(e)), 1
+        )
 
     def counit_leg(self, idx):
         """Contract leg idx with the counit."""
@@ -442,7 +445,8 @@ class TensorElement(_Terms):
         return out
 
     def as_hopf(self):
-        assert self.rank == 1
+        if self.rank != 1:
+            raise RankMismatch(("as_hopf of a rank-%d tensor" % self.rank))
         return HopfElement(self.lie, {k[0]: c for k, c in self.terms.items()})
 
     def pairs(self):
@@ -466,15 +470,15 @@ class TensorElement(_Terms):
 
 
 class TriangularStructure:
-    """R-matrix with stored inverse; triviality shortcut for R = 1(x)1."""
+    """R-matrix with stored inverse; R = 1(x)1 when none is given."""
 
     __slots__ = ("lie", "R", "Rinv")
 
     def __init__(self, lie, R=None, Rinv=None):
         if R is None:
-            R = TensorElement.unit(lie, 2)
-            Rinv = TensorElement.unit(lie, 2)
-        assert Rinv is not None, "R given without inverse"
+            R = Rinv = TensorElement.unit(lie, 2)
+        if Rinv is None:
+            raise InverseWitnessInvalid("R given without inverse")
         if R.rank != 2 or Rinv.rank != 2:
             raise RankMismatch("R-matrix must have rank 2")
         self.lie = lie
@@ -485,9 +489,69 @@ class TriangularStructure:
         return "TriangularStructure(R=%r)" % (self.R,)
 
 
+class HopfStructure:
+    """The Hopf structure in force on an envelope: its own coproduct and
+    antipode, triangular with R = 1(x)1.  It is the twist of itself by
+    F = 1(x)1; twist.TwistedHopfData is the twist by any other F.  Each
+    class names its laws and antipode counterexample keys."""
+
+    __slots__ = ("lie", "triangular")
+    laws = ("(cop (x) id) cop = (id (x) cop) cop",
+            "(eps (x) id) cop = id = (id (x) eps) cop",
+            "mu(S (x) id)cop = eta eps = mu(id (x) S)cop")
+    antipode_keys = ("monomial", "mu(S(x)id)cop", "mu(id(x)S)cop", "eta eps")
+
+    def __init__(self, lie):
+        self.lie = lie
+        self.triangular = TriangularStructure(lie)
+
+    def coproduct(self, xi):
+        return xi.coproduct()
+
+    def antipode(self, xi):
+        return xi.antipode()
+
+    def coproduct_leg(self, tensor, idx):
+        """The coproduct in force applied to leg idx of a tensor."""
+        return tensor.coproduct_leg(idx)
+
+
 # ---------------------------------------------------------------------
 # verification suites
 # ---------------------------------------------------------------------
+
+
+def hopf_axioms(rep, hopf, depth, S):
+    """Coassociativity, counit and antipode (the map S) of the structure
+    `hopf` on every PBW monomial of degree <= depth, added to `rep`."""
+    lie = hopf.lie
+    monos = [lie.monomial(e) for e in lie.monomials_up_to(depth)]
+    coassociativity, counit, antipode = hopf.laws
+
+    def coassociative(xi):
+        cop = hopf.coproduct(xi)
+        return hopf.coproduct_leg(cop, 0) == hopf.coproduct_leg(cop, 1)
+
+    rep.check("coassociativity", coassociativity,
+              violations(("monomial",), product(monos), coassociative))
+
+    def counital(xi):
+        cop = hopf.coproduct(xi)
+        return cop.counit_leg(0).as_hopf() == xi and cop.counit_leg(1).as_hopf() == xi
+
+    rep.check("counit", counit, violations(("monomial",), product(monos), counital))
+
+    def antipode_cases():
+        for xi in monos:
+            cop = hopf.coproduct(xi)
+            target = lie.unit(xi.counit())
+            lhs = cop.map_leg(0, lambda m: S(lie.monomial(m))).contract()
+            rhs = cop.map_leg(1, lambda m: S(lie.monomial(m))).contract()
+            yield xi, lhs, rhs, target
+
+    rep.check("antipode", antipode,
+              violations(hopf.antipode_keys, antipode_cases(),
+                         lambda xi, lhs, rhs, target: lhs == target and rhs == target))
 
 
 def check_hopf(lie, depth=3, antipode_table=None):
@@ -513,36 +577,7 @@ def check_hopf(lie, depth=3, antipode_table=None):
             out = out + piece
         return out
 
-    monos = [lie.monomial(e) for e in lie.monomials_up_to(depth)]
-
-    def coassociative(xi):
-        cop = xi.coproduct()
-        return cop.coproduct_leg(0) == cop.coproduct_leg(1)
-
-    rep.check("coassociativity", "(cop (x) id) cop = (id (x) cop) cop",
-              violations(("monomial",), product(monos), coassociative))
-
-    def counital(xi):
-        cop = xi.coproduct()
-        left = cop.counit_leg(0).as_hopf()
-        right = cop.counit_leg(1).as_hopf()
-        return left == xi and right == xi
-
-    rep.check("counit", "(eps (x) id) cop = id = (id (x) eps) cop",
-              violations(("monomial",), product(monos), counital))
-
-    def antipode_cases():
-        for xi in monos:
-            cop = xi.coproduct()
-            target = lie.unit(xi.counit())
-            lhs = cop.map_leg(0, lambda m: S(lie.monomial(m))).contract()
-            rhs = cop.map_leg(1, lambda m: S(lie.monomial(m))).contract()
-            yield xi, lhs, rhs, target
-
-    rep.check("antipode", "mu(S (x) id)cop = eta eps = mu(id (x) S)cop",
-              violations(("monomial", "mu(S(x)id)cop", "mu(id(x)S)cop", "eta eps"),
-                         antipode_cases(),
-                         lambda xi, lhs, rhs, target: lhs == target and rhs == target))
+    hopf_axioms(rep, HopfStructure(lie), depth, S)
 
     small = lie.monomials_up_to(max(1, depth // 2 + 1))
     pairs = product(
@@ -559,22 +594,16 @@ def check_hopf(lie, depth=3, antipode_table=None):
     return rep
 
 
-def check_triangular(lie, tri, depth=3, coproduct=None):
-    """Quasi-cocommutativity, hexagons, unitarity and QYBE for R.
-
-    `coproduct` defaults to the untwisted one; passing the twisted
-    coproduct makes the same suite verify a twisted triangular pair."""
+def check_triangular(hopf, depth=3):
+    """Quasi-cocommutativity, hexagons, unitarity and QYBE of the
+    R-matrix of a Hopf structure against its coproduct."""
     rep = Report("triangular", {"depth": depth})
-    R, Rinv = tri.R, tri.Rinv
+    lie = hopf.lie
+    R, Rinv = hopf.triangular.R, hopf.triangular.Rinv
     unit2 = TensorElement.unit(lie, 2)
 
-    if coproduct is None:
-        cop = lambda h: h.coproduct()
-    else:
-        cop = coproduct
-
     def quasi_cocommutative(xi):
-        delta = cop(xi)
+        delta = hopf.coproduct(xi)
         return delta.flip() * R == R * delta
 
     rep.check("quasi-cocommutativity", "cop_op(xi) R = R cop(xi)", violations(
@@ -583,10 +612,10 @@ def check_triangular(lie, tri, depth=3, coproduct=None):
 
     r13 = R.embed(3, (0, 2))
     rep.check("hexagon-left", "(cop (x) id)(R) = R13 R23", violations(
-        ("lhs",), [(R.coproduct_leg(0, coproduct), r13 * R.embed(3, (1, 2)))],
+        ("lhs",), [(hopf.coproduct_leg(R, 0), r13 * R.embed(3, (1, 2)))],
         operator.eq))
     rep.check("hexagon-right", "(id (x) cop)(R) = R13 R12", violations(
-        ("lhs",), [(R.coproduct_leg(1, coproduct), r13 * R.embed(3, (0, 1)))],
+        ("lhs",), [(hopf.coproduct_leg(R, 1), r13 * R.embed(3, (0, 1)))],
         operator.eq))
 
     ok = R * Rinv == unit2 and Rinv * R == unit2

@@ -6,19 +6,19 @@ coordinates); PBW monomials act by composing generator actions
 left-to-right (leftmost factor outermost).  Compatibility with the
 bracket table is verified at construction.
 
-A ModuleAlgebra bundles the action with the product and triangular
-structure *in force*: the plain product with R = 1(x)1 for a classical
-instance, or the star product a * b = mu (Finv |> (a (x) b)) with
-R_F = F21 R Finv for a twisted instance.  The twisted instance is a
-module algebra over the twisted Hopf structure, so its coproduct and
-antipode (used by every braided formula downstream) are cop_F and S_F.
+A ModuleAlgebra bundles the action with the Hopf structure and product
+*in force*: the envelope's own structure (R = 1(x)1) and the plain
+product for a classical instance, or the twisted structure (R_F =
+F21 Finv) and the star product a * b = mu (Finv |> (a (x) b)) for a
+twisted instance, whose coproduct and antipode (used by every braided
+formula downstream) are cop_F and S_F.
 """
 
 import operator
 from itertools import product
 
 from .errors import ArityMismatch, BracketIncompatible, RingMismatch, UnknownModule
-from .hopf import TriangularStructure
+from .hopf import HopfStructure
 from .report import Report, hoisted, violations
 from .ring import AlgebraElement, _add_terms, _braid, _derive, _exponents_up_to, _leg_sum, _memo
 from .twist import Twist, TwistedHopfData
@@ -88,28 +88,22 @@ class Action:
 
 
 class ModuleAlgebra:
-    """Coordinate algebra + action + the product and R-matrix in force."""
+    """Coordinate algebra + action + the Hopf structure and product in
+    force; the one place that tells a twisted instance apart."""
 
-    def __init__(self, action, twist=None, base_triangular=None):
+    def __init__(self, action, twist=None):
         self.action = action
         self.lie = action.lie
         self.algebra = action.algebra
-        if base_triangular is None:
-            base_triangular = TriangularStructure(self.lie)
-        self.base_triangular = base_triangular
         if twist is None:
             twist = Twist.trivial(self.lie)
         self.twist = twist
-        if twist.is_trivial:
-            self.hopf_data = None
-            self.triangular = base_triangular
+        self.is_twisted = not twist.is_trivial
+        if self.is_twisted:
+            self.hopf = TwistedHopfData(self.lie, twist)
         else:
-            self.hopf_data = TwistedHopfData(self.lie, twist, base_triangular)
-            self.triangular = self.hopf_data.triangular
-
-    @property
-    def is_twisted(self):
-        return self.hopf_data is not None
+            self.hopf = HopfStructure(self.lie)
+        self.triangular = self.hopf.triangular
 
     def __repr__(self):
         return "ModuleAlgebra(%r, twisted=%r)" % (
@@ -120,14 +114,10 @@ class ModuleAlgebra:
     # -- Hopf structure in force --------------------------------------
 
     def coproduct(self, xi):
-        if self.hopf_data is not None:
-            return self.hopf_data.coproduct(xi)
-        return xi.coproduct()
+        return self.hopf.coproduct(xi)
 
     def antipode(self, xi):
-        if self.hopf_data is not None:
-            return self.hopf_data.antipode(xi)
-        return xi.antipode()
+        return self.hopf.antipode(xi)
 
     def act(self, xi, a):
         return self.action.act(xi, a)
@@ -135,7 +125,7 @@ class ModuleAlgebra:
     # -- product in force ----------------------------------------------
 
     def mul(self, a, b):
-        if self.hopf_data is None:
+        if not self.is_twisted:
             return a * b
         return self._star(a, b)
 

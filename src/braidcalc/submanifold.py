@@ -18,9 +18,10 @@ solve on the quotient.
 import operator
 from itertools import product
 
-from .calculus import Calculus
+from .calculus import Calculus, graded_family
 from .errors import (
     AxiomOneUnwitnessed,
+    IndexOutOfRange,
     NoBlockSplit,
     NotTangent,
     SchemaError,
@@ -43,9 +44,11 @@ class SubmanifoldIdeal:
     def __init__(self, algebra, normal_coords):
         self.algebra = algebra
         normal = tuple(sorted(set(normal_coords)))
-        assert normal, "ideal needs at least one normal coordinate"
+        if not normal:
+            raise SchemaError("the ideal needs a normal coordinate")
         for j in normal:
-            assert 0 <= j < algebra.arity, j
+            if not 0 <= j < algebra.arity:
+                raise IndexOutOfRange(("normal coordinate", j, algebra.arity))
         self.normal = normal
         self.tangent = tuple(
             j for j in range(algebra.arity) if j not in normal
@@ -87,9 +90,8 @@ class SubmanifoldIdeal:
             }
         return type(alg)(alg.ring, names, unit=unit)
 
-    def to_quotient(self, a, qalg=None):
-        if qalg is None:
-            qalg = self.quotient_algebra()
+    def to_quotient(self, a, qalg):
+        """The class of a in the quotient algebra qalg."""
         r = self.reduce(a)
         num = {
             tuple(e[j] for j in self.tangent): c for e, c in r.terms.items()
@@ -145,6 +147,7 @@ class Projection:
         assert ideal.algebra == cal.alg
         self.cal = cal
         self.ideal = ideal
+        self.depth = depth
         bad = ideal_invariance(cal.M, ideal, depth)
         if bad is not None:
             raise NotTangent(bad)
@@ -174,11 +177,7 @@ class Projection:
             for i in range(cal.lie.dim)
         }
         qaction = Action(cal.lie, qalg, qimages)
-        qM = ModuleAlgebra(
-            qaction,
-            twist=cal.M.twist,
-            base_triangular=cal.M.base_triangular,
-        )
+        qM = ModuleAlgebra(qaction, twist=cal.M.twist)
         if cal.frame.is_coordinate:
             qframe = None
         else:
@@ -329,40 +328,22 @@ def check_sequence(proj, coeff_degree=2):
     return rep
 
 
-def _form_family(proj, coeff_degree):
-    cal = proj.cal
-    words = [(u,) for u in range(cal.dim)]
-    words += [
-        (u, v) for u in range(cal.dim) for v in range(cal.dim) if u < v
-    ]
-    coeffs = [cal.alg.one()] + [
-        m
-        for m in coordinate_monomials(cal.alg, coeff_degree)
-        if not m.is_scalar()
-    ]
-    return [
-        cal.form(len(w), {w: c}) for w in words for c in coeffs
-    ]
-
-
-def projection_suite(proj, coeff_degree=2, depth=2):
-    """All commutation laws of the quotient map with the calculus."""
+def projection_suite(proj, coeff_degree=2):
+    """All commutation laws of the quotient map with the calculus, at
+    the Hopf monomial depth the projection was built with."""
     cal, ideal = proj.cal, proj.ideal
     q = proj.q
+    depth = proj.depth
     rep = Report(
         "projection",
         {"coeff_degree": coeff_degree, "depth": depth},
     )
-
-    rep.add(
-        "ideal-invariance",
-        "H |> C inside C",
-        ideal_invariance(cal.M, ideal, depth) is None,
-    )
+    # building the projection searched it at this depth (else NotTangent)
+    rep.add("ideal-invariance", "H |> C inside C", True)
 
     funcs = coordinate_monomials(cal.alg, coeff_degree)
     fields = field_family(cal, coeff_degree, frame=proj.tangent_idx)
-    forms = _form_family(proj, coeff_degree)
+    forms = graded_family(cal.form, cal.dim, (1, 2), funcs)
 
     rep.check("product", "pr(a b) = pr(a) pr(b)", violations(
         ("a", "b", "lhs", "rhs"),
@@ -457,5 +438,5 @@ def twist_projection_suite(cal, ideal, coeff_degree=2, depth=2):
     rep.check("classical-shadow", "quotient star = plain product at order 0",
               violations(("a", "b"), product(funcs, funcs), classical))
 
-    rep.extend(projection_suite(proj, coeff_degree, depth))
+    rep.extend(projection_suite(proj, coeff_degree))
     return rep, proj

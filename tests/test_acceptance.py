@@ -16,7 +16,7 @@ from braidcalc.geometry import (
     levi_civita,
     perturbation_suite,
 )
-from braidcalc.hopf import LieAlgebra, TensorElement, TriangularStructure
+from braidcalc.hopf import HopfStructure, LieAlgebra, TensorElement
 from braidcalc.hopf import check_hopf, check_triangular
 from braidcalc.modalg import (
     Action,
@@ -84,7 +84,7 @@ def test_hopf_and_triangular_suites_pass_at_depth_three():
     for lie in (abelian, heisenberg):
         require(check_hopf(lie, 3),
                 ("coassociativity", "counit", "antipode"))
-        require(check_triangular(lie, TriangularStructure(lie), 3),
+        require(check_triangular(HopfStructure(lie), 3),
                 ("quasi-cocommutativity", "hexagon-left", "hexagon-right",
                  "unitarity", "qybe"))
 

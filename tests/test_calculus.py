@@ -9,7 +9,6 @@ from braidcalc.calculus import (
     Calculus,
     cartan_suite,
     deformed_binary,
-    default_field_family,
     gauge_suite,
     gauge_transport,
     increasing_words,

@@ -12,9 +12,9 @@ import pytest
 
 from braidcalc.errors import JacobiViolation
 from braidcalc.hopf import (
+    HopfStructure,
     LieAlgebra,
     TensorElement,
-    TriangularStructure,
     check_hopf,
     check_triangular,
 )
@@ -204,7 +204,7 @@ class TestSuites:
 
     def test_check_triangular_trivial_r(self, abelian2, heisenberg):
         for lie in (abelian2, heisenberg):
-            rep = check_triangular(lie, TriangularStructure(lie), depth=3)
+            rep = check_triangular(HopfStructure(lie), depth=3)
             assert rep.passed, rep.to_text()
 
     def test_corrupted_antipode_fails_only_antipode(self, heisenberg):

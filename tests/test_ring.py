@@ -286,11 +286,13 @@ class TestTypedErrors:
             p for p in (src, env.get("PYTHONPATH")) if p)
         code = textwrap.dedent("""
             from braidcalc.errors import EngineError
-            from braidcalc.hopf import LieAlgebra
+            from braidcalc.hopf import LieAlgebra, TensorElement, TriangularStructure
             from braidcalc.ring import RATIONAL, PolyAlgebra, Ring
+            from braidcalc.submanifold import SubmanifoldIdeal
             series = Ring("series", 3)
             plane = PolyAlgebra(RATIONAL, ("x", "y"))
             lie = LieAlgebra(RATIONAL, ["X", "Y"])
+            unit2 = TensorElement.unit(lie, 2)
             print(__debug__)
             for case in (
                 lambda: RATIONAL.scalar(0.5),
@@ -306,6 +308,14 @@ class TestTypedErrors:
                 lambda: plane.monomial((1, -1)),
                 lambda: lie.monomial((1,)),
                 lambda: lie.monomial((0, -1)),
+                lambda: LieAlgebra(RATIONAL, ["X", "X"]),
+                lambda: LieAlgebra("rational", ["P"]),
+                lambda: TensorElement(lie, 5, {}),
+                lambda: unit2.as_hopf(),
+                lambda: unit2.permute((0, 0)),
+                lambda: TriangularStructure(lie, unit2),
+                lambda: SubmanifoldIdeal(plane, []),
+                lambda: SubmanifoldIdeal(plane, [2]),
             ):
                 try:
                     print("returned", case())
@@ -320,7 +330,10 @@ class TestTypedErrors:
             "False", "SchemaError", "SchemaError", "ArityMismatch", "WrongRing",
             "SchemaError", "SchemaError", "SchemaError",
             "IndexOutOfRange", "IndexOutOfRange", "ArityMismatch",
-            "IndexOutOfRange", "ArityMismatch", "IndexOutOfRange"]
+            "IndexOutOfRange", "ArityMismatch", "IndexOutOfRange",
+            "SchemaError", "WrongRing", "RankMismatch", "RankMismatch",
+            "BadPositions", "InverseWitnessInvalid", "SchemaError",
+            "IndexOutOfRange"]
 
 
 # =====================================================================

@@ -199,7 +199,7 @@ def test_field_application_through_projection():
 def test_projection_suite_classical():
     cal = ambient_cal()
     proj = Projection(cal, z_ideal(cal))
-    rep = projection_suite(proj, coeff_degree=2, depth=2)
+    rep = projection_suite(proj, coeff_degree=2)
     assert rep.passed, [c.name for c in rep.failing()]
 
 
