@@ -592,9 +592,12 @@ class Calculus:
         w = tuple(word[start:])
         return MultiVector(self, len(w), {w: self.alg.one()})
 
+    @_memo
     def schouten(self, X, Y):
         """Braided Schouten bracket, grade |X|+|Y|-1 (grade-0 pairs
-        give 0).  Each term's sign rides on its prefix factor."""
+        give 0).  Each term's sign rides on its prefix factor.  `bracket`
+        stays unmemoized: projections call it on many distinct fields,
+        and a memo would keep them all."""
         k, l = X.grade, Y.grade
         if k == 0 and l == 0:
             return self.zero_mv(0)
@@ -635,12 +638,13 @@ class Calculus:
                         restY = self._bare_suffix(wy, j)
 
                         def outer(Xa, midX):
+                            def inner(Ya, mid):
+                                b = self.bracket(Xa, Ya)
+                                return zero if b.is_zero() else b.wedge(mid).wedge(restY)
+
                             return _leg_sum(
                                 Rinv, self.h_act_exp,
-                                Yj, midX.wedge(restX).wedge(preY),
-                                lambda Ya, mid: self.bracket(Xa, Ya)
-                                .wedge(mid).wedge(restY),
-                                zero,
+                                Yj, midX.wedge(restX).wedge(preY), inner, zero,
                             )
 
                         out = _leg_sum(Rinv, self.h_act_exp, Xi, preX, outer, out)

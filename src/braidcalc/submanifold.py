@@ -21,9 +21,11 @@ from itertools import product
 from .calculus import Calculus, graded_family
 from .errors import (
     AxiomOneUnwitnessed,
+    GradeMismatch,
     IndexOutOfRange,
     NoBlockSplit,
     NotTangent,
+    RingMismatch,
     SchemaError,
 )
 from .geometry import Connection, Metric, field_family, levi_civita
@@ -65,7 +67,9 @@ class SubmanifoldIdeal:
 
     def reduce(self, a):
         """Normal form of an ambient element modulo the ideal."""
-        assert a.algebra == self.algebra
+        if not isinstance(a, AlgebraElement) or a.algebra != self.algebra:
+            raise RingMismatch(("element of another algebra", self.algebra,
+                                getattr(a, "algebra", a)))
         num = {
             e: c
             for e, c in a.terms.items()
@@ -144,7 +148,8 @@ class Projection:
     """
 
     def __init__(self, cal, ideal, depth=2):
-        assert ideal.algebra == cal.alg
+        if ideal.algebra != cal.alg:
+            raise RingMismatch(("ideal over another algebra", ideal.algebra, cal.alg))
         self.cal = cal
         self.ideal = ideal
         self.depth = depth
@@ -242,7 +247,8 @@ class Projection:
     def metric(self, metric):
         """Tangent block of a block metric; NoBlockSplit when a mixed
         entry sits outside the ideal."""
-        assert metric.cal is self.cal
+        if metric.cal is not self.cal:
+            raise RingMismatch(("metric of another calculus", metric.cal.alg))
         for u in self.tangent_idx:
             for n in self.normal_idx:
                 if not (
@@ -259,7 +265,8 @@ class Projection:
     def connection(self, conn):
         """Tangent block of a connection: the metric-orthogonal
         projection of a block-split geometry."""
-        assert conn.cal is self.cal
+        if conn.cal is not self.cal:
+            raise RingMismatch(("connection of another calculus", conn.cal.alg))
         gamma = [
             [
                 [
@@ -277,7 +284,8 @@ def axiom_one_witness(proj, X):
     """Exhibit a projection-kernel field as an ideal-coefficient
     combination of frame fields.  Raises AxiomOneUnwitnessed when some
     coefficient sits outside the ideal."""
-    assert X.kind == "mv" and X.grade == 1
+    if X.kind != "mv" or X.grade != 1:
+        raise GradeMismatch(("kernel witness needs a grade-1 field", X.kind, X.grade))
     out = []
     for (u,), c in X.terms.items():
         if not proj.ideal.contains(c):

@@ -1,7 +1,9 @@
 """Cartan calculus engine: frozen classical values, independent
 evaluation oracles, braided identities and gauge transports."""
 
-
+import json
+from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -11,11 +13,13 @@ from braidcalc.calculus import (
     deformed_binary,
     gauge_suite,
     gauge_transport,
+    graded_family,
     increasing_words,
     merge_words,
     object_h0,
     schouten_suite,
 )
+from braidcalc.cli import Scenario
 from braidcalc.errors import (
     FramePairingSingular,
     GradeMismatch,
@@ -623,6 +627,37 @@ def test_schouten_with_function_first(make):
                     aa = cal.h_act_exp(t2, a)
                     rhs = rhs - cal.wedge(Ya, cal.schouten(aa, Z)).scale(c)
                 assert cal.schouten(a, cal.wedge(Y, Z)) == rhs, (m, Y, Z)
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "moyal", "heisenberg-twisted",
+                                  "abelian-plane"])
+def test_schouten_braided_graded_jacobi(name):
+    """[[X,[[Y,Z]]]] = [[[[X,Y]],Z]]
+    + (-1)^{(k-1)(l-1)} sum [[Rinv1 |> Y, [[Rinv2 |> X, Z]]]]
+    on the schouten suite's grade-1 and grade-2 fields of a bundled
+    scenario, over every triple of total grade <= 5 (702 of them)."""
+    path = Path(__file__).resolve().parent.parent / "scenarios" / (name + ".json")
+    cal = Scenario(json.loads(path.read_text())).calculus()
+    fields = graded_family(cal.mv, cal.dim, (1, 2),
+                           coordinate_monomials(cal.alg, 1))
+    Rinv = cal.M.triangular.Rinv.terms
+    checked = 0
+    for X, Y, Z in product(fields, repeat=3):
+        k, l = X.grade, Y.grade
+        if k + l + Z.grade > 5:
+            continue
+        braided = cal.zero_mv(k + l + Z.grade - 2)
+        for (t1, t2), c in Rinv.items():
+            Ya = cal.h_act_exp(t1, Y)
+            Xa = cal.h_act_exp(t2, X)
+            if Ya.is_zero() or Xa.is_zero():
+                continue
+            braided = braided + cal.schouten(Ya, cal.schouten(Xa, Z)).scale(c)
+        rhs = cal.schouten(cal.schouten(X, Y), Z)
+        rhs = rhs - braided if (k - 1) * (l - 1) % 2 else rhs + braided
+        assert cal.schouten(X, cal.schouten(Y, Z)) == rhs, (X, Y, Z)
+        checked += 1
+    assert checked == 702
 
 
 # ---------------------------------------------------------------------

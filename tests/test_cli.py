@@ -147,6 +147,22 @@ def test_main_pass_exit_zero(capsys):
     assert "OVERALL: PASS" in out
 
 
+@pytest.mark.parametrize("name", ["abelian-plane", "curved-metric",
+                                  "heisenberg-twisted", "heisenberg", "moyal",
+                                  "surface-twisted", "surface"])
+def test_all_passes_on_working_scenario(capsys, name):
+    """`all` runs every suite of a working bundled scenario, project
+    included, and every check passes in both formats."""
+    path = str(SCENARIOS / (name + ".json"))
+    assert main(["all", path]) == 0
+    assert "OVERALL: PASS" in capsys.readouterr().out
+    assert main(["all", path, "--format", "structured"]) == 0
+    out = json.loads(capsys.readouterr().out)
+    failing = [(r["title"], c["name"]) for r in out["reports"]
+               for c in r["checks"] if not c["passed"]]
+    assert out["passed"] and not failing, failing
+
+
 def test_main_failure_exit_one(capsys):
     code = main(["all", str(SCENARIOS / "falsification" / "wrong-antipode.json")])
     out = capsys.readouterr().out

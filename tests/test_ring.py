@@ -285,14 +285,28 @@ class TestTypedErrors:
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (src, env.get("PYTHONPATH")) if p)
         code = textwrap.dedent("""
+            from braidcalc.calculus import Calculus
             from braidcalc.errors import EngineError
+            from braidcalc.geometry import Connection, Metric
             from braidcalc.hopf import LieAlgebra, TensorElement, TriangularStructure
+            from braidcalc.modalg import Action, ModuleAlgebra
             from braidcalc.ring import RATIONAL, PolyAlgebra, Ring
-            from braidcalc.submanifold import SubmanifoldIdeal
+            from braidcalc.submanifold import Projection, SubmanifoldIdeal, axiom_one_witness
             series = Ring("series", 3)
             plane = PolyAlgebra(RATIONAL, ("x", "y"))
             lie = LieAlgebra(RATIONAL, ["X", "Y"])
             unit2 = TensorElement.unit(lie, 2)
+
+            def x_translation(alg):
+                act = Action(LieAlgebra(RATIONAL, ["P"]), alg,
+                             {0: (alg.one(), alg.zero())})
+                return Calculus(ModuleAlgebra(act))
+
+            cal = x_translation(plane)
+            other = x_translation(PolyAlgebra(RATIONAL, ("u", "v")))
+            ideal = SubmanifoldIdeal(plane, [1])
+            proj = Projection(cal, ideal)
+            one, zero = other.alg.one(), other.alg.zero()
             print(__debug__)
             for case in (
                 lambda: RATIONAL.scalar(0.5),
@@ -321,19 +335,37 @@ class TestTypedErrors:
                     print("returned", case())
                 except EngineError as exc:
                     print(type(exc).__name__)
+            # these guards name the contract, which a deeper arithmetic
+            # mismatch of the same class would not
+            for case in (
+                lambda: ideal.reduce(other.alg.coord(0)),
+                lambda: Projection(other, ideal),
+                lambda: proj.metric(Metric(other, [[one, zero], [zero, one]])),
+                lambda: proj.connection(Connection(other, [[[zero] * 2] * 2] * 2)),
+                lambda: axiom_one_witness(proj, cal.mv(2, {(0, 1): cal.alg.one()})),
+            ):
+                try:
+                    print("returned", case())
+                except EngineError as exc:
+                    print("%s: %s" % (type(exc).__name__, exc.args[0][0]))
         """)
         got = subprocess.run([sys.executable, "-O", "-c", code],
                              capture_output=True, text=True, env=env,
                              timeout=300)
         assert got.returncode == 0, got.stderr
-        assert got.stdout.split() == [
+        assert got.stdout.splitlines() == [
             "False", "SchemaError", "SchemaError", "ArityMismatch", "WrongRing",
             "SchemaError", "SchemaError", "SchemaError",
             "IndexOutOfRange", "IndexOutOfRange", "ArityMismatch",
             "IndexOutOfRange", "ArityMismatch", "IndexOutOfRange",
             "SchemaError", "WrongRing", "RankMismatch", "RankMismatch",
             "BadPositions", "InverseWitnessInvalid", "SchemaError",
-            "IndexOutOfRange"]
+            "IndexOutOfRange",
+            "RingMismatch: element of another algebra",
+            "RingMismatch: ideal over another algebra",
+            "RingMismatch: metric of another calculus",
+            "RingMismatch: connection of another calculus",
+            "GradeMismatch: kernel witness needs a grade-1 field"]
 
 
 # =====================================================================
