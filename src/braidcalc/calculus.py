@@ -229,7 +229,7 @@ class Frame:
         out = []
         for j in range(self.alg.arity):
             tot = self.alg.zero()
-            for (l, r), c in cop.terms.items():
+            for l, r, c in cop.pairs():
                 inner = M.act(
                     M.antipode(self.lie.monomial(r)), self.alg.coord(j)
                 )
@@ -452,8 +452,7 @@ class Calculus:
 
     @_memo
     def cop_pairs(self, exp):
-        cop = self.M.coproduct(self.lie.monomial(exp))
-        return tuple((l, r, c) for (l, r), c in cop.terms.items())
+        return self.M.coproduct(self.lie.monomial(exp)).pairs()
 
     # -- Hopf action on graded objects -------------------------------------
 

@@ -9,6 +9,7 @@ The torsion-free metric connection is solved for by right-contracting
 the Koszul combination with that inverse.
 """
 
+import functools
 import operator
 from fractions import Fraction
 from itertools import product
@@ -90,7 +91,7 @@ class Connection:
         out = {}
         for (v,), d in s.terms.items():
             _add_terms(out, (((v,), cal.apply_field(X, d)),))
-            for (t1, t2), c in cal.M.triangular.Rinv.terms.items():
+            for t1, t2, c in cal.M.triangular.Rinv.pairs():
                 da = cal.M.action.act_monomial(t1, d)
                 if da.is_zero():
                     continue
@@ -343,16 +344,19 @@ def levi_civita(metric):
 
 
 def _metricity_violations(conn, metric, fields):
-    """Braided-metricity counterexamples over the family."""
+    """Braided-metricity counterexamples over the family.  The fields^3
+    search meets each derivative and metric value many times, so both
+    are cached for as long as this search lives."""
     cal = conn.cal
     Rinv = cal.M.triangular.Rinv.pairs()
+    nabla, g = functools.cache(conn.nabla), functools.cache(metric)
 
     def metric_compatible(X, Y, Z):
-        lhs = cal.apply_field(X, metric(Y, Z))
+        lhs = cal.apply_field(X, g(Y, Z))
         return lhs == _leg_sum(
             Rinv, cal.h_act_exp, Y, X,
-            lambda Ya, Xa: metric(Ya, conn.nabla(Xa, Z)),
-            metric(conn.nabla(X, Y), Z),
+            lambda Ya, Xa: g(Ya, nabla(Xa, Z)),
+            g(nabla(X, Y), Z),
         )
 
     return violations(("X", "Y", "Z"), product(fields, fields, fields),

@@ -38,6 +38,7 @@ from .ring import (
     Ring,
     Scalar,
     _Terms,
+    _accumulate,
     _add_terms,
     _exponent,
     _exponents_up_to,
@@ -123,7 +124,7 @@ class LieAlgebra:
     # -- PBW normalization --------------------------------------------
 
     def normalize_word(self, word):
-        """Word of generator indices -> {exponent tuple: Scalar}.
+        """Word of generator indices -> its PBW normal form, a HopfElement.
 
         Straightens by swapping the first descent, x_b x_a = x_a x_b +
         [x_b, x_a], with an explicit stack of words still to normalize,
@@ -144,7 +145,7 @@ class LieAlgebra:
                     if not 0 <= i < self.dim:
                         raise IndexOutOfRange(("generator", i, self.dim))
                     exp[i] += 1
-                table[(w,)] = {tuple(exp): self.ring.one()}
+                table[(w,)] = HopfElement(self, {tuple(exp): self.ring._one}, 1)
                 todo.pop()
                 continue
             a, b = w[p], w[p + 1]
@@ -156,22 +157,19 @@ class LieAlgebra:
             if missing:
                 todo.extend(reversed(missing))
                 continue
-            table[(w,)] = _add_terms(dict(table[(swapped,)]), (
-                (e, c * s)
-                for c, u in terms
-                for e, s in table[(u,)].items()
-            ))
+            out = table[(swapped,)]
+            for c, u in terms:
+                out = out + table[(u,)].scale(c)
+            table[(w,)] = out
             todo.pop()
         return table[(word,)]
 
-    def monomial_product(self, ea, eb):
-        """Product of two PBW monomials as {exponent tuple: Scalar}."""
-        if self.is_abelian:
-            return {tuple(a + b for a, b in zip(ea, eb)): self.ring.one()}
-        return self._monomial_product(ea, eb)
-
     @_memo
-    def _monomial_product(self, ea, eb):
+    def monomial_product(self, ea, eb):
+        """Product of two PBW monomials as a HopfElement."""
+        if self.is_abelian:
+            return HopfElement(self, {tuple(map(operator.add, ea, eb)):
+                                      self.ring._one}, 1)
         return self.normalize_word(_exp_to_word(ea) + _exp_to_word(eb))
 
     # -- element constructors -----------------------------------------
@@ -180,21 +178,22 @@ class LieAlgebra:
         return HopfElement(self, {})
 
     def unit(self, scalar=None):
-        s = self.ring.one() if scalar is None else scalar
-        return HopfElement(self, {(0,) * self.dim: s})
+        if scalar is None:
+            return HopfElement(self, {(0,) * self.dim: self.ring._one}, 1)
+        return HopfElement(self, {(0,) * self.dim: scalar})
 
     def gen(self, i):
         if not 0 <= i < self.dim:
             raise IndexOutOfRange(("generator", i, self.dim))
         e = [0] * self.dim
         e[i] = 1
-        return HopfElement(self, {tuple(e): self.ring.one()})
+        return HopfElement(self, {tuple(e): self.ring._one}, 1)
 
     def monomial(self, exp, coeff=None):
         exp = _exponent(exp, self.dim)
-        return HopfElement(
-            self, {exp: self.ring.one() if coeff is None else coeff}
-        )
+        if coeff is None:
+            return HopfElement(self, {exp: self.ring._one}, 1)
+        return HopfElement(self, {exp: coeff})
 
     def monomials_up_to(self, depth):
         """All PBW exponent tuples of total degree <= depth."""
@@ -204,44 +203,43 @@ class LieAlgebra:
 
     @_memo
     def coproduct_monomial(self, exp):
-        """cop(x^exp): {(left exp, right exp): Scalar}; legs stay PBW
-        because generator factors are multiplied in increasing order."""
+        """cop(x^exp) as a rank-2 TensorElement; legs stay PBW because
+        generator factors are multiplied in increasing order."""
         zero = (0,) * self.dim
-        terms = {(zero, zero): self.ring.one()}
+        terms = {(zero, zero): self.ring._one}
         for i, a in enumerate(exp):
             if a == 0:
                 continue
-            binoms = [self.ring.scalar(comb(a, j)) for j in range(a + 1)]
             # distinct keys: leg i of every term is still empty
             terms = {
                 (l[:i] + (j,) + l[i + 1:], r[:i] + (a - j,) + r[i + 1:]):
-                    c * binom
-                for j, binom in enumerate(binoms)
-                for (l, r), c in terms.items()
+                    tuple(x * comb(a, j) for x in n)
+                for j in range(a + 1)
+                for (l, r), n in terms.items()
             }
-        return terms
+        return TensorElement(self, 2, terms, 1)
 
     @_memo
     def antipode_monomial(self, exp):
         """S(x^exp) = (-1)^deg * reversed word, PBW-normalized."""
         word = _exp_to_word(exp)
         res = self.normalize_word(tuple(reversed(word)))
-        sign = self.ring.scalar(-1 if len(word) % 2 else 1)
-        return {e: c * sign for e, c in res.items()}
+        return -res if len(word) % 2 else res
 
 
 class HopfElement(_Terms):
-    """Envelope element: {PBW exponent tuple: Scalar}."""
+    """Envelope element: {PBW exponent tuple: Scalar}, stored
+    fraction-free (see ring._Terms)."""
 
     __slots__ = ("lie", "_data")
     _ring = operator.attrgetter("lie.ring")
 
-    def __init__(self, lie, terms):
+    def __init__(self, lie, terms, den=None):
         self.lie = self._data = lie
-        _Terms.__init__(self, terms)
+        _Terms.__init__(self, terms, den)
 
-    def _like(self, terms):
-        return HopfElement(self.lie, terms)
+    def _like(self, terms, den=None):
+        return HopfElement(self.lie, terms, den)
 
     def _check(self, other):
         if not isinstance(other, HopfElement) or other.lie is not self.lie:
@@ -250,38 +248,44 @@ class HopfElement(_Terms):
     def __mul__(self, other):
         self._check(other)
         prod = self.lie.monomial_product
-
-        def terms():
-            for ea, ca in self.terms.items():
-                for eb, cb in other.terms.items():
-                    c = ca * cb
-                    if not c.is_zero():
-                        for e, s in prod(ea, eb).items():
-                            yield e, c * s
-
-        return HopfElement(self.lie, _add_terms({}, terms()))
+        mul, add = self.lie.ring._mul, self.lie.ring._add
+        out, den = {}, 1
+        for ea, na in self._map.items():
+            for eb, nb in other._map.items():
+                c = mul(na, nb)
+                if any(c):
+                    p = prod(ea, eb)
+                    out, den = _accumulate(
+                        out, den, ((e, mul(c, s)) for e, s in p._map.items()),
+                        p._den, add)
+        return HopfElement(self.lie, out, den * self._den * other._den)
 
     def _expand(self, images):
-        """Sum of c * images(e) over the terms c x^e, as a term map."""
-        return _add_terms({}, (
-            (k, c * s)
-            for e, c in self.terms.items()
-            for k, s in images(e).items()
-        ))
+        """Sum of c * images(e) over the terms c x^e, `images` giving
+        elements, as (numerator map, denominator)."""
+        mul, add = self.lie.ring._mul, self.lie.ring._add
+        out, den = {}, 1
+        for e, n in self._map.items():
+            img = images(e)
+            out, den = _accumulate(
+                out, den, ((k, mul(n, s)) for k, s in img._map.items()),
+                img._den, add)
+        return out, den * self._den
 
     # -- Hopf maps ----------------------------------------------------
 
     def coproduct(self):
         return TensorElement(
-            self.lie, 2, self._expand(self.lie.coproduct_monomial)
+            self.lie, 2, *self._expand(self.lie.coproduct_monomial)
         )
 
     def counit(self):
-        zero = (0,) * self.lie.dim
-        return self.terms.get(zero, self.lie.ring.zero())
+        ring = self.lie.ring
+        n = self._map.get((0,) * self.lie.dim)
+        return ring.zero() if n is None else Scalar(ring, n, self._den)
 
     def antipode(self):
-        return HopfElement(self.lie, self._expand(self.lie.antipode_monomial))
+        return HopfElement(self.lie, *self._expand(self.lie.antipode_monomial))
 
     def series_inverse(self):
         """Invert 1 + O(h) elements by a terminating Neumann series."""
@@ -296,42 +300,44 @@ class HopfElement(_Terms):
 
 
 class TensorElement(_Terms):
-    """Rank 1..3 tensor over the envelope: {tuple of exponent tuples: Scalar}."""
+    """Rank 1..3 tensor over the envelope: {tuple of exponent tuples:
+    Scalar}, stored fraction-free (see ring._Terms)."""
 
     __slots__ = ("lie", "rank", "_data", "_pairs")
     _ring = operator.attrgetter("lie.ring")
 
-    def __init__(self, lie, rank, terms):
+    def __init__(self, lie, rank, terms, den=None):
         if not 1 <= rank <= 3:
             raise RankMismatch(("tensor rank must be 1..3", rank))
         self.lie = lie
         self.rank = rank
         self._data = (lie, rank)
-        _Terms.__init__(self, terms)
+        _Terms.__init__(self, terms, den)
         self._pairs = None
 
-    def _like(self, terms):
-        return TensorElement(self.lie, self.rank, terms)
+    def _like(self, terms, den=None):
+        return TensorElement(self.lie, self.rank, terms, den)
 
     @classmethod
     def unit(cls, lie, rank):
         zero = (0,) * lie.dim
-        return cls(lie, rank, {(zero,) * rank: lie.ring.one()})
+        return cls(lie, rank, {(zero,) * rank: lie.ring._one}, 1)
 
     @classmethod
     def from_factors(cls, *factors):
         """Pure tensor p1 (x) p2 (x) ... from HopfElements."""
         lie = factors[0].lie
-        out = {(): lie.ring.one()}
+        mul = lie.ring._mul
+        out, den = {(): lie.ring._one}, 1
         for f in factors:
             new = {}
             for key, c in out.items():
-                for e, s in f.terms.items():
-                    v = c * s
-                    if not v.is_zero():
+                for e, s in f._map.items():
+                    v = mul(c, s)
+                    if any(v):
                         new[key + (e,)] = v
-            out = new
-        return cls(lie, len(factors), out)
+            out, den = new, den * f._den
+        return cls(lie, len(factors), out, den)
 
     def _check(self, other):
         if not isinstance(other, TensorElement) or other.lie is not self.lie:
@@ -343,24 +349,27 @@ class TensorElement(_Terms):
         """Legwise product, each leg PBW-renormalized."""
         self._check(other)
         prod = self.lie.monomial_product
-
-        def terms():
-            for ka, ca in self.terms.items():
-                for kb, cb in other.terms.items():
-                    c = ca * cb
-                    if c.is_zero():
-                        continue
-                    # distribute the per-leg products (distinct keys)
-                    partial = {(): c}
-                    for leg in range(self.rank):
-                        partial = {
-                            pk + (e,): pc * s
-                            for pk, pc in partial.items()
-                            for e, s in prod(ka[leg], kb[leg]).items()
-                        }
-                    yield from partial.items()
-
-        return TensorElement(self.lie, self.rank, _add_terms({}, terms()))
+        mul, add = self.lie.ring._mul, self.lie.ring._add
+        out, den = {}, 1
+        for ka, na in self._map.items():
+            for kb, nb in other._map.items():
+                c = mul(na, nb)
+                if not any(c):
+                    continue
+                # distribute the per-leg products (distinct keys); zero
+                # numerators of a truncated product drop in the fold
+                partial, d = {(): c}, 1
+                for leg in range(self.rank):
+                    p = prod(ka[leg], kb[leg])
+                    partial = {
+                        pk + (e,): mul(pc, s)
+                        for pk, pc in partial.items()
+                        for e, s in p._map.items()
+                    }
+                    d *= p._den
+                out, den = _accumulate(out, den, partial.items(), d, add)
+        return TensorElement(self.lie, self.rank, out,
+                             den * self._den * other._den)
 
     # -- leg surgery ----------------------------------------------------
 
@@ -373,20 +382,20 @@ class TensorElement(_Terms):
             raise BadPositions((positions, rank))
         zero = (0,) * self.lie.dim
         out = {}
-        for k, c in self.terms.items():
+        for k, n in self._map.items():
             key = [zero] * rank
             for leg, p in enumerate(positions):
                 key[p] = k[leg]
-            out[tuple(key)] = c
-        return TensorElement(self.lie, rank, out)
+            out[tuple(key)] = n
+        return TensorElement(self.lie, rank, out, self._den)
 
     def permute(self, perm):
         """New tensor with leg i of the result = leg perm[i] of self."""
         perm = tuple(perm)
         if sorted(perm) != list(range(self.rank)):
             raise BadPositions(perm)
-        out = {tuple(k[p] for p in perm): c for k, c in self.terms.items()}
-        return TensorElement(self.lie, self.rank, out)
+        out = {tuple(k[p] for p in perm): n for k, n in self._map.items()}
+        return TensorElement(self.lie, self.rank, out, self._den)
 
     def flip(self):
         return self.permute((1, 0))
@@ -396,74 +405,74 @@ class TensorElement(_Terms):
         TensorElement; tensor results splice their legs in place."""
         if not 0 <= idx < self.rank:
             raise IndexOutOfRange(("leg", idx, self.rank))
-        out = {}
-        for k, c in self.terms.items():
+        mul, add = self.lie.ring._mul, self.lie.ring._add
+        out, den = {}, 1
+        for k, n in self._map.items():
             img = fn(k[idx])
+            pieces = img._map.items()
             if isinstance(img, HopfElement):
-                pieces = {(e,): s for e, s in img.terms.items()}
-            else:
-                pieces = img.terms
-            _add_terms(out, (
-                (k[:idx] + sub + k[idx + 1:], c * s) for sub, s in pieces.items()
-            ))
-        return TensorElement(self.lie, self.rank + out_rank_delta, out)
+                pieces = (((e,), s) for e, s in pieces)
+            out, den = _accumulate(out, den, (
+                (k[:idx] + sub + k[idx + 1:], mul(n, s)) for sub, s in pieces
+            ), img._den, add)
+        return TensorElement(self.lie, self.rank + out_rank_delta, out,
+                             den * self._den)
 
     def coproduct_leg(self, idx):
         """Apply the envelope's own coproduct to leg idx, monomial by
         monomial."""
-        lie = self.lie
-        return self.map_leg(
-            idx, lambda e: TensorElement(lie, 2, lie.coproduct_monomial(e)), 1
-        )
+        return self.map_leg(idx, self.lie.coproduct_monomial, 1)
 
     def counit_leg(self, idx):
         """Contract leg idx with the counit."""
         zero = (0,) * self.lie.dim
         if self.rank == 1:
             raise RankMismatch("cannot drop the only leg")
-        out = _add_terms({}, (
-            (k[:idx] + k[idx + 1:], c)
-            for k, c in self.terms.items()
-            if k[idx] == zero
-        ))
-        return TensorElement(self.lie, self.rank - 1, out)
+        # distinct keys: the dropped leg is zero in every kept term
+        out = {k[:idx] + k[idx + 1:]: n
+               for k, n in self._map.items() if k[idx] == zero}
+        return TensorElement(self.lie, self.rank - 1, out, self._den)
 
     def antipode_leg(self, idx):
-        lie = self.lie
-        return self.map_leg(
-            idx, lambda e: HopfElement(lie, lie.antipode_monomial(e))
-        )
+        return self.map_leg(idx, self.lie.antipode_monomial)
 
     def contract(self):
         """Multiply all legs together into one HopfElement."""
-        out = self.lie.zero()
-        for k, c in self.terms.items():
-            piece = self.lie.unit(c)
+        lie = self.lie
+        zero = (0,) * lie.dim
+        out = lie.zero()
+        for k, n in self._map.items():
+            piece = HopfElement(lie, {zero: n}, self._den)
             for e in k:
-                piece = piece * self.lie.monomial(e)
+                piece = piece * lie.monomial(e)
             out = out + piece
         return out
 
     def as_hopf(self):
         if self.rank != 1:
             raise RankMismatch(("as_hopf of a rank-%d tensor" % self.rank))
-        return HopfElement(self.lie, {k[0]: c for k, c in self.terms.items()})
+        return HopfElement(self.lie, {k[0]: n for k, n in self._map.items()},
+                           self._den)
 
     def pairs(self):
         """Rank-2 terms as (left exponent, right exponent, Scalar)
-        triples, the legs `ring._leg_sum` takes; built once per tensor."""
+        triples, the legs `ring._leg_sum` takes; built once per tensor,
+        as the scaling of a whole element takes a Scalar."""
         if self.rank != 2:
             raise RankMismatch("pairs of a rank-%d tensor" % self.rank)
         if self._pairs is None:
-            self._pairs = tuple((l, r, c) for (l, r), c in self.terms.items())
+            ring, den = self.lie.ring, self._den
+            self._pairs = tuple((l, r, Scalar(ring, n, den))
+                                for (l, r), n in self._map.items())
         return self._pairs
 
     def __repr__(self):
-        if not self.terms:
+        terms = self.terms
+        if not terms:
             return "0"
         parts = []
-        for k in sorted(self.terms):
-            c = self.terms[k]
+        for k in sorted(terms):
+            c = terms[k]
             legs = " (x) ".join(repr(self.lie.monomial(e)) for e in k)
             parts.append("%s * [%s]" % (c, legs))
         return " + ".join(parts)

@@ -20,7 +20,16 @@ from itertools import product
 from .errors import ArityMismatch, BracketIncompatible, RingMismatch, UnknownModule
 from .hopf import HopfStructure
 from .report import Report, hoisted, violations
-from .ring import AlgebraElement, _add_terms, _braid, _derive, _exponents_up_to, _leg_sum, _memo
+from .ring import (
+    AlgebraElement,
+    _accumulate,
+    _braid,
+    _derive,
+    _exponents_up_to,
+    _leg_sum,
+    _lowest,
+    _memo,
+)
 from .twist import Twist, TwistedHopfData
 
 
@@ -151,27 +160,32 @@ class ModuleAlgebra:
 
 def expand_pairs(pairs):
     """Canonical form of a sum of pure tensors of algebra elements,
-    multivectors or forms, for equality."""
-    return _add_terms({}, (
-        ((ku, kv), cu * cv)
-        for u, v in pairs
-        for ku, cu in _basis_terms(u)
-        for kv, cv in _basis_terms(v)
-    ))
+    multivectors or forms, for equality: a numerator map over one
+    denominator, in lowest terms."""
+    out, den = {}, 1
+    for u, v in pairs:
+        for ku, a in _basis_terms(u):
+            for kv, b in _basis_terms(v):
+                ring = a.algebra.ring
+                mul = ring._mul
+                out, den = _accumulate(out, den, (
+                    ((ku + (ea, a.du), kv + (eb, b.du)), mul(na, nb))
+                    for ea, na in a._map.items()
+                    for eb, nb in b._map.items()
+                ), a._den * b._den, ring._add)
+    return _lowest(out, den)
 
 
 def _basis_terms(obj):
-    """(basis key, Scalar) pairs of obj; multivectors and forms are told
-    apart by their kind, as their classes live in calculus, above here."""
+    """(basis key, AlgebraElement coefficient) pairs of obj; the key is
+    completed by each exponent of the coefficient and its unit power.
+    Multivectors and forms are told apart by their kind, as their
+    classes live in calculus, above here."""
     if isinstance(obj, AlgebraElement):
-        return [(("alg", e, obj.du), c) for e, c in obj.terms.items()]
+        return [(("alg",), obj)]
     if getattr(obj, "kind", None) not in ("mv", "form"):
         raise UnknownModule(type(obj))
-    return [
-        ((obj.kind, obj.grade, w, e, coeff.du), c)
-        for w, coeff in obj.terms.items()
-        for e, c in coeff.terms.items()
-    ]
+    return [((obj.kind, obj.grade, w), coeff) for w, coeff in obj.terms.items()]
 
 
 # ---------------------------------------------------------------------

@@ -9,13 +9,21 @@ Which ring is in force is a run-time value carried by every Scalar;
 mixing rings raises RingMismatch.
 
 _Terms is the sparse linear combination {basis key: coefficient} that
-every element type of the engine builds on.  AlgebraElement is the one
-defined here: a sparse polynomial in commuting coordinates with Scalar
-coefficients, stored as {exponent tuple: Scalar}.  An algebra may
-declare one unit polynomial u; elements are then fractions
-terms / u^du, canonicalized by exact division of the numerator by u.
-This is the smallest extension of the plain polynomial ring in which
-metrics like diag(1, 1+x^2) admit exact two-sided inverse witnesses.
+every element type of the engine builds on.  The elements with Scalar
+coefficients (AlgebraElement here, HopfElement and TensorElement in
+hopf) lift the Scalar layout to the whole element: a map {basis key:
+tuple of int numerators} over one positive int denominator shared by
+every term, in lowest terms, so that their sums, products and scalings
+run on ints and build no Scalar per term.  Their `terms` is a read-only
+{key: Scalar} view, built on demand for printing, ring changes and
+inverses.
+
+AlgebraElement is a sparse polynomial in commuting coordinates, keyed
+by exponent tuples.  An algebra may declare one unit polynomial u;
+elements are then fractions terms / u^du, canonicalized by exact
+division of the numerator by u.  This is the smallest extension of the
+plain polynomial ring in which metrics like diag(1, 1+x^2) admit exact
+two-sided inverse witnesses.
 
 Everything here is immutable after construction; all operations are
 pure and return fresh objects.
@@ -25,6 +33,8 @@ import functools
 import math
 import operator
 from fractions import Fraction
+from itertools import chain
+from types import MappingProxyType
 
 from .errors import (
     ArityMismatch,
@@ -68,6 +78,109 @@ def _add_terms(out, pairs):
         else:
             out[k] = v
     return out
+
+
+def _mul1(a, b):
+    return (a[0] * b[0],)
+
+
+def _add1(a, b):
+    return (a[0] + b[0],)
+
+
+def _series_mul(a, b):
+    """Product of two numerator tuples, truncated mod h^len(a)."""
+    order = len(a)
+    out = [0] * order
+    for i, ai in enumerate(a):
+        if ai:
+            for k, bj in enumerate(b, i):
+                if k == order:
+                    break
+                if bj:
+                    out[k] += ai * bj
+    return tuple(out)
+
+
+def _series_add(a, b):
+    return tuple(map(operator.add, a, b))
+
+
+def _h_order(n):
+    """Index of the first nonzero numerator; len(n) when all vanish."""
+    for k, v in enumerate(n):
+        if v:
+            return k
+    return len(n)
+
+
+def _fold(out, pairs, add):
+    """Fold (key, numerator tuple) pairs into the numerator map `out`,
+    `add` adding two tuples, dropping keys whose numerators vanish;
+    returns `out`."""
+    for k, v in pairs:
+        prev = out.get(k)
+        if prev is not None:
+            v = add(prev, v)
+        if any(v):
+            out[k] = v
+        elif prev is not None:
+            del out[k]
+    return out
+
+
+def _times(num, f):
+    """Every numerator of the map times the int f."""
+    return {k: tuple(x * f for x in v) for k, v in num.items()}
+
+
+def _scaled(num, n, mul):
+    """Every numerator tuple of the map times the tuple n, zero products
+    (a truncated series product can vanish) dropped."""
+    out = {}
+    for k, v in num.items():
+        p = mul(v, n)
+        if any(p):
+            out[k] = p
+    return out
+
+
+def _lowest(num, den):
+    """num / den in lowest terms: gcd(den, every numerator) == 1."""
+    g = math.gcd(den, *chain.from_iterable(num.values()))
+    if g != 1:
+        den //= g
+        num = {k: tuple(x // g for x in v) for k, v in num.items()}
+    return num, den
+
+
+def _accumulate(out, den, pairs, d, add):
+    """Fold the (key, numerator tuple) pairs of a map over denominator d
+    into the map `out` over `den`, rescaling to the least common
+    denominator; returns the new (out, den)."""
+    if d != den:
+        lcm = den // math.gcd(den, d) * d
+        if lcm != den:
+            out = _times(out, lcm // den)
+            den = lcm
+        if lcm != d:
+            f = lcm // d
+            pairs = ((k, tuple(x * f for x in v)) for k, v in pairs)
+    return _fold(out, pairs, add), den
+
+
+def _map_mul(a, b, ring):
+    """Product of two polynomial numerator maps over `ring`."""
+    mul = ring._mul
+    pairs = (
+        (tuple(map(operator.add, ea, eb)), mul(ca, cb))
+        for ea, ca in a.items()
+        for eb, cb in b.items()
+    )
+    if len(a) == 1 or len(b) == 1:
+        # a one-term factor shifts exponents injectively: no key repeats
+        return {k: c for k, c in pairs if any(c)}
+    return _fold({}, pairs, ring._add)
 
 
 def _memo_table(obj, slot):
@@ -177,7 +290,7 @@ def _exponent(exp, arity):
 class Ring:
     """Coefficient ring descriptor: exact rationals, or series mod h^order."""
 
-    __slots__ = ("kind", "order")
+    __slots__ = ("kind", "order", "_mul", "_add", "_one")
 
     def __init__(self, kind, order=1):
         if kind == "rational":
@@ -189,6 +302,12 @@ class Ring:
                                order))
         self.kind = kind
         self.order = order
+        # product and sum of numerator tuples, and the numerators of 1
+        if order == 1:
+            self._mul, self._add = _mul1, _add1
+        else:
+            self._mul, self._add = _series_mul, _series_add
+        self._one = (1,) + (0,) * (order - 1)
 
     @property
     def is_series(self):
@@ -283,10 +402,7 @@ class Scalar:
 
     def min_h_order(self):
         """Smallest k with a nonzero h^k coefficient; ring order if zero."""
-        for k, v in enumerate(self.n):
-            if v:
-                return k
-        return self.ring.order
+        return _h_order(self.n)
 
     # -- arithmetic --------------------------------------------------
 
@@ -315,19 +431,8 @@ class Scalar:
 
     def __mul__(self, other):
         self._check(other)
-        a, b = self.n, other.n
-        order = len(a)
-        if order == 1:
-            return Scalar(self.ring, (a[0] * b[0],), self.d * other.d)
-        out = [0] * order
-        for i, ai in enumerate(a):
-            if ai:
-                for k, bj in enumerate(b, i):
-                    if k == order:
-                        break
-                    if bj:
-                        out[k] += ai * bj
-        return Scalar(self.ring, tuple(out), self.d * other.d)
+        return Scalar(self.ring, self.ring._mul(self.n, other.n),
+                      self.d * other.d)
 
     def inverse(self):
         """Exact inverse; series inverses need an invertible h^0 part."""
@@ -398,66 +503,110 @@ class Scalar:
         return " + ".join(parts) if parts else "0"
 
 
+
+
 # ---------------------------------------------------------------------
 # sparse linear combinations
 # ---------------------------------------------------------------------
 
 
 class _Terms:
-    """A finite sum of basis keys with coefficients, held as the map
-    `terms` {key: coefficient} of its nonzero coefficients.
+    """A finite sum of basis keys with coefficients.
 
     AlgebraElement, HopfElement, TensorElement and GradedObject share
-    this plumbing.  Each subclass supplies its product and repr and:
+    this plumbing.  The first three have Scalar coefficients and store
+    them fraction-free: `_map` is {key: tuple of int numerators} over
+    the one positive int denominator `_den`, kept in lowest terms (gcd
+    of `_den` and every numerator is 1; zero is ({}, 1)) with no
+    all-zero tuple, so equality and the hash stay structural.
+    GradedObject, whose `_scalar_coefficients` is false, stores
+    {key: AlgebraElement} in `_map` with `_den` 1.
+
+    Each subclass supplies its product and repr and:
       * `__init__`, validating its keys and passing its terms through
-        `_Terms.__init__`, the one zero filter;
+        `_Terms.__init__`, which drops zero coefficients: {key: Scalar}
+        terms, or with `den` given, a numerator map with no zero tuple;
       * `_check(other)`, raising its own error for an incompatible operand;
-      * `_like(terms)`, a sibling with the same extra data;
+      * `_like(terms, den=None)`, a sibling with the same extra data;
       * `_data`, the extra data that equality and the hash take besides
         the terms: a slot set at construction or a class constant, so
         that reading it costs no call;
       * `_ring`, a getter of its coefficient ring.
-    Coefficients are Scalars, or AlgebraElements for GradedObject, whose
-    `_scalar_coefficients` is false.
     """
 
-    __slots__ = ("terms", "_hash")
+    __slots__ = ("_map", "_den", "_hash")
     _scalar_coefficients = True
 
-    def __init__(self, terms):
-        nonzero = {}
-        for k, c in terms.items():
-            if not c.is_zero():
-                nonzero[k] = c
-        self.terms = nonzero
+    def __init__(self, terms, den=None):
+        if den is None:
+            if self._scalar_coefficients:
+                terms, den = self._numerators(terms)
+            else:
+                terms = {k: c for k, c in terms.items() if not c.is_zero()}
+                den = 1
+        if den != 1:
+            terms, den = _lowest(terms, den)
+        self._map = terms
+        self._den = den
         self._hash = None
 
+    def _numerators(self, terms):
+        """A {key: Scalar} map of this element's ring as a numerator map
+        over the least common denominator, zeros dropped."""
+        ring = self._ring(self)
+        den = 1
+        for c in terms.values():
+            if not isinstance(c, Scalar) or c.ring != ring:
+                raise RingMismatch((ring, getattr(c, "ring", c)))
+            den = math.lcm(den, c.d)
+        return {k: tuple(x * (den // c.d) for x in c.n)
+                for k, c in terms.items() if not c.is_zero()}, den
+
+    @property
+    def terms(self):
+        """{key: coefficient}: for Scalar coefficients a read-only view
+        built on demand, not stored; else the stored map."""
+        if not self._scalar_coefficients:
+            return self._map
+        ring, den = self._ring(self), self._den
+        return MappingProxyType(
+            {k: Scalar(ring, v, den) for k, v in self._map.items()})
+
     def is_zero(self):
-        return not self.terms
+        return not self._map
 
     def min_h_order(self):
         """Smallest h power carried by any coefficient; ring order if zero."""
-        if not self.terms:
+        if not self._map:
             return self._ring(self).order
-        return min(c.min_h_order() for c in self.terms.values())
+        if self._scalar_coefficients:
+            return min(map(_h_order, self._map.values()))
+        return min(c.min_h_order() for c in self._map.values())
 
     def __add__(self, other):
         self._check(other)
-        if not other.terms:
+        if not other._map:
             return self
-        if not self.terms:
+        if not self._map:
             return other
         return self._plus(other)
 
     def _plus(self, other):
         """The sum of two nonzero compatible operands."""
-        return self._like(_add_terms(dict(self.terms), other.terms.items()))
+        if not self._scalar_coefficients:
+            return self._like(_add_terms(dict(self._map), other._map.items()))
+        return self._like(*_accumulate(dict(self._map), self._den,
+                                       other._map.items(), other._den,
+                                       self._ring(self)._add))
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return self._like({k: -c for k, c in self.terms.items()})
+        if not self._scalar_coefficients:
+            return self._like({k: -c for k, c in self._map.items()})
+        return self._like({k: tuple(-x for x in v)
+                           for k, v in self._map.items()}, self._den)
 
     def scale(self, s):
         """Every coefficient times s, a Scalar or a rational literal."""
@@ -468,20 +617,22 @@ class _Terms:
             raise RingMismatch((s.ring, ring))
         if s.is_zero():
             return self._like({})
-        if self._scalar_coefficients:
-            return self._like({k: c * s for k, c in self.terms.items()})
-        return self._like({k: c.scale(s) for k, c in self.terms.items()})
+        if not self._scalar_coefficients:
+            return self._like({k: c.scale(s) for k, c in self._map.items()})
+        return self._like(_scaled(self._map, s.n, ring._mul), self._den * s.d)
 
     def __eq__(self, other):
         return (
             type(other) is type(self)
             and self._data == other._data
-            and self.terms == other.terms
+            and self._den == other._den
+            and self._map == other._map
         )
 
     def __hash__(self):
         if self._hash is None:
-            self._hash = hash((self._data, frozenset(self.terms.items())))
+            self._hash = hash((self._data, self._den,
+                               frozenset(self._map.items())))
         return self._hash
 
 
@@ -507,24 +658,19 @@ def _monomials_repr(terms, names, reverse=False):
 # ---------------------------------------------------------------------
 
 
-def _map_mul(a, b):
-    return _add_terms({}, (
-        (tuple(x + y for x, y in zip(ea, eb)), ca * cb)
-        for ea, ca in a.items()
-        for eb, cb in b.items()
-    ))
-
-
 class PolyAlgebra:
     """Polynomial algebra over a Ring in named commuting coordinates,
     optionally localized at a single declared unit polynomial."""
 
-    __slots__ = ("ring", "names", "unit", "_unit_lead", "_index", "_hash")
+    __slots__ = ("ring", "names", "unit", "_unit", "_unit_lead", "_index",
+                 "_hash")
 
     def __init__(self, ring, names, unit=None):
-        assert isinstance(ring, Ring)
+        if not isinstance(ring, Ring):
+            raise WrongRing(("not a coefficient ring", ring))
         names = tuple(names)
-        assert len(set(names)) == len(names), names
+        if len(set(names)) != len(names):
+            raise SchemaError(("duplicate coordinate", names))
         self.ring = ring
         self.names = names
         self._index = {nm: i for i, nm in enumerate(names)}
@@ -532,15 +678,17 @@ class PolyAlgebra:
             unit = {tuple(e): c for e, c in unit.items() if not c.is_zero()}
             if not unit:
                 raise SchemaError("declared unit must be nonzero")
-            lead = max(unit)
-            lead_c = unit[lead]
-            # leading coefficient must be invertible for exact division
-            self._unit_lead = (lead, lead_c.inverse())
-        else:
-            self._unit_lead = None
         self.unit = unit
         self._hash = hash((ring, names,
                            None if unit is None else frozenset(unit.items())))
+        self._unit = self._unit_lead = None
+        if unit is not None:
+            u = AlgebraElement(self, unit, 0)
+            lead = max(u._map)
+            # leading coefficient must be invertible for exact division
+            inv = Scalar(ring, u._map[lead], 1).inverse()
+            self._unit = u
+            self._unit_lead = (lead, inv.n, inv.d)
 
     @property
     def arity(self):
@@ -566,10 +714,10 @@ class PolyAlgebra:
         return AlgebraElement(self, terms, du)
 
     def zero(self):
-        return AlgebraElement(self, {}, 0)
+        return AlgebraElement(self, {}, 0, 1)
 
     def one(self):
-        return AlgebraElement(self, {(0,) * self.arity: self.ring.one()}, 0)
+        return AlgebraElement(self, {(0,) * self.arity: self.ring._one}, 0, 1)
 
     def scalar(self, v):
         s = v if isinstance(v, Scalar) else self.ring.scalar(v)
@@ -582,7 +730,7 @@ class PolyAlgebra:
             raise IndexOutOfRange(("coordinate", i, self.arity))
         e = [0] * self.arity
         e[i] = 1
-        return AlgebraElement(self, {tuple(e): self.ring.one()}, 0)
+        return AlgebraElement(self, {tuple(e): self.ring._one}, 0, 1)
 
     def monomial(self, exp, coeff=1):
         exp = _exponent(exp, self.arity)
@@ -616,99 +764,124 @@ class PolyAlgebra:
         return AlgebraElement(self, num, 0)
 
     def unit_element(self):
-        assert self.unit is not None
-        return AlgebraElement(self, dict(self.unit), 0)
+        if self._unit is None:
+            raise SchemaError(("no declared unit", self))
+        return self._unit
 
     # -- exact division by the declared unit -------------------------
 
     def _divide_by_unit(self, num):
-        """Return num / unit as a coefficient map, or None if not exact."""
-        if self._unit_lead is None:
+        """num / unit as (numerator map, denominator) for a numerator map
+        num, or None if the division is not exact."""
+        if self._unit is None:
             return None
-        lead_e, lead_c_inv = self._unit_lead
-        rem = dict(num)
-        q = {}
+        lead_e, inv, inv_d = self._unit_lead
+        unit, ring = self._unit, self.ring
+        mul = ring._mul
+        # invariant: num = (q * unit numerators + rem) / den
+        rem, q, den = dict(num), {}, 1
         while rem:
             e = max(rem)
-            diff = tuple(a - b for a, b in zip(e, lead_e))
+            diff = tuple(map(operator.sub, e, lead_e))
             if any(d < 0 for d in diff):
                 return None
-            coef = rem[e] * lead_c_inv
+            coef = mul(rem.pop(e), inv)
+            if inv_d != 1:
+                rem, q, den = _times(rem, inv_d), _times(q, inv_d), den * inv_d
             q[diff] = coef
-            neg = -coef
-            _add_terms(rem, (
-                (tuple(a + b for a, b in zip(diff, ue)), neg * uc)
-                for ue, uc in self.unit.items()
-            ))
-        return q
+            neg = tuple(-x for x in coef)
+            _fold(rem, (
+                (tuple(map(operator.add, diff, ue)), mul(neg, uc))
+                for ue, uc in unit._map.items() if ue != lead_e
+            ), ring._add)
+        if unit._den != 1:
+            q = _times(q, unit._den)
+        return q, den
 
 
 class AlgebraElement(_Terms):
     """Sparse polynomial terms / unit^du with Scalar coefficients, keyed
-    by exponent tuples."""
+    by exponent tuples; see _Terms for the fraction-free layout."""
 
     __slots__ = ("algebra", "du", "_data")
     _ring = operator.attrgetter("algebra.ring")
 
-    def __init__(self, algebra, terms, du=0):
-        assert du >= 0, du
-        _Terms.__init__(self, terms)
-        if not self.terms:
+    def __init__(self, algebra, terms, du=0, den=None):
+        if type(du) is not int or du < 0:
+            raise IndexOutOfRange(("unit power must be a non-negative int",
+                                   du))
+        self.algebra = algebra
+        _Terms.__init__(self, terms, den)
+        if not self._map:
             du = 0
         # canonicalize: cancel unit powers while the numerator divides
         while du > 0:
-            q = algebra._divide_by_unit(self.terms)
+            q = algebra._divide_by_unit(self._map)
             if q is None:
                 break
-            self.terms, du = q, du - 1
-        self.algebra = algebra
+            self._map, self._den = _lowest(q[0], self._den * q[1])
+            du -= 1
         self.du = du
         # the pair only when du > 0, sparing most polynomials a tuple
         self._data = (algebra, du) if du else algebra
 
-    def _like(self, terms):
-        return AlgebraElement(self.algebra, terms, self.du)
+    def _like(self, terms, den=None):
+        return AlgebraElement(self.algebra, terms, self.du, den)
 
     # -- predicates --------------------------------------------------
 
     def is_scalar(self):
-        if not self.terms:
+        if not self._map:
             return True
         zero_e = (0,) * self.algebra.arity
-        return self.du == 0 and set(self.terms) == {zero_e}
+        return self.du == 0 and set(self._map) == {zero_e}
 
     def constant_scalar(self):
         """The coefficient of the unit monomial (du must be 0)."""
-        assert self.du == 0, "fraction has no plain constant term"
-        return self.terms.get((0,) * self.algebra.arity, self.algebra.ring.zero())
+        if self.du:
+            raise WrongRing(("fraction has no plain constant term", self))
+        ring = self.algebra.ring
+        n = self._map.get((0,) * self.algebra.arity)
+        return ring.zero() if n is None else Scalar(ring, n, self._den)
 
     # -- arithmetic --------------------------------------------------
 
     def _check(self, other):
-        if not isinstance(other, AlgebraElement) or other.algebra != self.algebra:
+        if not isinstance(other, AlgebraElement) or (
+                other.algebra is not self.algebra
+                and other.algebra != self.algebra):
             raise RingMismatch((self.algebra, getattr(other, "algebra", other)))
 
     def _raise_du(self, target_du):
-        """Numerator rescaled so the element reads terms / unit^target_du."""
-        assert target_du >= self.du
-        num = self.terms
+        """(numerator map, denominator) of the element read as
+        terms / unit^target_du."""
+        if target_du < self.du:
+            raise IndexOutOfRange(("unit power cannot drop", self.du,
+                                   target_du))
+        num, den = self._map, self._den
+        unit = self.algebra._unit
         for _ in range(target_du - self.du):
-            num = _map_mul(num, self.algebra.unit)
-        return num
+            num = _map_mul(num, unit._map, self.algebra.ring)
+            den *= unit._den
+        return num, den
 
     def _plus(self, other):
         du = max(self.du, other.du)
-        return AlgebraElement(self.algebra, _add_terms(
-            dict(self._raise_du(du)), other._raise_du(du).items()), du)
+        num, den = self._raise_du(du)
+        pairs, d = other._raise_du(du)
+        num, den = _accumulate(dict(num), den, pairs.items(), d,
+                               self.algebra.ring._add)
+        return AlgebraElement(self.algebra, num, du, den)
 
     def __mul__(self, other):
         self._check(other)
         return AlgebraElement(
-            self.algebra, _map_mul(self.terms, other.terms), self.du + other.du
-        )
+            self.algebra, _map_mul(self._map, other._map, self.algebra.ring),
+            self.du + other.du, self._den * other._den)
 
     def __pow__(self, k):
-        assert isinstance(k, int) and k >= 0
+        if type(k) is not int or k < 0:
+            raise IndexOutOfRange(("power must be a non-negative int", k))
         out = self.algebra.one()
         for _ in range(k):
             out = out * self
@@ -716,25 +889,25 @@ class AlgebraElement(_Terms):
 
     def deriv(self, j):
         """Partial derivative along coordinate j (quotient rule on du)."""
-        if not 0 <= j < self.algebra.arity:
-            raise IndexOutOfRange(("coordinate", j, self.algebra.arity))
-        scalar = self.algebra.ring.scalar
-        dnum = _add_terms({}, (
-            (e[:j] + (e[j] - 1,) + e[j + 1:], c * scalar(e[j]))
-            for e, c in self.terms.items()
+        alg = self.algebra
+        if not 0 <= j < alg.arity:
+            raise IndexOutOfRange(("coordinate", j, alg.arity))
+        # distinct exponents stay distinct, and nonzero numerators nonzero
+        dnum = {
+            e[:j] + (e[j] - 1,) + e[j + 1:]: tuple(x * e[j] for x in v)
+            for e, v in self._map.items()
             if e[j]
-        ))
+        }
         if self.du == 0:
-            return AlgebraElement(self.algebra, dnum, 0)
+            return AlgebraElement(alg, dnum, 0, self._den)
         # d(p/u^k) = dp/u^k - k p du/u^(k+1)
-        k = self.algebra.ring.scalar(self.du)
-        dunit = AlgebraElement(self.algebra, dict(self.algebra.unit), 0).deriv(j)
-        part1 = AlgebraElement(
-            self.algebra, _map_mul(dnum, self.algebra.unit), self.du + 1
-        )
-        part2 = AlgebraElement(self.algebra, {
-            e: c * k for e, c in _map_mul(self.terms, dunit.terms).items()
-        }, self.du + 1)
+        unit = alg._unit
+        dunit = unit.deriv(j)
+        part1 = AlgebraElement(alg, _map_mul(dnum, unit._map, alg.ring),
+                               self.du + 1, self._den * unit._den)
+        part2 = AlgebraElement(
+            alg, _times(_map_mul(self._map, dunit._map, alg.ring), self.du),
+            self.du + 1, self._den * dunit._den)
         return part1 - part2
 
     def inverse(self):
@@ -747,13 +920,13 @@ class AlgebraElement(_Terms):
         if self.is_zero():
             raise NotInvertible("zero algebra element")
         alg = self.algebra
-        num, uk = dict(self.terms), 0
+        num, den, uk = self._map, self._den, 0
         while True:
             q = alg._divide_by_unit(num)
             if q is None:
                 break
-            num, uk = q, uk + 1
-        rest = AlgebraElement(alg, num, 0)
+            num, den, uk = q[0], den * q[1], uk + 1
+        rest = AlgebraElement(alg, num, 0, den)
         zero_e = (0,) * alg.arity
         c0 = rest.terms.get(zero_e)
         if c0 is None:
@@ -770,7 +943,8 @@ class AlgebraElement(_Terms):
         inv_rest = inv_rest.scale(c0.inverse())
         # unit^k / 1 -> move to denominator: inverse carries du += uk... and
         # the original du moves to the numerator as unit^du.
-        out = AlgebraElement(alg, inv_rest.terms, inv_rest.du + uk)
+        out = AlgebraElement(alg, inv_rest._map, inv_rest.du + uk,
+                             inv_rest._den)
         if self.du:
             unit_pow = alg.unit_element() ** self.du
             out = out * unit_pow
@@ -783,12 +957,31 @@ class AlgebraElement(_Terms):
     def h0(self, target):
         """Classical limit into `target`, a rational-ring sibling algebra."""
         return AlgebraElement(
-            target, {e: c.h0() for e, c in self.terms.items()}, self.du)
+            target, {e: v[:1] for e, v in self._map.items() if v[0]},
+            self.du, self._den)
 
     def lift(self, target):
         """Embed into `target`, a series-ring sibling algebra."""
-        num = {e: c.lift(target.ring) for e, c in self.terms.items()}
-        return AlgebraElement(target, num, self.du)
+        ring, order = self.algebra.ring, target.ring.order
+        pad = (0,) * (order - ring.order)
+        num = {}
+        for e, v in self._map.items():
+            if any(v[order:]):
+                raise WrongRing(("lift would truncate nonzero coefficients",
+                                 Scalar(ring, v, self._den), target.ring))
+            num[e] = v[:order] + pad
+        return AlgebraElement(target, num, self.du, self._den)
+
+    def _remap(self, target, fn):
+        """The element of `target` whose exponents are fn(e) for the
+        exponents e of this one, fn being injective on them; a term
+        whose fn(e) is None drops."""
+        num = {}
+        for e, v in self._map.items():
+            e = fn(e)
+            if e is not None:
+                num[e] = v
+        return AlgebraElement(target, num, self.du, self._den)
 
     def __repr__(self):
         s = _monomials_repr(self.terms, self.algebra.names, reverse=True)

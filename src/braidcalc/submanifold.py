@@ -70,12 +70,9 @@ class SubmanifoldIdeal:
         if not isinstance(a, AlgebraElement) or a.algebra != self.algebra:
             raise RingMismatch(("element of another algebra", self.algebra,
                                 getattr(a, "algebra", a)))
-        num = {
-            e: c
-            for e, c in a.terms.items()
-            if not any(e[j] for j in self.normal)
-        }
-        return AlgebraElement(self.algebra, num, a.du)
+        normal = self.normal
+        return a._remap(self.algebra, lambda e: None if any(
+            e[j] for j in normal) else e)
 
     def contains(self, a):
         return self.reduce(a).is_zero()
@@ -96,21 +93,21 @@ class SubmanifoldIdeal:
 
     def to_quotient(self, a, qalg):
         """The class of a in the quotient algebra qalg."""
-        r = self.reduce(a)
-        num = {
-            tuple(e[j] for j in self.tangent): c for e, c in r.terms.items()
-        }
-        return AlgebraElement(qalg, num, r.du)
+        tangent = self.tangent
+        return self.reduce(a)._remap(
+            qalg, lambda e: tuple(e[j] for j in tangent))
 
     def lift(self, abar):
         """Tautological section of the quotient map, monomial by monomial."""
-        num = {}
-        for e, c in abar.terms.items():
-            full = [0] * self.algebra.arity
-            for pos, j in enumerate(self.tangent):
-                full[j] = e[pos]
-            num[tuple(full)] = c
-        return AlgebraElement(self.algebra, num, abar.du)
+        arity, tangent = self.algebra.arity, self.tangent
+
+        def full(e):
+            out = [0] * arity
+            for pos, j in enumerate(tangent):
+                out[j] = e[pos]
+            return tuple(out)
+
+        return abar._remap(self.algebra, full)
 
 
 def ideal_invariance(M, ideal, depth=2):

@@ -1,6 +1,7 @@
 """Command-line front end: text grammar parsing, scenario assembly,
 exit statuses, and deterministic structured output."""
 
+import hashlib
 import json
 import os
 import re
@@ -233,6 +234,25 @@ def test_structured_output_deterministic(capsys):
     assert payload["command"] == "check-hopf"
     names = [c["name"] for r in payload["reports"] for c in r["checks"]]
     assert "antipode" in names
+
+
+@pytest.mark.parametrize("args, digest", [
+    (["all", "moyal.json", "--order", "5"],
+     "610f030cbbc9a9675a95d2bfccbd055984200fda7e697b92a89b9e06900b1d46"),
+    (["levi-civita", "curved-metric.json", "--order", "4"],
+     "a906f5aefa702b52f5d014a160aff7b92d9f0cad48eec671f12dfe71d9ef6d7f"),
+    (["project", "surface-twisted.json", "--order", "4"],
+     "b5f52f95de973db83de758e452c222b03aead5c2f5e9ffa213b4f8aa97e4d394"),
+])
+def test_series_orders_keep_structured_output(capsys, args, digest):
+    """Byte identity of the structured output at series orders that
+    perfbench/reference.json does not cover (it runs the scenario's own
+    order and --order 6)."""
+    command, name, *rest = args
+    argv = [command, str(SCENARIOS / name), *rest, "--format", "structured"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 def test_text_rows_carry_search_time(capsys):

@@ -87,13 +87,13 @@ def straighten_oracle(lie, word):
 class TestStraightening:
     def test_frozen_heisenberg_descent(self, heisenberg):
         # x2 x1 = x1 x2 - x3
-        got = heisenberg.normalize_word((1, 0))
+        got = heisenberg.normalize_word((1, 0)).terms
         one = RATIONAL.one()
         assert got == {(1, 1, 0): one, (0, 0, 1): -one}
 
     def test_frozen_central_factor_passes_through(self, heisenberg):
         # x3 x2 x1 = x1 x2 x3 - x3^2
-        got = heisenberg.normalize_word((2, 1, 0))
+        got = heisenberg.normalize_word((2, 1, 0)).terms
         one = RATIONAL.one()
         assert got == {(1, 1, 1): one, (0, 0, 2): -one}
 
@@ -104,11 +104,11 @@ class TestStraightening:
                 word = tuple(
                     rng.randrange(lie.dim) for _ in range(rng.randint(0, 5))
                 )
-                assert lie.normalize_word(word) == straighten_oracle(lie, word)
+                assert lie.normalize_word(word).terms == straighten_oracle(lie, word)
 
     def test_deep_single_descent(self, heisenberg):
         # x2 x1^300 = x1^300 x2 - 300 x1^299 x3: 300 swaps in a chain
-        got = heisenberg.normalize_word((1,) + (0,) * 300)
+        got = heisenberg.normalize_word((1,) + (0,) * 300).terms
         assert got == {
             (300, 1, 0): RATIONAL.one(),
             (299, 0, 1): RATIONAL.scalar(-300),
@@ -117,7 +117,7 @@ class TestStraightening:
     def test_closed_form_x2_power_x1_power(self, heisenberg):
         # x2^n x1^n = sum_k (-1)^k k! C(n,k)^2 x1^(n-k) x2^(n-k) x3^k
         n = 30
-        got = heisenberg.normalize_word((1,) * n + (0,) * n)
+        got = heisenberg.normalize_word((1,) * n + (0,) * n).terms
         assert got == {
             (n - k, n - k, k): RATIONAL.scalar(
                 (-1) ** k * math.factorial(k) * math.comb(n, k) ** 2

@@ -294,6 +294,8 @@ class TestTypedErrors:
             from braidcalc.submanifold import Projection, SubmanifoldIdeal, axiom_one_witness
             series = Ring("series", 3)
             plane = PolyAlgebra(RATIONAL, ("x", "y"))
+            local = PolyAlgebra(RATIONAL, ("x",), unit={
+                (0,): RATIONAL.one(), (2,): RATIONAL.one()})
             lie = LieAlgebra(RATIONAL, ["X", "Y"])
             unit2 = TensorElement.unit(lie, 2)
 
@@ -343,6 +345,13 @@ class TestTypedErrors:
                 lambda: proj.metric(Metric(other, [[one, zero], [zero, one]])),
                 lambda: proj.connection(Connection(other, [[[zero] * 2] * 2] * 2)),
                 lambda: axiom_one_witness(proj, cal.mv(2, {(0, 1): cal.alg.one()})),
+                lambda: PolyAlgebra("rational", ("x",)),
+                lambda: PolyAlgebra(RATIONAL, ("x", "x")),
+                lambda: plane.unit_element(),
+                lambda: plane.element({}, -1),
+                lambda: local.element({(0,): RATIONAL.one()}, 1).constant_scalar(),
+                lambda: local.element({(0,): RATIONAL.one()}, 1)._raise_du(0),
+                lambda: plane.coord(0) ** -1,
             ):
                 try:
                     print("returned", case())
@@ -365,7 +374,14 @@ class TestTypedErrors:
             "RingMismatch: ideal over another algebra",
             "RingMismatch: metric of another calculus",
             "RingMismatch: connection of another calculus",
-            "GradeMismatch: kernel witness needs a grade-1 field"]
+            "GradeMismatch: kernel witness needs a grade-1 field",
+            "WrongRing: not a coefficient ring",
+            "SchemaError: duplicate coordinate",
+            "SchemaError: no declared unit",
+            "IndexOutOfRange: unit power must be a non-negative int",
+            "WrongRing: fraction has no plain constant term",
+            "IndexOutOfRange: unit power cannot drop",
+            "IndexOutOfRange: power must be a non-negative int"]
 
 
 # =====================================================================

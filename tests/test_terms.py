@@ -6,6 +6,7 @@ filter, sums and differences, negation, scaling, and value equality
 with a matching hash, and each refuses an operand from another space
 with its own error."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -150,3 +151,139 @@ def test_graded_zeros_of_any_grade_coincide(make, g1, g2, coeff):
 def test_multivector_never_equals_form(grade, picks):
     terms = {WORDS[grade][i % len(WORDS[grade])]: c for i, c in picks.items()}
     assert CAL.mv(grade, terms) != CAL.form(grade, terms)
+
+
+# ---------------------------------------------------------------------
+# the fraction-free layout against a per-term Fraction oracle
+# ---------------------------------------------------------------------
+
+ORACLE_RINGS = [RATIONAL, Ring("series", 3)]
+# [X1, X2] = X3/2: a Heisenberg algebra whose PBW products carry a
+# denominator
+ORACLE_BRACKETS = {(0, 1): {2: Fraction(1, 2)}}
+small_fractions = st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6))
+
+
+def _fseries_mul(a, b):
+    """Product of two Fraction coefficient tuples mod h^len(a)."""
+    return tuple(sum(a[i] * b[k - i] for i in range(k + 1))
+                 for k in range(len(a)))
+
+
+def _fplus(x, y, sign=1):
+    out = dict(x)
+    for k, v in y.items():
+        old = out.get(k, (Fraction(0),) * len(v))
+        out[k] = tuple(p + sign * q for p, q in zip(old, v))
+    return {k: v for k, v in out.items() if any(v)}
+
+
+def _fscale(x, s):
+    return {k: v for k, v in ((k, _fseries_mul(c, s)) for k, c in x.items())
+            if any(v)}
+
+
+def _straighten(word):
+    """PBW normal form {exponent: Fraction} of a Heisenberg word, by
+    swapping descents: x_b x_a = x_a x_b - [x_a, x_b] for a < b."""
+    done = {}
+    work = [(tuple(word), Fraction(1))]
+    while work:
+        w, c = work.pop()
+        p = next((p for p in range(len(w) - 1) if w[p] > w[p + 1]), None)
+        if p is None:
+            e = tuple(w.count(i) for i in range(3))
+            done[e] = done.get(e, 0) + c
+            continue
+        a, b = w[p + 1], w[p]
+        work.append((w[:p] + (a, b) + w[p + 2:], c))
+        for k, s in ORACLE_BRACKETS.get((a, b), {}).items():
+            work.append((w[:p] + (k,) + w[p + 2:], -c * s))
+    return {e: c for e, c in done.items() if c}
+
+
+def _word(exp):
+    return [i for i, k in enumerate(exp) for _ in range(k)]
+
+
+def _fproduct(x, y, legs):
+    """Legwise product of two Fraction term maps; `legs` is None for
+    polynomials (commuting exponents), else the tensor rank."""
+    out = {}
+    for ka, ca in x.items():
+        for kb, cb in y.items():
+            c = _fseries_mul(ca, cb)
+            if legs is None:
+                pieces = {tuple(p + q for p, q in zip(ka, kb)): Fraction(1)}
+            else:
+                pieces = {(): Fraction(1)}
+                for leg in range(legs):
+                    pieces = {
+                        pk + (e,): pc * s
+                        for pk, pc in pieces.items()
+                        for e, s in _straighten(
+                            _word(ka[leg]) + _word(kb[leg])).items()
+                    }
+            out = _fplus(out, {k: tuple(s * v for v in c)
+                               for k, s in pieces.items()})
+    return out
+
+
+def _fderiv(x, j):
+    return {e[:j] + (e[j] - 1,) + e[j + 1:]: tuple(e[j] * v for v in c)
+            for e, c in x.items() if e[j]}
+
+
+def _canonical_value(elem):
+    """The element's terms as Fraction tuples, after checking that it is
+    stored canonically: positive denominator, gcd 1, no zero tuple."""
+    num, den = elem._map, elem._den
+    assert den > 0
+    assert math.gcd(den, *(x for v in num.values() for x in v)) == 1
+    assert all(any(v) for v in num.values())
+    assert all(len(v) == elem.terms[k].ring.order for k, v in num.items())
+    return {k: s.c for k, s in elem.terms.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_fraction_free_arithmetic_matches_fraction_oracle(data):
+    ring = data.draw(st.sampled_from(ORACLE_RINGS))
+    kind = data.draw(st.sampled_from(["poly", "hopf", "tensor"]))
+    coeff = st.tuples(*[small_fractions] * ring.order)
+    if kind == "poly":
+        alg = PolyAlgebra(ring, ("x", "y"))
+        keys, legs = exps(2, 2), None
+        build = lambda t: alg.element(t)
+    else:
+        lie = LieAlgebra(ring, ("X1", "X2", "X3"), {(0, 1): {2: "1/2"}})
+        if kind == "hopf":
+            keys, legs = exps(3, 1), 1
+            build = lambda t: HopfElement(lie, t)
+        else:
+            legs = data.draw(st.integers(1, 3))
+            keys = st.tuples(*[exps(3, 1)] * legs)
+            build = lambda t: TensorElement(lie, legs, t)
+    fa, fb = (data.draw(st.dictionaries(keys, coeff, max_size=3))
+              for _ in range(2))
+    s = data.draw(coeff)
+    a, b = (build({k: ring.from_coeffs(c) for k, c in f.items()})
+            for f in (fa, fb))
+    fa, fb = ({k: c for k, c in f.items() if any(c)} for f in (fa, fb))
+    if kind == "hopf":
+        # HopfElement keys are bare exponents, the oracle's one-leg keys
+        # are 1-tuples
+        wrap = lambda f: {(k,): c for k, c in f.items()}
+        unwrap = lambda f: {k[0]: c for k, c in f.items()}
+        product = unwrap(_fproduct(wrap(fa), wrap(fb), legs))
+    else:
+        product = _fproduct(fa, fb, legs)
+    assert _canonical_value(a) == fa
+    assert _canonical_value(a + b) == _fplus(fa, fb)
+    assert _canonical_value(a - b) == _fplus(fa, fb, -1)
+    assert _canonical_value(-a) == _fscale(fa, (Fraction(-1),) + (0,) * (ring.order - 1))
+    assert _canonical_value(a * b) == product
+    assert _canonical_value(a.scale(ring.from_coeffs(s))) == _fscale(fa, s)
+    if kind == "poly":
+        for j in range(2):
+            assert _canonical_value(a.deriv(j)) == _fderiv(fa, j)
