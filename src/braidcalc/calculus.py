@@ -424,10 +424,15 @@ class Calculus:
     def form(self, grade, terms):
         return DifferentialForm(self, grade, terms)
 
-    def zero_mv(self, grade=0):
+    # the constants are built once per grade or letter, so that equal
+    # memo keys are mostly the same object
+
+    @_memo
+    def zero_mv(self, grade):
         return MultiVector(self, grade, {})
 
-    def zero_form(self, grade=0):
+    @_memo
+    def zero_form(self, grade):
         return DifferentialForm(self, grade, {})
 
     def function(self, a):
@@ -436,9 +441,11 @@ class Calculus:
     def function_form(self, a):
         return DifferentialForm(self, 0, {(): a})
 
+    @_memo
     def frame_field(self, u):
         return MultiVector(self, 1, {(u,): self.alg.one()})
 
+    @_memo
     def coframe(self, u):
         return DifferentialForm(self, 1, {(u,): self.alg.one()})
 
@@ -540,6 +547,7 @@ class Calculus:
 
     # -- grade-1 application and brackets ----------------------------------
 
+    @_memo
     def apply_field(self, X, f):
         """A grade-1 field on an algebra element, product in force."""
         if X.grade != 1:
@@ -651,7 +659,9 @@ class Calculus:
 
     # -- insertion ----------------------------------------------------------
 
+    @_memo
     def _insert_base(self, u, om):
+        """Contraction of the bare frame letter u into a form."""
         out = {}
         for w, a in om.terms.items():
             if u in w:
@@ -661,7 +671,10 @@ class Calculus:
 
     def insert(self, X, om):
         """Insertion of a multivector into a form; the structural
-        primitive of the calculus."""
+        primitive of the calculus.  Unmemoized, as is `bracket`: a
+        memo would keep every distinct result, and the check families
+        make many; the bare-letter contractions it is built from are
+        memoized."""
         if X.kind != "mv" or om.kind != "form":
             raise UnknownModule((X.kind, om.kind))
         if X.grade == 0:
@@ -733,8 +746,7 @@ class Calculus:
         res = self.wedge(head, rest)
         drest = self._d_word(w[1:])
         if not drest.is_zero():
-            headform = DifferentialForm(self, 1, {(w[0],): self.alg.one()})
-            res = res - self.wedge(headform, drest)
+            res = res - self.wedge(self.coframe(w[0]), drest)
         return res
 
     @_memo
@@ -981,7 +993,11 @@ def _transport_field(cl, tw, X):
     ])
 
 
-def _transport_oneform(cl, tw, om):
+@_memo
+def _pairing_inverse(tw, cl):
+    """Inverse in force of the pairing of the classical frame transported
+    into `tw`, or [] when that pairing is the identity; computed once per
+    pair of calculi and kept on `tw`."""
     n = cl.dim
     frame_t = [
         _transport_field(cl, tw, cl.frame_field(b)) for b in range(n)
@@ -990,11 +1006,16 @@ def _transport_oneform(cl, tw, om):
         [frame_t[b].terms.get((c,), tw.alg.zero()) for c in range(n)]
         for b in range(n)
     ]
-    rhs = [[om.terms.get((b,), cl.alg.zero())] for b in range(n)]
     if G == _identity_matrix(tw.alg, n):
-        sol = rhs
-    else:
-        sol = _mmul(tw.M.mul, _inverse(tw.M.mul, G, "twisted pairing inverse"), rhs)
+        return []
+    return _inverse(tw.M.mul, G, "twisted pairing inverse")
+
+
+def _transport_oneform(cl, tw, om):
+    n = cl.dim
+    Ginv = _pairing_inverse(tw, cl)
+    rhs = [[om.terms.get((b,), cl.alg.zero())] for b in range(n)]
+    sol = _mmul(tw.M.mul, Ginv, rhs) if Ginv else rhs
     return tw.form(1, {(c,): sol[c][0] for c in range(n)})
 
 

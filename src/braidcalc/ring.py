@@ -25,8 +25,10 @@ division of the numerator by u.  This is the smallest extension of the
 plain polynomial ring in which metrics like diag(1, 1+x^2) admit exact
 two-sided inverse witnesses.
 
-Everything here is immutable after construction; all operations are
-pure and return fresh objects.
+Everything here is immutable after construction and all operations are
+pure, so results may be shared: an algebra builds its zero, one and
+coordinates once, a sum with zero returns the other operand and a
+scaling by one returns the element itself.
 """
 
 import functools
@@ -609,12 +611,15 @@ class _Terms:
                            for k, v in self._map.items()}, self._den)
 
     def scale(self, s):
-        """Every coefficient times s, a Scalar or a rational literal."""
+        """Every coefficient times s, a Scalar or a rational literal; the
+        element itself when s is one."""
         ring = self._ring(self)
         if not isinstance(s, Scalar):
             s = ring.scalar(s)
         elif s.ring is not ring and s.ring != ring:
             raise RingMismatch((s.ring, ring))
+        if s.d == 1 and s.n == ring._one:
+            return self
         if s.is_zero():
             return self._like({})
         if not self._scalar_coefficients:
@@ -663,7 +668,7 @@ class PolyAlgebra:
     optionally localized at a single declared unit polynomial."""
 
     __slots__ = ("ring", "names", "unit", "_unit", "_unit_lead", "_index",
-                 "_hash")
+                 "_hash", "_zero", "_one", "_coords")
 
     def __init__(self, ring, names, unit=None):
         if not isinstance(ring, Ring):
@@ -689,6 +694,16 @@ class PolyAlgebra:
             inv = Scalar(ring, u._map[lead], 1).inverse()
             self._unit = u
             self._unit_lead = (lead, inv.n, inv.d)
+        # the constants, built once: equal memo keys are then mostly the
+        # same object, whose hash is cached and which a hit compares by
+        # identity
+        n = len(names)
+        self._zero = AlgebraElement(self, {}, 0, 1)
+        self._one = AlgebraElement(self, {(0,) * n: ring._one}, 0, 1)
+        self._coords = tuple(
+            AlgebraElement(self, {(0,) * i + (1,) + (0,) * (n - 1 - i):
+                                  ring._one}, 0, 1)
+            for i in range(n))
 
     @property
     def arity(self):
@@ -714,10 +729,10 @@ class PolyAlgebra:
         return AlgebraElement(self, terms, du)
 
     def zero(self):
-        return AlgebraElement(self, {}, 0, 1)
+        return self._zero
 
     def one(self):
-        return AlgebraElement(self, {(0,) * self.arity: self.ring._one}, 0, 1)
+        return self._one
 
     def scalar(self, v):
         s = v if isinstance(v, Scalar) else self.ring.scalar(v)
@@ -728,9 +743,7 @@ class PolyAlgebra:
     def coord(self, i):
         if not 0 <= i < self.arity:
             raise IndexOutOfRange(("coordinate", i, self.arity))
-        e = [0] * self.arity
-        e[i] = 1
-        return AlgebraElement(self, {tuple(e): self.ring._one}, 0, 1)
+        return self._coords[i]
 
     def monomial(self, exp, coeff=1):
         exp = _exponent(exp, self.arity)

@@ -660,6 +660,36 @@ def test_schouten_braided_graded_jacobi(name):
     assert checked == 702
 
 
+@pytest.mark.parametrize("name", ["heisenberg-twisted", "abelian-plane"])
+def test_memoized_kernels_match_plain_computation(name):
+    """`apply_field` and `_insert_base`, memoized per Calculus, agree
+    with their plain bodies on the cartan suite's grade-1 fields,
+    coefficients and forms of a twisted scenario and of one over a
+    non-coordinate frame.  Every memo entry is made before the first
+    comparison, so an entry stored under a wrong key shows; a repeated
+    call returns the identical object."""
+    path = Path(__file__).resolve().parent.parent / "scenarios" / (name + ".json")
+    cal = Scenario(json.loads(path.read_text())).calculus()
+    coeffs = coordinate_monomials(cal.alg, 2)
+    fields = graded_family(cal.mv, cal.dim, (1,), coeffs)
+    forms = graded_family(cal.form, cal.dim, range(1, min(cal.dim, 2) + 1),
+                          [cal.alg.one(), cal.alg.coord(0)])
+    applied = {(X, a): cal.apply_field(X, a) for X in fields for a in coeffs}
+    inserted = {(u, om): cal._insert_base(u, om)
+                for u in range(cal.dim) for om in forms}
+    assert sum(not v.is_zero() for v in applied.values()) > len(fields)
+    assert sum(not v.is_zero() for v in inserted.values()) >= len(forms)
+    plain_apply = Calculus.apply_field.__wrapped__
+    plain_insert = Calculus._insert_base.__wrapped__
+    for (X, a), got in applied.items():
+        assert got == plain_apply(cal, X, a), (X, a)
+        assert cal.apply_field(X, a) is got
+    for (u, om), got in inserted.items():
+        want = plain_insert(cal, u, om)
+        assert got == want and got.grade == want.grade, (u, om)
+        assert cal._insert_base(u, om) is got
+
+
 # ---------------------------------------------------------------------
 # Cartan identities
 # ---------------------------------------------------------------------

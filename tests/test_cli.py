@@ -255,6 +255,23 @@ def test_series_orders_keep_structured_output(capsys, args, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize("name, digest", [
+    ("abelian-plane.json",
+     "fc7689d0df95f2ab95ba549c48f99b93071774fd1942bc3e0bf61e79d7a4dc0f"),
+    ("heisenberg-twisted.json",
+     "d66f7f794e431e6311e85c28b64c6dec79ea86e62d74528d60e4b2ad0cb4c8ed"),
+])
+def test_larger_cartan_families_keep_structured_output(capsys, name, digest):
+    """Byte identity of `cartan --degree 3`, whose field families are
+    larger than those of any benchmark item (the bundled scenarios run
+    degree 2)."""
+    argv = ["cartan", str(SCENARIOS / name), "--degree", "3",
+            "--format", "structured"]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 def test_text_rows_carry_search_time(capsys):
     """A text row shows how long its check's search took; the structured
     output carries no wall time and stays byte-identical."""

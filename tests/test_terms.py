@@ -6,14 +6,17 @@ filter, sums and differences, negation, scaling, and value equality
 with a matching hash, and each refuses an operand from another space
 with its own error."""
 
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidcalc.calculus import Calculus, DifferentialForm, MultiVector
+from braidcalc.cli import Scenario, build_parser, run_all
 from braidcalc.errors import GradeMismatch, RankMismatch, RingMismatch
 from braidcalc.hopf import HopfElement, LieAlgebra, TensorElement
 from braidcalc.modalg import Action, ModuleAlgebra
@@ -29,9 +32,9 @@ HEIS = LieAlgebra(SERIES, ("X1", "X2", "X3"), {(0, 1): {2: 1}})
 OTHER_HEIS = LieAlgebra(SERIES, ("X1", "X2", "X3"), {(0, 1): {2: 1}})
 
 
-def _plane_calculus():
-    alg = PolyAlgebra(RATIONAL, ("x", "y"))
-    lie = LieAlgebra(RATIONAL, ("P1", "P2"), {})
+def _plane_calculus(ring=RATIONAL):
+    alg = PolyAlgebra(ring, ("x", "y"))
+    lie = LieAlgebra(ring, ("P1", "P2"), {})
     action = Action(lie, alg, {0: (alg.one(), alg.zero()),
                                1: (alg.zero(), alg.one())})
     return Calculus(ModuleAlgebra(action))
@@ -287,3 +290,61 @@ def test_fraction_free_arithmetic_matches_fraction_oracle(data):
     if kind == "poly":
         for j in range(2):
             assert _canonical_value(a.deriv(j)) == _fderiv(fa, j)
+
+
+@pytest.mark.parametrize("ring", [RATIONAL, SERIES])
+def test_scale_by_one_is_the_identity(ring):
+    """Scaling by one, as a Scalar, as 2/2 or as the literal 1, returns
+    the element itself for every element type; any other factor builds
+    a new element."""
+    cal = _plane_calculus(ring)
+    lie, x = cal.lie, cal.alg.coord(0)
+    two = ring.scalar(2)
+    elements = [
+        cal.alg.from_map({"x^2 y": "3/2", "1": 1}),
+        HopfElement(lie, {(1, 0): two, (0, 2): ring.scalar("1/3")}),
+        TensorElement(lie, 2, {((1, 0), (0, 1)): two}),
+        cal.mv(1, {(0,): x, (1,): x * x}),
+        cal.form(2, {(0, 1): x}),
+    ]
+    if ring.is_series:
+        elements.append(cal.alg.element({(1, 0): ring.h()}))
+    for e in elements:
+        assert e.scale(ring.one()) is e
+        assert e.scale(1) is e
+        assert e.scale(ring.scalar(Fraction(2, 2))) is e
+        doubled = e.scale(two)
+        assert doubled is not e and doubled == e + e
+
+
+def test_shared_constants_survive_a_full_run():
+    """The constants an algebra and a calculus build once and share
+    (zero, one, the coordinates, the zero multivectors and forms, the
+    frame fields and coframe) are unchanged after `all` has run every
+    suite of heisenberg-twisted on them: each still equals one built in
+    a fresh scenario, with the same hash, and is still the object
+    handed out."""
+    path = Path(__file__).resolve().parent.parent / "scenarios" / "heisenberg-twisted.json"
+    data = json.loads(path.read_text())
+
+    def constants(sc):
+        alg = sc.algebra
+        out = [alg.zero(), alg.one()] + [alg.coord(i) for i in range(alg.arity)]
+        for cal in (sc.calculus(twisted=False), sc.calculus()):
+            for g in range(cal.dim + 1):
+                out += [cal.zero_mv(g), cal.zero_form(g)]
+            for u in range(cal.dim):
+                out += [cal.frame_field(u), cal.coframe(u)]
+        return out
+
+    sc = Scenario(data)
+    shared = constants(sc)
+    reports = run_all(sc, build_parser().parse_args(["all", str(path)]))
+    assert all(r.passed for r in reports)
+    fresh = constants(Scenario(data))
+    assert len(shared) == len(fresh)
+    for obj, again, new in zip(shared, constants(sc), fresh):
+        assert again is obj
+        assert obj == new and hash(obj) == hash(new), (obj, new)
+        assert obj._map == new._map and obj._den == new._den
+        assert getattr(obj, "grade", None) == getattr(new, "grade", None)
