@@ -224,19 +224,17 @@ class Frame:
     def _adjoint_images(self, xi, a):
         """Coordinate images of xi |> e_a via the structure in force:
         (xi |> X)(f) = xi_(1) |> (X(S(xi_(2)) |> f))."""
-        M = self.M
-        cop = M.coproduct(xi)
+        hopf, act = self.M.hopf, self.M.action.act
+        cop = hopf.coproduct(xi)
         out = []
         for j in range(self.alg.arity):
             tot = self.alg.zero()
             for l, r, c in cop.pairs():
-                inner = M.act(
-                    M.antipode(self.lie.monomial(r)), self.alg.coord(j)
-                )
+                inner = act(hopf.antipode(self.lie.monomial(r)), self.alg.coord(j))
                 inner = self.apply_base(a, inner)
                 if inner.is_zero():
                     continue
-                inner = M.act(self.lie.monomial(l), inner)
+                inner = act(self.lie.monomial(l), inner)
                 if not inner.is_zero():
                     tot = tot + inner.scale(c)
             out.append(tot)
@@ -263,7 +261,7 @@ class Frame:
     def _solve_dual(self, i):
         """Coframe action of generator i, from the antipode in force:
         (xi |> theta^a)(e_b) = theta^a(S(xi) |> e_b)."""
-        S = self.M.antipode(self.lie.gen(i))
+        S = self.M.hopf.antipode(self.lie.gen(i))
         rows = [dict() for _ in range(self.dim)]
         for b in range(self.dim):
             for e, c in S.terms.items():
@@ -272,8 +270,8 @@ class Frame:
         return rows
 
     def _check_r_invariance(self):
-        tri = self.M.triangular
-        legs = {e for tensor in (tri.R, tri.Rinv) for pair in tensor.terms
+        hopf = self.M.hopf
+        legs = {e for tensor in (hopf.R, hopf.Rinv) for pair in tensor.terms
                 for e in pair if any(e)}
         for e in legs:
             for a in range(self.dim):
@@ -459,7 +457,7 @@ class Calculus:
 
     @_memo
     def cop_pairs(self, exp):
-        return self.M.coproduct(self.lie.monomial(exp)).pairs()
+        return self.M.hopf.coproduct(self.lie.monomial(exp)).pairs()
 
     # -- Hopf action on graded objects -------------------------------------
 
@@ -529,7 +527,7 @@ class Calculus:
     def braid_pairs(self, pairs):
         """c^R on pure tensors of multivectors, forms or algebra
         elements: sum (Rinv1 |> v) (x) (Rinv2 |> u)."""
-        return _braid(self.M.triangular.Rinv.pairs(), self.act_any, pairs)
+        return _braid(self.M.hopf.Rinv.pairs(), self.act_any, pairs)
 
     # -- wedge ------------------------------------------------------------
 
@@ -569,7 +567,7 @@ class Calculus:
     def bracket(self, X, Y):
         """Braided commutator of grade-1 fields, re-expressed over the
         frame: [X,Y] = X Y - (Rinv1 |> Y)(Rinv2 |> X) as operators."""
-        Rinv = self.M.triangular.Rinv.pairs()
+        Rinv = self.M.hopf.Rinv.pairs()
         imgs = []
         for j in range(self.alg.arity):
             xj = self.alg.coord(j)
@@ -609,7 +607,7 @@ class Calculus:
         if k == 0 and l == 0:
             return self.zero_mv(0)
         zero = out = self.zero_mv(k + l - 1)
-        Rinv = self.M.triangular.Rinv.pairs()
+        Rinv = self.M.hopf.Rinv.pairs()
         if l == 0:
             a_full = Y.terms.get((), self.alg.zero())
             for word, coeff in X.terms.items():
@@ -704,7 +702,7 @@ class Calculus:
             return om.terms.get((), self.alg.zero())
         rest = fields[:-1]
         total = _leg_sum(
-            self.M.triangular.R.pairs(), self.h_act_exp, om, fields[-1],
+            self.M.hopf.R.pairs(), self.h_act_exp, om, fields[-1],
             lambda oma, Xa: self.eval_form(self.insert(Xa, oma), rest),
             self.alg.zero(),
         )
@@ -826,7 +824,7 @@ def graded_commutator(A, B, om):
         second = B(A(om))
         return first - second if sign > 0 else first + second
     total = _leg_sum(
-        cal.M.triangular.Rinv.pairs(), cal.h_act_exp, B.param, A.param,
+        cal.M.hopf.Rinv.pairs(), cal.h_act_exp, B.param, A.param,
         lambda Bp, Ap: B.with_param(Bp)(A.with_param(Ap)(om)),
         cal.zero_form(max(om.grade + A.degree + B.degree, 0)),
     )
@@ -846,17 +844,18 @@ def graded_family(make, dim, grades, coeffs):
             for w in increasing_words(dim, k) for c in coeffs]
 
 
-def cartan_suite(cal, wedge_grade=2, coeff_degree=2):
+def cartan_suite(cal, coeff_degree=2):
     """The six graded braided commutator identities of the calculus,
     plus the square of the differential and the two Lie derivative
-    splitting rules, on a generated family: the forms are the frame
-    words of grade <= 2 with coefficient 1 and x."""
+    splitting rules, on a generated family: the fields are the frame
+    words of grade 1 and 2 with coefficients of degree <= coeff_degree,
+    the forms the frame words of grade <= 2 with coefficient 1 and x."""
     rep = Report(
         "cartan",
-        {"wedge_grade": wedge_grade, "coeff_degree": coeff_degree,
+        {"wedge_grade": 2, "coeff_degree": coeff_degree,
          "twisted": cal.M.is_twisted},
     )
-    fields = graded_family(cal.mv, cal.dim, range(1, wedge_grade + 1),
+    fields = graded_family(cal.mv, cal.dim, (1, 2),
                            coordinate_monomials(cal.alg, coeff_degree))
     form_family = graded_family(cal.form, cal.dim, range(min(cal.dim, 2) + 1),
                                 [cal.alg.one(), cal.alg.coord(0)])
@@ -911,7 +910,7 @@ def schouten_suite(cal, coeff_degree=1):
     coeffs = coordinate_monomials(cal.alg, coeff_degree)
     fields = graded_family(cal.mv, cal.dim, (1, 2), coeffs)
     grade1 = [X for X in fields if X.grade == 1]
-    Rinv = cal.M.triangular.Rinv.pairs()
+    Rinv = cal.M.hopf.Rinv.pairs()
     # (-1) Rinv, for the odd-sign Leibniz terms
     neg_Rinv = tuple((l, r, -c) for l, r, c in Rinv)
 
@@ -996,8 +995,7 @@ def _transport_field(cl, tw, X):
 @_memo
 def _pairing_inverse(tw, cl):
     """Inverse in force of the pairing of the classical frame transported
-    into `tw`, or [] when that pairing is the identity; computed once per
-    pair of calculi and kept on `tw`."""
+    into `tw`; computed once per pair of calculi and kept on `tw`."""
     n = cl.dim
     frame_t = [
         _transport_field(cl, tw, cl.frame_field(b)) for b in range(n)
@@ -1006,16 +1004,13 @@ def _pairing_inverse(tw, cl):
         [frame_t[b].terms.get((c,), tw.alg.zero()) for c in range(n)]
         for b in range(n)
     ]
-    if G == _identity_matrix(tw.alg, n):
-        return []
     return _inverse(tw.M.mul, G, "twisted pairing inverse")
 
 
 def _transport_oneform(cl, tw, om):
     n = cl.dim
-    Ginv = _pairing_inverse(tw, cl)
     rhs = [[om.terms.get((b,), cl.alg.zero())] for b in range(n)]
-    sol = _mmul(tw.M.mul, Ginv, rhs) if Ginv else rhs
+    sol = _mmul(tw.M.mul, _pairing_inverse(tw, cl), rhs)
     return tw.form(1, {(c,): sol[c][0] for c in range(n)})
 
 

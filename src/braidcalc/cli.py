@@ -61,7 +61,13 @@ from .submanifold import (
     projection_suite,
     twist_projection_suite,
 )
-from .twist import Twist, check_cocycle, check_twisted_hopf, exp_twist, twist_hopf
+from .twist import (
+    Twist,
+    TwistedHopfData,
+    check_cocycle,
+    check_twisted_hopf,
+    exp_twist,
+)
 
 
 _NAME = re.compile(r"^[A-Za-z_][A-Za-z_0-9]*$")
@@ -76,8 +82,16 @@ def _require(cond, err, detail):
 
 _SECTIONS = ("ring", "lie_algebra", "action", "twist", "frame", "metric",
              "connection", "ideal", "suites", "params")
-_PARAMS = ("depth", "degree", "wedge_grade", "seed", "trials",
-           "classical_shadow", "transport_swap", "antipode_override")
+_PARAMS = ("depth", "degree", "seed", "trials", "classical_shadow",
+           "transport_swap", "antipode_override")
+# The keys of each object section; any other key is refused.
+_SECTION_KEYS = {
+    "ring": ("kind", "order"),
+    "lie_algebra": ("generators", "brackets"),
+    "action": ("coordinates", "unit", "images"),
+    "twist": ("kind", "bivector", "terms"),
+    "ideal": ("normal_coordinates",),
+}
 
 
 def _known_keys(obj, known, what):
@@ -217,6 +231,9 @@ class Scenario:
     def __init__(self, data, ring_override=None):
         _require(isinstance(data, dict), SchemaError, "scenario must be a JSON object")
         _known_keys(data, _SECTIONS, "scenario section")
+        for name, keys in _SECTION_KEYS.items():
+            if isinstance(data.get(name), dict):
+                _known_keys(data[name], keys, name + " key")
         self.data = data
         self.params = data.get("params") or {}
         _require(isinstance(self.params, dict), SchemaError, "params must be an object")
@@ -313,8 +330,6 @@ class Scenario:
                 tw = Twist.from_tensor(self.lie, tensor)
             else:
                 raise SchemaError(("twist kind must be exp or tensor", kind))
-            if sec.get("swap"):
-                tw = tw.swapped()
             self._twist = tw
         return self._twist
 
@@ -484,7 +499,7 @@ def run_check_twist(sc, opts):
     tw = sc.twist
     return [
         check_cocycle(tw),
-        check_twisted_hopf(twist_hopf(sc.lie, tw), depth),
+        check_twisted_hopf(TwistedHopfData(sc.lie, tw), depth),
     ]
 
 
@@ -502,10 +517,9 @@ def run_star(sc, opts):
 
 def run_cartan(sc, opts):
     degree = sc.knob(opts, "degree", 2)
-    wedge_grade = sc.knob(opts, "wedge_grade", 2)
     cal = sc.calculus()
     return [
-        cartan_suite(cal, wedge_grade=wedge_grade, coeff_degree=degree),
+        cartan_suite(cal, coeff_degree=degree),
         schouten_suite(cal, coeff_degree=min(degree, 1)),
     ]
 

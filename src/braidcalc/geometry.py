@@ -91,7 +91,7 @@ class Connection:
         out = {}
         for (v,), d in s.terms.items():
             _add_terms(out, (((v,), cal.apply_field(X, d)),))
-            for t1, t2, c in cal.M.triangular.Rinv.pairs():
+            for t1, t2, c in cal.M.hopf.Rinv.pairs():
                 da = cal.M.action.act_monomial(t1, d)
                 if da.is_zero():
                     continue
@@ -111,7 +111,7 @@ class Connection:
         cal = self.cal
         if om.kind != "form" or om.grade != 1 or X.grade != 1:
             raise GradeMismatch((X.grade, om.grade))
-        Rinv = cal.M.triangular.Rinv.pairs()
+        Rinv = cal.M.hopf.Rinv.pairs()
         coeffs = {}
         for v in range(cal.dim):
             ev = cal.frame_field(v)
@@ -126,7 +126,7 @@ class Connection:
     def torsion(self, X, Y):
         """nabla_X Y - nabla_{Rinv1 |> Y}(Rinv2 |> X) - [X, Y]_R."""
         cal = self.cal
-        braided = _leg_sum(cal.M.triangular.Rinv.pairs(), cal.h_act_exp,
+        braided = _leg_sum(cal.M.hopf.Rinv.pairs(), cal.h_act_exp,
                            Y, X, self.nabla, cal.zero_mv(1))
         return self.nabla(X, Y) - braided - cal.bracket(X, Y)
 
@@ -135,7 +135,7 @@ class Connection:
         - nabla_{[X, Y]_R} s."""
         cal = self.cal
         braided = _leg_sum(
-            cal.M.triangular.Rinv.pairs(), cal.h_act_exp, Y, X,
+            cal.M.hopf.Rinv.pairs(), cal.h_act_exp, Y, X,
             lambda Ya, Xa: self.nabla(Ya, self.nabla(Xa, s)), cal.zero_mv(1),
         )
         return (self.nabla(X, self.nabla(Y, s)) - braided
@@ -149,7 +149,7 @@ def check_connection(conn, coeff_degree=1):
     rep = Report("connection", {"coeff_degree": coeff_degree})
     fields = field_family(cal, coeff_degree)
     funcs = coordinate_monomials(cal.alg, coeff_degree)
-    Rinv = M.triangular.Rinv.pairs()
+    Rinv = M.hopf.Rinv.pairs()
 
     rep.check("left-linearity", "nabla_{a X} s = a nabla_X s", violations(
         ("a", "X", "s"),
@@ -239,7 +239,7 @@ def check_metric(metric, coeff_degree=1):
     rep = Report("metric", {"coeff_degree": coeff_degree})
     fields = field_family(cal, coeff_degree)
 
-    Rinv = M.triangular.Rinv.pairs()
+    Rinv = M.hopf.Rinv.pairs()
     rep.check("braided-symmetry", "g(Y, X) = g(Rinv1 |> X, Rinv2 |> Y)", violations(
         ("X", "Y"), product(fields, fields),
         lambda X, Y: metric(Y, X)
@@ -252,7 +252,7 @@ def check_metric(metric, coeff_degree=1):
     monos = [e for e in cal.lie.monomials_up_to(2) if any(e)]
 
     def equivariant(e, X, Y):
-        lhs = M.act(cal.lie.monomial(e), metric(X, Y))
+        lhs = M.action.act(cal.lie.monomial(e), metric(X, Y))
         return lhs == _leg_sum(cal.cop_pairs(e), cal.h_act_exp, X, Y,
                                metric, cal.alg.zero())
 
@@ -348,7 +348,7 @@ def _metricity_violations(conn, metric, fields):
     search meets each derivative and metric value many times, so both
     are cached for as long as this search lives."""
     cal = conn.cal
-    Rinv = cal.M.triangular.Rinv.pairs()
+    Rinv = cal.M.hopf.Rinv.pairs()
     nabla, g = functools.cache(conn.nabla), functools.cache(metric)
 
     def metric_compatible(X, Y, Z):

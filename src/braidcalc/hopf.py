@@ -1,12 +1,16 @@
-"""Universal envelopes in the PBW basis and triangular structures.
+"""Universal envelopes in the PBW basis and the Hopf structure in force.
 
 A LieAlgebra is presented by structure constants over a coefficient
 ring; its universal envelope is realized on the basis of ordered
 monomials x_1^{a_1} ... x_m^{a_m}, stored as exponent tuples.  Products
-are computed by straightening: whenever a word has an adjacent descent
-x_j x_i with j > i it is rewritten as x_i x_j + [x_j, x_i], which
-terminates because each step lowers the inversion count or the word
-length.
+are straightened generator by generator: a monomial times one generator
+x_j moves x_j left past each trailing letter x_k with k > j by
+x_k x_j = x_j x_k + [x_k, x_j], which terminates because every product
+the rewrite leaves has a left factor of lower degree or is already in
+normal form.  That one product is memoized and builds up its monomial
+letter by letter, so its recursion is as deep as brackets nest, not as
+long as the word; words and monomial products multiply by it letter by
+letter.
 
 Generators are primitive: cop(x) = x(x)1 + 1(x)x, eps(x) = 0,
 S(x) = -x; the coproduct extends as an algebra map, the antipode as an
@@ -16,6 +20,8 @@ the unit monomial.
 TensorElement holds rank 1..3 tensors over the envelope with leg-wise
 multiplication, leg embedding, leg permutation and leg maps; these are
 the raw material for coproduct identities, R-matrices and twists.
+HopfStructure holds the coproduct, antipode and R-matrix (with its
+inverse) in force.
 """
 
 import operator
@@ -26,7 +32,6 @@ from .errors import (
     BadPositions,
     BetaNotInvertible,
     IndexOutOfRange,
-    InverseWitnessInvalid,
     JacobiViolation,
     RankMismatch,
     RingMismatch,
@@ -43,7 +48,6 @@ from .ring import (
     _exponent,
     _exponents_up_to,
     _memo,
-    _memo_table,
     _monomials_repr,
     _neumann,
 )
@@ -121,48 +125,46 @@ class LieAlgebra:
                     )):
                         raise JacobiViolation((i, j, k))
 
-    # -- PBW normalization --------------------------------------------
+    # -- PBW products ---------------------------------------------------
+
+    @_memo
+    def times_generator(self, exp, j):
+        """PBW product x^exp x_j as a HopfElement.
+
+        x_j moves left past each letter x_k of x^exp with k > j by
+        x_k x_j = x_j x_k + [x_k, x_j].  Writing x^exp = x^a y_1 ... y_r,
+        where x^a holds the letters x_i with i <= j and y_1 <= ... <= y_r
+        are the others, the product is built up letter by letter:
+            (x^a y_1..y_t) x_j = ((x^a y_1..y_t-1) x_j) y_t
+                                 + x^a y_1..y_t-1 [y_t, x_j].
+        Every product this needs has a left factor of lower degree or is
+        already in normal form, so the recursion is only as deep as
+        brackets nest, not as long as the monomial."""
+        head = exp[:j + 1] + (0,) * (self.dim - j - 1)
+        out = self.monomial(head[:j] + (head[j] + 1,) + head[j + 1:])
+        for k in range(j + 1, self.dim):
+            comps = self.bracket_components(k, j).items()
+            for _ in range(exp[k]):
+                out = self._times_word(out, (k,))
+                for l, c in comps:
+                    out = out + self.times_generator(head, l).scale(c)
+                head = head[:k] + (head[k] + 1,) + head[k + 1:]
+        return out
+
+    def _times_word(self, elem, word):
+        """elem x_{w_1} ... x_{w_n}, one generator at a time."""
+        for j in word:
+            elem = HopfElement(
+                self, *elem._expand(lambda e: self.times_generator(e, j)))
+        return elem
 
     def normalize_word(self, word):
-        """Word of generator indices -> its PBW normal form, a HopfElement.
-
-        Straightens by swapping the first descent, x_b x_a = x_a x_b +
-        [x_b, x_a], with an explicit stack of words still to normalize,
-        so word length is bounded by memory, not by recursion depth.
-        Results are memoized per word under the key (word,)."""
+        """Word of generator indices -> its PBW normal form, a HopfElement."""
         word = tuple(word)
-        table = _memo_table(self, "_memo_normalize_word")
-        todo = [word]
-        while todo:
-            w = todo[-1]
-            if (w,) in table:
-                todo.pop()
-                continue
-            p = next((p for p in range(len(w) - 1) if w[p] > w[p + 1]), -1)
-            if p < 0:
-                exp = [0] * self.dim
-                for i in w:
-                    if not 0 <= i < self.dim:
-                        raise IndexOutOfRange(("generator", i, self.dim))
-                    exp[i] += 1
-                table[(w,)] = HopfElement(self, {tuple(exp): self.ring._one}, 1)
-                todo.pop()
-                continue
-            a, b = w[p], w[p + 1]
-            swapped = w[:p] + (b, a) + w[p + 2:]
-            terms = [(c, w[:p] + (k,) + w[p + 2:])
-                     for k, c in self.bracket_components(a, b).items()]
-            missing = [u for u in [swapped] + [u for _, u in terms]
-                       if (u,) not in table]
-            if missing:
-                todo.extend(reversed(missing))
-                continue
-            out = table[(swapped,)]
-            for c, u in terms:
-                out = out + table[(u,)].scale(c)
-            table[(w,)] = out
-            todo.pop()
-        return table[(word,)]
+        for i in word:
+            if not 0 <= i < self.dim:
+                raise IndexOutOfRange(("generator", i, self.dim))
+        return self._times_word(self.unit(), word)
 
     @_memo
     def monomial_product(self, ea, eb):
@@ -170,7 +172,7 @@ class LieAlgebra:
         if self.is_abelian:
             return HopfElement(self, {tuple(map(operator.add, ea, eb)):
                                       self.ring._one}, 1)
-        return self.normalize_word(_exp_to_word(ea) + _exp_to_word(eb))
+        return self._times_word(self.monomial(ea), _exp_to_word(eb))
 
     # -- element constructors -----------------------------------------
 
@@ -478,33 +480,14 @@ class TensorElement(_Terms):
         return " + ".join(parts)
 
 
-class TriangularStructure:
-    """R-matrix with stored inverse; R = 1(x)1 when none is given."""
+class HopfStructure:
+    """The triangular Hopf structure in force on an envelope: its own
+    coproduct and antipode, and the R-matrix R = Rinv = 1(x)1.  It is
+    the twist of itself by F = 1(x)1; twist.TwistedHopfData is the twist
+    by any other F.  Each class names its laws and antipode
+    counterexample keys."""
 
     __slots__ = ("lie", "R", "Rinv")
-
-    def __init__(self, lie, R=None, Rinv=None):
-        if R is None:
-            R = Rinv = TensorElement.unit(lie, 2)
-        if Rinv is None:
-            raise InverseWitnessInvalid("R given without inverse")
-        if R.rank != 2 or Rinv.rank != 2:
-            raise RankMismatch("R-matrix must have rank 2")
-        self.lie = lie
-        self.R = R
-        self.Rinv = Rinv
-
-    def __repr__(self):
-        return "TriangularStructure(R=%r)" % (self.R,)
-
-
-class HopfStructure:
-    """The Hopf structure in force on an envelope: its own coproduct and
-    antipode, triangular with R = 1(x)1.  It is the twist of itself by
-    F = 1(x)1; twist.TwistedHopfData is the twist by any other F.  Each
-    class names its laws and antipode counterexample keys."""
-
-    __slots__ = ("lie", "triangular")
     laws = ("(cop (x) id) cop = (id (x) cop) cop",
             "(eps (x) id) cop = id = (id (x) eps) cop",
             "mu(S (x) id)cop = eta eps = mu(id (x) S)cop")
@@ -512,7 +495,7 @@ class HopfStructure:
 
     def __init__(self, lie):
         self.lie = lie
-        self.triangular = TriangularStructure(lie)
+        self.R = self.Rinv = TensorElement.unit(lie, 2)
 
     def coproduct(self, xi):
         return xi.coproduct()
@@ -608,7 +591,7 @@ def check_triangular(hopf, depth=3):
     R-matrix of a Hopf structure against its coproduct."""
     rep = Report("triangular", {"depth": depth})
     lie = hopf.lie
-    R, Rinv = hopf.triangular.R, hopf.triangular.Rinv
+    R, Rinv = hopf.R, hopf.Rinv
     unit2 = TensorElement.unit(lie, 2)
 
     def quasi_cocommutative(xi):

@@ -112,24 +112,12 @@ class ModuleAlgebra:
             self.hopf = TwistedHopfData(self.lie, twist)
         else:
             self.hopf = HopfStructure(self.lie)
-        self.triangular = self.hopf.triangular
 
     def __repr__(self):
         return "ModuleAlgebra(%r, twisted=%r)" % (
             self.algebra,
             self.is_twisted,
         )
-
-    # -- Hopf structure in force --------------------------------------
-
-    def coproduct(self, xi):
-        return self.hopf.coproduct(xi)
-
-    def antipode(self, xi):
-        return self.hopf.antipode(xi)
-
-    def act(self, xi, a):
-        return self.action.act(xi, a)
 
     # -- product in force ----------------------------------------------
 
@@ -143,9 +131,6 @@ class ModuleAlgebra:
         return _leg_sum(self.twist.Finv.pairs(), self.action.act_monomial,
                         a, b, operator.mul, self.algebra.zero())
 
-    def one(self):
-        return self.algebra.one()
-
     # -- braiding --------------------------------------------------------
 
     def braid_algebra_pairs(self, pairs):
@@ -154,7 +139,7 @@ class ModuleAlgebra:
         for a, b in pairs:
             if not (isinstance(a, AlgebraElement) and isinstance(b, AlgebraElement)):
                 raise UnknownModule((type(a), type(b)))
-        return _braid(self.triangular.Rinv.pairs(), self.action.act_monomial,
+        return _braid(self.hopf.Rinv.pairs(), self.action.act_monomial,
                       pairs)
 
 
@@ -209,17 +194,18 @@ def check_module_algebra(M, depth=3, degree=2):
     )
     lie = M.lie
     monos = [lie.monomial(e) for e in lie.monomials_up_to(depth)]
+    one = M.algebra.one()
     rep.check("unit-law", "xi |> 1 = eps(xi) 1", violations(
         ("monomial",), product(monos),
-        lambda xi: M.act(xi, M.one()) == M.one().scale(xi.counit())))
+        lambda xi: M.action.act(xi, one) == one.scale(xi.counit())))
 
     elems = coordinate_monomials(M.algebra, degree)
 
     cases = hoisted(product(monos), product(elems, elems),
-                    lambda xi: M.coproduct(xi).pairs())
+                    lambda xi: M.hopf.coproduct(xi).pairs())
     rep.check("leibniz", "xi |> (a b) = (xi_(1) |> a)(xi_(2) |> b)", violations(
         ("monomial", "a", "b"), cases,
-        lambda xi, a, b, cop: M.act(xi, M.mul(a, b)) == _leg_sum(
+        lambda xi, a, b, cop: M.action.act(xi, M.mul(a, b)) == _leg_sum(
             cop, M.action.act_monomial, a, b, M.mul, M.algebra.zero())))
     return rep
 
@@ -228,7 +214,7 @@ def check_braided_commutative(M, degree=2):
     """a b = (Rinv1 |> b)(Rinv2 |> a) for the product and R in force."""
     rep = Report("braided-commutative", {"degree": degree})
     elems = coordinate_monomials(M.algebra, degree)
-    Rinv = M.triangular.Rinv.pairs()
+    Rinv = M.hopf.Rinv.pairs()
 
     cases = (
         (a, b, M.mul(a, b),

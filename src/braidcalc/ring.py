@@ -185,23 +185,18 @@ def _map_mul(a, b, ring):
     return _fold({}, pairs, ring._add)
 
 
-def _memo_table(obj, slot):
-    """The cache `_memo` keeps on `obj` under the attribute `slot`."""
-    try:
-        return obj.__dict__[slot]
-    except KeyError:
-        table = obj.__dict__[slot] = {}
-        return table
-
-
 def _memo(method):
-    """Cache a method per instance, keyed by its positional arguments;
-    the method never returns None."""
+    """Cache a method per instance, keyed by its positional arguments,
+    in the attribute `_memo_<name>` of the instance; the method never
+    returns None."""
     slot = "_memo_" + method.__name__
 
     @functools.wraps(method)
     def cached(self, *args):
-        table = _memo_table(self, slot)
+        try:
+            table = self.__dict__[slot]
+        except KeyError:
+            table = self.__dict__[slot] = {}
         got = table.get(args)
         if got is None:
             got = table[args] = method(self, *args)

@@ -180,16 +180,13 @@ class Projection:
         }
         qaction = Action(cal.lie, qalg, qimages)
         qM = ModuleAlgebra(qaction, twist=cal.M.twist)
-        if cal.frame.is_coordinate:
-            qframe = None
-        else:
-            qframe = [
-                tuple(
-                    ideal.to_quotient(cal.frame.images[u][j], qalg)
-                    for j in ideal.tangent
-                )
-                for u in self.tangent_idx
-            ]
+        qframe = [
+            tuple(
+                ideal.to_quotient(cal.frame.images[u][j], qalg)
+                for j in ideal.tangent
+            )
+            for u in self.tangent_idx
+        ]
         self.q = Calculus(qM, qframe)
 
     def _check_star_ideal(self):

@@ -28,7 +28,6 @@ from .errors import (
 from .hopf import (
     HopfStructure,
     TensorElement,
-    TriangularStructure,
     check_triangular,
     hopf_axioms,
 )
@@ -174,12 +173,10 @@ class TwistedHopfData(HopfStructure):
             or self.beta_inv * self.beta != lie.unit()
         ):
             raise BetaNotInvertible(repr(self.beta))
-        R_F = F.flip() * Finv
-        R_F_inv = F * Finv.flip()
+        self.R, self.Rinv = F.flip() * Finv, F * Finv.flip()
         unit2 = TensorElement.unit(lie, 2)
-        if R_F * R_F_inv != unit2 or R_F_inv * R_F != unit2:
+        if self.R * self.Rinv != unit2 or self.Rinv * self.R != unit2:
             raise CocycleViolation("twisted R-matrix inverse mismatch")
-        self.triangular = TriangularStructure(lie, R_F, R_F_inv)
 
     def coproduct(self, xi):
         return self.twist.F * xi.coproduct() * self.twist.Finv
@@ -194,10 +191,6 @@ class TwistedHopfData(HopfStructure):
 
     def __repr__(self):
         return "TwistedHopfData(%r)" % (self.twist,)
-
-
-def twist_hopf(lie, twist):
-    return TwistedHopfData(lie, twist)
 
 
 def check_twisted_hopf(data, depth=3):

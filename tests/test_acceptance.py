@@ -35,7 +35,12 @@ from braidcalc.submanifold import (
     projection_suite,
     twist_projection_suite,
 )
-from braidcalc.twist import check_cocycle, check_twisted_hopf, exp_twist, twist_hopf
+from braidcalc.twist import (
+    TwistedHopfData,
+    check_cocycle,
+    check_twisted_hopf,
+    exp_twist,
+)
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -95,7 +100,7 @@ def test_translation_twist_laws_at_order_four():
     biv = TensorElement(lie, 2, {((1, 0), (0, 1)): ring.h()})
     tw = exp_twist(lie, biv)
     require(check_cocycle(tw), ("cocycle", "normalization", "inverse-cocycle"))
-    require(check_twisted_hopf(twist_hopf(lie, tw), 3),
+    require(check_twisted_hopf(TwistedHopfData(lie, tw), 3),
             ("coassociativity", "counit", "antipode",
              "quasi-cocommutativity", "hexagon-left", "hexagon-right",
              "unitarity", "qybe"))
@@ -118,9 +123,9 @@ def test_cartan_identities_classical_and_deformed():
            "insert-insert", "lie-insert", "lie-lie")
     split_laws = ("lie-function", "lie-wedge-split")
     classical = Calculus(ModuleAlgebra(plane_action(RATIONAL)))
-    require(cartan_suite(classical, wedge_grade=2, coeff_degree=2), six + split_laws)
+    require(cartan_suite(classical, coeff_degree=2), six + split_laws)
     deformed = Calculus(moyal_algebra(3))
-    require(cartan_suite(deformed, wedge_grade=2, coeff_degree=2), six + split_laws)
+    require(cartan_suite(deformed, coeff_degree=2), six + split_laws)
 
 
 def test_gauge_equivalence_family_and_classical_shadow():

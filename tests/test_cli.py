@@ -141,6 +141,19 @@ def test_scenario_rejects_h_as_generator():
         Scenario(data)
 
 
+def test_reversed_bracket_key_builds_the_same_algebra():
+    """[X2, X1] = -X3 declares the same bracket as [X1, X2] = X3."""
+    def heisenberg(key, coeff):
+        data = plane_data()
+        data["lie_algebra"] = {"generators": ["X1", "X2", "X3"],
+                               "brackets": {key: {"X3": coeff}}}
+        return Scenario(data).lie
+
+    forward, reversed_ = heisenberg("X1 X2", "1"), heisenberg("X2 X1", "-1")
+    assert reversed_.brackets == forward.brackets
+    assert reversed_.brackets == {(0, 1): {2: RATIONAL.one()}}
+
+
 def test_main_pass_exit_zero(capsys):
     code = main(["check-hopf", str(SCENARIOS / "abelian-plane.json")])
     out = capsys.readouterr().out
@@ -208,6 +221,39 @@ def test_main_unknown_param_exit_two(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "UnknownName" in err and "degre" in err
+
+
+def _rename(key):
+    def edit(sec):
+        sec[key + "z"] = sec.pop(key)
+    return edit
+
+
+def _add(key, value):
+    def edit(sec):
+        sec[key] = value
+    return edit
+
+
+@pytest.mark.parametrize("name, section, edit, command", [
+    ("heisenberg.json", "ring", _add("ordre", 5), "check-hopf"),
+    ("heisenberg.json", "lie_algebra", _rename("brackets"), "check-hopf"),
+    ("moyal.json", "action", _rename("images"), "star"),
+    ("moyal.json", "twist", _add("swap", True), "check-twist"),
+    ("surface.json", "ideal", _add("normal_coordinate", ["x"]), "project"),
+])
+def test_main_unknown_section_key_exit_two(tmp_path, capsys, name, section,
+                                           edit, command):
+    """A misspelt key inside a section is refused, not ignored: with
+    `images` misspelt the action would silently be trivial."""
+    data = json.loads((SCENARIOS / name).read_text())
+    edit(data[section])
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(data))
+    code = main([command, str(path), "--depth", "1", "--degree", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "UnknownName" in err and section + " key" in err
 
 
 def test_main_missing_section_exit_two(tmp_path, capsys):

@@ -210,6 +210,27 @@ def test_metric_checks_moyal_constant():
     assert rep.passed, rep.to_text()
 
 
+def test_metric_inverse_takes_neumann_correction():
+    """det E = 1 for the plain product, but the adjugate inverts E only
+    modulo h under the star product; the Neumann series corrects it."""
+    cal = moyal_cal(3)
+    alg, mul = cal.alg, cal.M.mul
+    one, zero = alg.one(), alg.zero()
+    s = alg.coord(0) + alg.coord(1)
+    E = [[one, s], [s, one + s * s]]
+    adjugate = [[one + s * s, -s], [-s, one]]
+    G = Metric(cal, E).inverse
+
+    def mmul(A, B):
+        return [[mul(A[i][0], B[0][j]) + mul(A[i][1], B[1][j])
+                 for j in range(2)] for i in range(2)]
+
+    ident = [[one, zero], [zero, one]]
+    assert mmul(adjugate, E) != ident
+    assert G != adjugate
+    assert mmul(G, E) == ident and mmul(E, G) == ident
+
+
 def test_geometry_suite_curved():
     cal = curved_cal()
     rep = geometry_suite(curved_metric(cal))

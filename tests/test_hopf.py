@@ -113,17 +113,33 @@ class TestStraightening:
             (300, 1, 0): RATIONAL.one(),
             (299, 0, 1): RATIONAL.scalar(-300),
         }
+        # x2^1500 x1 = x1 x2^1500 - 1500 x2^1499 x3: x1 passes 1500
+        # letters, deeper than the recursion limit were each pass a frame
+        got = heisenberg.normalize_word((1,) * 1500 + (0,)).terms
+        assert got == {
+            (1, 1500, 0): RATIONAL.one(),
+            (0, 1499, 1): RATIONAL.scalar(-1500),
+        }
 
     def test_closed_form_x2_power_x1_power(self, heisenberg):
         # x2^n x1^n = sum_k (-1)^k k! C(n,k)^2 x1^(n-k) x2^(n-k) x3^k
-        n = 30
-        got = heisenberg.normalize_word((1,) * n + (0,) * n).terms
-        assert got == {
-            (n - k, n - k, k): RATIONAL.scalar(
-                (-1) ** k * math.factorial(k) * math.comb(n, k) ** 2
-            )
-            for k in range(n + 1)
-        }
+        for n in (30, 40):
+            got = heisenberg.normalize_word((1,) * n + (0,) * n).terms
+            assert got == {
+                (n - k, n - k, k): RATIONAL.scalar(
+                    (-1) ** k * math.factorial(k) * math.comb(n, k) ** 2
+                )
+                for k in range(n + 1)
+            }
+
+    def test_straightening_memo_stays_small(self, heisenberg):
+        """Straightening multiplies generator by generator and memoizes
+        only those products (7660 entries for x2^30 x1^30); memoizing
+        every intermediate word kept 22971."""
+        heisenberg.normalize_word((1,) * 30 + (0,) * 30)
+        entries = sum(len(table) for name, table in vars(heisenberg).items()
+                      if name.startswith("_memo_"))
+        assert entries < 10000
 
     def test_product_associative_random(self, sl2):
         rng = random.Random(23)

@@ -1,0 +1,89 @@
+"""Mutation fuzzing of the bundled scenarios through the command line.
+
+Each example changes one thing in a bundled scenario: it replaces one
+value by a small JSON value of another type, or renames one object key.
+The mutated scenario runs in-process on a cheap subcommand; whatever the
+change, the command must end with exit status 0, 1 or 2 and never let an
+exception escape.
+"""
+
+import contextlib
+import io
+import json
+from pathlib import Path
+
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from braidcalc.cli import main
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+BUNDLED = sorted(SCENARIOS.glob("*.json")) + sorted(
+    SCENARIOS.glob("falsification/*.json"))
+COMMANDS = ("check-hopf", "check-twist", "star")
+# Strings a scenario might plausibly hold: names, monomials, rationals,
+# polynomials and some malformed ones; none asks for a large degree.
+STRINGS = ("", "1", "-1", "0", "1/0", "3/2", "0.5", "h", "h^2", "x", "y",
+           "x^2", "x + y", "P1", "P2", "X1", "X1 X2", "P1^2 P2", "- -",
+           "exp", "tensor", "series", "rational")
+KEYS = ("", "kind", "order", "generators", "brackets", "images", "imagez",
+        "unit", "bivector", "terms", "swap", "depth", "degree", "x", "P1",
+        "X1 X2")
+
+small_json = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.sampled_from(STRINGS),
+    lambda inner: st.lists(inner, max_size=2)
+    | st.dictionaries(st.sampled_from(KEYS), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def _json_type(value):
+    for kind in (bool, int, str, list, dict):
+        if isinstance(value, kind):
+            return kind
+    return type(value)
+
+
+def _paths(node, prefix=()):
+    """Paths (tuples of keys and indices) to every value below `node`."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield prefix + (key,)
+        yield from _paths(child, prefix + (key,))
+
+
+def _parent(data, path):
+    for key in path[:-1]:
+        data = data[key]
+    return data
+
+
+@st.composite
+def mutated_scenarios(draw):
+    data = json.loads(draw(st.sampled_from(BUNDLED)).read_text())
+    paths = list(_paths(data))
+    path = draw(st.sampled_from(paths))
+    parent, key = _parent(data, path), path[-1]
+    if isinstance(parent, dict) and draw(st.booleans()):
+        new_key = draw(st.sampled_from(KEYS).filter(lambda k: k != key))
+        parent[new_key] = parent.pop(key)
+    else:
+        old = _json_type(parent[key])
+        parent[key] = draw(small_json.filter(lambda v: _json_type(v) is not old))
+    return data
+
+
+@settings(max_examples=500, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                 HealthCheck.too_slow])
+@given(data=mutated_scenarios(), command=st.sampled_from(COMMANDS))
+def test_mutated_scenario_exits_cleanly(tmp_path, data, command):
+    path = tmp_path / "mutated.json"
+    path.write_text(json.dumps(data))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main([command, str(path), "--depth", "1", "--degree", "1"])
+    assert status in (0, 1, 2), (status, err.getvalue())
+    assert "Traceback" not in err.getvalue()
