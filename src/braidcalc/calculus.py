@@ -33,6 +33,7 @@ from .errors import (
     InverseWitnessInvalid,
     NotInFrameSpan,
     NotInvertible,
+    RankMismatch,
     UnknownModule,
     UnsupportedFrameBraiding,
 )
@@ -179,6 +180,8 @@ class Frame:
             if len(row) != self.alg.arity:
                 raise IndexOutOfRange(("frame image arity", len(row)))
             rows.append(row)
+        if len(rows) != self.alg.arity:
+            raise RankMismatch(("frame fields", len(rows), self.alg.arity))
         self.images = tuple(rows)
         self.dim = len(rows)
         self._E = [list(r) for r in self.images]
@@ -376,16 +379,10 @@ class MultiVector(GradedObject):
     kind = "mv"
     __slots__ = ()
 
-    def __call__(self, f):
-        return self.cal.apply_field(self, f)
-
 
 class DifferentialForm(GradedObject):
     kind = "form"
     __slots__ = ()
-
-    def __call__(self, *fields):
-        return self.cal.eval_form(self, list(fields))
 
 
 # ---------------------------------------------------------------------

@@ -12,7 +12,9 @@ written in a small plain-text grammar:
 Factors are separated by spaces; "h" is the deformation parameter and
 is reserved.  Exit status: 0 when every check passes, 1 when a check
 fails (including engine errors raised while a suite runs), 2 for
-unusable input (bad JSON, missing sections, unknown names).
+unusable input (bad JSON, missing sections, unknown names, or any
+malformed section: every section present is parsed when the scenario
+loads, whatever the command).
 """
 
 import argparse
@@ -52,7 +54,7 @@ from .modalg import (
     star_product_suite,
 )
 from .report import Report
-from .ring import RATIONAL, AlgebraElement, PolyAlgebra, Ring
+from .ring import RATIONAL, AlgebraElement, PolyAlgebra, Ring, _memo
 from .submanifold import (
     Projection,
     SubmanifoldIdeal,
@@ -82,8 +84,9 @@ def _require(cond, err, detail):
 
 _SECTIONS = ("ring", "lie_algebra", "action", "twist", "frame", "metric",
              "connection", "ideal", "suites", "params")
-_PARAMS = ("depth", "degree", "seed", "trials", "classical_shadow",
-           "transport_swap", "antipode_override")
+_COUNTS = ("depth", "degree", "seed", "trials")
+_FLAGS = ("classical_shadow", "transport_swap")
+_PARAMS = _COUNTS + _FLAGS + ("antipode_override",)
 # The keys of each object section; any other key is refused.
 _SECTION_KEYS = {
     "ring": ("kind", "order"),
@@ -92,12 +95,25 @@ _SECTION_KEYS = {
     "twist": ("kind", "bivector", "terms"),
     "ideal": ("normal_coordinates",),
 }
+# The key holding the tensor of each twist kind.
+_TWIST_KINDS = {"exp": "bivector", "tensor": "terms"}
+# The sections with a parser `Scenario._parse_<section>`, run by `check`.
+_PARSED = ("action", "twist", "frame", "metric", "connection", "ideal")
+# Errors in the scenario's shape: fatal, exit status 2.
+_SHAPE_ERRORS = (SchemaError, MissingSection, UnknownName)
 
 
 def _known_keys(obj, known, what):
     for key in obj:
         if key not in known:
             raise UnknownName((what, key))
+
+
+def _index(names, name):
+    """Position of `name` among the declared `names`."""
+    if name not in names:
+        raise UnknownName((name, tuple(names)))
+    return names.index(name)
 
 
 def _names(value, what):
@@ -168,9 +184,7 @@ def _parse_factors(ring, term, names):
             raise SchemaError(("malformed factor", factor))
         if not _NAME.match(base):
             raise SchemaError(("malformed factor", factor))
-        if base not in names:
-            raise UnknownName((base, tuple(names)))
-        exps[names.index(base)] += power
+        exps[_index(names, base)] += power
     s = ring.scalar(coeff)
     if hpow:
         s = s * ring.h(hpow)
@@ -203,10 +217,18 @@ def _coordinate_row(alg, row, detail):
     _require(isinstance(row, dict), SchemaError, detail)
     full = [alg.zero()] * alg.arity
     for cname, poly in row.items():
-        if cname not in alg.names:
-            raise UnknownName((cname, alg.names))
-        full[alg.names.index(cname)] = parse_poly(alg, poly)
+        full[_index(alg.names, cname)] = parse_poly(alg, poly)
     return tuple(full)
+
+
+def _poly_table(alg, sec, dim, rank, what):
+    """Polynomials in lists nested `rank` deep, `dim` entries in each."""
+    _require(isinstance(sec, list) and len(sec) == dim, SchemaError,
+             "%s must be a %s table of polynomials"
+             % (what, " x ".join(["dim"] * rank)))
+    if rank == 1:
+        return [parse_poly(alg, e) for e in sec]
+    return [_poly_table(alg, row, dim, rank - 1, what) for row in sec]
 
 
 def parse_hopf_monomial(lie, text):
@@ -225,8 +247,10 @@ def parse_hopf_monomial(lie, text):
 
 
 class Scenario:
-    """Parsed scenario: ring and symmetry up front, instance structures
-    built on demand and cached."""
+    """A scenario file read once: the ring and the symmetry up front,
+    each other section parsed on first use (`_parse_<section>`), and
+    each structure built once over the parsed values.  `check` parses
+    every section present, so that a malformed one is refused at load."""
 
     def __init__(self, data, ring_override=None):
         _require(isinstance(data, dict), SchemaError, "scenario must be a JSON object")
@@ -235,15 +259,44 @@ class Scenario:
             if isinstance(data.get(name), dict):
                 _known_keys(data[name], keys, name + " key")
         self.data = data
-        self.params = data.get("params") or {}
+        self.params = {} if data.get("params") is None else data["params"]
         _require(isinstance(self.params, dict), SchemaError, "params must be an object")
         _known_keys(self.params, _PARAMS, "scenario param")
         self.ring = ring_override or self._parse_ring(_section(data, "ring"))
         self.lie = self._parse_lie(_section(data, "lie_algebra"))
-        self._alg = None
-        self._action = None
-        self._twist = None
-        self._cal = {}
+
+    def check(self):
+        """Validate the params and the suites list and parse every section
+        present.  An engine error that is not a shape error is left to the
+        suite that builds on the section, which reports it as a failing
+        `construction` row."""
+        for name in _COUNTS:
+            self.knob(None, name, 0)
+        for name in _FLAGS:
+            got = self.params.get(name, False)
+            _require(type(got) is bool, SchemaError, ("%s must be true or false" % name, got))
+        wanted = self.data.get("suites")
+        if wanted is not None:
+            _require(
+                isinstance(wanted, list) and all(isinstance(w, str) for w in wanted),
+                SchemaError,
+                "suites must be a list of subcommand names",
+            )
+            known = [name for name, _, _ in _RUNNERS]
+            for w in wanted:
+                _index(known, w)
+        present = [s for s in _PARSED if self.data.get(s) is not None]
+        if self.params.get("antipode_override") is not None:
+            present.append("antipode_override")
+        for name in present:
+            try:
+                getattr(self, "_parse_" + name)()
+            except _SHAPE_ERRORS:
+                raise
+            except EngineError:
+                pass
+
+    # -- parsers: one per section, each run once ---------------------------
 
     @staticmethod
     def _parse_ring(sec):
@@ -263,95 +316,134 @@ class Scenario:
         for key, val in table.items():
             pair = key.split()
             _require(len(pair) == 2, SchemaError, ("bracket key must be two names", key))
-            idx = []
-            for g in pair:
-                if g not in gens:
-                    raise UnknownName((g, gens))
-                idx.append(gens.index(g))
-            i, j = idx
+            i, j = (_index(gens, g) for g in pair)
             _require(i != j, SchemaError, ("bracket of a generator with itself", key))
             sign = 1
             if i > j:
                 i, j, sign = j, i, -1
-            comps = {}
             _require(isinstance(val, dict), SchemaError, ("bracket value must be an object", key))
-            for g, c in val.items():
-                if g not in gens:
-                    raise UnknownName((g, gens))
-                comps[gens.index(g)] = self.ring.scalar(sign * _rational(c))
-            brackets[(i, j)] = comps
+            brackets[(i, j)] = {_index(gens, g): self.ring.scalar(sign * _rational(c))
+                                for g, c in val.items()}
         return LieAlgebra(self.ring, gens, brackets)
 
-    # -- structures ----------------------------------------------------
-
     @property
+    @_memo
     def algebra(self):
-        if self._alg is None:
-            sec = _section(self.data, "action")
-            _require(isinstance(sec, dict), SchemaError, "action must be an object")
-            coords = _names(sec.get("coordinates"), "coordinate")
-            unit = None
-            if sec.get("unit") is not None:
-                plain = PolyAlgebra(self.ring, coords)
-                poly = parse_poly(plain, sec["unit"])
-                unit = dict(poly.terms)
-            self._alg = PolyAlgebra(self.ring, coords, unit=unit)
-        return self._alg
+        sec = _section(self.data, "action")
+        _require(isinstance(sec, dict), SchemaError, "action must be an object")
+        coords = _names(sec.get("coordinates"), "coordinate")
+        unit = None
+        if sec.get("unit") is not None:
+            unit = dict(parse_poly(PolyAlgebra(self.ring, coords), sec["unit"]).terms)
+        return PolyAlgebra(self.ring, coords, unit=unit)
 
-    @property
-    def action(self):
-        if self._action is None:
-            sec = _section(self.data, "action")
-            alg = self.algebra
+    @_memo
+    def _parse_action(self):
+        """The generator images: {generator index: coordinate row}."""
+        alg = self.algebra
+        images = self.data["action"].get("images")
+        if images is None:
             images = {}
-            img_sec = sec.get("images") or {}
-            _require(isinstance(img_sec, dict), SchemaError, "images must be an object")
-            for gname, row in img_sec.items():
-                if gname not in self.lie.generators:
-                    raise UnknownName((gname, self.lie.generators))
-                images[self.lie.generators.index(gname)] = _coordinate_row(
-                    alg, row, ("image row must be an object", gname))
-            self._action = Action(self.lie, alg, images)
-        return self._action
+        _require(isinstance(images, dict), SchemaError, "images must be an object")
+        return {
+            _index(self.lie.generators, gname):
+                _coordinate_row(alg, row, ("image row must be an object", gname))
+            for gname, row in images.items()
+        }
+
+    def _term_list(self, items, width, what):
+        """{monomials: coefficient} from a list of [monomial, ...,
+        coefficient] entries with `width` PBW monomials each; the
+        coefficients of a repeated key add up."""
+        _require(isinstance(items, list), SchemaError, ("%s must be a list" % what, items))
+        out = {}
+        for item in items:
+            _require(
+                isinstance(item, list) and len(item) == width + 1,
+                SchemaError,
+                ("%s term must be %d monomial(s) and a coefficient" % (what, width), item),
+            )
+            key = tuple(parse_hopf_monomial(self.lie, m) for m in item[:width])
+            out[key] = out.get(key, self.ring.zero()) + parse_scalar(self.ring, item[width])
+        return out
+
+    @_memo
+    def _parse_twist(self):
+        """(kind, rank-2 tensor) of the twist section."""
+        sec = _section(self.data, "twist")
+        _require(isinstance(sec, dict), SchemaError, "twist must be an object")
+        kind = sec.get("kind")
+        _require(isinstance(kind, str) and kind in _TWIST_KINDS, SchemaError,
+                 ("twist kind must be exp or tensor", kind))
+        key = _TWIST_KINDS[kind]
+        terms = self._term_list(sec.get(key), 2, key)
+        _require(terms, SchemaError, "%s must be a non-empty list of [left, right, coeff]" % key)
+        return kind, TensorElement(self.lie, 2, terms)
+
+    @_memo
+    def _parse_frame(self):
+        sec = self.data["frame"]
+        alg = self.algebra
+        _require(isinstance(sec, list) and len(sec) == alg.arity, SchemaError,
+                 "frame must be a list of one row per coordinate")
+        return tuple(_coordinate_row(alg, row, ("frame row must be an object", row))
+                     for row in sec)
+
+    # A frame has one field per coordinate, so the tables below are
+    # arity-square whether or not the scenario declares a frame.
+
+    @_memo
+    def _parse_metric(self):
+        alg = self.algebra
+        return _poly_table(alg, _section(self.data, "metric"), alg.arity, 2, "metric")
+
+    @_memo
+    def _parse_connection(self):
+        alg = self.algebra
+        return _poly_table(alg, _section(self.data, "connection"), alg.arity, 3,
+                           "connection")
+
+    @_memo
+    def _parse_ideal(self):
+        """The indices of the normal coordinates."""
+        sec = _section(self.data, "ideal")
+        _require(isinstance(sec, dict), SchemaError, "ideal must be an object")
+        coords = sec.get("normal_coordinates")
+        _require(
+            isinstance(coords, list) and coords
+            and all(isinstance(c, str) for c in coords),
+            SchemaError,
+            "normal_coordinates must be a non-empty list of names",
+        )
+        return tuple(_index(self.algebra.names, c) for c in coords)
+
+    @_memo
+    def _parse_antipode_override(self):
+        """{generator index: HopfElement} replacing S on single generators."""
+        sec = self.params["antipode_override"]
+        _require(isinstance(sec, dict), SchemaError, "antipode_override must be an object")
+        table = {}
+        for gname, terms in sec.items():
+            i = _index(self.lie.generators, gname)
+            elem = self.lie.zero()
+            for (exp,), coeff in self._term_list(terms, 1, "override").items():
+                elem = elem + self.lie.monomial(exp, coeff)
+            table[i] = elem
+        return table
+
+    # -- structures: each built once over the parsed values ----------------
 
     @property
-    def twist(self):
-        if self._twist is None:
-            sec = _section(self.data, "twist")
-            _require(isinstance(sec, dict), SchemaError, "twist must be an object")
-            kind = sec.get("kind")
-            if kind == "exp":
-                terms = sec.get("bivector")
-                tensor = self._parse_tensor(terms, "bivector")
-                tw = exp_twist(self.lie, tensor)
-            elif kind == "tensor":
-                terms = sec.get("terms")
-                tensor = self._parse_tensor(terms, "terms")
-                tw = Twist.from_tensor(self.lie, tensor)
-            else:
-                raise SchemaError(("twist kind must be exp or tensor", kind))
-            self._twist = tw
-        return self._twist
+    @_memo
+    def action(self):
+        return Action(self.lie, self.algebra, self._parse_action())
 
-    def _parse_tensor(self, terms, label):
-        _require(
-            isinstance(terms, list) and terms,
-            SchemaError,
-            ("%s must be a non-empty list of [left, right, coeff]" % label),
-        )
-        out = {}
-        for item in terms:
-            _require(
-                isinstance(item, list) and len(item) == 3,
-                SchemaError,
-                ("tensor term must be [left, right, coeff]", item),
-            )
-            left = parse_hopf_monomial(self.lie, item[0])
-            right = parse_hopf_monomial(self.lie, item[1])
-            coeff = parse_scalar(self.ring, item[2])
-            key = (left, right)
-            out[key] = out.get(key, self.ring.zero()) + coeff
-        return TensorElement(self.lie, 2, out)
+    @property
+    @_memo
+    def twist(self):
+        kind, tensor = self._parse_twist()
+        build = exp_twist if kind == "exp" else Twist.from_tensor
+        return build(self.lie, tensor)
 
     def module_algebra(self, twisted=True):
         twist = None
@@ -360,98 +452,28 @@ class Scenario:
         return ModuleAlgebra(self.action, twist=twist)
 
     def frame_images(self):
-        sec = self.data.get("frame")
-        if sec is None:
-            return None
-        alg = self.algebra
-        _require(
-            isinstance(sec, list) and sec,
-            SchemaError,
-            "frame must be a non-empty list of rows",
-        )
-        return [
-            _coordinate_row(alg, row, ("frame row must be an object", row))
-            for row in sec
-        ]
+        return None if self.data.get("frame") is None else self._parse_frame()
 
     def calculus(self, twisted=True):
-        key = bool(twisted)
-        if key not in self._cal:
-            self._cal[key] = Calculus(
-                self.module_algebra(twisted), self.frame_images()
-            )
-        return self._cal[key]
+        return self._calculus(bool(twisted))
+
+    @_memo
+    def _calculus(self, twisted):
+        return Calculus(self.module_algebra(twisted), self.frame_images())
 
     def metric(self, cal):
-        sec = _section(self.data, "metric")
-        dim = cal.dim
-        _require(
-            isinstance(sec, list) and len(sec) == dim
-            and all(isinstance(r, list) and len(r) == dim for r in sec),
-            SchemaError,
-            "metric must be a dim x dim matrix of polynomials",
-        )
-        matrix = [[parse_poly(cal.alg, e) for e in row] for row in sec]
-        return Metric(cal, matrix)
+        return Metric(cal, self._parse_metric())
 
     def connection(self, cal):
-        sec = _section(self.data, "connection")
-        dim = cal.dim
-        _require(
-            isinstance(sec, list) and len(sec) == dim
-            and all(
-                isinstance(r, list) and len(r) == dim
-                and all(isinstance(e, list) and len(e) == dim for e in r)
-                for r in sec
-            ),
-            SchemaError,
-            "connection must be a dim x dim x dim table of polynomials",
-        )
-        gamma = [
-            [[parse_poly(cal.alg, e) for e in entry] for entry in row]
-            for row in sec
-        ]
-        return Connection(cal, gamma)
+        return Connection(cal, self._parse_connection())
 
     def ideal(self):
-        sec = _section(self.data, "ideal")
-        _require(isinstance(sec, dict), SchemaError, "ideal must be an object")
-        coords = sec.get("normal_coordinates")
-        alg = self.algebra
-        _require(
-            isinstance(coords, list) and coords
-            and all(isinstance(c, str) for c in coords),
-            SchemaError,
-            "normal_coordinates must be a non-empty list of names",
-        )
-        normal = []
-        for c in coords:
-            if c not in alg.names:
-                raise UnknownName((c, alg.names))
-            normal.append(alg.names.index(c))
-        return SubmanifoldIdeal(alg, normal_coords=normal)
+        return SubmanifoldIdeal(self.algebra, normal_coords=self._parse_ideal())
 
     def antipode_table(self):
-        sec = self.params.get("antipode_override")
-        if sec is None:
+        if self.params.get("antipode_override") is None:
             return None
-        _require(isinstance(sec, dict), SchemaError, "antipode_override must be an object")
-        table = {}
-        for gname, terms in sec.items():
-            if gname not in self.lie.generators:
-                raise UnknownName((gname, self.lie.generators))
-            elem = self.lie.zero()
-            _require(isinstance(terms, list), SchemaError, "override must list [monomial, coeff] pairs")
-            for item in terms:
-                _require(
-                    isinstance(item, list) and len(item) == 2,
-                    SchemaError,
-                    ("override term must be [monomial, coeff]", item),
-                )
-                exp = parse_hopf_monomial(self.lie, item[0])
-                elem = elem + self.lie.monomial(exp, parse_scalar(self.ring, item[1]))
-            table[self.lie.generators.index(gname)] = elem
-        return table
+        return self._parse_antipode_override()
 
     # -- knobs -----------------------------------------------------------
 
@@ -471,7 +493,7 @@ def _guarded(title, fn):
     Scenario-shape errors stay fatal and exit with status 2."""
     try:
         return fn()
-    except (SchemaError, MissingSection, UnknownName):
+    except _SHAPE_ERRORS:
         raise
     except EngineError as exc:
         rep = Report(title, {})
@@ -613,16 +635,6 @@ _RUNNERS = (
 
 def run_all(sc, opts):
     wanted = sc.data.get("suites")
-    if wanted is not None:
-        _require(
-            isinstance(wanted, list) and all(isinstance(w, str) for w in wanted),
-            SchemaError,
-            "suites must be a list of subcommand names",
-        )
-        known = {name for name, _, _ in _RUNNERS}
-        for w in wanted:
-            if w not in known:
-                raise UnknownName((w, sorted(known)))
     reports = []
     for name, fn, needs in _RUNNERS:
         if wanted is not None and name not in wanted:
@@ -679,7 +691,9 @@ def _load_scenario(opts):
         )
         _require(opts.order >= 1, SchemaError, ("bad --order", opts.order))
         ring_override = Ring("series", opts.order)
-    return Scenario(data, ring_override=ring_override)
+    sc = Scenario(data, ring_override=ring_override)
+    sc.check()
+    return sc
 
 
 def main(argv=None):

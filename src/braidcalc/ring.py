@@ -50,16 +50,11 @@ from .errors import (
 
 
 def _frac(v):
-    """Coerce ints, Fractions and strings like '3/2' to Fraction."""
+    """Coerce ints and Fractions to Fraction."""
     if isinstance(v, Fraction):
         return v
     if isinstance(v, int):
         return Fraction(v)
-    if isinstance(v, str):
-        try:
-            return Fraction(v.strip())
-        except (ValueError, ZeroDivisionError):
-            pass
     raise SchemaError(("not a rational literal", v))
 
 
@@ -662,8 +657,8 @@ class PolyAlgebra:
     """Polynomial algebra over a Ring in named commuting coordinates,
     optionally localized at a single declared unit polynomial."""
 
-    __slots__ = ("ring", "names", "unit", "_unit", "_unit_lead", "_index",
-                 "_hash", "_zero", "_one", "_coords")
+    __slots__ = ("ring", "names", "unit", "_unit", "_unit_lead", "_hash",
+                 "_zero", "_one", "_coords")
 
     def __init__(self, ring, names, unit=None):
         if not isinstance(ring, Ring):
@@ -673,7 +668,6 @@ class PolyAlgebra:
             raise SchemaError(("duplicate coordinate", names))
         self.ring = ring
         self.names = names
-        self._index = {nm: i for i, nm in enumerate(names)}
         if unit is not None:
             unit = {tuple(e): c for e, c in unit.items() if not c.is_zero()}
             if not unit:
@@ -744,32 +738,6 @@ class PolyAlgebra:
         exp = _exponent(exp, self.arity)
         s = coeff if isinstance(coeff, Scalar) else self.ring.scalar(coeff)
         return AlgebraElement(self, {exp: s}, 0)
-
-    def parse_exponent(self, key):
-        """Exponent-string keys: '1' (unit), 'x', 'x^2 y', 'y^3'."""
-        key = key.strip()
-        e = [0] * self.arity
-        if key in ("1", ""):
-            return tuple(e)
-        for atom in key.split():
-            if "^" in atom:
-                nm, p = atom.split("^")
-                p = int(p)
-            else:
-                nm, p = atom, 1
-            if nm not in self._index:
-                raise IndexOutOfRange(("coordinate name", nm, self.names))
-            e[self._index[nm]] += p
-        return tuple(e)
-
-    def from_map(self, m):
-        """Build an element from {'x^2 y': '3/2', ...}."""
-        num = _add_terms({}, (
-            (self.parse_exponent(key),
-             val if isinstance(val, Scalar) else self.ring.scalar(val))
-            for key, val in m.items()
-        ))
-        return AlgebraElement(self, num, 0)
 
     def unit_element(self):
         if self._unit is None:

@@ -19,11 +19,12 @@ from braidcalc.calculus import (
     object_h0,
     schouten_suite,
 )
-from braidcalc.cli import Scenario
+from braidcalc.cli import Scenario, parse_poly
 from braidcalc.errors import (
     FramePairingSingular,
     GradeMismatch,
     NotInFrameSpan,
+    RankMismatch,
     UnknownModule,
     UnsupportedFrameBraiding,
 )
@@ -93,7 +94,7 @@ def skew_frame_cal():
 
 
 def monomial(cal, key):
-    return cal.alg.from_map({key: 1})
+    return parse_poly(cal.alg, key)
 
 
 # ---------------------------------------------------------------------
@@ -618,7 +619,7 @@ def test_schouten_with_function_first(make):
         a = cal.function(m)
         if not cal.M.is_twisted:
             for X in fields:
-                assert cal.schouten(a, X) == cal.function(-X(m)), (m, X)
+                assert cal.schouten(a, X) == cal.function(-cal.apply_field(X, m)), (m, X)
         for Y in fields:
             for Z in fields:
                 rhs = cal.wedge(cal.schouten(a, Y), Z)
@@ -799,6 +800,20 @@ def test_frame_braiding_unsupported_under_twist():
     images = [(cal.alg.one(), cal.alg.zero()), (x, cal.alg.one())]
     with pytest.raises(UnsupportedFrameBraiding):
         Calculus(cal.M, frame_images=images)
+
+
+@pytest.mark.parametrize("rows", [1, 3])
+def test_frame_needs_one_field_per_coordinate(rows):
+    """A frame matrix that is not square has no inverse: refused with a
+    typed error, not an IndexError from the determinant."""
+    lie = translations(RATIONAL)
+    alg = PolyAlgebra(RATIONAL, ("x", "y"))
+    action = Action(lie, alg, {0: (alg.one(), alg.zero()),
+                               1: (alg.zero(), alg.one())})
+    images = [(alg.one(), alg.zero()), (alg.zero(), alg.one()),
+              (alg.one(), alg.one())][:rows]
+    with pytest.raises(RankMismatch):
+        Calculus(ModuleAlgebra(action), frame_images=images)
 
 
 def test_frame_pairing_singular():

@@ -503,3 +503,107 @@ def test_degenerate_declarations_refused_under_python_O(tmp_path, edit):
     for run in (plain, opt):
         assert "Traceback" not in run.stderr, run.stderr
         assert "SchemaError" in run.stderr, run.stderr
+
+
+def _run_edited(tmp_path, capsys, name, edit, argv):
+    """Run `argv` on the bundled scenario `name` after `edit(data)`;
+    returns (exit status, stdout, stderr)."""
+    data = json.loads((SCENARIOS / name).read_text())
+    edit(data)
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(data))
+    code = main([argv[0], str(path), *argv[1:]])
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def _set(key, value, suites=None):
+    def edit(data):
+        data[key] = value
+        if suites is not None:
+            data["suites"] = suites
+    return edit
+
+
+def _set_param(key, value, suites=None):
+    def edit(data):
+        data.setdefault("params", {})[key] = value
+        if suites is not None:
+            data["suites"] = suites
+    return edit
+
+
+def _images(value):
+    def edit(data):
+        data["action"]["images"] = value
+    return edit
+
+
+def _twist_kind(kind):
+    def edit(data):
+        data["twist"]["kind"] = kind
+        data["suites"] = ["check-hopf"]
+    return edit
+
+
+@pytest.mark.parametrize("name, edit, argv, error", [
+    ("heisenberg.json", _set("metric", "garbage"), ["all"], "SchemaError"),
+    ("heisenberg.json", _set("connection", [["x"]]), ["all"], "SchemaError"),
+    ("heisenberg.json", _set("ideal", {"normal_coordinates": ["nope"]}),
+     ["all"], "UnknownName"),
+    ("heisenberg.json", _set("frame", "garbage", ["check-hopf"]), ["all"],
+     "SchemaError"),
+    ("moyal.json", _twist_kind("bogus"), ["all"], "SchemaError"),
+    ("moyal.json", _twist_kind(["exp"]), ["all"], "SchemaError"),
+    ("heisenberg.json",
+     _set_param("antipode_override", {"X1": [["X9", "1"]]}, ["star"]),
+     ["all"], "UnknownName"),
+    ("heisenberg.json", _set("suites", ["bogus"]), ["check-hopf"],
+     "UnknownName"),
+    ("heisenberg.json", _set_param("trials", "x"), ["check-hopf"],
+     "SchemaError"),
+    ("heisenberg.json", _set("params", []), ["check-hopf"], "SchemaError"),
+    ("heisenberg.json", _set("frame", [{"x": "1"}] * 3, ["check-hopf"]),
+     ["all"], "SchemaError"),
+    ("heisenberg.json", _images(False), ["star"], "SchemaError"),
+], ids=["metric", "connection", "ideal", "frame", "twist-kind",
+        "unhashable-twist-kind", "antipode-override", "suites", "trials",
+        "params-list", "images-false", "frame-rows"])
+def test_malformed_section_refused_at_load(tmp_path, capsys, name, edit,
+                                           argv, error):
+    """Every section present, every param and the suites list are checked
+    when the scenario loads, whatever the command: a malformed one exits
+    2 even when no suite that runs would read it."""
+    code, out, err = _run_edited(tmp_path, capsys, name, edit, argv)
+    assert code == 2, out
+    assert error in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("param, value", [
+    ("transport_swap", "false"), ("classical_shadow", "no"),
+    ("classical_shadow", 1), ("transport_swap", None),
+])
+def test_boolean_params_must_be_json_booleans(tmp_path, capsys, param, value):
+    """A string such as "false" is truthy: read as a flag it would turn
+    the swapped-twist falsifier or the shadow rows on."""
+    code, out, err = _run_edited(tmp_path, capsys, "moyal.json",
+                                 _set_param(param, value), ["gauge"])
+    assert code == 2, out
+    assert "SchemaError" in err and param in err
+
+
+def test_engine_error_at_load_keeps_its_status(tmp_path, capsys):
+    """A declared unit whose leading coefficient has no inverse is an
+    engine error, not a shape error: the load check leaves it to the
+    suites, which report a failing construction row, and a suite that
+    never builds the algebra still passes."""
+    def edit(data):
+        data["action"]["unit"] = "1 + h x^2"
+
+    code, out, _ = _run_edited(tmp_path, capsys, "curved-metric.json", edit,
+                               ["all"])
+    assert code == 1
+    assert "construction" in out and "NotInvertible" in out
+    code, out, _ = _run_edited(tmp_path, capsys, "curved-metric.json", edit,
+                               ["check-hopf"])
+    assert code == 0 and "OVERALL: PASS" in out

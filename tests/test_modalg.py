@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidcalc.cli import parse_poly
 from braidcalc.errors import BracketIncompatible, EngineError, UnknownModule, WrongRing
 from braidcalc.hopf import LieAlgebra, TensorElement
 from braidcalc.modalg import (
@@ -140,17 +141,17 @@ def heisenberg_twisted(order=3):
 def test_generator_action_is_partial_derivative():
     M = classical_instance()
     alg = M.algebra
-    a = alg.from_map({"x^2 y": 1, "y^3": "2"})
+    a = parse_poly(alg, "x^2 y + 2 y^3")
     da = M.action.act(M.lie.gen(0), a)
-    assert da == alg.from_map({"x y": 2})
+    assert da == parse_poly(alg, "2 x y")
     db = M.action.act(M.lie.gen(1), a)
-    assert db == alg.from_map({"x^2": 1, "y^2": 6})
+    assert db == parse_poly(alg, "x^2 + 6 y^2")
 
 
 def test_monomial_action_composes_and_matches_oracle():
     M = classical_instance()
     alg = M.algebra
-    a = alg.from_map({"x^3 y^2": 1})
+    a = parse_poly(alg, "x^3 y^2")
     # P1^2 P2 |> a = dx dx dy a
     xi = M.lie.monomial((2, 1), M.lie.ring.scalar(1))
     got = M.action.act(xi, a)
@@ -171,7 +172,7 @@ def test_action_through_localized_unit():
     inv = alg.unit_element().inverse()
     # d/dx (1/(1+x^2)) = -2x/(1+x^2)^2
     got = act.act(lie.gen(0), inv)
-    want = alg.from_map({"x": -2}) * inv * inv
+    want = parse_poly(alg, "-2 x") * inv * inv
     assert got == want
 
 

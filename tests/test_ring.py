@@ -18,6 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from braidcalc.cli import parse_poly, parse_scalar
 from braidcalc.errors import (
     ArityMismatch,
     NotInvertible,
@@ -136,8 +137,8 @@ class TestScalar:
 
     def test_h0_classical_limit(self):
         ring = Ring("series", 3)
-        s = ring.from_coeffs(["3/2", 1, 2])
-        assert s.h0() == RATIONAL.scalar("3/2")
+        s = ring.from_coeffs([Fraction(3, 2), 1, 2])
+        assert s.h0() == RATIONAL.scalar(Fraction(3, 2))
         assert s.h0().ring == RATIONAL
 
 
@@ -229,17 +230,17 @@ class TestRepresentation:
     def test_equal_values_compare_and_hash_equal(self, drawn, k):
         ring, (a,) = drawn
         s = ring.from_coeffs(a)
-        # the same value written with every fraction scaled by k/k
-        t = ring.from_coeffs(
-            ["%d/%d" % (v.numerator * k, v.denominator * k) for v in a]
-        )
+        # the same value written as text with every fraction scaled by k/k
+        t = parse_scalar(ring, " + ".join(
+            "%d/%d" % (v.numerator * k, v.denominator * k) + (" h^%d" % i if i else "")
+            for i, v in enumerate(a)))
         assert s == t and hash(s) == hash(t)
         assert (s.n, s.d) == (t.n, t.d)
 
     def test_unreduced_literal_is_reduced(self):
-        assert RATIONAL.scalar("2/4") == RATIONAL.scalar("1/2")
-        assert hash(RATIONAL.scalar("2/4")) == hash(RATIONAL.scalar("1/2"))
-        half = Ring("series", 3).from_coeffs(["2/4", 0, "-6/4"])
+        assert parse_scalar(RATIONAL, "2/4") == parse_scalar(RATIONAL, "1/2")
+        assert hash(parse_scalar(RATIONAL, "2/4")) == hash(parse_scalar(RATIONAL, "1/2"))
+        half = Ring("series", 3).from_coeffs([Fraction(2, 4), 0, Fraction(-6, 4)])
         assert (half.n, half.d) == ((1, 0, -3), 2)
 
 
@@ -249,7 +250,7 @@ class TestRepresentation:
 
 
 class TestTypedErrors:
-    @pytest.mark.parametrize("literal", [0.5, None, "abc", "1/0"])
+    @pytest.mark.parametrize("literal", [0.5, None, "abc", "1/0", "1/2"])
     def test_non_rational_literal(self, literal):
         with pytest.raises(SchemaError):
             RATIONAL.scalar(literal)
@@ -276,7 +277,7 @@ class TestTypedErrors:
             series.h(2).lift(Ring("series", 2))
         with pytest.raises(WrongRing):
             series.h().lift(RATIONAL)
-        assert series.scalar("3/2").lift(RATIONAL) == RATIONAL.scalar("3/2")
+        assert series.scalar(Fraction(3, 2)).lift(RATIONAL) == RATIONAL.scalar(Fraction(3, 2))
 
     def test_contracts_survive_python_O(self):
         """The same refusals in a fresh interpreter under python -O."""
@@ -398,8 +399,8 @@ def qxy():
 
 class TestPolyAlgebra:
     def test_parse_and_repr_roundtrip(self, qxy):
-        p = qxy.from_map({"x^2 y": "3/2", "1": "-1", "y": "2"})
-        assert p == qxy.monomial((2, 1), "3/2") + qxy.scalar(-1) + qxy.monomial((0, 1), 2)
+        p = parse_poly(qxy, "3/2 x^2 y - 1 + 2 y")
+        assert p == qxy.monomial((2, 1), Fraction(3, 2)) + qxy.scalar(-1) + qxy.monomial((0, 1), 2)
 
     def test_poly_ring_laws_random(self, qxy):
         rng = random.Random(21)
@@ -441,7 +442,7 @@ class TestPolyAlgebra:
         frac = qxy.scalar(3) * inv_u * inv_u
         got = frac.inverse()
         assert got.du == 0
-        assert got == qxy.from_map({"x^4": "1/3", "x^2": "2/3", "1": "1/3"})
+        assert got == parse_poly(qxy, "1/3 x^4 + 2/3 x^2 + 1/3")
 
     def test_quotient_rule(self, qxy):
         # d/dx (1/(1+x^2)) = -2x/(1+x^2)^2
@@ -491,6 +492,6 @@ class TestPolyAlgebra:
         ring = Ring("series", 3)
         unit = {(2, 0): ring.one(), (0, 0): ring.one()}
         big = PolyAlgebra(ring, ("x", "y"), unit=unit)
-        p = qxy.from_map({"x y": "2", "1": "-1/3"}) * qxy.unit_element().inverse()
+        p = parse_poly(qxy, "2 x y - 1/3") * qxy.unit_element().inverse()
         lifted = p.lift(big)
         assert lifted.h0(qxy) == p

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidcalc.calculus import Calculus, DifferentialForm, MultiVector
-from braidcalc.cli import Scenario, build_parser, run_all
+from braidcalc.cli import Scenario, build_parser, parse_poly, run_all
 from braidcalc.errors import GradeMismatch, RankMismatch, RingMismatch
 from braidcalc.hopf import HopfElement, LieAlgebra, TensorElement
 from braidcalc.modalg import Action, ModuleAlgebra
@@ -259,7 +259,7 @@ def test_fraction_free_arithmetic_matches_fraction_oracle(data):
         keys, legs = exps(2, 2), None
         build = lambda t: alg.element(t)
     else:
-        lie = LieAlgebra(ring, ("X1", "X2", "X3"), {(0, 1): {2: "1/2"}})
+        lie = LieAlgebra(ring, ("X1", "X2", "X3"), {(0, 1): {2: Fraction(1, 2)}})
         if kind == "hopf":
             keys, legs = exps(3, 1), 1
             build = lambda t: HopfElement(lie, t)
@@ -301,8 +301,8 @@ def test_scale_by_one_is_the_identity(ring):
     lie, x = cal.lie, cal.alg.coord(0)
     two = ring.scalar(2)
     elements = [
-        cal.alg.from_map({"x^2 y": "3/2", "1": 1}),
-        HopfElement(lie, {(1, 0): two, (0, 2): ring.scalar("1/3")}),
+        parse_poly(cal.alg, "3/2 x^2 y + 1"),
+        HopfElement(lie, {(1, 0): two, (0, 2): ring.scalar(Fraction(1, 3))}),
         TensorElement(lie, 2, {((1, 0), (0, 1)): two}),
         cal.mv(1, {(0,): x, (1,): x * x}),
         cal.form(2, {(0, 1): x}),
