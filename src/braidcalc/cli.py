@@ -262,7 +262,8 @@ class Scenario:
         self.params = {} if data.get("params") is None else data["params"]
         _require(isinstance(self.params, dict), SchemaError, "params must be an object")
         _known_keys(self.params, _PARAMS, "scenario param")
-        self.ring = ring_override or self._parse_ring(_section(data, "ring"))
+        ring = self._parse_ring(_section(data, "ring"))
+        self.ring = ring_override or ring
         self.lie = self._parse_lie(_section(data, "lie_algebra"))
 
     def check(self):
@@ -285,6 +286,17 @@ class Scenario:
             known = [name for name, _, _ in _RUNNERS]
             for w in wanted:
                 _index(known, w)
+        if self.data.get("action") is not None:
+            try:
+                self.algebra
+            except _SHAPE_ERRORS:
+                raise
+            except EngineError:
+                # a refused unit is a construction row of each suite that
+                # builds the algebra; the sections are still checked for
+                # shape, over the coordinates without the unit
+                action = dict(self.data["action"], unit=None)
+                return Scenario(dict(self.data, action=action), self.ring).check()
         present = [s for s in _PARSED if self.data.get(s) is not None]
         if self.params.get("antipode_override") is not None:
             present.append("antipode_override")
@@ -301,8 +313,11 @@ class Scenario:
     @staticmethod
     def _parse_ring(sec):
         _require(isinstance(sec, dict), SchemaError, "ring must be an object")
-        kind = sec.get("kind")
-        return RATIONAL if kind == "rational" else Ring(kind, sec.get("order"))
+        kind, order = sec.get("kind"), sec.get("order")
+        if kind == "rational":
+            _require(order is None, SchemaError, ("a rational ring takes no order", order))
+            return RATIONAL
+        return Ring(kind, order)
 
     def _parse_lie(self, sec):
         _require(isinstance(sec, dict), SchemaError, "lie_algebra must be an object")
@@ -550,16 +565,13 @@ def run_gauge(sc, opts):
     _section(sc.data, "twist")
     cl = sc.calculus(twisted=False)
     tw = sc.calculus(twisted=True)
-    rational_cal = None
-    if sc.params.get("classical_shadow"):
-        shadow = Scenario(sc.data, ring_override=RATIONAL)
-        rational_cal = shadow.calculus(twisted=False)
     transport_cal = None
     if sc.params.get("transport_swap"):
         # falsification knob: transports run against the inverse twist
         bad = ModuleAlgebra(sc.action, twist=sc.twist.swapped())
         transport_cal = Calculus(bad, sc.frame_images())
-    return [gauge_suite(cl, tw, rational_cal, transport_cal)]
+    return [gauge_suite(cl, tw, sc.params.get("classical_shadow", False),
+                        transport_cal)]
 
 
 def run_levi_civita(sc, opts):
@@ -591,11 +603,8 @@ def run_levi_civita(sc, opts):
         reports.append(rep)
     if sc.data.get("twist") is not None:
         twc = sc.calculus(twisted=True)
-        rational_metric = None
-        if sc.params.get("classical_shadow"):
-            shadow = Scenario(sc.data, ring_override=RATIONAL)
-            rational_metric = shadow.metric(shadow.calculus(twisted=False))
-        reports.append(geometry_twist_suite(metric, cal, twc, rational_metric))
+        reports.append(geometry_twist_suite(
+            metric, cal, twc, sc.params.get("classical_shadow", False)))
     return reports
 
 

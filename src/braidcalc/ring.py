@@ -449,22 +449,6 @@ class Scalar:
                             for k, bk in enumerate(b)),
                       den)
 
-    # -- ring changes ------------------------------------------------
-
-    def h0(self):
-        """Classical limit: the h^0 coefficient as a rational Scalar."""
-        return Scalar(RATIONAL, self.n[:1], self.d)
-
-    def lift(self, ring):
-        """Re-embed into `ring`; never allowed to drop nonzero coefficients."""
-        if ring == self.ring:
-            return self
-        if any(self.n[ring.order:]):
-            raise WrongRing(("lift would truncate nonzero coefficients",
-                             self, ring))
-        n = self.n[:ring.order] + (0,) * (ring.order - self.ring.order)
-        return Scalar(ring, n, self.d)
-
     # -- plumbing ----------------------------------------------------
 
     def __eq__(self, other):
@@ -928,25 +912,7 @@ class AlgebraElement(_Terms):
             raise InverseWitnessInvalid("inverse verification")
         return out
 
-    # -- ring changes -------------------------------------------------
-
-    def h0(self, target):
-        """Classical limit into `target`, a rational-ring sibling algebra."""
-        return AlgebraElement(
-            target, {e: v[:1] for e, v in self._map.items() if v[0]},
-            self.du, self._den)
-
-    def lift(self, target):
-        """Embed into `target`, a series-ring sibling algebra."""
-        ring, order = self.algebra.ring, target.ring.order
-        pad = (0,) * (order - ring.order)
-        num = {}
-        for e, v in self._map.items():
-            if any(v[order:]):
-                raise WrongRing(("lift would truncate nonzero coefficients",
-                                 Scalar(ring, v, self._den), target.ring))
-            num[e] = v[:order] + pad
-        return AlgebraElement(target, num, self.du, self._den)
+    # -- change of algebra --------------------------------------------
 
     def _remap(self, target, fn):
         """The element of `target` whose exponents are fn(e) for the

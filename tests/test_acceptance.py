@@ -132,8 +132,7 @@ def test_gauge_equivalence_family_and_classical_shadow():
     ring = Ring("series", 3)
     cl = Calculus(ModuleAlgebra(plane_action(ring)))
     tw = Calculus(moyal_algebra(3))
-    shadow = Calculus(ModuleAlgebra(plane_action(RATIONAL)))
-    rep = gauge_suite(cl, tw, rational_cal=shadow)
+    rep = gauge_suite(cl, tw, shadow=True)
     require(rep, ("wedge", "schouten", "lie", "insert",
                   "differential", "classical-shadow"))
 
@@ -156,7 +155,7 @@ def test_levi_civita_perturbations_and_twist_naturality():
     tcal = Calculus(ModuleAlgebra(taction))
     twc = Calculus(ModuleAlgebra(taction, twist=exp_twist(tlie, biv)))
     tmetric = curved_metric(tcal)
-    require(geometry_twist_suite(tmetric, tcal, twc, curved_metric(cal)),
+    require(geometry_twist_suite(tmetric, tcal, twc, shadow=True),
             ("lc-naturality", "twisted-metricity", "twisted-torsion-free",
              "classical-shadow"))
 

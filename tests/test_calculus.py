@@ -16,7 +16,6 @@ from braidcalc.calculus import (
     graded_family,
     increasing_words,
     merge_words,
-    object_h0,
     schouten_suite,
 )
 from braidcalc.cli import Scenario, parse_poly
@@ -219,19 +218,18 @@ def test_evaluation_braided_antisymmetry(make):
 
 
 def test_evaluation_classical_shadow():
-    """The order-zero part of a twisted evaluation is the classical
-    evaluation of the order-zero shadows."""
-    cal = moyal_cal()
-    rat = classical_cal()
-    x, y = cal.alg.coord(0), cal.alg.coord(1)
-    om = cal.wedge(cal.coframe(0), cal.coframe(1)).left_mul(x)
-    X = cal.field({0: x})
-    Y = cal.field({1: y * y})
-    got = cal.eval_form(om, [X, Y]).h0(rat.alg)
-    want = rat.eval_form(
-        object_h0(om, rat), [object_h0(X, rat), object_h0(Y, rat)]
-    )
-    assert got == want
+    """The order-zero part of a twisted evaluation is the untwisted
+    evaluation of the same objects, compared inside one series ring."""
+    cl, tw = moyal_pair()
+
+    def evaluate(cal):
+        x, y = cal.alg.coord(0), cal.alg.coord(1)
+        om = cal.wedge(cal.coframe(0), cal.coframe(1)).left_mul(x)
+        return cal.eval_form(om, [cal.field({0: x}), cal.field({1: y * y})])
+
+    got, want = evaluate(tw), evaluate(cl)
+    assert got != want
+    assert (got - want).min_h_order() >= 1
 
 
 # ---------------------------------------------------------------------
@@ -766,13 +764,27 @@ def test_gauge_transport_frozen():
 
 def test_gauge_suite_moyal():
     cl, tw = moyal_pair()
-    rep = gauge_suite(cl, tw, rational_cal=classical_cal())
+    rep = gauge_suite(cl, tw, shadow=True)
     assert rep.passed, rep.to_text()
+    assert "classical-shadow" in [c.name for c in rep.checks]
+
+
+def test_gauge_shadow_row_sees_order_zero():
+    """The shadow row compares inside the series ring, and fails when
+    transport runs through a calculus that differs at h^0: the Moyal
+    twist over the frame (2 d_x, d_y)."""
+    cl, tw = moyal_pair()
+    zero, one = cl.alg.zero(), cl.alg.one()
+    scaled = Calculus(tw.M, ((one.scale(2), zero), (zero, one)))
+    rep = gauge_suite(cl, tw, shadow=True, transport_cal=scaled)
+    shadow = [c for c in rep.checks if c.name == "classical-shadow"]
+    assert len(shadow) == 1 and not shadow[0].passed
+    assert shadow[0].counterexample is not None
 
 
 def test_gauge_suite_heisenberg():
     cl, tw = heis_pair()
-    rep = gauge_suite(cl, tw, rational_cal=None)
+    rep = gauge_suite(cl, tw)
     assert rep.passed, rep.to_text()
 
 

@@ -546,6 +546,15 @@ def _twist_kind(kind):
     return edit
 
 
+def _refused_unit(frame):
+    """A unit the engine refuses (a construction row, not a load error)
+    next to a malformed frame, whose shape is still checked at load."""
+    def edit(data):
+        data["action"]["unit"] = "1 + h x^2"
+        data["frame"] = frame
+    return edit
+
+
 @pytest.mark.parametrize("name, edit, argv, error", [
     ("heisenberg.json", _set("metric", "garbage"), ["all"], "SchemaError"),
     ("heisenberg.json", _set("connection", [["x"]]), ["all"], "SchemaError"),
@@ -566,9 +575,18 @@ def _twist_kind(kind):
     ("heisenberg.json", _set("frame", [{"x": "1"}] * 3, ["check-hopf"]),
      ["all"], "SchemaError"),
     ("heisenberg.json", _images(False), ["star"], "SchemaError"),
+    ("heisenberg.json", _set("ring", {"kind": "rational", "order": 5}),
+     ["check-hopf"], "SchemaError"),
+    ("heisenberg.json", _set("ring", {"kind": "rational", "order": "x"}),
+     ["check-hopf"], "SchemaError"),
+    ("curved-metric.json", _refused_unit([{"q": "1"}]), ["all"],
+     "SchemaError"),
+    ("curved-metric.json", _refused_unit([{"q": "1"}, {"y": "1"}]), ["all"],
+     "UnknownName"),
 ], ids=["metric", "connection", "ideal", "frame", "twist-kind",
         "unhashable-twist-kind", "antipode-override", "suites", "trials",
-        "params-list", "images-false", "frame-rows"])
+        "params-list", "images-false", "frame-rows", "rational-order",
+        "rational-order-string", "unit-and-frame-rows", "unit-and-frame-name"])
 def test_malformed_section_refused_at_load(tmp_path, capsys, name, edit,
                                            argv, error):
     """Every section present, every param and the suites list are checked
@@ -607,3 +625,29 @@ def test_engine_error_at_load_keeps_its_status(tmp_path, capsys):
     code, out, _ = _run_edited(tmp_path, capsys, "curved-metric.json", edit,
                                ["check-hopf"])
     assert code == 0 and "OVERALL: PASS" in out
+
+
+def _series_image(data):
+    data["action"]["images"]["P1"] = {"x": "1 + h"}
+
+
+def _series_metric_entry(data):
+    data["metric"][0][0] = "1 + h"
+
+
+@pytest.mark.parametrize("name, edit, command", [
+    ("moyal.json", _series_image, "gauge"),
+    ("moyal.json", _series_image, "all"),
+    ("curved-metric.json", _series_metric_entry, "levi-civita"),
+    ("curved-metric.json", _series_metric_entry, "all"),
+])
+def test_classical_shadow_accepts_h_outside_the_twist(tmp_path, capsys, name,
+                                                       edit, command):
+    """The shadow rows compare at h^0 inside the scenario's series ring,
+    so a scenario that carries h outside its twist runs them."""
+    code, out, err = _run_edited(tmp_path, capsys, name, edit,
+                                 [command, "--format", "structured"])
+    assert code == 0, err
+    rows = [c for r in json.loads(out)["reports"] for c in r["checks"]
+            if c["name"] == "classical-shadow"]
+    assert len(rows) == 1 and rows[0]["passed"]

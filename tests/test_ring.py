@@ -135,12 +135,6 @@ class TestScalar:
         assert ring.h().is_zero() is False
         assert (ring.h() * ring.h()).is_zero()
 
-    def test_h0_classical_limit(self):
-        ring = Ring("series", 3)
-        s = ring.from_coeffs([Fraction(3, 2), 1, 2])
-        assert s.h0() == RATIONAL.scalar(Fraction(3, 2))
-        assert s.h0().ring == RATIONAL
-
 
 # =====================================================================
 # the integer-numerator representation against a dense Fraction oracle
@@ -209,21 +203,10 @@ class TestRepresentation:
                 sa.inverse()
         else:
             assert_canonical(sa.inverse(), geometric_inverse(a, order))
-        assert_canonical(sa.h0(), a[:1])
-        assert sa.h0().ring == RATIONAL
         nonzero = [k for k, v in enumerate(a) if v != 0]
         assert sa.min_h_order() == (nonzero[0] if nonzero else order)
         assert sa.is_zero() == (not nonzero)
         assert repr(sa) == ref_repr(a, ring == RATIONAL)
-        for target in RINGS:
-            if any(v != 0 for v in a[target.order:]):
-                with pytest.raises(WrongRing):
-                    sa.lift(target)
-                continue
-            padded = a[:target.order] + [Fraction(0)] * (target.order - order)
-            lifted = sa.lift(target)
-            assert lifted.ring == target
-            assert_canonical(lifted, padded)
 
     @given(ring_and_coeffs(1), st.integers(min_value=1, max_value=40))
     @settings(max_examples=200, deadline=None)
@@ -271,14 +254,6 @@ class TestTypedErrors:
         with pytest.raises(ArityMismatch):
             RATIONAL.from_coeffs([1, 0])
 
-    def test_lift_refuses_to_truncate(self):
-        series = Ring("series", 3)
-        with pytest.raises(WrongRing):
-            series.h(2).lift(Ring("series", 2))
-        with pytest.raises(WrongRing):
-            series.h().lift(RATIONAL)
-        assert series.scalar(Fraction(3, 2)).lift(RATIONAL) == RATIONAL.scalar(Fraction(3, 2))
-
     def test_contracts_survive_python_O(self):
         """The same refusals in a fresh interpreter under python -O."""
         src = str(Path(__file__).resolve().parent.parent / "src")
@@ -315,7 +290,6 @@ class TestTypedErrors:
                 lambda: RATIONAL.scalar(0.5),
                 lambda: RATIONAL.scalar(None),
                 lambda: series.from_coeffs([1, 2]),
-                lambda: series.h(2).lift(Ring("series", 2)),
                 lambda: Ring("p-adic", 2),
                 lambda: Ring("series", 0),
                 lambda: Ring("series", True),
@@ -363,7 +337,7 @@ class TestTypedErrors:
                              timeout=300)
         assert got.returncode == 0, got.stderr
         assert got.stdout.splitlines() == [
-            "False", "SchemaError", "SchemaError", "ArityMismatch", "WrongRing",
+            "False", "SchemaError", "SchemaError", "ArityMismatch",
             "SchemaError", "SchemaError", "SchemaError",
             "IndexOutOfRange", "IndexOutOfRange", "ArityMismatch",
             "IndexOutOfRange", "ArityMismatch", "IndexOutOfRange",
@@ -488,10 +462,19 @@ class TestPolyAlgebra:
         assert a * ainv == alg.one()
         assert ainv == alg.one() - x.scale(ring.h()) + (x * x).scale(ring.h(2))
 
-    def test_h0_and_lift_roundtrip(self, qxy):
-        ring = Ring("series", 3)
-        unit = {(2, 0): ring.one(), (0, 0): ring.one()}
-        big = PolyAlgebra(ring, ("x", "y"), unit=unit)
-        p = parse_poly(qxy, "2 x y - 1/3") * qxy.unit_element().inverse()
-        lifted = p.lift(big)
-        assert lifted.h0(qxy) == p
+    @pytest.mark.parametrize("ring", [RATIONAL, Ring("series", 3)])
+    @pytest.mark.parametrize("unit", ["1 + 2 x^2", "1/2 + x^2"])
+    def test_division_by_a_non_monic_unit(self, ring, unit):
+        """Exact division by a unit whose leading coefficient is not 1,
+        or whose coefficients carry a denominator."""
+        plain = PolyAlgebra(ring, ("x", "y"))
+        alg = PolyAlgebra(ring, ("x", "y"),
+                          unit=dict(parse_poly(plain, unit).terms))
+        u = alg.unit_element()
+        inv_u = u.inverse()
+        assert inv_u.du == 1
+        assert u * inv_u == alg.one()
+        text = "x y - 2/3 x^3 + 1/5" + (" + 3 h x" if ring.is_series else "")
+        p = parse_poly(alg, text)
+        assert (p * u) * inv_u == p
+        assert (p * u * u) * inv_u * inv_u == p
