@@ -781,49 +781,21 @@ class Calculus:
 # ---------------------------------------------------------------------
 
 
-class CartanOperator:
-    """Insertion, Lie derivative or the differential, as a graded
-    operator with an optional multivector parameter."""
-
-    def __init__(self, cal, kind, param=None):
-        if kind not in ("i", "L", "d"):
-            raise UnknownModule(kind)
-        self.cal = cal
-        self.kind = kind
-        self.param = param
-        if kind == "d":
-            self.degree = 1
-        elif kind == "i":
-            self.degree = -param.grade
-        else:
-            self.degree = 1 - param.grade
-
-    def with_param(self, param):
-        return CartanOperator(self.cal, self.kind, param)
-
-    def __call__(self, om):
-        if self.kind == "d":
-            return self.cal.d(om)
-        if self.kind == "i":
-            return self.cal.insert(self.param, om)
-        return self.cal.lie_derivative(self.param, om)
-
-
-def graded_commutator(A, B, om):
+def graded_commutator(cal, A, B, om):
     """[A, B]_R applied to a form: A B - (-1)^{|A||B|} B' A' with the
-    R-matrix in force acting on the parameters (equivariant operators
-    absorb their leg through the counit)."""
-    cal = A.cal
-    first = A(B(om))
-    sign = -1 if (A.degree * B.degree) % 2 else 1
-    if A.param is None or B.param is None:
+    R-matrix in force acting on the parameters.  An operator is a triple
+    (degree, parameter or None, apply(parameter, form))."""
+    (da, pa, fa), (db, pb, fb) = A, B
+    first = fa(pa, fb(pb, om))
+    sign = -1 if (da * db) % 2 else 1
+    if pa is None or pb is None:
         # an equivariant operator absorbs its R leg through the counit
-        second = B(A(om))
+        second = fb(pb, fa(pa, om))
         return first - second if sign > 0 else first + second
     total = _leg_sum(
-        cal.M.hopf.Rinv.pairs(), cal.h_act_exp, B.param, A.param,
-        lambda Bp, Ap: B.with_param(Bp)(A.with_param(Ap)(om)),
-        cal.zero_form(max(om.grade + A.degree + B.degree, 0)),
+        cal.M.hopf.Rinv.pairs(), cal.h_act_exp, pb, pa,
+        lambda Bp, Ap: fb(Bp, fa(Ap, om)),
+        cal.zero_form(max(om.grade + da + db, 0)),
     )
     return first - total if sign > 0 else first + total
 
@@ -856,37 +828,37 @@ def cartan_suite(cal, coeff_degree=2):
                            coordinate_monomials(cal.alg, coeff_degree))
     form_family = graded_family(cal.form, cal.dim, range(min(cal.dim, 2) + 1),
                                 [cal.alg.one(), cal.alg.coord(0)])
-    d = CartanOperator(cal, "d")
+    d = (1, None, lambda _, om: cal.d(om))
 
     def i(X):
-        return CartanOperator(cal, "i", X)
+        return (-X.grade, X, cal.insert)
 
     def L(X):
-        return CartanOperator(cal, "L", X)
+        return (1 - X.grade, X, cal.lie_derivative)
 
     forms = list(product(form_family))
     rep.check("d-squared", "d . d = 0", violations(
         ("form",), forms, lambda om: cal.d(cal.d(om)).is_zero()))
     rep.check("insert-d", "[i_X, d] = L_X", violations(
         ("X", "form"), product(fields, form_family),
-        lambda X, om: graded_commutator(i(X), d, om) == cal.lie_derivative(X, om)))
+        lambda X, om: graded_commutator(cal, i(X), d, om) == cal.lie_derivative(X, om)))
     rep.check("lie-d", "[L_X, d] = 0", violations(
         ("X", "form"), product(fields, form_family),
-        lambda X, om: graded_commutator(L(X), d, om).is_zero()))
+        lambda X, om: graded_commutator(cal, L(X), d, om).is_zero()))
     rep.check("insert-insert", "[i_X, i_Y] = 0", violations(
         ("X", "Y", "form"), product(fields, fields, form_family),
-        lambda X, Y, om: graded_commutator(i(X), i(Y), om).is_zero()))
+        lambda X, Y, om: graded_commutator(cal, i(X), i(Y), om).is_zero()))
 
     def with_bracket():
         return hoisted(product(fields, fields), forms, cal.schouten)
 
     rep.check("lie-insert", "[L_X, i_Y] = i_{[[X,Y]]}", violations(
         ("X", "Y", "form"), with_bracket(),
-        lambda X, Y, om, Z: graded_commutator(L(X), i(Y), om) == cal.insert(Z, om)))
+        lambda X, Y, om, Z: graded_commutator(cal, L(X), i(Y), om) == cal.insert(Z, om)))
     rep.check("lie-lie", "[L_X, L_Y] = L_{[[X,Y]]}", violations(
         ("X", "Y", "form"), with_bracket(),
         lambda X, Y, om, Z:
-            graded_commutator(L(X), L(Y), om) == cal.lie_derivative(Z, om)))
+            graded_commutator(cal, L(X), L(Y), om) == cal.lie_derivative(Z, om)))
     rep.check("lie-function", "L_a w = -(da) ^ w", violations(
         ("a", "form"),
         hoisted(product(coordinate_monomials(cal.alg, coeff_degree)), forms, cal.d0),

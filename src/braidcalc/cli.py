@@ -31,14 +31,10 @@ from .errors import (
     UnknownName,
 )
 from .geometry import (
-    METRICITY,
     Connection,
     Metric,
-    _metricity_violations,
-    _torsion_violations,
-    check_connection,
     check_metric,
-    field_family,
+    declared_connection_suite,
     geometry_suite,
     geometry_twist_suite,
     levi_civita,
@@ -580,54 +576,32 @@ def run_levi_civita(sc, opts):
     trials = sc.knob(opts, "trials", 20)
     cal = sc.calculus(twisted=False)
     metric = sc.metric(cal)
-    reports = [
-        check_metric(metric, coeff_degree=min(degree, 1)),
-        geometry_suite(metric, coeff_degree=degree),
-        perturbation_suite(metric, seed=seed, trials=trials),
+    reports = [check_metric(metric, coeff_degree=min(degree, 1))]
+    conn = levi_civita(metric)
+    reports += [
+        geometry_suite(conn, metric, coeff_degree=degree),
+        perturbation_suite(conn, metric, seed=seed, trials=trials),
     ]
     if sc.data.get("connection") is not None:
-        conn = sc.connection(cal)
-        rep = Report("declared-connection", {})
-        rep.extend(check_connection(conn, coeff_degree=min(degree, 1)))
-        fields = field_family(cal, min(degree, 1))
-        rep.check("declared-torsion-free", "T(X, Y) = 0",
-                  _torsion_violations(conn, fields))
-        rep.check("declared-metricity", METRICITY,
-                  _metricity_violations(conn, metric, fields))
-        solved = levi_civita(metric)
-        rep.add(
-            "declared-matches-solve",
-            "declared table equals the solved metric connection",
-            conn == solved,
-        )
-        reports.append(rep)
+        reports.append(declared_connection_suite(
+            sc.connection(cal), metric, conn, coeff_degree=min(degree, 1)))
     if sc.data.get("twist") is not None:
-        twc = sc.calculus(twisted=True)
         reports.append(geometry_twist_suite(
-            metric, cal, twc, sc.params.get("classical_shadow", False)))
+            conn, metric, cal, sc.calculus(twisted=True),
+            sc.params.get("classical_shadow", False)))
     return reports
 
 
 def run_project(sc, opts):
     depth = sc.knob(opts, "depth", 2)
     degree = sc.knob(opts, "degree", 2)
-    cal = sc.calculus()
-    ideal = sc.ideal()
-    reports = []
-    if sc.data.get("twist") is not None:
-        rep, proj = twist_projection_suite(
-            cal, ideal, coeff_degree=degree, depth=depth
-        )
-        reports.append(rep)
-    else:
-        proj = Projection(cal, ideal, depth=depth)
-        reports.append(projection_suite(proj, degree))
-    reports.append(check_sequence(proj, degree))
+    proj = Projection(sc.calculus(), sc.ideal(), depth=depth)
+    suite = (twist_projection_suite if sc.data.get("twist") is not None
+             else projection_suite)
+    reports = [suite(proj, degree), check_sequence(proj, degree)]
     if sc.data.get("metric") is not None:
-        metric = sc.metric(cal)
-        reports.append(
-            projection_geometry_suite(proj, metric, coeff_degree=min(degree, 1))
-        )
+        reports.append(projection_geometry_suite(
+            proj, sc.metric(proj.cal), coeff_degree=min(degree, 1)))
     return reports
 
 

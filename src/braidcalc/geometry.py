@@ -358,30 +358,40 @@ def _torsion_violations(conn, fields):
                       lambda X, Y: conn.torsion(X, Y).is_zero())
 
 
-def geometry_suite(metric, coeff_degree=2):
-    """Levi-Civita construction plus metric, metricity and torsion
-    checks over the generated field family."""
-    cal = metric.cal
+def geometry_suite(conn, metric, coeff_degree=2):
+    """Metric, metricity and torsion checks of the solved connection
+    `conn` of `metric` over the generated field family."""
     rep = Report("levi-civita", {"coeff_degree": coeff_degree})
-    try:
-        conn = levi_civita(metric)
-    except MetricCheckFailed as exc:
-        rep.add("solve", "Koszul solve closes on the frame", False,
-                {"error": str(exc)})
-        return rep
+    # `levi_civita` re-checked the solve on the frame (else MetricCheckFailed)
     rep.add("solve", "Koszul solve closes on the frame", True)
     rep.extend(check_metric(metric, coeff_degree=1))
-    fields = field_family(cal, coeff_degree)
+    fields = field_family(conn.cal, coeff_degree)
     rep.check("metricity", METRICITY, _metricity_violations(conn, metric, fields))
     rep.check("torsion-free", "T(X, Y) = 0", _torsion_violations(conn, fields))
     return rep
 
 
-def perturbation_suite(metric, seed=0, trials=20):
+def declared_connection_suite(declared, metric, solved, coeff_degree=1):
+    """A hand-written connection table checked as a connection, for the
+    two laws, and against the solved connection `solved` of `metric`."""
+    rep = Report("declared-connection", {})
+    rep.extend(check_connection(declared, coeff_degree=coeff_degree))
+    fields = field_family(declared.cal, coeff_degree)
+    rep.check("declared-torsion-free", "T(X, Y) = 0",
+              _torsion_violations(declared, fields))
+    rep.check("declared-metricity", METRICITY,
+              _metricity_violations(declared, metric, fields))
+    rep.add("declared-matches-solve",
+            "declared table equals the solved metric connection",
+            declared == solved)
+    return rep
+
+
+def perturbation_suite(conn, metric, seed=0, trials=20):
     """Seeded falsification harness: every nonzero constant shift of a
-    single Levi-Civita coefficient must break metricity or torsion."""
-    cal = metric.cal
-    conn = levi_civita(metric)
+    single coefficient of the solved connection `conn` of `metric` must
+    break metricity or torsion."""
+    cal = conn.cal
     rng = random.Random(seed)
     rep = Report("perturbation", {"seed": seed, "trials": trials})
     fields = field_family(cal, 1)
@@ -431,12 +441,11 @@ def twist_connection(conn, cl, tw):
     return Connection(tw, gamma)
 
 
-def geometry_twist_suite(metric, cl, tw, shadow=False):
-    """Naturality of the Levi-Civita solve under the twist, the twisted
-    geometry checks, and (when `shadow`) the classical shadow: the
-    twisted table differs from the untwisted one by O(h)."""
+def geometry_twist_suite(conn, metric, cl, tw, shadow=False):
+    """Naturality of the Levi-Civita solve `conn` of `metric` under the
+    twist, the twisted geometry checks, and (when `shadow`) the classical
+    shadow: the twisted table differs from the untwisted one by O(h)."""
     rep = Report("geometry-twist", {"order": cl.ring.order})
-    conn = levi_civita(metric)
     gF = twist_metric(metric, cl, tw)
     lhs = twist_connection(conn, cl, tw)
     rhs = levi_civita(gF)

@@ -286,7 +286,8 @@ class Ring:
 
     def __init__(self, kind, order=1):
         if kind == "rational":
-            order = 1
+            if type(order) is not int or order != 1:
+                raise SchemaError(("a rational ring takes no order", order))
         elif kind != "series":
             raise SchemaError(("ring kind must be rational or series", kind))
         if type(order) is not int or order < 1:

@@ -417,13 +417,13 @@ def projection_geometry_suite(proj, metric, coeff_degree=1):
     return rep
 
 
-def twist_projection_suite(cal, ideal, coeff_degree=2, depth=2):
+def twist_projection_suite(proj, coeff_degree=2):
     """Projection commutes with a twisted calculus when every twist leg
-    is tangent; building the Projection raises NotTangent otherwise."""
-    proj = Projection(cal, ideal, depth=depth)
+    is tangent (building the Projection raised NotTangent otherwise)."""
+    cal = proj.cal
     rep = Report(
         "twist-projection",
-        {"coeff_degree": coeff_degree, "depth": depth},
+        {"coeff_degree": coeff_degree, "depth": proj.depth},
     )
 
     funcs = coordinate_monomials(cal.alg, _SAMPLE_DEGREE)
@@ -441,4 +441,4 @@ def twist_projection_suite(cal, ideal, coeff_degree=2, depth=2):
               violations(("a", "b"), product(funcs, funcs), classical))
 
     rep.extend(projection_suite(proj, coeff_degree))
-    return rep, proj
+    return rep

@@ -142,9 +142,10 @@ def test_levi_civita_perturbations_and_twist_naturality():
     cal = Calculus(ModuleAlgebra(action))
     metric = curved_metric(cal)
     require(check_metric(metric))
-    require(geometry_suite(metric, coeff_degree=2),
+    conn = levi_civita(metric)
+    require(geometry_suite(conn, metric, coeff_degree=2),
             ("metricity", "torsion-free"))
-    rep = perturbation_suite(metric, seed=11, trials=20)
+    rep = perturbation_suite(conn, metric, seed=11, trials=20)
     require(rep)
     caught = [c for c in rep.checks if c.name.startswith("perturbation-")]
     assert len(caught) == 20
@@ -155,7 +156,8 @@ def test_levi_civita_perturbations_and_twist_naturality():
     tcal = Calculus(ModuleAlgebra(taction))
     twc = Calculus(ModuleAlgebra(taction, twist=exp_twist(tlie, biv)))
     tmetric = curved_metric(tcal)
-    require(geometry_twist_suite(tmetric, tcal, twc, shadow=True),
+    require(geometry_twist_suite(levi_civita(tmetric), tmetric, tcal, twc,
+                                 shadow=True),
             ("lc-naturality", "twisted-metricity", "twisted-torsion-free",
              "classical-shadow"))
 
@@ -208,7 +210,7 @@ def test_submanifold_projection_and_quotient_geometry():
     twisted = Calculus(ModuleAlgebra(tcal.M.action,
                                      twist=exp_twist(tcal.lie, biv)))
     tideal = SubmanifoldIdeal(twisted.alg, normal_coords=(2,))
-    rep, _ = twist_projection_suite(twisted, tideal, coeff_degree=2)
+    rep = twist_projection_suite(Projection(twisted, tideal), coeff_degree=2)
     require(rep, ("star-naturality", "classical-shadow", "product",
                   "field-application"))
 

@@ -651,3 +651,49 @@ def test_classical_shadow_accepts_h_outside_the_twist(tmp_path, capsys, name,
     rows = [c for r in json.loads(out)["reports"] for c in r["checks"]
             if c["name"] == "classical-shadow"]
     assert len(rows) == 1 and rows[0]["passed"]
+
+
+def _asymmetric_metric(data):
+    del data["twist"]
+    data["metric"] = [["1", "x"], ["0", "1"]]
+    data["params"] = {"seed": 1, "trials": 2}
+
+
+def test_failed_solve_is_one_construction_row(tmp_path, capsys):
+    """The runner solves the metric connection once, after the metric
+    checks; a refused solve replaces all its reports with one failing
+    construction row."""
+    code, out, _ = _run_edited(tmp_path, capsys, "curved-metric.json",
+                               _asymmetric_metric,
+                               ["levi-civita", "--format", "structured"])
+    assert code == 1
+    rows = [c for r in json.loads(out)["reports"] for c in r["checks"]]
+    assert [c["name"] for c in rows] == ["construction"]
+    assert rows[0]["counterexample"]["error"] == "MetricCheckFailed"
+    assert "frame matrix not symmetric at (0, 1)" in rows[0]["counterexample"]["detail"]
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "0dc1e3f1894c419b690d8bfd76e3b97f0b5798bfe22bb3860cea35b27c791076")
+
+
+@pytest.mark.parametrize("name, solves", [
+    ("curved-metric.json", 2),
+    ("falsification/asymmetric-connection.json", 1),
+])
+def test_one_levi_civita_solve_per_metric(monkeypatch, capsys, name, solves):
+    """`levi-civita` solves each metric it meets once (the scenario's,
+    and its twist's when it has one); every suite checks that solve."""
+    from braidcalc import cli, geometry, submanifold
+
+    metrics = []
+    solve = geometry.levi_civita
+
+    def counted(metric):
+        metrics.append(metric)
+        return solve(metric)
+
+    for mod in (geometry, cli, submanifold):
+        monkeypatch.setattr(mod, "levi_civita", counted)
+    main(["levi-civita", str(SCENARIOS / name), "--format", "structured"])
+    capsys.readouterr()
+    assert len(metrics) == solves
+    assert len({id(m) for m in metrics}) == solves

@@ -233,19 +233,22 @@ def test_metric_inverse_takes_neumann_correction():
 
 def test_geometry_suite_curved():
     cal = curved_cal()
-    rep = geometry_suite(curved_metric(cal))
+    metric = curved_metric(cal)
+    rep = geometry_suite(levi_civita(metric), metric)
     assert rep.passed, rep.to_text()
 
 
 def test_geometry_suite_moyal_constant():
     cal = moyal_cal()
-    rep = geometry_suite(identity_metric(cal))
+    metric = identity_metric(cal)
+    rep = geometry_suite(levi_civita(metric), metric)
     assert rep.passed, rep.to_text()
 
 
 def test_geometry_suite_skew():
     # the non-invariant frame costs only the metric equivariance law
-    rep = geometry_suite(identity_metric(skew_cal()))
+    metric = identity_metric(skew_cal())
+    rep = geometry_suite(levi_civita(metric), metric)
     assert [c.name for c in rep.failing()] == ["equivariance"], rep.to_text()
 
 
@@ -256,13 +259,15 @@ def test_geometry_suite_skew():
 
 def test_perturbation_suite_catches_every_shift():
     cal = curved_cal()
-    rep = perturbation_suite(curved_metric(cal), seed=11, trials=20)
+    metric = curved_metric(cal)
+    rep = perturbation_suite(levi_civita(metric), metric, seed=11, trials=20)
     assert rep.passed, rep.to_text()
     assert len(rep.checks) == 20
 
 
 def test_perturbation_suite_skew():
-    rep = perturbation_suite(identity_metric(skew_cal()), seed=3, trials=10)
+    metric = identity_metric(skew_cal())
+    rep = perturbation_suite(levi_civita(metric), metric, seed=3, trials=10)
     assert rep.passed, rep.to_text()
 
 
@@ -282,7 +287,7 @@ def test_asymmetric_gamma_detected_directly():
 def test_geometry_twist_suite_curved():
     cl, tw = curved_twist_pair()
     metric = curved_metric(cl)
-    rep = geometry_twist_suite(metric, cl, tw, shadow=True)
+    rep = geometry_twist_suite(levi_civita(metric), metric, cl, tw, shadow=True)
     assert rep.passed, rep.to_text()
 
 

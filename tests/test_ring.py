@@ -293,6 +293,9 @@ class TestTypedErrors:
                 lambda: Ring("p-adic", 2),
                 lambda: Ring("series", 0),
                 lambda: Ring("series", True),
+                lambda: Ring("rational", 5),
+                lambda: Ring("rational", "x"),
+                lambda: Ring("rational", True),
                 lambda: series.h(-1),
                 lambda: series.h(0),
                 lambda: plane.monomial((1,)),
@@ -338,6 +341,7 @@ class TestTypedErrors:
         assert got.returncode == 0, got.stderr
         assert got.stdout.splitlines() == [
             "False", "SchemaError", "SchemaError", "ArityMismatch",
+            "SchemaError", "SchemaError", "SchemaError",
             "SchemaError", "SchemaError", "SchemaError",
             "IndexOutOfRange", "IndexOutOfRange", "ArityMismatch",
             "IndexOutOfRange", "ArityMismatch", "IndexOutOfRange",

@@ -268,7 +268,7 @@ def test_mixed_metric_entry_refuses_to_split():
 
 def test_twist_projection_suite_passes():
     cal = moyal_ambient_cal(order=3)
-    rep, proj = twist_projection_suite(cal, z_ideal(cal), coeff_degree=1)
+    rep = twist_projection_suite(Projection(cal, z_ideal(cal)), coeff_degree=1)
     assert rep.passed, [c.name for c in rep.failing()]
 
 
@@ -287,4 +287,4 @@ def test_twisted_quotient_star_frozen():
 def test_normal_twist_leg_rejected():
     cal = normal_leg_cal(order=3)
     with pytest.raises(NotTangent):
-        twist_projection_suite(cal, z_ideal(cal))
+        Projection(cal, z_ideal(cal))
