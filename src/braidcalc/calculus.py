@@ -563,7 +563,9 @@ class Calculus:
 
     def bracket(self, X, Y):
         """Braided commutator of grade-1 fields, re-expressed over the
-        frame: [X,Y] = X Y - (Rinv1 |> Y)(Rinv2 |> X) as operators."""
+        frame: [X,Y] = X Y - (Rinv1 |> Y)(Rinv2 |> X) as operators.
+        Unmemoized: projections call it on many distinct fields, and a
+        memo would keep them all."""
         Rinv = self.M.hopf.Rinv.pairs()
         imgs = []
         for j in range(self.alg.arity):
@@ -578,78 +580,39 @@ class Calculus:
 
     # -- Schouten bracket ---------------------------------------------------
 
-    def _term_factor(self, word, coeff, i):
-        """Grade-1 factor number i (1-based) of coeff * wedge(word)."""
-        if i == 1:
-            return MultiVector(self, 1, {(word[0],): coeff})
-        return self.frame_field(word[i - 1])
-
-    def _term_prefix(self, word, coeff, i):
-        """Factors 1..i-1 as one multivector (coefficient included)."""
-        if i == 1:
-            return self.function(self.alg.one())
-        return MultiVector(self, i - 1, {tuple(word[: i - 1]): coeff})
-
-    def _bare_suffix(self, word, start):
-        w = tuple(word[start:])
-        return MultiVector(self, len(w), {w: self.alg.one()})
-
     @_memo
     def schouten(self, X, Y):
-        """Braided Schouten bracket, grade |X|+|Y|-1 (grade-0 pairs
-        give 0).  Each term's sign rides on its prefix factor.  `bracket`
-        stays unmemoized: projections call it on many distinct fields,
-        and a memo would keep them all."""
+        """Braided Schouten bracket [[X, Y]] of grade k + l - 1 (k, l the
+        grades of X, Y; grade-0 pairs give 0), computed by its defining
+        laws.  On grade 1 and 0 it is [[X, a]] = X(a) and [[X, Y]] =
+        [X, Y].  A right word of grade >= 2 is peeled by the graded
+        braided Leibniz rule,
+          [[X, c e_u ^ Z]] = [[X, c e_u]] ^ Z
+                             + (-1)^(k-1) sum (Rinv1 |> c e_u) ^ [[Rinv2 |> X, Z]],
+        and graded braided skew-symmetry puts the lower grade on the left
+        in every other case,
+          [[X, Y]] = -(-1)^((k-1)(l-1)) sum [[Rinv1 |> Y, Rinv2 |> X]]."""
         k, l = X.grade, Y.grade
         if k == 0 and l == 0:
             return self.zero_mv(0)
-        zero = out = self.zero_mv(k + l - 1)
+        if k == 1 and l == 0:
+            return self.function(self.apply_field(X, Y.terms.get((), self.alg.zero())))
+        if k == 1 and l == 1:
+            return self.bracket(X, Y)
         Rinv = self.M.hopf.Rinv.pairs()
-        if l == 0:
-            a_full = Y.terms.get((), self.alg.zero())
-            for word, coeff in X.terms.items():
-                for i in range(1, k + 1):
-                    pre = self._term_prefix(word, coeff, i)
-                    if (k - i) % 2:
-                        pre = -pre
-                    Xi = self._term_factor(word, coeff, i)
-                    out = _leg_sum(
-                        Rinv, self.act_any, a_full, self._bare_suffix(word, i),
-                        lambda a, suf: pre.wedge(
-                            self.function(self.apply_field(Xi, a))
-                        ).wedge(suf),
-                        out,
-                    )
-            return out
-        if k == 0:
-            # braided graded skew-symmetry:
-            # [[a, Y]] = (-1)^l sum [[Rinv1 |> Y, Rinv2 |> a]]
+        zero = out = self.zero_mv(k + l - 1)
+        if l < 2:
             out = _leg_sum(Rinv, self.h_act_exp, Y, X, self.schouten, zero)
-            return -out if l % 2 else out
-        for wx, cx in X.terms.items():
-            for wy, cy in Y.terms.items():
-                for i in range(1, k + 1):
-                    Xi = self._term_factor(wx, cx, i)
-                    preX = self._term_prefix(wx, cx, i)
-                    restX = self._bare_suffix(wx, i)
-                    for j in range(1, l + 1):
-                        Yj = self._term_factor(wy, cy, j)
-                        preY = self._term_prefix(wy, cy, j)
-                        if (i + j) % 2:
-                            preY = -preY
-                        restY = self._bare_suffix(wy, j)
-
-                        def outer(Xa, midX):
-                            def inner(Ya, mid):
-                                b = self.bracket(Xa, Ya)
-                                return zero if b.is_zero() else b.wedge(mid).wedge(restY)
-
-                            return _leg_sum(
-                                Rinv, self.h_act_exp,
-                                Yj, midX.wedge(restX).wedge(preY), inner, zero,
-                            )
-
-                        out = _leg_sum(Rinv, self.h_act_exp, Xi, preX, outer, out)
+            return out if (k - 1) * (l - 1) % 2 else -out
+        for word, c in Y.terms.items():
+            head = self.mv(1, {word[:1]: c})
+            tail = self.mv(l - 1, {word[1:]: self.alg.one()})
+            braided = _leg_sum(
+                Rinv, self.h_act_exp, head, X,
+                lambda Ya, Xa: self.wedge(Ya, self.schouten(Xa, tail)), zero,
+            )
+            out = out + self.wedge(self.schouten(X, head), tail)
+            out = out + braided if k % 2 else out - braided
         return out
 
     # -- insertion ----------------------------------------------------------

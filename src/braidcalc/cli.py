@@ -19,6 +19,7 @@ loads, whatever the command).
 
 import argparse
 import json
+import os
 import re
 import sys
 from fractions import Fraction
@@ -700,14 +701,19 @@ def main(argv=None):
             "passed": passed,
             "reports": [r.as_dict() for r in reports],
         }
-        print(json.dumps(payload, indent=2, default=str))
+        text = json.dumps(payload, indent=2, default=str)
     else:
-        for r in reports:
-            print(r.to_text())
         total = sum(len(r.checks) for r in reports)
         failing = sum(len(r.failing()) for r in reports)
-        print("OVERALL: %s (%d checks, %d failing)"
-              % ("PASS" if passed else "FAIL", total, failing))
+        text = "\n".join([r.to_text() for r in reports] + [
+            "OVERALL: %s (%d checks, %d failing)"
+            % ("PASS" if passed else "FAIL", total, failing)])
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader has gone (`| head`): the verdict stands, and the
+        # interpreter's own flush of stdout at exit must not fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return 0 if passed else 1
 
 

@@ -453,6 +453,34 @@ def run_cli(args, optimize):
                           timeout=300)
 
 
+@pytest.mark.parametrize("unbuffered", ["1", None], ids=["unbuffered", "buffered"])
+def test_closed_stdout_keeps_the_verdict_without_traceback(unbuffered):
+    """`braidcalc cartan moyal.json | head -1`: a reader that goes away
+    must not turn the verdict into a traceback, whether the report meets
+    the closed pipe in `print` (unbuffered) or at the flush.  The read
+    end is closed before the interpreter starts, so no write can race
+    past it."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        run = subprocess.run(
+            [sys.executable, "-m", "braidcalc.cli", "cartan",
+             str(SCENARIOS / "moyal.json")],
+            stdout=write, stderr=subprocess.PIPE, text=True, env=env,
+            timeout=300)
+    finally:
+        os.close(write)
+    assert "Traceback" not in run.stderr, run.stderr
+    assert run.stderr == "" and run.returncode == 0, run.stderr
+
+
 def test_verdicts_survive_python_O(tmp_path):
     """Assertions vanish under -O; no verdict may depend on them.  The
     structured output holds every verdict and counterexample, and no

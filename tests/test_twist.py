@@ -181,3 +181,70 @@ class TestTwistedHopf:
         rep = check_twisted_hopf(data, depth=2)
         assert rep.passed, rep.to_text()
         assert check_hopf(heis, depth=2).passed
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_exp_twist_and_cocycle_match_sympy(seed):
+    """Independent oracle: over an abelian envelope U(g) = Sym(g), a
+    tensor is a polynomial in one set of commuting symbols per leg and
+    the coproduct substitutes P_i -> a_i + b_i.  For a seeded bivector
+    theta with entries p/q on 2-3 generators at order 3-4, exp_twist
+    equals sympy's series of exp(h theta(a, b)) mod h^order, and both
+    sides of the cocycle law equal sympy's expansions of
+    exp(h theta(a, b)) exp(h theta(a + b, c)) and
+    exp(h theta(b, c)) exp(h theta(a, b + c)) mod h^order."""
+    import random
+
+    import sympy
+    rng = random.Random(seed)
+    n, order = rng.choice((2, 3)), rng.choice((3, 4))
+    theta = [[Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+              for _ in range(n)] for _ in range(n)]
+    if not any(any(row) for row in theta):
+        theta[0][1] = Fraction(1)
+    lie = LieAlgebra(Ring("series", order), tuple("P%d" % i for i in range(n)))
+    ring = lie.ring
+    biv = sum((TensorElement.from_factors(lie.gen(i), lie.gen(j)).scale(
+        ring.scalar(theta[i][j]) * ring.h())
+        for i in range(n) for j in range(n)), TensorElement(lie, 2, {}))
+    F = exp_twist(lie, biv).F
+
+    h = sympy.Symbol("h")
+    a, b, c = (sympy.symbols("%s0:%d" % (name, n)) for name in "abc")
+    gens = a + b + c
+    ab = [x + y for x, y in zip(a, b)]
+    bc = [x + y for x, y in zip(b, c)]
+
+    t = sympy.Symbol("t")
+    exp_series = sympy.series(sympy.exp(h * t), h, 0, order).removeO()
+
+    def exp_h(u, v):
+        """sympy's series of exp(h t) at t = theta(u, v): its
+        coefficients of h^0 .. h^(order-1), as polynomials over QQ."""
+        th = sympy.Poly(sum(sympy.Rational(theta[i][j]) * u[i] * v[j]
+                            for i in range(n) for j in range(n)),
+                        *gens, domain="QQ")
+        return [th**k * exp_series.coeff(h, k).coeff(t, k)
+                for k in range(order)]
+
+    def times(A, B):
+        return [sum((A[k] * B[m - k] for k in range(1, m + 1)), A[0] * B[m])
+                for m in range(order)]
+
+    def agrees(tensor, want):
+        """tensor, its legs' monomials read in the symbols a, b, c, has
+        the h-coefficients `want`."""
+        got = [{} for _ in range(order)]
+        for key, s in tensor.terms.items():
+            exp = sum(key, ()) + (0,) * (3 - len(key)) * n
+            for k, q in enumerate(s.c):
+                if q:
+                    got[k][exp] = sympy.Rational(q)
+        return all(sympy.Poly.from_dict(g, *gens, domain="QQ") == w
+                   for g, w in zip(got, want))
+
+    assert agrees(F, exp_h(a, b))
+    assert agrees(F.embed(3, (0, 1)) * F.coproduct_leg(0),
+                  times(exp_h(a, b), exp_h(ab, c)))
+    assert agrees(F.embed(3, (1, 2)) * F.coproduct_leg(1),
+                  times(exp_h(b, c), exp_h(a, bc)))
