@@ -131,7 +131,8 @@ def _inverse(mul, E, what):
     try:
         dinv = det.inverse()
     except NotInvertible as exc:
-        raise FramePairingSingular(repr(det)) from exc
+        raise FramePairingSingular(
+            "%s: determinant %r is not a unit" % (what, det)) from exc
     seed = [[_cofactor(E, i, j) * dinv for j in range(n)] for i in range(n)]
     ident = _identity_matrix(alg, n)
     resid = _mmul(mul, seed, E)
@@ -450,11 +451,12 @@ class Calculus:
             terms[(u,)] = c
         return MultiVector(self, 1, terms)
 
-    # -- Hopf structure caches -------------------------------------------
+    # -- Hopf structure in force -----------------------------------------
 
-    @_memo
     def cop_pairs(self, exp):
-        return self.M.hopf.coproduct(self.lie.monomial(exp)).pairs()
+        """Leg triples of the coproduct in force on one PBW monomial; the
+        Hopf structure memoizes the tensor, and the tensor its pairs."""
+        return self.M.hopf.coproduct_monomial(exp).pairs()
 
     # -- Hopf action on graded objects -------------------------------------
 

@@ -62,7 +62,6 @@ from .submanifold import (
 )
 from .twist import (
     Twist,
-    TwistedHopfData,
     check_cocycle,
     check_twisted_hopf,
     exp_twist,
@@ -533,7 +532,7 @@ def run_check_twist(sc, opts):
     tw = sc.twist
     return [
         check_cocycle(tw),
-        check_twisted_hopf(TwistedHopfData(sc.lie, tw), depth),
+        check_twisted_hopf(tw.hopf, depth),
     ]
 
 

@@ -20,8 +20,8 @@ the unit monomial.
 TensorElement holds rank 1..3 tensors over the envelope with leg-wise
 multiplication, leg embedding, leg permutation and leg maps; these are
 the raw material for coproduct identities, R-matrices and twists.
-HopfStructure holds the coproduct, antipode and R-matrix (with its
-inverse) in force.
+HopfStructure holds the coproduct and antipode in force, each given on
+PBW monomials, and the R-matrix (with its inverse).
 """
 
 import operator
@@ -484,10 +484,10 @@ class HopfStructure:
     """The triangular Hopf structure in force on an envelope: its own
     coproduct and antipode, and the R-matrix R = Rinv = 1(x)1.  It is
     the twist of itself by F = 1(x)1; twist.TwistedHopfData is the twist
-    by any other F.  Each class names its laws and antipode
-    counterexample keys."""
+    by any other F.  Both maps are given on PBW monomials, by
+    `coproduct_monomial` and `antipode_monomial`, and extended linearly
+    here.  Each class names its laws and antipode counterexample keys."""
 
-    __slots__ = ("lie", "R", "Rinv")
     laws = ("(cop (x) id) cop = (id (x) cop) cop",
             "(eps (x) id) cop = id = (id (x) eps) cop",
             "mu(S (x) id)cop = eta eps = mu(id (x) S)cop")
@@ -497,15 +497,23 @@ class HopfStructure:
         self.lie = lie
         self.R = self.Rinv = TensorElement.unit(lie, 2)
 
+    def coproduct_monomial(self, exp):
+        """The coproduct in force on one PBW monomial, a rank-2 tensor."""
+        return self.lie.coproduct_monomial(exp)
+
+    def antipode_monomial(self, exp):
+        """The antipode in force on one PBW monomial, a HopfElement."""
+        return self.lie.antipode_monomial(exp)
+
     def coproduct(self, xi):
-        return xi.coproduct()
+        return TensorElement(self.lie, 2, *xi._expand(self.coproduct_monomial))
 
     def antipode(self, xi):
-        return xi.antipode()
+        return HopfElement(self.lie, *xi._expand(self.antipode_monomial))
 
     def coproduct_leg(self, tensor, idx):
         """The coproduct in force applied to leg idx of a tensor."""
-        return tensor.coproduct_leg(idx)
+        return tensor.map_leg(idx, self.coproduct_monomial, 1)
 
 
 # ---------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .ring import (
     _lowest,
     _memo,
 )
-from .twist import Twist, TwistedHopfData
+from .twist import Twist
 
 
 class Action:
@@ -108,10 +108,7 @@ class ModuleAlgebra:
             twist = Twist.trivial(self.lie)
         self.twist = twist
         self.is_twisted = not twist.is_trivial
-        if self.is_twisted:
-            self.hopf = TwistedHopfData(self.lie, twist)
-        else:
-            self.hopf = HopfStructure(self.lie)
+        self.hopf = twist.hopf if self.is_twisted else HopfStructure(self.lie)
 
     def __repr__(self):
         return "ModuleAlgebra(%r, twisted=%r)" % (

@@ -32,7 +32,7 @@ from .hopf import (
     hopf_axioms,
 )
 from .report import Report, violations
-from .ring import _neumann
+from .ring import _memo, _neumann
 
 
 def _tensor_series_inverse(t):
@@ -45,9 +45,8 @@ def _tensor_series_inverse(t):
 
 
 class Twist:
-    """Invertible normalized rank-2 tensor; carries its exact inverse."""
-
-    __slots__ = ("lie", "F", "Finv")
+    """Invertible normalized rank-2 tensor; carries its exact inverse
+    and builds the Hopf structure it twists to once."""
 
     def __init__(self, lie, F, Finv):
         if F.rank != 2 or Finv.rank != 2:
@@ -76,6 +75,13 @@ class Twist:
     @property
     def is_trivial(self):
         return self.F == TensorElement.unit(self.lie, 2)
+
+    @property
+    @_memo
+    def hopf(self):
+        """The Hopf structure twisted by F; every user of this twist
+        shares it, and with it its per-monomial memos."""
+        return TwistedHopfData(self.lie, self)
 
     def __repr__(self):
         return "Twist(F=%r)" % (self.F,)
@@ -153,9 +159,8 @@ def check_cocycle(twist):
 class TwistedHopfData(HopfStructure):
     """The Hopf structure twisted by F: coproduct F cop(xi) Finv,
     antipode beta S(xi) betainv and R-matrix R_F = F21 Finv, the twist
-    of R = 1(x)1."""
+    of R = 1(x)1.  Both maps are memoized per PBW monomial."""
 
-    __slots__ = ("twist", "beta", "beta_inv")
     laws = ("(cop_F (x) id)cop_F = (id (x) cop_F)cop_F",
             "(eps (x) id)cop_F = id = (id (x) eps)cop_F",
             "mu(S_F (x) id)cop_F = eta eps = mu(id (x) S_F)cop_F")
@@ -178,16 +183,24 @@ class TwistedHopfData(HopfStructure):
         if self.R * self.Rinv != unit2 or self.Rinv * self.R != unit2:
             raise CocycleViolation("twisted R-matrix inverse mismatch")
 
-    def coproduct(self, xi):
-        return self.twist.F * xi.coproduct() * self.twist.Finv
+    @_memo
+    def coproduct_monomial(self, exp):
+        """F cop(x^exp) Finv, built as the algebra map it is (conjugation
+        by F is multiplicative): F cop(x_j) Finv on a generator or the
+        unit, and cop_F(x^(exp - d_j)) cop_F(x_j) for the last letter
+        x_j of a longer monomial, a product that needs no reordering."""
+        if sum(exp) <= 1:
+            return (self.twist.F * self.lie.coproduct_monomial(exp)
+                    * self.twist.Finv)
+        j = max(i for i, k in enumerate(exp) if k)
+        rest = exp[:j] + (exp[j] - 1,) + exp[j + 1:]
+        gen = (0,) * j + (1,) + (0,) * (len(exp) - j - 1)
+        return self.coproduct_monomial(rest) * self.coproduct_monomial(gen)
 
-    def antipode(self, xi):
-        return self.beta * xi.antipode() * self.beta_inv
-
-    def coproduct_leg(self, tensor, idx):
-        return tensor.map_leg(
-            idx, lambda e: self.coproduct(self.lie.monomial(e)), 1
-        )
+    @_memo
+    def antipode_monomial(self, exp):
+        """beta S(x^exp) betainv."""
+        return self.beta * self.lie.antipode_monomial(exp) * self.beta_inv
 
     def __repr__(self):
         return "TwistedHopfData(%r)" % (self.twist,)

@@ -725,3 +725,54 @@ def test_one_levi_civita_solve_per_metric(monkeypatch, capsys, name, solves):
     capsys.readouterr()
     assert len(metrics) == solves
     assert len({id(m) for m in metrics}) == solves
+
+
+@pytest.mark.parametrize("argv, builds", [
+    (["all", "surface-twisted.json"], 1),
+    (["all", "heisenberg-twisted.json"], 1),
+    (["all", "moyal.json"], 1),
+    # the swapped twist of the transport falsifier is a second Twist
+    (["all", "falsification/wrong-transport.json"], 2),
+    (["check-twist", "falsification/broken-cocycle.json"], 1),
+])
+def test_one_twisted_hopf_structure_per_twist(monkeypatch, capsys, argv,
+                                              builds):
+    """Each Twist builds its twisted Hopf structure once: check-twist,
+    the star products, the calculus and the projection's quotient all
+    read the same per-monomial memos."""
+    from braidcalc import twist
+
+    built = []
+    init = twist.TwistedHopfData.__init__
+
+    def counted(self, *args):
+        built.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(twist.TwistedHopfData, "__init__", counted)
+    code = main([argv[0], str(SCENARIOS / argv[1]), "--format", "structured"])
+    out = capsys.readouterr().out
+    assert len(built) == builds
+    if argv[0] == "check-twist":
+        rows = [c for r in json.loads(out)["reports"] for c in r["checks"]]
+        assert code == 1
+        assert len([c for c in rows if not c["passed"]]) == 4
+
+
+def _singular_metric(data):
+    data["metric"][1][1] = "1 + 3/2 x^2"
+
+
+def test_degenerate_metric_is_named_in_its_construction_row(tmp_path, capsys):
+    """A metric whose determinant is not a unit of the localized algebra
+    is refused by name, with the determinant, not as a bare pairing."""
+    code, out, _ = _run_edited(tmp_path, capsys, "curved-metric.json",
+                               _singular_metric,
+                               ["levi-civita", "--format", "structured"])
+    assert code == 1
+    rows = [c for r in json.loads(out)["reports"] for c in r["checks"]
+            if c["name"] == "construction"]
+    assert rows and not rows[0]["passed"]
+    detail = rows[0]["counterexample"]["detail"]
+    assert "metric inverse" in detail
+    assert "determinant" in detail and "is not a unit" in detail

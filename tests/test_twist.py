@@ -5,10 +5,13 @@ the exponential series and of F21 Finv) before comparing with the
 engine.
 """
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from braidcalc.cli import Scenario
 from braidcalc.errors import InverseWitnessInvalid, NonCommutingLegs, WrongRing
 from braidcalc.hopf import LieAlgebra, TensorElement, check_hopf
 from braidcalc.ring import RATIONAL, Ring
@@ -181,6 +184,35 @@ class TestTwistedHopf:
         rep = check_twisted_hopf(data, depth=2)
         assert rep.passed, rep.to_text()
         assert check_hopf(heis, depth=2).passed
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+
+@pytest.mark.parametrize("order", (3, 6))
+@pytest.mark.parametrize("name", (
+    "moyal", "heisenberg-twisted", "surface-twisted",
+    "falsification/broken-cocycle",
+))
+def test_twisted_maps_match_conjugation_on_monomials(name, order):
+    """The twisted structure builds its coproduct as an algebra map and
+    memoizes both maps per PBW monomial; on every monomial of degree
+    <= 4 they must equal the defining conjugations F cop(x) Finv and
+    beta S(x) betainv, computed here from the twist alone.  The
+    broken-cocycle tensor is not a cocycle, and conjugation by it is
+    multiplicative all the same."""
+    data = json.loads((SCENARIOS / (name + ".json")).read_text())
+    tw = Scenario(data, ring_override=Ring("series", order)).twist
+    lie, F, Finv = tw.lie, tw.F, tw.Finv
+    beta = sum((lie.monomial(l) * lie.monomial(r).antipode().scale(c)
+                for l, r, c in F.pairs()), lie.zero())
+    beta_inv = beta.series_inverse()
+    assert beta * beta_inv == lie.unit()
+    hopf = tw.hopf
+    for e in lie.monomials_up_to(4):
+        x = lie.monomial(e)
+        assert hopf.coproduct(x) == F * x.coproduct() * Finv, x
+        assert hopf.antipode(x) == beta * x.antipode() * beta_inv, x
 
 
 @pytest.mark.parametrize("seed", range(6))
