@@ -206,19 +206,6 @@ class Frame:
         """Frame element a as a plain vector field on an algebra element."""
         return _derive(self.images[a], f)
 
-    def solve_scalar_row(self, imgs):
-        """Scalar coefficients over the frame for a plain field given by
-        its coordinate images; constant coefficients multiply plainly in
-        force, so the inverse in force finds them."""
-        row = {}
-        for b, c in self.solve_field(imgs).items():
-            if c.is_zero():
-                continue
-            if not c.is_scalar():
-                raise NotInFrameSpan(repr(c))
-            row[b] = c.constant_scalar()
-        return row
-
     def solve_field(self, imgs):
         """Left coefficients over the frame, for the product in force."""
         if self.is_coordinate:
@@ -245,11 +232,24 @@ class Frame:
         return out
 
     def _solve_adjoint(self, i):
+        """Generator i on the frame, as rows {b: Scalar} of constant
+        coefficients; constants multiply plainly in force, so the
+        inverse in force finds them."""
         xi = self.lie.gen(i)
-        return [
-            self.solve_scalar_row(self._adjoint_images(xi, a))
-            for a in range(self.dim)
-        ]
+        rows = []
+        for a in range(self.dim):
+            row = {}
+            for b, c in self.solve_field(self._adjoint_images(xi, a)).items():
+                if c.is_zero():
+                    continue
+                if not c.is_scalar():
+                    raise NotInFrameSpan(
+                        "frame not closed under the adjoint action with "
+                        "constant coefficients: %s |> e%d has coefficient "
+                        "%r on e%d" % (self.lie.generators[i], a, c, b))
+                row[b] = c.constant_scalar()
+            rows.append(row)
+        return rows
 
     def act_exp(self, exp, a, dual):
         """The PBW monomial exp on the frame (dual: coframe) basis
@@ -674,27 +674,14 @@ class Calculus:
 
     @_memo
     def _structure_forms(self):
-        """Coframe differentials from the braided frame bracket."""
-        coeffs = {}
-        for b in range(self.dim):
-            for c in range(b + 1, self.dim):
-                imgs = []
-                for j in range(self.alg.arity):
-                    xj = self.alg.coord(j)
-                    imgs.append(
-                        self.frame.apply_base(b, self.frame.apply_base(c, xj))
-                        - self.frame.apply_base(c, self.frame.apply_base(b, xj))
-                    )
-                coeffs[(b, c)] = self.frame.solve_field(imgs)
-        out = []
-        for a in range(self.dim):
-            terms = {}
-            for (b, c), row in coeffs.items():
-                f = row.get(a)
-                if f is not None and not f.is_zero():
-                    terms[(b, c)] = -f
-            out.append(DifferentialForm(self, 2, terms))
-        return out
+        """Coframe differentials from the braided frame bracket:
+        d theta^a = -sum_{b<c} [e_b, e_c]^a theta^b ^ theta^c."""
+        out = [{} for _ in range(self.dim)]
+        for b, c in combinations(range(self.dim), 2):
+            ebc = self.bracket(self.frame_field(b), self.frame_field(c))
+            for (a,), f in ebc.terms.items():
+                out[a][(b, c)] = -f
+        return [DifferentialForm(self, 2, terms) for terms in out]
 
     @_memo
     def _d_word(self, w):

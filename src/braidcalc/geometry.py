@@ -9,7 +9,6 @@ The torsion-free metric connection is solved for by right-contracting
 the Koszul combination with that inverse.
 """
 
-import functools
 import operator
 from fractions import Fraction
 from itertools import product
@@ -18,7 +17,7 @@ from .calculus import _inverse, deformed_binary
 from .errors import GradeMismatch, MetricCheckFailed, RankMismatch
 from .modalg import coordinate_monomials
 from .report import Report, hoisted, violations
-from .ring import _add_terms, _leg_sum
+from .ring import _add_terms, _leg_sum, _memo
 
 import random
 
@@ -83,6 +82,7 @@ class Connection:
             if not g.is_zero()
         ))
 
+    @_memo
     def nabla(self, X, s):
         """Covariant derivative of the grade-1 field s along X."""
         cal = self.cal
@@ -218,6 +218,7 @@ class Metric:
         self.matrix = matrix
         self.inverse = _inverse(cal.M.mul, matrix, "metric inverse in force")
 
+    @_memo
     def __call__(self, X, Y):
         if X.kind != "mv" or Y.kind != "mv" or X.grade != 1 or Y.grade != 1:
             raise GradeMismatch((X.grade, Y.grade))
@@ -265,14 +266,10 @@ def check_metric(metric, coeff_degree=1):
 
 def _structure_coefficients(cal):
     """f[a][b] maps frame index w to the e_w component of [e_a, e_b]_R,
-    read off d theta^w = -sum_{a<b} f[a][b][w] theta^a ^ theta^b (the
-    frame is R-invisible, so its braided bracket is the plain one)."""
-    f = [[{} for _ in range(cal.dim)] for _ in range(cal.dim)]
-    for w, dtheta in enumerate(cal._structure_forms()):
-        for (a, b), c in dtheta.terms.items():
-            f[a][b][w] = -c
-            f[b][a][w] = c
-    return f
+    the bracket the coframe differentials are read from."""
+    frame = [cal.frame_field(a) for a in range(cal.dim)]
+    return [[{w: c for (w,), c in cal.bracket(ea, eb).terms.items()}
+             for eb in frame] for ea in frame]
 
 
 def levi_civita(metric):
@@ -334,18 +331,17 @@ def levi_civita(metric):
 
 def _metricity_violations(conn, metric, fields):
     """Braided-metricity counterexamples over the family.  The fields^3
-    search meets each derivative and metric value many times, so both
-    are cached for as long as this search lives."""
+    search meets each derivative and metric value many times; both are
+    memoized on their connection and metric."""
     cal = conn.cal
     Rinv = cal.M.hopf.Rinv.pairs()
-    nabla, g = functools.cache(conn.nabla), functools.cache(metric)
 
     def metric_compatible(X, Y, Z):
-        lhs = cal.apply_field(X, g(Y, Z))
+        lhs = cal.apply_field(X, metric(Y, Z))
         return lhs == _leg_sum(
             Rinv, cal.h_act_exp, Y, X,
-            lambda Ya, Xa: g(Ya, nabla(Xa, Z)),
-            g(nabla(X, Y), Z),
+            lambda Ya, Xa: metric(Ya, conn.nabla(Xa, Z)),
+            metric(conn.nabla(X, Y), Z),
         )
 
     return violations(("X", "Y", "Z"), product(fields, fields, fields),

@@ -428,27 +428,16 @@ class Scalar:
                       self.d * other.d)
 
     def inverse(self):
-        """Exact inverse; series inverses need an invertible h^0 part."""
-        a = self.n
-        a0 = a[0]
+        """Exact inverse; series inverses need an invertible h^0 part.
+        With c = a0 / d the constant term, self = c (1 - n) and n of
+        positive h-order, so the inverse is (sum_k n^k) c^-1."""
+        ring, a0 = self.ring, self.n[0]
         if not a0:
-            raise NotInvertible("division by zero" if len(a) == 1
+            raise NotInvertible("division by zero" if ring.order == 1
                                 else "series with zero constant term")
-        # (a / d)^-1 = d * sum_k B_k h^k / a0^(k+1), where B_0 = 1 and
-        # B_k = -sum_{1<=i<=k} a_i a0^(i-1) B_(k-i); over a0^order,
-        # coefficient k carries a0^(order-1-k).
-        order = len(a)
-        b = [1]
-        for k in range(1, order):
-            b.append(-sum(a[i] * a0 ** (i - 1) * b[k - i]
-                          for i in range(1, k + 1)))
-        d, den = self.d, a0 ** order
-        if den < 0:
-            d, den = -d, -den
-        return Scalar(self.ring,
-                      tuple(d * bk * a0 ** (order - 1 - k)
-                            for k, bk in enumerate(b)),
-                      den)
+        c_inv = ring.scalar(Fraction(self.d, a0))
+        one = ring.one()
+        return _neumann(one, one - self * c_inv, ring.order) * c_inv
 
     # -- plumbing ----------------------------------------------------
 

@@ -210,6 +210,6 @@ def check_twisted_hopf(data, depth=3):
     """Hopf axioms for the twisted structure maps plus the full
     triangular suite for R_F against cop_F."""
     rep = Report("twisted-hopf", {"depth": depth})
-    hopf_axioms(rep, data, depth, data.antipode)
+    hopf_axioms(rep, data, depth)
     rep.extend(check_triangular(data, depth=depth))
     return rep

@@ -776,3 +776,26 @@ def test_degenerate_metric_is_named_in_its_construction_row(tmp_path, capsys):
     detail = rows[0]["counterexample"]["detail"]
     assert "metric inverse" in detail
     assert "determinant" in detail and "is not a unit" in detail
+
+
+def _adjoint_open_frame(data):
+    data["frame"] = [{"x": "1"}, {"x": "x^2", "y": "1"}]
+
+
+def test_frame_off_adjoint_closure_is_named_in_its_construction_row(
+        tmp_path, capsys):
+    """A frame the adjoint action leaves with a non-constant coefficient
+    ([d_x, x^2 d_x + d_y] = 2x d_x) is refused by the hypothesis it
+    breaks, with the generator, the frame element and the coefficient."""
+    code, out, _ = _run_edited(tmp_path, capsys, "abelian-plane.json",
+                               _adjoint_open_frame,
+                               ["cartan", "--format", "structured"])
+    assert code == 1
+    rows = [c for r in json.loads(out)["reports"] for c in r["checks"]
+            if c["name"] == "construction"]
+    assert rows and not rows[0]["passed"]
+    assert rows[0]["counterexample"] == {
+        "error": "NotInFrameSpan",
+        "detail": "frame not closed under the adjoint action with constant "
+                  "coefficients: P1 |> e1 has coefficient 2*x on e0",
+    }

@@ -21,6 +21,7 @@ from braidcalc.geometry import (
     Metric,
     check_connection,
     check_metric,
+    field_family,
     geometry_suite,
     geometry_twist_suite,
     levi_civita,
@@ -289,6 +290,35 @@ def test_geometry_twist_suite_curved():
     metric = curved_metric(cl)
     rep = geometry_twist_suite(levi_civita(metric), metric, cl, tw, shadow=True)
     assert rep.passed, rep.to_text()
+
+
+def test_memoized_nabla_and_metric_match_plain_computation():
+    """`Connection.nabla` and `Metric.__call__`, memoized per connection
+    and metric, agree with their plain bodies on curved-metric's solved
+    and twisted connections over the degree-1 field family.  Every memo
+    entry is checked, the solve's own frame entries too; a repeated call
+    returns the identical object."""
+    sc = Scenario(json.loads((SCENARIOS / "curved-metric.json").read_text()))
+    cl, tw = sc.calculus(twisted=False), sc.calculus(twisted=True)
+    metric = sc.metric(cl)
+    gF = twist_metric(metric, cl, tw)
+    for conn, g in ((levi_civita(metric), metric), (levi_civita(gF), gF)):
+        fields = field_family(conn.cal, 1)
+        derived = {(X, s): conn.nabla(X, s) for X in fields for s in fields}
+        values = {(X, Y): g(X, Y) for X in fields for Y in fields}
+        assert sum(not v.is_zero() for v in derived.values()) > len(fields)
+        assert sum(not v.is_zero() for v in values.values()) > len(fields)
+        for (X, s), got in derived.items():
+            assert conn.nabla(X, s) is got
+        for (X, Y), got in values.items():
+            assert g(X, Y) is got
+        nablas = conn.__dict__["_memo_nabla"]
+        metrics = g.__dict__["_memo___call__"]
+        assert len(nablas) >= len(derived) and len(metrics) >= len(values)
+        for args, got in nablas.items():
+            assert got == Connection.nabla.__wrapped__(conn, *args), args
+        for args, got in metrics.items():
+            assert got == Metric.__call__.__wrapped__(g, *args), args
 
 
 def test_twist_metric_and_connection_tables():

@@ -230,6 +230,13 @@ class TestSuites:
         failing = {c.name for c in rep.failing()}
         assert failing == {"antipode"}
 
+    def test_true_antipode_table_on_one_generator_passes(self, heisenberg):
+        """Generators the table leaves out keep S(x_i) = -x_i."""
+        rep = check_hopf(
+            heisenberg, depth=3, antipode_table={0: -heisenberg.gen(0)}
+        )
+        assert rep.passed, rep.to_text()
+
     def test_series_ring_envelope(self):
         ring = Ring("series", 3)
         lie = LieAlgebra(ring, ("P1", "P2"))
