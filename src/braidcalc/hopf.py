@@ -439,16 +439,19 @@ class TensorElement(_Terms):
         return self.map_leg(idx, self.lie.antipode_monomial)
 
     def contract(self):
-        """Multiply all legs together into one HopfElement."""
+        """Multiply all legs together into one HopfElement, every term's
+        leg product folded into one numerator map."""
         lie = self.lie
-        zero = (0,) * lie.dim
-        out = lie.zero()
+        mul, add = lie.ring._mul, lie.ring._add
+        out, den = {}, 1
         for k, n in self._map.items():
-            piece = HopfElement(lie, {zero: n}, self._den)
-            for e in k:
-                piece = piece * lie.monomial(e)
-            out = out + piece
-        return out
+            p = lie.monomial(k[0])
+            for e in k[1:]:
+                p = p * lie.monomial(e)
+            out, den = _accumulate(
+                out, den, ((e, mul(n, s)) for e, s in p._map.items()),
+                p._den, add)
+        return HopfElement(lie, out, den * self._den)
 
     def as_hopf(self):
         if self.rank != 1:

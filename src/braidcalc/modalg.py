@@ -198,11 +198,12 @@ def check_module_algebra(M, depth=3, degree=2):
 
     elems = coordinate_monomials(M.algebra, degree)
 
-    cases = hoisted(product(monos), product(elems, elems),
+    cases = hoisted(product(monos),
+                    [(a, b, M.mul(a, b)) for a, b in product(elems, elems)],
                     lambda xi: M.hopf.coproduct(xi).pairs())
     rep.check("leibniz", "xi |> (a b) = (xi_(1) |> a)(xi_(2) |> b)", violations(
         ("monomial", "a", "b"), cases,
-        lambda xi, a, b, cop: M.action.act(xi, M.mul(a, b)) == _leg_sum(
+        lambda xi, a, b, ab, cop: M.action.act(xi, ab) == _leg_sum(
             cop, M.action.act_monomial, a, b, M.mul, M.algebra.zero())))
     return rep
 

@@ -27,7 +27,12 @@ def hoisted(outer, inner, work):
     """Cases `outer + inner + (work(*outer),)` over every outer and inner
     case (tuples both): the work an outer case shares with all its inner
     cases is done once and carried as a trailing value, which
-    `violations` leaves out of the counterexample."""
+    `violations` leaves out of the counterexample.  An inner case may
+    carry precomputed trailing values too, such as `(member, image)`
+    with the member's image under a map, so that work is done once per
+    member rather than once per case; as long as the names given to
+    `violations` stop before them, they stay out of the counterexample
+    as well."""
     inner = list(inner)
     for o in outer:
         shared = work(*o)

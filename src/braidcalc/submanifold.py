@@ -346,6 +346,11 @@ def projection_suite(proj, coeff_degree=2):
     funcs = coordinate_monomials(cal.alg, coeff_degree)
     fields = field_family(cal, coeff_degree, frame=proj.tangent_idx)
     forms = graded_family(cal.form, cal.dim, (1, 2), funcs)
+    # each member pushed once and carried beside it in the inner cases, so
+    # the quotient memos hit on the very object; counterexamples still
+    # name only the ambient values
+    pushed_fields = [(Y, proj.multivector(Y)) for Y in fields]
+    pushed_forms = [(om, proj.form(om)) for om in forms]
 
     rep.check("product", "pr(a b) = pr(a) pr(b)", violations(
         ("a", "b", "lhs", "rhs"),
@@ -360,25 +365,25 @@ def projection_suite(proj, coeff_degree=2):
         == proj.function(cal.apply_field(X, a))))
     rep.check("differential", "pr(d w) = d pr(w)", violations(
         ("form", "lhs", "rhs"),
-        ((om, proj.form(cal.d(om)), q.d(proj.form(om))) for om in forms),
+        ((om, proj.form(cal.d(om)), q.d(omq)) for om, omq in pushed_forms),
         lambda om, lhs, rhs: lhs == rhs))
 
     def commutes(op, qop):
         """Whether pr(op_X w) = qop_{pr(X)} pr(w)."""
-        return lambda X, om, Xq: proj.form(op(X, om)) == qop(Xq, proj.form(om))
+        return lambda X, om, omq, Xq: proj.form(op(X, om)) == qop(Xq, omq)
 
     rep.check("insertion", "pr(i_X w) = i_{pr(X)} pr(w)", violations(
         ("field", "form"),
-        hoisted(product(fields), product(forms), proj.multivector),
+        hoisted(product(fields), pushed_forms, proj.multivector),
         commutes(cal.insert, q.insert)))
     rep.check("lie-derivative", "pr(L_X w) = L_{pr(X)} pr(w)", violations(
         ("field", "form"),
-        hoisted(product(fields), product(forms), proj.multivector),
+        hoisted(product(fields), pushed_forms, proj.multivector),
         commutes(cal.lie_derivative, q.lie_derivative)))
     rep.check("bracket", "pr([X, Y]) = [pr(X), pr(Y)]", violations(
-        ("X", "Y"), hoisted(product(fields), product(fields), proj.multivector),
-        lambda X, Y, Xq: proj.multivector(cal.bracket(X, Y))
-        == q.bracket(Xq, proj.multivector(Y))))
+        ("X", "Y"), hoisted(product(fields), pushed_fields, proj.multivector),
+        lambda X, Y, Yq, Xq: proj.multivector(cal.bracket(X, Y))
+        == q.bracket(Xq, Yq)))
     rep.check("kernel-stability", "H |> (C . frame) keeps ideal coefficients",
               violations(
                   ("monomial", "generator", "frame", "coefficient"),

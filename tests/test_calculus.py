@@ -9,6 +9,7 @@ import pytest
 
 from braidcalc.calculus import (
     Calculus,
+    MultiVector,
     cartan_suite,
     deformed_binary,
     gauge_suite,
@@ -551,6 +552,20 @@ def test_bracket_braided_skew_and_jacobi(make):
                         continue
                     rhs = rhs + cal.bracket(Ya, cal.bracket(Xa, Z)).scale(c)
                 assert lhs == rhs, (X, Y, Z)
+
+
+@pytest.mark.parametrize("make", [classical_cal, heis_cal])
+def test_bracket_with_a_zero_field(make):
+    """A zero field on either side gives the grade-1 zero field, untwisted
+    and twisted."""
+    cal = make()
+    x = cal.alg.coord(0)
+    zero = cal.zero_mv(1)
+    for X in (cal.frame_field(0), cal.field({1: x}), zero):
+        for got in (cal.bracket(zero, X), cal.bracket(X, zero)):
+            assert isinstance(got, MultiVector)
+            assert got.grade == 1
+            assert got == zero
 
 
 def test_bracket_equivariance():

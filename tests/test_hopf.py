@@ -5,11 +5,15 @@ worklist-based rewriter kept here in the tests; expected values for
 specific products/coproducts are frozen by hand.
 """
 
+import json
 import math
 import random
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from braidcalc.cli import Scenario
 from braidcalc.errors import JacobiViolation
 from braidcalc.hopf import (
     HopfStructure,
@@ -20,6 +24,7 @@ from braidcalc.hopf import (
 )
 from braidcalc.ring import RATIONAL, Ring
 
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 # =====================================================================
 # fixtures
@@ -210,6 +215,41 @@ class TestTensorLegs:
             x1 * x2 - heisenberg.gen(2), heisenberg.unit()
         )
         assert prod == expect
+
+
+def leg_product_oracle(tensor):
+    """sum c * (leg 1)(leg 2)...: each term's legs concatenated into one
+    word and straightened by the worklist oracle."""
+    lie = tensor.lie
+    out = {}
+    for key, c in tensor.terms.items():
+        word = [i for e in key for i, k in enumerate(e) for _ in range(k)]
+        for exp, s in straighten_oracle(lie, word).items():
+            out[exp] = out.get(exp, lie.ring.zero()) + c * s
+    return {exp: s for exp, s in out.items() if not s.is_zero()}
+
+
+def test_contract_matches_leg_product(heisenberg):
+    """contract() multiplies each term's legs in order and sums: rank
+    1-3 tensors over the Heisenberg envelope, whose legs do not commute,
+    and the Moyal twist F and its inverse over the series ring."""
+    rng = random.Random(5)
+    monos = [heisenberg.monomial(e) for e in heisenberg.monomials_up_to(2)]
+    tensors = []
+    for rank in (1, 2, 3):
+        for _ in range(6):
+            t = TensorElement(heisenberg, rank, {})
+            for _ in range(rng.randint(1, 4)):
+                legs = [rng.choice(monos) for _ in range(rank)]
+                c = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                t = t + TensorElement.from_factors(*legs).scale(c)
+            tensors.append(t)
+    data = json.loads((SCENARIOS / "moyal.json").read_text())
+    twist = Scenario(data, ring_override=Ring("series", 4)).twist
+    tensors += [twist.F, twist.Finv]
+    assert sum(len(t.terms) > 1 for t in tensors) > 10
+    for t in tensors:
+        assert dict(t.contract().terms) == leg_product_oracle(t), t
 
 
 class TestSuites:

@@ -9,7 +9,7 @@ from braidcalc.errors import (
     NoBlockSplit,
     NotTangent,
 )
-from braidcalc.geometry import Metric, levi_civita
+from braidcalc.geometry import Metric, field_family, levi_civita
 from braidcalc.hopf import LieAlgebra, TensorElement
 from braidcalc.modalg import Action, ModuleAlgebra
 from braidcalc.ring import RATIONAL, AlgebraElement, PolyAlgebra, Ring
@@ -288,3 +288,45 @@ def test_normal_twist_leg_rejected():
     cal = normal_leg_cal(order=3)
     with pytest.raises(NotTangent):
         Projection(cal, z_ideal(cal))
+
+
+def test_sign_slip_in_quotient_names_ambient_values():
+    """A quotient insertion and bracket that flip the sign on one input
+    fail the insertion, lie-derivative and bracket rows, and each
+    counterexample names the ambient field and form, not the pushed
+    ones.  The ideal is (x), so the tangent frame letters 1, 2 are
+    renumbered 0, 1 in the quotient and the two reprs differ."""
+    alg = PolyAlgebra(RATIONAL, ("x", "y", "z"))
+    lie = LieAlgebra(RATIONAL, ("P2", "P3"), {})
+    action = Action(lie, alg, {
+        0: (alg.zero(), alg.one(), alg.zero()),
+        1: (alg.zero(), alg.zero(), alg.one()),
+    })
+    cal = Calculus(ModuleAlgebra(action))
+    proj = Projection(cal, SubmanifoldIdeal(alg, normal_coords=(0,)))
+    q = proj.q
+    y = alg.coord(1)
+    form = cal.form(1, {(1,): y})
+    field = cal.frame_field(1)
+    bad_form, bad_field = proj.form(form), proj.multivector(field)
+    assert repr(bad_form) != repr(form) and repr(bad_field) != repr(field)
+
+    fields = field_family(cal, 2, frame=proj.tangent_idx)
+    pushed = [(X, proj.multivector(X)) for X in fields]
+    first_insert = next(X for X, Xq in pushed
+                        if not q.insert(Xq, bad_form).is_zero())
+    first_lie = next(X for X, Xq in pushed
+                     if not q.d(q.insert(Xq, bad_form)).is_zero())
+    first_bracket = next(X for X, Xq in pushed
+                         if not q.bracket(Xq, bad_field).is_zero())
+
+    insert, bracket = q.insert, q.bracket
+    q.insert = lambda X, om: -insert(X, om) if om == bad_form else insert(X, om)
+    q.bracket = lambda X, Y: -bracket(X, Y) if Y == bad_field else bracket(X, Y)
+    rep = projection_suite(proj, coeff_degree=2)
+    failing = {c.name: c.counterexample for c in rep.failing()}
+    assert failing == {
+        "insertion": {"field": repr(first_insert), "form": repr(form)},
+        "lie-derivative": {"field": repr(first_lie), "form": repr(form)},
+        "bracket": {"X": repr(first_bracket), "Y": repr(field)},
+    }
