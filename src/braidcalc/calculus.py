@@ -489,8 +489,10 @@ class Calculus:
         return out
 
     def h_act_exp(self, exp, obj):
-        """One PBW monomial acting on a multivector or form."""
-        if not any(exp):
+        """One PBW monomial acting on a multivector or form.  The unit
+        and a zero return obj before the memo, where zeros of every grade
+        are one key."""
+        if not any(exp) or obj.is_zero():
             return obj
         return self._h_act_exp(exp, obj)
 
@@ -544,11 +546,16 @@ class Calculus:
 
     # -- grade-1 application and brackets ----------------------------------
 
-    @_memo
     def apply_field(self, X, f):
-        """A grade-1 field on an algebra element, product in force."""
+        """A grade-1 field on an algebra element, product in force.  The
+        grade is checked before the memo, where zeros of every grade are
+        one key."""
         if X.grade != 1:
             raise GradeMismatch(X.grade)
+        return self._apply_field(X, f)
+
+    @_memo
+    def _apply_field(self, X, f):
         if f.is_zero():
             return f
         out = self.alg.zero()
@@ -585,7 +592,6 @@ class Calculus:
 
     # -- Schouten bracket ---------------------------------------------------
 
-    @_memo
     def schouten(self, X, Y):
         """Braided Schouten bracket [[X, Y]] of grade k + l - 1 (k, l the
         grades of X, Y; grade-0 pairs give 0), computed by its defining
@@ -596,7 +602,16 @@ class Calculus:
                              + (-1)^(k-1) sum (Rinv1 |> c e_u) ^ [[Rinv2 |> X, Z]],
         and graded braided skew-symmetry puts the lower grade on the left
         in every other case,
-          [[X, Y]] = -(-1)^((k-1)(l-1)) sum [[Rinv1 |> Y, Rinv2 |> X]]."""
+          [[X, Y]] = -(-1)^((k-1)(l-1)) sum [[Rinv1 |> Y, Rinv2 |> X]].
+        Memoized per pair of nonzero arguments: a zero argument gives
+        the zero of that grade before the memo, where zeros of every
+        grade are one key."""
+        if X.is_zero() or Y.is_zero():
+            return self.zero_mv(max(X.grade + Y.grade - 1, 0))
+        return self._schouten(X, Y)
+
+    @_memo
+    def _schouten(self, X, Y):
         k, l = X.grade, Y.grade
         if k == 0 and l == 0:
             return self.zero_mv(0)
@@ -648,6 +663,10 @@ class Calculus:
         if X.grade > om.grade:
             return self.zero_form(0)
         res = self.zero_form(om.grade - X.grade)
+        if om.is_zero():
+            # before the memoized contractions, where zeros of every
+            # grade are one key
+            return res
         for w, c in X.terms.items():
             cur = om
             for u in reversed(w):
@@ -699,10 +718,18 @@ class Calculus:
             res = res - self.wedge(self.coframe(w[0]), drest)
         return res
 
-    @_memo
     def d(self, om):
+        """The differential of a form, memoized per nonzero form: a zero
+        gives the zero of the next grade before the memo, where zeros of
+        every grade are one key."""
         if om.kind != "form":
             raise UnknownModule(om.kind)
+        if om.is_zero():
+            return self.zero_form(om.grade + 1)
+        return self._d(om)
+
+    @_memo
+    def _d(self, om):
         out = {}
         extra = self.zero_form(om.grade + 1)
         for w, a in om.terms.items():
@@ -723,8 +750,25 @@ class Calculus:
 
     # -- Lie derivative ----------------------------------------------------
 
-    @_memo
     def lie_derivative(self, X, om):
+        """The Lie derivative L_X om, memoized per pair of nonzero
+        arguments: the Cartan checks and a projection's quotient side
+        ask for most pairs many times.  A zero argument gives the zero
+        of grade |om| + 1 - |X| (0 when negative) before the memo, where
+        zeros of every grade are one key."""
+        if X.is_zero() or om.is_zero():
+            return self.zero_form(max(om.grade + 1 - X.grade, 0))
+        return self._lie_derivative(X, om)
+
+    @_memo
+    def _lie_derivative(self, X, om):
+        return self.lie_derivative_unmemoized(X, om)
+
+    def lie_derivative_unmemoized(self, X, om):
+        """L_X om = [i_X, d] om, the one home of its formula, keeping
+        nothing: for callers whose pairs never repeat, such as the
+        ambient side of `submanifold.projection_suite`, where a memo
+        would keep every value and hit none."""
         first = self.insert(X, self.d(om))
         second = self.d(self.insert(X, om))
         # [i_X, d] with deg i_X = -|X|: i_X d - (-1)^{|X|} d i_X
@@ -736,23 +780,99 @@ class Calculus:
 # ---------------------------------------------------------------------
 
 
-def graded_commutator(cal, A, B, om):
-    """[A, B]_R applied to a form: A B - (-1)^{|A||B|} B' A' with the
-    R-matrix in force acting on the parameters.  An operator is a triple
-    (degree, parameter or None, apply(parameter, form))."""
+def graded_commutator(cal, A, B, om, inner, legs):
+    """[A, B]_R applied to a form:
+      A B om - (-1)^{|A||B|} sum c B_{l |> Y} A_{r |> X} om
+    over the legs (l, r, c) of Rinv in force, X and Y the parameters of
+    A and B.  An operator is a triple (degree, parameter or None,
+    apply(parameter, form)).  `inner` is B om, and `legs` yields
+    (c, l |> Y, A_{r |> X} om) for each leg where neither image
+    vanishes, as `_SuiteValues.cases` carries them.  An equivariant
+    operator (parameter None) absorbs its leg through the counit, and
+    `legs` is not read."""
     (da, pa, fa), (db, pb, fb) = A, B
-    first = fa(pa, fb(pb, om))
-    sign = -1 if (da * db) % 2 else 1
+    first = fa(pa, inner)
     if pa is None or pb is None:
-        # an equivariant operator absorbs its R leg through the counit
         second = fb(pb, fa(pa, om))
-        return first - second if sign > 0 else first + second
-    total = _leg_sum(
-        cal.M.hopf.Rinv.pairs(), cal.h_act_exp, pb, pa,
-        lambda Bp, Ap: fb(Bp, fa(Ap, om)),
-        cal.zero_form(max(om.grade + da + db, 0)),
-    )
-    return first - total if sign > 0 else first + total
+    else:
+        second = cal.zero_form(max(om.grade + da + db, 0))
+        for c, Bp, Aom in legs:
+            second = second + fb(Bp, Aom).scale(c)
+    return first - second if (da * db) % 2 == 0 else first + second
+
+
+class _SuiteValues:
+    """Values the cases of one suite's triple rows share, in lists
+    aligned with the suite's fields, the legs (l, r, c) of Rinv in
+    force and its forms: the leg images l |> Z and r |> Z of each field
+    Z and, for an operator made by `operator`, apply(Z, w) and
+    apply(r |> Z, w).  An entry stays None until the first case that
+    needs it computes it, so each value, and any engine error, comes
+    where the first case computing its own values would meet it."""
+
+    def __init__(self, cal, fields, forms):
+        self.cal = cal
+        self.fields = fields
+        self.forms = forms
+        self.legs = cal.M.hopf.Rinv.pairs()
+        self.images = [[[None, None] for _ in self.legs] for _ in fields]
+
+    def operator(self, apply):
+        """apply with its lists: apply(Z, w) per field and form, and per
+        field and leg a list of apply(r |> Z, w) per form."""
+        return (apply, [[None] * len(self.forms) for _ in self.fields],
+                [[None] * len(self.legs) for _ in self.fields])
+
+    def cases(self, xs, ys, A, B, work=None):
+        """Cases (X, Y, w[, work(X, Y)], B_Y w, legs) over xs x ys x
+        forms, in that order, carrying what graded_commutator takes for
+        the operators A and B (made by `operator`): B_Y w, and lazily
+        (c, l |> Y, A_{r |> X} w) per leg where neither image vanishes.
+        xs and ys are leading parts of the fields, so that positions in
+        them index the lists.  work(X, Y), when given, is done once per
+        pair ahead of its forms, as in `report.hoisted`."""
+        for j, X in enumerate(xs):
+            for jj, Y in enumerate(ys):
+                shared = () if work is None else (work(X, Y),)
+                for w, om in enumerate(self.forms):
+                    yield (X, Y, om) + shared + (
+                        self._value(B, jj, w), self._legs(A, j, jj, w))
+
+    def _image(self, j, k, side):
+        """The left (side 0) or right (side 1) leg of leg k on field j."""
+        pair = self.images[j][k]
+        if pair[side] is None:
+            pair[side] = self.cal.h_act_exp(self.legs[k][side], self.fields[j])
+        return pair[side]
+
+    def _value(self, op, j, w):
+        apply, values, _ = op
+        row = values[j]
+        if row[w] is None:
+            row[w] = apply(self.fields[j], self.forms[w])
+        return row[w]
+
+    def _legs(self, op, j, jj, w):
+        """(c, l |> Y, A_{r |> X} w) per leg where neither image
+        vanishes, X and Y the fields j and jj; a unit right leg leaves X
+        as it is, so its value is A_X w."""
+        apply, _, legged = op
+        for k, (l, r, c) in enumerate(self.legs):
+            lY = self._image(jj, k, 0)
+            if lY.is_zero():
+                continue
+            rX = self._image(j, k, 1)
+            if rX.is_zero():
+                continue
+            if not any(r):
+                yield c, lY, self._value(op, j, w)
+                continue
+            row = legged[j][k]
+            if row is None:
+                row = legged[j][k] = [None] * len(self.forms)
+            if row[w] is None:
+                row[w] = apply(rX, self.forms[w])
+            yield c, lY, row[w]
 
 
 # ---------------------------------------------------------------------
@@ -773,7 +893,10 @@ def cartan_suite(cal, coeff_degree=2):
     plus the square of the differential and the two Lie derivative
     splitting rules, on a generated family: the fields are the frame
     words of grade 1 and 2 with coefficients of degree <= coeff_degree,
-    the forms the frame words of grade <= 2 with coefficient 1 and x."""
+    the forms the frame words of grade <= 2 with coefficient 1 and x.
+    The three triple rows share, through one `_SuiteValues`, the leg
+    images of each field and the values i_Y w, L_Y w, i_{r |> X} w and
+    L_{r |> X} w, each computed once per suite."""
     rep = Report(
         "cartan",
         {"wedge_grade": 2, "coeff_degree": coeff_degree,
@@ -791,29 +914,33 @@ def cartan_suite(cal, coeff_degree=2):
     def L(X):
         return (1 - X.grade, X, cal.lie_derivative)
 
+    values = _SuiteValues(cal, fields, form_family)
+    ins = values.operator(cal.insert)
+    lie = values.operator(cal.lie_derivative)
     forms = list(product(form_family))
     rep.check("d-squared", "d . d = 0", violations(
         ("form",), forms, lambda om: cal.d(cal.d(om)).is_zero()))
     rep.check("insert-d", "[i_X, d] = L_X", violations(
         ("X", "form"), product(fields, form_family),
-        lambda X, om: graded_commutator(cal, i(X), d, om) == cal.lie_derivative(X, om)))
+        lambda X, om: graded_commutator(cal, i(X), d, om, cal.d(om), None)
+        == cal.lie_derivative(X, om)))
     rep.check("lie-d", "[L_X, d] = 0", violations(
         ("X", "form"), product(fields, form_family),
-        lambda X, om: graded_commutator(cal, L(X), d, om).is_zero()))
+        lambda X, om: graded_commutator(
+            cal, L(X), d, om, cal.d(om), None).is_zero()))
     rep.check("insert-insert", "[i_X, i_Y] = 0", violations(
-        ("X", "Y", "form"), product(fields, fields, form_family),
-        lambda X, Y, om: graded_commutator(cal, i(X), i(Y), om).is_zero()))
-
-    def with_bracket():
-        return hoisted(product(fields, fields), forms, cal.schouten)
-
+        ("X", "Y", "form"), values.cases(fields, fields, ins, ins),
+        lambda X, Y, om, iYom, legs:
+            graded_commutator(cal, i(X), i(Y), om, iYom, legs).is_zero()))
     rep.check("lie-insert", "[L_X, i_Y] = i_{[[X,Y]]}", violations(
-        ("X", "Y", "form"), with_bracket(),
-        lambda X, Y, om, Z: graded_commutator(cal, L(X), i(Y), om) == cal.insert(Z, om)))
+        ("X", "Y", "form"), values.cases(fields, fields, lie, ins, cal.schouten),
+        lambda X, Y, om, Z, iYom, legs:
+            graded_commutator(cal, L(X), i(Y), om, iYom, legs) == cal.insert(Z, om)))
     rep.check("lie-lie", "[L_X, L_Y] = L_{[[X,Y]]}", violations(
-        ("X", "Y", "form"), with_bracket(),
-        lambda X, Y, om, Z:
-            graded_commutator(cal, L(X), L(Y), om) == cal.lie_derivative(Z, om)))
+        ("X", "Y", "form"), values.cases(fields, fields, lie, lie, cal.schouten),
+        lambda X, Y, om, Z, LYom, legs:
+            graded_commutator(cal, L(X), L(Y), om, LYom, legs)
+            == cal.lie_derivative(Z, om)))
     rep.check("lie-function", "L_a w = -(da) ^ w", violations(
         ("a", "form"),
         hoisted(product(coordinate_monomials(cal.alg, coeff_degree)), forms, cal.d0),
@@ -829,14 +956,15 @@ def cartan_suite(cal, coeff_degree=2):
 
 
 def schouten_suite(cal, coeff_degree=1):
-    """Defining properties of the Schouten bracket on small families."""
+    """Defining properties of the Schouten bracket on small families.
+    The graded-leibniz row shares, through one `_SuiteValues` with the
+    grade-1 fields as its forms, the leg images of each field and the
+    values Y ^ Z and [[r |> X, Z]], each computed once per suite."""
     rep = Report("schouten", {"coeff_degree": coeff_degree})
     coeffs = coordinate_monomials(cal.alg, coeff_degree)
     fields = graded_family(cal.mv, cal.dim, (1, 2), coeffs)
     grade1 = [X for X in fields if X.grade == 1]
     Rinv = cal.M.hopf.Rinv.pairs()
-    # (-1) Rinv, for the odd-sign Leibniz terms
-    neg_Rinv = tuple((l, r, -c) for l, r, c in Rinv)
 
     rep.check("grade1-function", "[[X, a]] = X(a)", violations(
         ("X", "a"), product(grade1, coeffs),
@@ -856,19 +984,22 @@ def schouten_suite(cal, coeff_degree=1):
               "[[Y, X]] = -(-1)^{(k-1)(l-1)} [[Rinv1 |> X, Rinv2 |> Y]]",
               violations(("X", "Y"), product(fields, fields), skew))
 
-    def leibniz(X, Y, Z):
-        lhs = cal.schouten(X, cal.wedge(Y, Z))
-        return lhs == _leg_sum(
-            neg_Rinv if (X.grade - 1) * Y.grade % 2 else Rinv,
-            cal.h_act_exp, Y, X,
-            lambda Ya, Xa: cal.wedge(Ya, cal.schouten(Xa, Z)),
-            cal.wedge(cal.schouten(X, Y), Z),
-        )
+    def leibniz(X, Y, Z, YZ, legs):
+        lhs = cal.schouten(X, YZ)
+        rhs = cal.wedge(cal.schouten(X, Y), Z)
+        odd = (X.grade - 1) * Y.grade % 2
+        for c, Ya, XaZ in legs:
+            rhs = rhs + cal.wedge(Ya, XaZ).scale(-c if odd else c)
+        return lhs == rhs
 
+    # grade1 leads fields, so its positions index the lists
+    values = _SuiteValues(cal, fields, grade1)
     rep.check(
         "graded-leibniz",
         "[[X, Y^Z]] = [[X,Y]]^Z + (-1)^{(k-1)l} (Rinv1|>Y)^[[Rinv2|>X, Z]]",
-        violations(("X", "Y", "Z"), product(fields, grade1, grade1), leibniz),
+        violations(("X", "Y", "Z"), values.cases(
+            fields, grade1, values.operator(cal.schouten),
+            values.operator(cal.wedge)), leibniz),
     )
     return rep
 

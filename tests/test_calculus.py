@@ -765,8 +765,9 @@ def test_schouten_braided_graded_jacobi(name):
 
 @pytest.mark.parametrize("name", ["heisenberg-twisted", "abelian-plane"])
 def test_memoized_kernels_match_plain_computation(name):
-    """`apply_field` and `_insert_base`, memoized per Calculus, agree
-    with their plain bodies on the cartan suite's grade-1 fields,
+    """`apply_field` (memoized as `_apply_field` behind its grade check)
+    and `_insert_base`, memoized per Calculus, agree with their plain
+    bodies on the cartan suite's grade-1 fields,
     coefficients and forms of a twisted scenario and of one over a
     non-coordinate frame.  Every memo entry is made before the first
     comparison, so an entry stored under a wrong key shows; a repeated
@@ -782,7 +783,7 @@ def test_memoized_kernels_match_plain_computation(name):
                 for u in range(cal.dim) for om in forms}
     assert sum(not v.is_zero() for v in applied.values()) > len(fields)
     assert sum(not v.is_zero() for v in inserted.values()) >= len(forms)
-    plain_apply = Calculus.apply_field.__wrapped__
+    plain_apply = Calculus._apply_field.__wrapped__
     plain_insert = Calculus._insert_base.__wrapped__
     for (X, a), got in applied.items():
         assert got == plain_apply(cal, X, a), (X, a)
@@ -791,6 +792,35 @@ def test_memoized_kernels_match_plain_computation(name):
         want = plain_insert(cal, u, om)
         assert got == want and got.grade == want.grade, (u, om)
         assert cal._insert_base(u, om) is got
+
+
+def test_apply_field_checks_the_grade_of_a_zero_field():
+    """Zeros of every grade are one memo key, so the grade check runs
+    before the memo: a zero bivector is refused also after a zero
+    field was applied."""
+    cal = moyal_cal()
+    x = cal.alg.coord(0)
+    assert cal.apply_field(cal.zero_mv(1), x).is_zero()
+    with pytest.raises(GradeMismatch):
+        cal.apply_field(cal.zero_mv(2), x)
+
+
+def test_memoized_operators_keep_the_grade_of_a_zero():
+    """d, the Schouten bracket, the Lie derivative and the Hopf action
+    give a zero argument the zero of the grade it would have, whatever
+    zero the memo saw first."""
+    cal = moyal_cal()
+    e0, th0 = cal.frame_field(0), cal.coframe(0)
+    assert cal.d(cal.zero_form(0)).grade == 1
+    assert cal.d(cal.zero_form(2)).grade == 3
+    assert cal.schouten(cal.zero_mv(1), e0).grade == 1
+    assert cal.schouten(cal.zero_mv(2), e0).grade == 2
+    assert cal.lie_derivative(cal.zero_mv(1), th0).grade == 1
+    assert cal.lie_derivative(cal.zero_mv(2), th0).grade == 0
+    assert cal.lie_derivative(e0, cal.zero_form(0)).grade == 0
+    assert cal.lie_derivative(e0, cal.zero_form(2)).grade == 2
+    assert cal.h_act_exp((1, 0), cal.zero_form(0)).grade == 0
+    assert cal.h_act_exp((1, 0), cal.zero_form(2)).grade == 2
 
 
 # ---------------------------------------------------------------------
@@ -816,6 +846,21 @@ def test_cartan_suite_moyal():
 def test_cartan_suite_heisenberg_twisted():
     rep = cartan_suite(heis_cal(), coeff_degree=1)
     assert rep.passed, rep.to_text()
+
+
+@pytest.mark.parametrize("make", [moyal_cal, heis_cal])
+def test_cartan_triple_rows_see_a_wrong_braiding(make):
+    """With R in place of its inverse, the triple rows, which share leg
+    images and inner values across their cases, fail with exactly the
+    counterexamples each case computing its own values gives."""
+    cal = make()
+    cal.M.hopf.Rinv = cal.M.hopf.R
+    rep = cartan_suite(cal, coeff_degree=1)
+    failing = {c.name: c.counterexample for c in rep.failing()}
+    assert failing == {
+        "insert-insert": {"X": "(1*y)e0", "Y": "(1*x)e1", "form": "(1)th0^th1"},
+        "lie-insert": {"X": "(1*y)e0", "Y": "(1*x)e0", "form": "(1*x)th0"},
+    }
 
 
 def test_lie_derivative_frozen():

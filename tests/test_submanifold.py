@@ -1,9 +1,13 @@
 """Quotients by coordinate ideals: reduction, tangency, the
 projected calculus and geometry, and twisted projections."""
 
+import json
+from pathlib import Path
+
 import pytest
 
 from braidcalc.calculus import Calculus
+from braidcalc.cli import Scenario
 from braidcalc.errors import (
     AxiomOneUnwitnessed,
     NoBlockSplit,
@@ -330,3 +334,22 @@ def test_sign_slip_in_quotient_names_ambient_values():
         "lie-derivative": {"field": repr(first_lie), "form": repr(form)},
         "bracket": {"X": repr(first_bracket), "Y": repr(field)},
     }
+
+
+def _lie_memo_entries(cal):
+    return sum(len(table) for name, table in vars(cal).items()
+               if name.startswith("_memo_") and "lie_derivative" in name)
+
+
+def test_projection_suite_keeps_no_ambient_lie_derivative_memo():
+    """The ambient (field, form) pairs of the lie-derivative row never
+    repeat, so the ambient calculus keeps no Lie-derivative memo entry;
+    the quotient keeps its memo, one entry per pushed pair of nonzero
+    members (a zero member is answered before the memo)."""
+    path = Path(__file__).resolve().parent.parent / "scenarios" / "surface.json"
+    sc = Scenario(json.loads(path.read_text()))
+    proj = Projection(sc.calculus(), sc.ideal(), depth=3)
+    rep = projection_suite(proj, 2)
+    assert rep.passed, rep.to_text()
+    assert _lie_memo_entries(proj.cal) == 0
+    assert _lie_memo_entries(proj.q) == 216
