@@ -38,12 +38,11 @@ from .errors import (
     UnsupportedFrameBraiding,
 )
 from .hopf import _exp_to_word
-from .modalg import coordinate_monomials, expand_pairs  # noqa: F401 (re-export)
+from .modalg import coordinate_monomials
 from .report import Report, hoisted, violations
 from .ring import (
     AlgebraElement,
     _add_terms,
-    _braid,
     _derive,
     _leg_sum,
     _memo,
@@ -362,9 +361,6 @@ class GradedObject(_Terms):
         mul = self.cal.M.mul
         return self._like({w: mul(a, c) for w, c in self.terms.items()})
 
-    def wedge(self, other):
-        return self.cal.wedge(self, other)
-
     def __repr__(self):
         if not self.terms:
             return "%s(0; grade %d)" % (self.kind, self.grade)
@@ -445,12 +441,6 @@ class Calculus:
     def coframe(self, u):
         return DifferentialForm(self, 1, {(u,): self.alg.one()})
 
-    def field(self, coeffs):
-        terms = {}
-        for u, c in coeffs.items():
-            terms[(u,)] = c
-        return MultiVector(self, 1, terms)
-
     # -- Hopf structure in force -----------------------------------------
 
     def cop_pairs(self, exp):
@@ -511,24 +501,12 @@ class Calculus:
                 _add_terms(out, ((nw, ac.scale(s * c)) for nw, s in wa.items()))
         return type(obj)(self, obj.grade, out)
 
-    def h_act(self, xi, obj):
-        """A Hopf element acting on a multivector or form."""
-        res = type(obj)(self, obj.grade, {})
-        for e, c in xi.terms.items():
-            res = res + self.h_act_exp(e, obj).scale(c)
-        return res
-
     def act_any(self, exp, obj):
         if isinstance(obj, AlgebraElement):
             return self.M.action.act_monomial(exp, obj)
         if isinstance(obj, GradedObject):
             return self.h_act_exp(exp, obj)
         raise UnknownModule(type(obj))
-
-    def braid_pairs(self, pairs):
-        """c^R on pure tensors of multivectors, forms or algebra
-        elements: sum (Rinv1 |> v) (x) (Rinv2 |> u)."""
-        return _braid(self.M.hopf.Rinv.pairs(), self.act_any, pairs)
 
     # -- wedge ------------------------------------------------------------
 
@@ -752,10 +730,10 @@ class Calculus:
 
     def lie_derivative(self, X, om):
         """The Lie derivative L_X om, memoized per pair of nonzero
-        arguments: the Cartan checks and a projection's quotient side
-        ask for most pairs many times.  A zero argument gives the zero
-        of grade |om| + 1 - |X| (0 when negative) before the memo, where
-        zeros of every grade are one key."""
+        arguments: the Cartan checks ask for most pairs many times.  A
+        zero argument gives the zero of grade |om| + 1 - |X| (0 when
+        negative) before the memo, where zeros of every grade are one
+        key."""
         if X.is_zero() or om.is_zero():
             return self.zero_form(max(om.grade + 1 - X.grade, 0))
         return self._lie_derivative(X, om)
@@ -766,9 +744,9 @@ class Calculus:
 
     def lie_derivative_unmemoized(self, X, om):
         """L_X om = [i_X, d] om, the one home of its formula, keeping
-        nothing: for callers whose pairs never repeat, such as the
-        ambient side of `submanifold.projection_suite`, where a memo
-        would keep every value and hit none."""
+        nothing: for callers whose pairs never repeat, such as both
+        sides of `submanifold.projection_suite`, where a memo would keep
+        every value and hit none."""
         first = self.insert(X, self.d(om))
         second = self.d(self.insert(X, om))
         # [i_X, d] with deg i_X = -|X|: i_X d - (-1)^{|X|} d i_X

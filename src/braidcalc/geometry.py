@@ -82,12 +82,17 @@ class Connection:
             if not g.is_zero()
         ))
 
-    @_memo
     def nabla(self, X, s):
-        """Covariant derivative of the grade-1 field s along X."""
-        cal = self.cal
+        """Covariant derivative of the grade-1 field s along X.  The
+        kinds and grades are checked before the memo, where zeros of
+        every grade are one key."""
         if X.kind != "mv" or s.kind != "mv" or X.grade != 1 or s.grade != 1:
             raise GradeMismatch((X.grade, s.grade))
+        return self._nabla(X, s)
+
+    @_memo
+    def _nabla(self, X, s):
+        cal = self.cal
         out = {}
         for (v,), d in s.terms.items():
             _add_terms(out, (((v,), cal.apply_field(X, d)),))
@@ -129,17 +134,6 @@ class Connection:
         braided = _leg_sum(cal.M.hopf.Rinv.pairs(), cal.h_act_exp,
                            Y, X, self.nabla, cal.zero_mv(1))
         return self.nabla(X, Y) - braided - cal.bracket(X, Y)
-
-    def curvature(self, X, Y, s):
-        """nabla_X nabla_Y s - nabla_{Rinv1 |> Y} nabla_{Rinv2 |> X} s
-        - nabla_{[X, Y]_R} s."""
-        cal = self.cal
-        braided = _leg_sum(
-            cal.M.hopf.Rinv.pairs(), cal.h_act_exp, Y, X,
-            lambda Ya, Xa: self.nabla(Ya, self.nabla(Xa, s)), cal.zero_mv(1),
-        )
-        return (self.nabla(X, self.nabla(Y, s)) - braided
-                - self.nabla(cal.bracket(X, Y), s))
 
 
 def check_connection(conn, coeff_degree=1):
@@ -218,10 +212,15 @@ class Metric:
         self.matrix = matrix
         self.inverse = _inverse(cal.M.mul, matrix, "metric inverse in force")
 
-    @_memo
     def __call__(self, X, Y):
+        """g(X, Y) of grade-1 fields.  The kinds and grades are checked
+        before the memo, where zeros of every grade are one key."""
         if X.kind != "mv" or Y.kind != "mv" or X.grade != 1 or Y.grade != 1:
             raise GradeMismatch((X.grade, Y.grade))
+        return self._pairing(X, Y)
+
+    @_memo
+    def _pairing(self, X, Y):
         cal = self.cal
         tot = cal.alg.zero()
         for (u,), cu in X.terms.items():

@@ -23,7 +23,6 @@ from .report import Report, hoisted, violations
 from .ring import (
     AlgebraElement,
     _accumulate,
-    _braid,
     _derive,
     _exponents_up_to,
     _leg_sum,
@@ -132,42 +131,34 @@ class ModuleAlgebra:
 
     def braid_algebra_pairs(self, pairs):
         """c^R on a sum of algebra-element pure tensors:
-        sum_i a_i (x) b_i -> sum (Rinv1 |> b_i) (x) (Rinv2 |> a_i)."""
+        sum_i a_i (x) b_i -> sum (Rinv1 |> b_i) (x) (Rinv2 |> a_i),
+        skipping a term as soon as either leg gives zero."""
+        act, out = self.action.act_monomial, []
         for a, b in pairs:
             if not (isinstance(a, AlgebraElement) and isinstance(b, AlgebraElement)):
                 raise UnknownModule((type(a), type(b)))
-        return _braid(self.hopf.Rinv.pairs(), self.action.act_monomial,
-                      pairs)
+            for l, r, c in self.hopf.Rinv.pairs():
+                lb = act(l, b)
+                if lb.is_zero():
+                    continue
+                ra = act(r, a)
+                if not ra.is_zero():
+                    out.append((lb.scale(c), ra))
+        return out
 
 
 def expand_pairs(pairs):
-    """Canonical form of a sum of pure tensors of algebra elements,
-    multivectors or forms, for equality: a numerator map over one
-    denominator, in lowest terms."""
+    """Canonical form of a sum of pure tensors of algebra elements, for
+    equality: a numerator map over one denominator, in lowest terms."""
     out, den = {}, 1
-    for u, v in pairs:
-        for ku, a in _basis_terms(u):
-            for kv, b in _basis_terms(v):
-                ring = a.algebra.ring
-                mul = ring._mul
-                out, den = _accumulate(out, den, (
-                    ((ku + (ea, a.du), kv + (eb, b.du)), mul(na, nb))
-                    for ea, na in a._map.items()
-                    for eb, nb in b._map.items()
-                ), a._den * b._den, ring._add)
+    for a, b in pairs:
+        ring = a.algebra.ring
+        out, den = _accumulate(out, den, (
+            ((ea, a.du, eb, b.du), ring._mul(na, nb))
+            for ea, na in a._map.items()
+            for eb, nb in b._map.items()
+        ), a._den * b._den, ring._add)
     return _lowest(out, den)
-
-
-def _basis_terms(obj):
-    """(basis key, AlgebraElement coefficient) pairs of obj; the key is
-    completed by each exponent of the coefficient and its unit power.
-    Multivectors and forms are told apart by their kind, as their
-    classes live in calculus, above here."""
-    if isinstance(obj, AlgebraElement):
-        return [(("alg",), obj)]
-    if getattr(obj, "kind", None) not in ("mv", "form"):
-        raise UnknownModule(type(obj))
-    return [((obj.kind, obj.grade, w), coeff) for w, coeff in obj.terms.items()]
 
 
 # ---------------------------------------------------------------------

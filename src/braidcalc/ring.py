@@ -218,22 +218,6 @@ def _leg_sum(legs, act, u, v, op, total):
     return total
 
 
-def _braid(legs, act, pairs):
-    """The braiding c^R on a list of pure tensors u (x) v: the pairs
-    c (l |> v, r |> u) over the (l, r, c) legs of Rinv, skipping a term
-    as soon as either leg gives zero."""
-    out = []
-    for u, v in pairs:
-        for l, r, c in legs:
-            lv = act(l, v)
-            if lv.is_zero():
-                continue
-            ru = act(r, u)
-            if not ru.is_zero():
-                out.append((lv.scale(c), ru))
-    return out
-
-
 def _derive(images, f):
     """The plain vector field with coordinate images `images` applied
     to the polynomial f: sum_j images[j] * df/dx_j."""
@@ -323,14 +307,6 @@ class Ring:
 
     # -- constructors ------------------------------------------------
 
-    def from_coeffs(self, coeffs):
-        c = [_frac(v) for v in coeffs]
-        if len(c) != self.order:
-            raise ArityMismatch(("series coefficients", len(c), self.order))
-        d = math.lcm(*(v.denominator for v in c))
-        return Scalar(self, tuple(v.numerator * (d // v.denominator)
-                                  for v in c), d)
-
     def scalar(self, v):
         """Embed a rational literal as a Scalar of this ring."""
         if type(v) is int:
@@ -392,10 +368,6 @@ class Scalar:
 
     def is_zero(self):
         return not any(self.n)
-
-    def min_h_order(self):
-        """Smallest k with a nonzero h^k coefficient; ring order if zero."""
-        return _h_order(self.n)
 
     # -- arithmetic --------------------------------------------------
 
@@ -687,9 +659,6 @@ class PolyAlgebra:
         return "PolyAlgebra(%s; %s)" % (", ".join(self.names), self.ring)
 
     # -- element constructors ----------------------------------------
-
-    def element(self, terms, du=0):
-        return AlgebraElement(self, terms, du)
 
     def zero(self):
         return self._zero

@@ -125,14 +125,16 @@ def check_cocycle(twist):
     """2-cocycle, counit normalization, and the inverse cocycle law."""
     lie = twist.lie
     F, Finv = twist.F, twist.Finv
+    # the laws are stated in the envelope's own coproduct, not cop_F
+    cop_leg = HopfStructure(lie).coproduct_leg
     rep = Report("twist-cocycle")
 
     rep.check(
         "cocycle",
         "(F (x) 1)(cop (x) id)(F) = (1 (x) F)(id (x) cop)(F)",
         violations(("lhs", "rhs"), [(
-            F.embed(3, (0, 1)) * F.coproduct_leg(0),
-            F.embed(3, (1, 2)) * F.coproduct_leg(1),
+            F.embed(3, (0, 1)) * cop_leg(F, 0),
+            F.embed(3, (1, 2)) * cop_leg(F, 1),
         )], operator.eq),
     )
 
@@ -149,8 +151,8 @@ def check_cocycle(twist):
         "inverse-cocycle",
         "(cop (x) id)(Finv)(Finv (x) 1) = (id (x) cop)(Finv)(1 (x) Finv)",
         violations(("lhs", "rhs"), [(
-            Finv.coproduct_leg(0) * Finv.embed(3, (0, 1)),
-            Finv.coproduct_leg(1) * Finv.embed(3, (1, 2)),
+            cop_leg(Finv, 0) * Finv.embed(3, (0, 1)),
+            cop_leg(Finv, 1) * Finv.embed(3, (1, 2)),
         )], operator.eq),
     )
     return rep

@@ -13,6 +13,7 @@ from braidcalc.calculus import Calculus
 from braidcalc.cli import Scenario
 from braidcalc.errors import (
     FramePairingSingular,
+    GradeMismatch,
     MetricCheckFailed,
     RankMismatch,
 )
@@ -143,19 +144,6 @@ def test_levi_civita_matches_sympy_christoffel_symbols():
     assert nonzero == 3
 
 
-def test_levi_civita_frozen_curvature():
-    cal = curved_cal()
-    conn = levi_civita(curved_metric(cal))
-    alg = cal.alg
-    e0, e1 = cal.frame_field(0), cal.frame_field(1)
-    got = conn.curvature(e0, e1, e1)
-    inv_kappa = AlgebraElement(alg, {(0, 0): RATIONAL.scalar(1)}, 1)
-    inv_kappa2 = AlgebraElement(alg, {(0, 0): RATIONAL.scalar(1)}, 2)
-    assert got == cal.mv(1, {(0,): -inv_kappa})
-    assert conn.curvature(e0, e1, e0) == cal.mv(1, {(1,): inv_kappa2})
-    assert conn.torsion(e0, e1).is_zero()
-
-
 def test_levi_civita_frozen_skew_frame():
     cal = skew_cal()
     conn = levi_civita(identity_metric(cal))
@@ -164,21 +152,20 @@ def test_levi_civita_frozen_skew_frame():
     assert conn.gamma[0][0] == [z, -one]
     assert conn.gamma[1][0] == [z, z]
     assert conn.gamma[1][1] == [z, z]
-    e0, e1 = cal.frame_field(0), cal.frame_field(1)
-    assert conn.curvature(e0, e1, e0) == cal.mv(1, {(1,): one})
 
 
 def test_covariant_derivative_extension():
     cal = curved_cal()
     conn = levi_civita(curved_metric(cal))
     x, y = cal.alg.coord(0), cal.alg.coord(1)
-    X = cal.field({0: y})
-    s = cal.field({1: x})
+    X = cal.mv(1, {(0,): y})
+    s = cal.mv(1, {(1,): x})
     # nabla_{y e0}(x e1) = y (e0(x) e1 + x Gamma_{01}) by the two rules
     got = conn.nabla(X, s)
     over_kappa = AlgebraElement(cal.alg, {(1, 0): RATIONAL.scalar(1)}, 1)
     want = cal.mv(1, {(1,): y + y * x * over_kappa})
     assert got == want
+    assert conn.torsion(cal.frame_field(0), cal.frame_field(1)).is_zero()
 
 
 # ---------------------------------------------------------------------
@@ -294,7 +281,7 @@ def test_geometry_twist_suite_curved():
 
 def test_memoized_nabla_and_metric_match_plain_computation():
     """`Connection.nabla` and `Metric.__call__`, memoized per connection
-    and metric, agree with their plain bodies on curved-metric's solved
+    and metric behind their grade checks, agree with their plain bodies on curved-metric's solved
     and twisted connections over the degree-1 field family.  Every memo
     entry is checked, the solve's own frame entries too; a repeated call
     returns the identical object."""
@@ -312,13 +299,30 @@ def test_memoized_nabla_and_metric_match_plain_computation():
             assert conn.nabla(X, s) is got
         for (X, Y), got in values.items():
             assert g(X, Y) is got
-        nablas = conn.__dict__["_memo_nabla"]
-        metrics = g.__dict__["_memo___call__"]
+        nablas = conn.__dict__["_memo__nabla"]
+        metrics = g.__dict__["_memo__pairing"]
         assert len(nablas) >= len(derived) and len(metrics) >= len(values)
         for args, got in nablas.items():
-            assert got == Connection.nabla.__wrapped__(conn, *args), args
+            assert got == Connection._nabla.__wrapped__(conn, *args), args
         for args, got in metrics.items():
-            assert got == Metric.__call__.__wrapped__(g, *args), args
+            assert got == Metric._pairing.__wrapped__(g, *args), args
+
+
+def test_nabla_and_metric_check_the_grade_of_a_zero_field():
+    """Zeros of every grade and kind are one memo key, so the checks of
+    `Connection.nabla` and `Metric.__call__` run before the memo: on
+    curved-metric's solved connection a zero bivector or form is refused
+    also after a zero field was seen."""
+    sc = Scenario(json.loads((SCENARIOS / "curved-metric.json").read_text()))
+    cal = sc.calculus(twisted=False)
+    metric = sc.metric(cal)
+    conn = levi_civita(metric)
+    e0 = cal.frame_field(0)
+    for op in (conn.nabla, metric):
+        assert op(cal.zero_mv(1), e0).is_zero()
+        for bad in (cal.zero_mv(2), cal.zero_form(1)):
+            with pytest.raises(GradeMismatch):
+                op(bad, e0)
 
 
 def test_twist_metric_and_connection_tables():

@@ -20,7 +20,6 @@ from hypothesis import strategies as st
 
 from braidcalc.cli import parse_poly, parse_scalar
 from braidcalc.errors import (
-    ArityMismatch,
     NotInvertible,
     RingMismatch,
     SchemaError,
@@ -32,6 +31,14 @@ from braidcalc.ring import RATIONAL, PolyAlgebra, Ring, Scalar
 # =====================================================================
 # independent oracles
 # =====================================================================
+
+
+def series(ring, coeffs):
+    """The Scalar sum_k coeffs[k] h^k of `ring`, one rational literal
+    per coefficient, over their least common denominator."""
+    c = [Fraction(v) for v in coeffs]
+    d = math.lcm(*(v.denominator for v in c))
+    return Scalar(ring, tuple(int(v * d) for v in c), d)
 
 
 def dense_mul(a, b, order):
@@ -67,7 +74,7 @@ class TestScalar:
         assert oracle == [Fraction(1), Fraction(-1), Fraction(1)]
         ring = Ring("series", 3)
         got = (ring.one() + ring.h()).inverse()
-        assert got == ring.from_coeffs([1, -1, 1])
+        assert got == series(ring, [1, -1, 1])
 
     def test_series_multiplication_matches_dense_oracle(self):
         ring = Ring("series", 4)
@@ -75,8 +82,8 @@ class TestScalar:
         for _ in range(300):
             a = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4)]
             b = [Fraction(rng.randint(-9, 9), rng.randint(1, 5)) for _ in range(4)]
-            got = ring.from_coeffs(a) * ring.from_coeffs(b)
-            assert got == ring.from_coeffs(dense_mul(a, b, 4))
+            got = series(ring, a) * series(ring, b)
+            assert got == series(ring, dense_mul(a, b, 4))
 
     def test_ring_laws_random(self):
         # commutative ring laws over both rings, >= 1000 sampled triples
@@ -86,10 +93,8 @@ class TestScalar:
         while cases < 1000:
             ring = rings[cases % len(rings)]
             def rand():
-                return ring.from_coeffs(
-                    [Fraction(rng.randint(-6, 6), rng.randint(1, 4))
-                     for _ in range(ring.order)]
-                )
+                return series(ring, [Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+                                     for _ in range(ring.order)])
             a, b, c = rand(), rand(), rand()
             assert a + b == b + a
             assert (a + b) + c == a + (b + c)
@@ -106,10 +111,10 @@ class TestScalar:
         big, small = Ring("series", 5), Ring("series", 3)
         rng = random.Random(3)
         def trunc(s):
-            return small.from_coeffs(list(s.c[:3]))
+            return series(small, list(s.c[:3]))
         for _ in range(200):
-            a = big.from_coeffs([rng.randint(-5, 5) for _ in range(5)])
-            b = big.from_coeffs([rng.randint(-5, 5) for _ in range(5)])
+            a = series(big, [rng.randint(-5, 5) for _ in range(5)])
+            b = series(big, [rng.randint(-5, 5) for _ in range(5)])
             assert trunc(a * b) == trunc(a) * trunc(b)
             assert trunc(a + b) == trunc(a) + trunc(b)
 
@@ -117,7 +122,7 @@ class TestScalar:
     @settings(max_examples=200)
     def test_series_inverse_roundtrip(self, coeffs):
         ring = Ring("series", 4)
-        a = ring.from_coeffs(coeffs)
+        a = series(ring, coeffs)
         if coeffs[0] == 0:
             with pytest.raises(NotInvertible):
                 a.inverse()
@@ -191,7 +196,7 @@ class TestRepresentation:
     def test_matches_dense_oracle(self, drawn):
         ring, (a, b) = drawn
         order = ring.order
-        sa, sb = ring.from_coeffs(a), ring.from_coeffs(b)
+        sa, sb = series(ring, a), series(ring, b)
         assert_canonical(sa, a)
         assert_canonical(sb, b)
         assert_canonical(sa + sb, [x + y for x, y in zip(a, b)])
@@ -204,7 +209,8 @@ class TestRepresentation:
         else:
             assert_canonical(sa.inverse(), geometric_inverse(a, order))
         nonzero = [k for k, v in enumerate(a) if v != 0]
-        assert sa.min_h_order() == (nonzero[0] if nonzero else order)
+        assert PolyAlgebra(ring, ("x",)).scalar(sa).min_h_order() \
+            == (nonzero[0] if nonzero else order)
         assert sa.is_zero() == (not nonzero)
         assert repr(sa) == ref_repr(a, ring == RATIONAL)
 
@@ -212,7 +218,7 @@ class TestRepresentation:
     @settings(max_examples=200, deadline=None)
     def test_equal_values_compare_and_hash_equal(self, drawn, k):
         ring, (a,) = drawn
-        s = ring.from_coeffs(a)
+        s = series(ring, a)
         # the same value written as text with every fraction scaled by k/k
         t = parse_scalar(ring, " + ".join(
             "%d/%d" % (v.numerator * k, v.denominator * k) + (" h^%d" % i if i else "")
@@ -223,7 +229,7 @@ class TestRepresentation:
     def test_unreduced_literal_is_reduced(self):
         assert parse_scalar(RATIONAL, "2/4") == parse_scalar(RATIONAL, "1/2")
         assert hash(parse_scalar(RATIONAL, "2/4")) == hash(parse_scalar(RATIONAL, "1/2"))
-        half = Ring("series", 3).from_coeffs([Fraction(2, 4), 0, Fraction(-6, 4)])
+        half = Scalar(Ring("series", 3), (2, 0, -6), 4)
         assert (half.n, half.d) == ((1, 0, -3), 2)
 
 
@@ -238,7 +244,7 @@ class TestTypedErrors:
         with pytest.raises(SchemaError):
             RATIONAL.scalar(literal)
         with pytest.raises(SchemaError):
-            Ring("series", 2).from_coeffs([1, literal])
+            Ring("series", 2).scalar(literal)
 
     @pytest.mark.parametrize("kind, order", [
         ("p-adic", 2), (None, 1), ("series", 0), ("series", -1),
@@ -247,12 +253,6 @@ class TestTypedErrors:
     def test_ring_descriptor(self, kind, order):
         with pytest.raises(SchemaError):
             Ring(kind, order)
-
-    def test_from_coeffs_wrong_length(self):
-        with pytest.raises(ArityMismatch):
-            Ring("series", 3).from_coeffs([1, 2])
-        with pytest.raises(ArityMismatch):
-            RATIONAL.from_coeffs([1, 0])
 
     def test_contracts_survive_python_O(self):
         """The same refusals in a fresh interpreter under python -O."""
@@ -266,7 +266,7 @@ class TestTypedErrors:
             from braidcalc.geometry import Connection, Metric
             from braidcalc.hopf import LieAlgebra, TensorElement
             from braidcalc.modalg import Action, ModuleAlgebra
-            from braidcalc.ring import RATIONAL, PolyAlgebra, Ring
+            from braidcalc.ring import RATIONAL, AlgebraElement, PolyAlgebra, Ring
             from braidcalc.submanifold import Projection, SubmanifoldIdeal, axiom_one_witness
             series = Ring("series", 3)
             plane = PolyAlgebra(RATIONAL, ("x", "y"))
@@ -289,7 +289,7 @@ class TestTypedErrors:
             for case in (
                 lambda: RATIONAL.scalar(0.5),
                 lambda: RATIONAL.scalar(None),
-                lambda: series.from_coeffs([1, 2]),
+                lambda: Action(lie, plane, {0: (plane.one(),)}),
                 lambda: Ring("p-adic", 2),
                 lambda: Ring("series", 0),
                 lambda: Ring("series", True),
@@ -325,9 +325,9 @@ class TestTypedErrors:
                 lambda: PolyAlgebra("rational", ("x",)),
                 lambda: PolyAlgebra(RATIONAL, ("x", "x")),
                 lambda: plane.unit_element(),
-                lambda: plane.element({}, -1),
-                lambda: local.element({(0,): RATIONAL.one()}, 1).constant_scalar(),
-                lambda: local.element({(0,): RATIONAL.one()}, 1)._raise_du(0),
+                lambda: AlgebraElement(plane, {}, -1),
+                lambda: AlgebraElement(local, {(0,): RATIONAL.one()}, 1).constant_scalar(),
+                lambda: AlgebraElement(local, {(0,): RATIONAL.one()}, 1)._raise_du(0),
                 lambda: plane.coord(0) ** -1,
             ):
                 try:

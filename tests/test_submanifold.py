@@ -343,13 +343,13 @@ def _lie_memo_entries(cal):
 
 def test_projection_suite_keeps_no_ambient_lie_derivative_memo():
     """The ambient (field, form) pairs of the lie-derivative row never
-    repeat, so the ambient calculus keeps no Lie-derivative memo entry;
-    the quotient keeps its memo, one entry per pushed pair of nonzero
-    members (a zero member is answered before the memo)."""
+    repeat, nor do the pushed pairs of nonzero members, so neither the
+    ambient calculus nor the quotient keeps a Lie-derivative memo
+    entry."""
     path = Path(__file__).resolve().parent.parent / "scenarios" / "surface.json"
     sc = Scenario(json.loads(path.read_text()))
     proj = Projection(sc.calculus(), sc.ideal(), depth=3)
     rep = projection_suite(proj, 2)
     assert rep.passed, rep.to_text()
     assert _lie_memo_entries(proj.cal) == 0
-    assert _lie_memo_entries(proj.q) == 216
+    assert _lie_memo_entries(proj.q) == 0
