@@ -39,7 +39,7 @@ from .errors import (
 )
 from .hopf import _exp_to_word
 from .modalg import coordinate_monomials
-from .report import Report, hoisted, violations
+from .report import Report, carried, hoisted, violations
 from .ring import (
     AlgebraElement,
     _add_terms,
@@ -406,7 +406,6 @@ class Calculus:
             ]
         self.frame = Frame(M, frame_images)
         self.dim = self.frame.dim
-        self._zero_exp = (0,) * self.lie.dim
 
     # -- constructors ---------------------------------------------------
 
@@ -763,7 +762,7 @@ def graded_commutator(cal, A, B, om, inner, legs):
       A B om - (-1)^{|A||B|} sum c B_{l |> Y} A_{r |> X} om
     over the legs (l, r, c) of Rinv in force, X and Y the parameters of
     A and B.  An operator is a triple (degree, parameter or None,
-    apply(parameter, form)).  `inner` is B om, and `legs` yields
+    apply(parameter, form)).  `inner` is B om, and `legs` holds
     (c, l |> Y, A_{r |> X} om) for each leg where neither image
     vanishes, as `_SuiteValues.cases` carries them.  An equivariant
     operator (parameter None) absorbs its leg through the counit, and
@@ -780,77 +779,54 @@ def graded_commutator(cal, A, B, om, inner, legs):
 
 
 class _SuiteValues:
-    """Values the cases of one suite's triple rows share, in lists
-    aligned with the suite's fields, the legs (l, r, c) of Rinv in
-    force and its forms: the leg images l |> Z and r |> Z of each field
-    Z and, for an operator made by `operator`, apply(Z, w) and
-    apply(r |> Z, w).  An entry stays None until the first case that
-    needs it computes it, so each value, and any engine error, comes
-    where the first case computing its own values would meet it."""
+    """Values the cases of one suite's triple rows share, built when the
+    suite starts, in lists aligned with the suite's fields, the legs
+    (l, r, c) of Rinv in force and its forms.  It holds the left images
+    l |> Y of the fields taken as Y (`ys`) and, for each leg whose left
+    image survives on some Y, the right image r |> X of every field.
+    Operator values are rows over the forms: `rows` for the operator in
+    B position, `legged` for the one in A position."""
 
-    def __init__(self, cal, fields, forms):
-        self.cal = cal
-        self.fields = fields
-        self.forms = forms
-        self.legs = cal.M.hopf.Rinv.pairs()
-        self.images = [[[None, None] for _ in self.legs] for _ in fields]
+    def __init__(self, cal, fields, ys, forms):
+        self.fields, self.ys, self.forms = fields, ys, forms
+        legs = cal.M.hopf.Rinv.pairs()
+        # per Y, (k, c, l |> Y) for each leg k whose image survives
+        self.left = [[(k, c, lY) for k, (l, _, c) in enumerate(legs)
+                      if not (lY := cal.h_act_exp(l, Y)).is_zero()] for Y in ys]
+        live = sorted({k for row in self.left for k, _, _ in row})
+        # per X, {k: r |> X} for each live leg k whose image survives
+        self.right = [
+            {k: rX for k in live
+             if not (rX := cal.h_act_exp(legs[k][1], X)).is_zero()}
+            for X in fields]
 
-    def operator(self, apply):
-        """apply with its lists: apply(Z, w) per field and form, and per
-        field and leg a list of apply(r |> Z, w) per form."""
-        return (apply, [[None] * len(self.forms) for _ in self.fields],
-                [[None] * len(self.legs) for _ in self.fields])
+    def rows(self, apply, objs):
+        """apply(Z, w) per Z of objs and form w."""
+        return [[apply(Z, om) for om in self.forms] for Z in objs]
 
-    def cases(self, xs, ys, A, B, work=None):
-        """Cases (X, Y, w[, work(X, Y)], B_Y w, legs) over xs x ys x
-        forms, in that order, carrying what graded_commutator takes for
-        the operators A and B (made by `operator`): B_Y w, and lazily
-        (c, l |> Y, A_{r |> X} w) per leg where neither image vanishes.
-        xs and ys are leading parts of the fields, so that positions in
-        them index the lists.  work(X, Y), when given, is done once per
-        pair ahead of its forms, as in `report.hoisted`."""
-        for j, X in enumerate(xs):
-            for jj, Y in enumerate(ys):
+    def legged(self, apply, rows):
+        """Per field X, {k: the row of apply(r |> X, w) over the forms}
+        over the legs k of `right`, given the rows of apply over the
+        fields: h_act_exp returns X itself for a unit r, whose row is
+        then X's own."""
+        return [{k: row if rX is X else [apply(rX, om) for om in self.forms]
+                 for k, rX in right.items()}
+                for X, right, row in zip(self.fields, self.right, rows)]
+
+    def cases(self, outer, inner, work=None):
+        """Cases (X, Y, w[, work(X, Y)], B_Y w, legs) over fields x ys x
+        forms, in that order, carrying what graded_commutator takes:
+        B_Y w from `inner` (rows over ys) and, from `outer` (made by
+        `legged`), (c, l |> Y, A_{r |> X} w) per leg where neither image
+        vanishes.  work(X, Y), when given, is done once per pair ahead
+        of its forms, as in `report.hoisted`."""
+        for X, at in zip(self.fields, outer):
+            for Y, left, row in zip(self.ys, self.left, inner):
                 shared = () if work is None else (work(X, Y),)
+                legs = [(c, lY, at[k]) for k, c, lY in left if k in at]
                 for w, om in enumerate(self.forms):
                     yield (X, Y, om) + shared + (
-                        self._value(B, jj, w), self._legs(A, j, jj, w))
-
-    def _image(self, j, k, side):
-        """The left (side 0) or right (side 1) leg of leg k on field j."""
-        pair = self.images[j][k]
-        if pair[side] is None:
-            pair[side] = self.cal.h_act_exp(self.legs[k][side], self.fields[j])
-        return pair[side]
-
-    def _value(self, op, j, w):
-        apply, values, _ = op
-        row = values[j]
-        if row[w] is None:
-            row[w] = apply(self.fields[j], self.forms[w])
-        return row[w]
-
-    def _legs(self, op, j, jj, w):
-        """(c, l |> Y, A_{r |> X} w) per leg where neither image
-        vanishes, X and Y the fields j and jj; a unit right leg leaves X
-        as it is, so its value is A_X w."""
-        apply, _, legged = op
-        for k, (l, r, c) in enumerate(self.legs):
-            lY = self._image(jj, k, 0)
-            if lY.is_zero():
-                continue
-            rX = self._image(j, k, 1)
-            if rX.is_zero():
-                continue
-            if not any(r):
-                yield c, lY, self._value(op, j, w)
-                continue
-            row = legged[j][k]
-            if row is None:
-                row = legged[j][k] = [None] * len(self.forms)
-            if row[w] is None:
-                row[w] = apply(rX, self.forms[w])
-            yield c, lY, row[w]
+                        row[w], [(c, lY, vals[w]) for c, lY, vals in legs])
 
 
 # ---------------------------------------------------------------------
@@ -874,7 +850,7 @@ def cartan_suite(cal, coeff_degree=2):
     the forms the frame words of grade <= 2 with coefficient 1 and x.
     The three triple rows share, through one `_SuiteValues`, the leg
     images of each field and the values i_Y w, L_Y w, i_{r |> X} w and
-    L_{r |> X} w, each computed once per suite."""
+    L_{r |> X} w, each computed once when the suite starts."""
     rep = Report(
         "cartan",
         {"wedge_grade": 2, "coeff_degree": coeff_degree,
@@ -892,9 +868,11 @@ def cartan_suite(cal, coeff_degree=2):
     def L(X):
         return (1 - X.grade, X, cal.lie_derivative)
 
-    values = _SuiteValues(cal, fields, form_family)
-    ins = values.operator(cal.insert)
-    lie = values.operator(cal.lie_derivative)
+    values = _SuiteValues(cal, fields, fields, form_family)
+    ins = values.rows(cal.insert, fields)
+    lie = values.rows(cal.lie_derivative, fields)
+    ins_legs = values.legged(cal.insert, ins)
+    lie_legs = values.legged(cal.lie_derivative, lie)
     forms = list(product(form_family))
     rep.check("d-squared", "d . d = 0", violations(
         ("form",), forms, lambda om: cal.d(cal.d(om)).is_zero()))
@@ -907,15 +885,15 @@ def cartan_suite(cal, coeff_degree=2):
         lambda X, om: graded_commutator(
             cal, L(X), d, om, cal.d(om), None).is_zero()))
     rep.check("insert-insert", "[i_X, i_Y] = 0", violations(
-        ("X", "Y", "form"), values.cases(fields, fields, ins, ins),
+        ("X", "Y", "form"), values.cases(ins_legs, ins),
         lambda X, Y, om, iYom, legs:
             graded_commutator(cal, i(X), i(Y), om, iYom, legs).is_zero()))
     rep.check("lie-insert", "[L_X, i_Y] = i_{[[X,Y]]}", violations(
-        ("X", "Y", "form"), values.cases(fields, fields, lie, ins, cal.schouten),
+        ("X", "Y", "form"), values.cases(lie_legs, ins, cal.schouten),
         lambda X, Y, om, Z, iYom, legs:
             graded_commutator(cal, L(X), i(Y), om, iYom, legs) == cal.insert(Z, om)))
     rep.check("lie-lie", "[L_X, L_Y] = L_{[[X,Y]]}", violations(
-        ("X", "Y", "form"), values.cases(fields, fields, lie, lie, cal.schouten),
+        ("X", "Y", "form"), values.cases(lie_legs, lie, cal.schouten),
         lambda X, Y, om, Z, LYom, legs:
             graded_commutator(cal, L(X), L(Y), om, LYom, legs)
             == cal.lie_derivative(Z, om)))
@@ -937,7 +915,8 @@ def schouten_suite(cal, coeff_degree=1):
     """Defining properties of the Schouten bracket on small families.
     The graded-leibniz row shares, through one `_SuiteValues` with the
     grade-1 fields as its forms, the leg images of each field and the
-    values Y ^ Z and [[r |> X, Z]], each computed once per suite."""
+    values Y ^ Z and [[r |> X, Z]], each computed once when the suite
+    starts."""
     rep = Report("schouten", {"coeff_degree": coeff_degree})
     coeffs = coordinate_monomials(cal.alg, coeff_degree)
     fields = graded_family(cal.mv, cal.dim, (1, 2), coeffs)
@@ -970,14 +949,14 @@ def schouten_suite(cal, coeff_degree=1):
             rhs = rhs + cal.wedge(Ya, XaZ).scale(-c if odd else c)
         return lhs == rhs
 
-    # grade1 leads fields, so its positions index the lists
-    values = _SuiteValues(cal, fields, grade1)
+    values = _SuiteValues(cal, fields, grade1, grade1)
     rep.check(
         "graded-leibniz",
         "[[X, Y^Z]] = [[X,Y]]^Z + (-1)^{(k-1)l} (Rinv1|>Y)^[[Rinv2|>X, Z]]",
         violations(("X", "Y", "Z"), values.cases(
-            fields, grade1, values.operator(cal.schouten),
-            values.operator(cal.wedge)), leibniz),
+            values.legged(cal.schouten, values.rows(cal.schouten, fields)),
+            values.rows(cal.wedge, grade1)),
+            leibniz),
     )
     return rep
 
@@ -1100,16 +1079,16 @@ def gauge_suite(cl, tw, shadow=False, transport_cal=None):
             tr(deformed_binary(cl, tcal, op, U, V)) == twisted_op(tU, tV))
 
     rep.check("wedge", "T(U ^_F V) = T(U) ^ T(V)", violations(
-        ("U", "V"), hoisted(product(fields), tfields, tr),
+        ("U", "V"), carried(tfields, tfields),
         intertwines(cl.wedge, tw.wedge)))
     rep.check("schouten", "T([[X, Y]]_F) = [[T(X), T(Y)]]", violations(
-        ("X", "Y"), hoisted(product(fields), tfields, tr),
+        ("X", "Y"), carried(tfields, tfields),
         intertwines(cl.schouten, tw.schouten)))
     rep.check("lie", "T(L_X^F w) = L_{T(X)} T(w)", violations(
-        ("X", "form"), hoisted(product(fields), tforms, tr),
+        ("X", "form"), carried(tfields, tforms),
         intertwines(cl.lie_derivative, tw.lie_derivative)))
     rep.check("insert", "T(i_X^F w) = i_{T(X)} T(w)", violations(
-        ("X", "form"), hoisted(product(fields), tforms, tr),
+        ("X", "form"), carried(tfields, tforms),
         intertwines(cl.insert, tw.insert)))
     rep.check("differential", "T(d w) = d T(w)", violations(
         ("form",), tforms, lambda om, tom: tr(cl.d(om)) == tw.d(tom)))

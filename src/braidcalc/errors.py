@@ -70,11 +70,8 @@ class FramePairingSingular(EngineError):
     """Frame/coframe pairing matrix is not invertible."""
 
 
-class BracketIncompatible(EngineError, AssertionError):
-    """Generator action does not respect the Lie bracket on a coordinate.
-
-    Also an AssertionError, the type this check raised before it became
-    an engine error, so existing callers keep catching it."""
+class BracketIncompatible(EngineError):
+    """Generator action does not respect the Lie bracket on a coordinate."""
 
 
 class MetricCheckFailed(EngineError):

@@ -40,6 +40,16 @@ def hoisted(outer, inner, work):
             yield o + i + (shared,)
 
 
+def carried(outer, inner):
+    """Cases `(member,) + inner + (image,)` over each (member, image) of
+    `outer` and each case of the list `inner` (tuples): as `hoisted`,
+    with the outer work done once per member ahead of the rows and
+    carried beside it, so that no row computes the image again."""
+    for member, image in outer:
+        for i in inner:
+            yield (member,) + i + (image,)
+
+
 class Check:
     __slots__ = ("name", "law", "passed", "counterexample", "seconds")
 

@@ -30,7 +30,7 @@ from .errors import (
 )
 from .geometry import Connection, Metric, field_family, levi_civita
 from .modalg import Action, ModuleAlgebra, coordinate_monomials
-from .report import Report, hoisted, violations
+from .report import Report, carried, violations
 from .ring import AlgebraElement
 
 # Coordinate monomials up to this degree sample the star-product checks
@@ -351,7 +351,7 @@ def projection_suite(proj, coeff_degree=2):
     funcs = coordinate_monomials(cal.alg, coeff_degree)
     fields = field_family(cal, coeff_degree, frame=proj.tangent_idx)
     forms = graded_family(cal.form, cal.dim, (1, 2), funcs)
-    # each member pushed once and carried beside it in the inner cases, so
+    # each member pushed once and carried beside it in the cases, so
     # the quotient memos hit on the very object; counterexamples still
     # name only the ambient values
     pushed_fields = [(Y, proj.multivector(Y)) for Y in fields]
@@ -365,7 +365,7 @@ def projection_suite(proj, coeff_degree=2):
         lambda a, b, lhs, rhs: lhs == rhs))
     rep.check("field-application", "pr(X)(pr(a)) = pr(X(a))", violations(
         ("field", "function"),
-        hoisted(product(fields), product(funcs), proj.multivector),
+        carried(pushed_fields, [(a,) for a in funcs]),
         lambda X, a, Xq: q.apply_field(Xq, proj.function(a))
         == proj.function(cal.apply_field(X, a))))
     rep.check("differential", "pr(d w) = d pr(w)", violations(
@@ -379,14 +379,14 @@ def projection_suite(proj, coeff_degree=2):
 
     rep.check("insertion", "pr(i_X w) = i_{pr(X)} pr(w)", violations(
         ("field", "form"),
-        hoisted(product(fields), pushed_forms, proj.multivector),
+        carried(pushed_fields, pushed_forms),
         commutes(cal.insert, q.insert)))
     rep.check("lie-derivative", "pr(L_X w) = L_{pr(X)} pr(w)", violations(
         ("field", "form"),
-        hoisted(product(fields), pushed_forms, proj.multivector),
+        carried(pushed_fields, pushed_forms),
         commutes(cal.lie_derivative_unmemoized, q.lie_derivative_unmemoized)))
     rep.check("bracket", "pr([X, Y]) = [pr(X), pr(Y)]", violations(
-        ("X", "Y"), hoisted(product(fields), pushed_fields, proj.multivector),
+        ("X", "Y"), carried(pushed_fields, pushed_fields),
         lambda X, Y, Yq, Xq: proj.multivector(cal.bracket(X, Y))
         == q.bracket(Xq, Yq)))
     rep.check("kernel-stability", "H |> (C . frame) keeps ideal coefficients",
@@ -418,11 +418,12 @@ def projection_geometry_suite(proj, metric, coeff_degree=1):
                    operator.eq),
     )
 
-    qfields = field_family(proj.q, coeff_degree)
+    # each quotient field lifted once and carried beside it in the cases
+    lifted = [(Xbar, proj.lift_multivector(Xbar))
+              for Xbar in field_family(proj.q, coeff_degree)]
     rep.check("metric-restriction", "pr(g(lift X, lift Y)) = pr(g)(X, Y)", violations(
-        ("X", "Y"), product(qfields, qfields),
-        lambda Xbar, Ybar: proj.function(metric(
-            proj.lift_multivector(Xbar), proj.lift_multivector(Ybar)))
+        ("X", "Y"), carried(lifted, lifted),
+        lambda Xbar, Ybar, Y, X: proj.function(metric(X, Y))
         == qmetric(Xbar, Ybar)))
     return rep
 

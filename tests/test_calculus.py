@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from braidcalc import calculus
 from braidcalc.calculus import (
     Calculus,
     MultiVector,
@@ -30,6 +31,7 @@ from braidcalc.errors import (
 )
 from braidcalc.hopf import LieAlgebra, TensorElement
 from braidcalc.modalg import Action, ModuleAlgebra, coordinate_monomials
+from braidcalc.report import violations
 from braidcalc.ring import RATIONAL, PolyAlgebra, Ring
 from braidcalc.twist import exp_twist
 
@@ -865,6 +867,20 @@ def test_cartan_triple_rows_see_a_wrong_braiding(make):
     }
 
 
+@pytest.mark.parametrize("make", [moyal_cal, heis_cal])
+def test_schouten_leibniz_row_sees_a_wrong_braiding(make):
+    """With R in place of its inverse, only the graded-leibniz row fails,
+    with the counterexample each case computing its own leg images and
+    inner values gives."""
+    cal = make()
+    cal.M.hopf.Rinv = cal.M.hopf.R
+    rep = schouten_suite(cal)
+    failing = {c.name: c.counterexample for c in rep.failing()}
+    assert failing == {
+        "graded-leibniz": {"X": "(1*y)e0", "Y": "(1*x)e0", "Z": "(1*x)e1"},
+    }
+
+
 def test_lie_derivative_frozen():
     cal = classical_cal()
     x, y = cal.alg.coord(0), cal.alg.coord(1)
@@ -928,6 +944,48 @@ def test_gauge_suite_heisenberg():
     cl, tw = heis_pair()
     rep = gauge_suite(cl, tw)
     assert rep.passed, rep.to_text()
+
+
+def recorded_members(monkeypatch, module):
+    """The leading values of every case the suites of `module` search,
+    the values a counterexample names, recorded as the cases pass."""
+    seen = []
+
+    def recording(names, cases, holds):
+        def passing():
+            for case in cases:
+                seen.extend(case[:len(names)])
+                yield case
+        return violations(names, passing(), holds)
+
+    monkeypatch.setattr(module, "violations", recording)
+    return seen
+
+
+def calls_per_member(members, args):
+    """How often each distinct member object is among args, by identity."""
+    distinct = {id(m): m for m in members}.values()
+    return [sum(a is m for a in args) for m in distinct]
+
+
+@pytest.mark.parametrize("make", [moyal_pair, heis_pair])
+def test_gauge_suite_transports_each_member_once(monkeypatch, make):
+    """Every field and form of the family is transported once and its
+    image read from there by each row, outer member included."""
+    cl, tw = make()
+    members = recorded_members(monkeypatch, calculus)
+    transported = []
+    transport = calculus.gauge_transport
+
+    def counting(cl, tw, obj):
+        transported.append(obj)
+        return transport(cl, tw, obj)
+
+    monkeypatch.setattr(calculus, "gauge_transport", counting)
+    rep = gauge_suite(cl, tw, shadow=True)
+    assert rep.passed, rep.to_text()
+    counts = calls_per_member(members, transported)
+    assert len(counts) == 9 and set(counts) == {1}
 
 
 # ---------------------------------------------------------------------

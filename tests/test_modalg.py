@@ -181,7 +181,7 @@ def test_bracket_incompatible_action_rejected():
         RATIONAL, ("X1", "X2", "X3"), {(0, 1): {2: RATIONAL.scalar(1)}}
     )
     alg = PolyAlgebra(RATIONAL, ("x", "y"))
-    with pytest.raises(AssertionError):
+    with pytest.raises(BracketIncompatible):
         Action(
             lie,
             alg,

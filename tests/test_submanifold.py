@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from braidcalc.calculus import Calculus
+from braidcalc import submanifold
+from braidcalc.calculus import Calculus, GradedObject
 from braidcalc.cli import Scenario
 from braidcalc.errors import (
     AxiomOneUnwitnessed,
@@ -16,6 +17,7 @@ from braidcalc.errors import (
 from braidcalc.geometry import Metric, field_family, levi_civita
 from braidcalc.hopf import LieAlgebra, TensorElement
 from braidcalc.modalg import Action, ModuleAlgebra
+from braidcalc.report import violations
 from braidcalc.ring import RATIONAL, AlgebraElement, PolyAlgebra, Ring
 from braidcalc.submanifold import (
     Projection,
@@ -252,6 +254,65 @@ def test_projection_geometry_suite():
         proj, curved_ambient_metric(cal), coeff_degree=1
     )
     assert rep.passed, [c.name for c in rep.failing()]
+
+
+def recorded_members(monkeypatch):
+    """The leading values of every case the submanifold suites search,
+    the values a counterexample names, recorded as the cases pass."""
+    seen = []
+
+    def recording(names, cases, holds):
+        def passing():
+            for case in cases:
+                seen.extend(case[:len(names)])
+                yield case
+        return violations(names, passing(), holds)
+
+    monkeypatch.setattr(submanifold, "violations", recording)
+    return seen
+
+
+def counting_calls(monkeypatch, name):
+    """The objects passed to Projection.<name>, recorded per call."""
+    args = []
+    method = getattr(Projection, name)
+
+    def counting(self, obj):
+        args.append(obj)
+        return method(self, obj)
+
+    monkeypatch.setattr(Projection, name, counting)
+    return args
+
+
+def calls_per_member(members, args):
+    """How often each distinct member object is among args, by identity."""
+    distinct = {id(m): m for m in members}.values()
+    return [sum(a is m for a in args) for m in distinct]
+
+
+def test_projection_suites_push_and_lift_each_member_once(monkeypatch):
+    """Every ambient field and form of projection_suite is pushed once,
+    and every quotient field of projection_geometry_suite lifted once;
+    each row reads the image from there, outer member included."""
+    cal = curved_ambient_cal()
+    proj = Projection(cal, z_ideal(cal))
+    members = recorded_members(monkeypatch)
+    fields = counting_calls(monkeypatch, "multivector")
+    forms = counting_calls(monkeypatch, "form")
+    assert projection_suite(proj, coeff_degree=1).passed
+    counts = calls_per_member(
+        [m for m in members if isinstance(m, GradedObject) and m.cal is cal],
+        fields + forms)
+    assert len(counts) == 32 and set(counts) == {1}, counts
+
+    members.clear()
+    lifted = counting_calls(monkeypatch, "lift_multivector")
+    rep = projection_geometry_suite(proj, curved_ambient_metric(cal), 1)
+    assert rep.passed
+    counts = calls_per_member(
+        [m for m in members if isinstance(m, GradedObject)], lifted)
+    assert len(counts) == 6 and set(counts) == {1}, counts
 
 
 def test_mixed_metric_entry_refuses_to_split():
