@@ -10,6 +10,8 @@ the Koszul combination with that inverse.
 """
 
 import operator
+import random
+import time
 from fractions import Fraction
 from itertools import product
 
@@ -18,8 +20,6 @@ from .errors import GradeMismatch, MetricCheckFailed, RankMismatch
 from .modalg import coordinate_monomials
 from .report import Report, hoisted, violations
 from .ring import _add_terms, _leg_sum, _memo
-
-import random
 
 
 METRICITY = "X(g(Y, Z)) = g(nabla_X Y, Z) + g(Rinv1 |> Y, nabla_{Rinv2 |> X} Z)"
@@ -391,6 +391,7 @@ def perturbation_suite(conn, metric, seed=0, trials=20):
     rep = Report("perturbation", {"seed": seed, "trials": trials})
     fields = field_family(cal, 1)
     for n in range(trials):
+        start = time.perf_counter()
         a = rng.randrange(cal.dim)
         b = rng.randrange(cal.dim)
         c = rng.randrange(cal.dim)
@@ -405,6 +406,7 @@ def perturbation_suite(conn, metric, seed=0, trials=20):
             "shifted Gamma[%d][%d][%d] by %s breaks a law" % (a, b, c, delta),
             caught,
             None if caught else {"delta": str(delta)},
+            time.perf_counter() - start,
         )
     return rep
 

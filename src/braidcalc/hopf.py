@@ -50,6 +50,7 @@ from .ring import (
     _memo,
     _monomials_repr,
     _neumann,
+    _rescale,
 )
 
 
@@ -249,6 +250,9 @@ class HopfElement(_Terms):
 
     def __mul__(self, other):
         self._check(other)
+        ea, eb = self._unit_monomial(), other._unit_monomial()
+        if ea is not None and eb is not None:
+            return self.lie.monomial_product(ea, eb)
         prod = self.lie.monomial_product
         mul, add = self.lie.ring._mul, self.lie.ring._add
         out, den = {}, 1
@@ -326,6 +330,48 @@ class TensorElement(_Terms):
     def __mul__(self, other):
         """Legwise product, each leg PBW-renormalized."""
         self._check(other)
+        if self.rank == 2:
+            out, den = self._times2(other)
+        else:
+            out, den = self._times_legs(other)
+        return TensorElement(self.lie, self.rank, out,
+                             den * self._den * other._den)
+
+    def _times2(self, other):
+        """The rank-2 product as (numerator map, denominator): each term
+        pair's two leg products fold straight into the output map, the
+        pair's coefficient carrying the rescale to the common
+        denominator."""
+        prod = self.lie.monomial_product
+        mul, add = self.lie.ring._mul, self.lie.ring._add
+        out, den = {}, 1
+        for (la, ra), na in self._map.items():
+            for (lb, rb), nb in other._map.items():
+                c = mul(na, nb)
+                if not any(c):
+                    continue
+                pl, pr = prod(la, lb), prod(ra, rb)
+                out, den, f = _rescale(out, den, pl._den * pr._den)
+                if f != 1:
+                    c = tuple(x * f for x in c)
+                right = pr._map.items()
+                # zero sums and vanishing truncated products drop
+                for el, sl in pl._map.items():
+                    cl = mul(c, sl)
+                    for er, sr in right:
+                        v = mul(cl, sr)
+                        prev = out.get((el, er))
+                        if prev is not None:
+                            v = add(prev, v)
+                        if any(v):
+                            out[el, er] = v
+                        elif prev is not None:
+                            del out[el, er]
+        return out, den
+
+    def _times_legs(self, other):
+        """The product of rank 1 or 3 as (numerator map, denominator),
+        leg by leg."""
         prod = self.lie.monomial_product
         mul, add = self.lie.ring._mul, self.lie.ring._add
         out, den = {}, 1
@@ -346,8 +392,7 @@ class TensorElement(_Terms):
                     }
                     d *= p._den
                 out, den = _accumulate(out, den, partial.items(), d, add)
-        return TensorElement(self.lie, self.rank, out,
-                             den * self._den * other._den)
+        return out, den
 
     # -- leg surgery ----------------------------------------------------
 
@@ -413,12 +458,14 @@ class TensorElement(_Terms):
         """Multiply all legs together into one HopfElement, every term's
         leg product folded into one numerator map."""
         lie = self.lie
+        prod = lie.monomial_product
         mul, add = lie.ring._mul, lie.ring._add
         out, den = {}, 1
+        zero = (0,) * lie.dim
         for k, n in self._map.items():
-            p = lie.monomial(k[0])
-            for e in k[1:]:
-                p = p * lie.monomial(e)
+            p = prod(k[0], k[1] if self.rank > 1 else zero)
+            for e in k[2:]:
+                p = p * prod(zero, e)
             out, den = _accumulate(
                 out, den, ((e, mul(n, s)) for e, s in p._map.items()),
                 p._den, add)
@@ -480,9 +527,15 @@ class HopfStructure:
         return self.lie.antipode_monomial(exp)
 
     def coproduct(self, xi):
+        e = xi._unit_monomial()
+        if e is not None:
+            return self.coproduct_monomial(e)
         return TensorElement(self.lie, 2, *xi._expand(self.coproduct_monomial))
 
     def antipode(self, xi):
+        e = xi._unit_monomial()
+        if e is not None:
+            return self.antipode_monomial(e)
         return HopfElement(self.lie, *xi._expand(self.antipode_monomial))
 
     def coproduct_leg(self, tensor, idx):

@@ -151,18 +151,25 @@ def _lowest(num, den):
     return num, den
 
 
+def _rescale(out, den, d):
+    """The numerator map `out` over `den` rescaled to the least common
+    denominator of den and d; returns (out, lcm, lcm // d), the last the
+    factor that brings numerators over d to the lcm."""
+    if d == den:
+        return out, den, 1
+    lcm = den // math.gcd(den, d) * d
+    if lcm != den:
+        out = _times(out, lcm // den)
+    return out, lcm, lcm // d
+
+
 def _accumulate(out, den, pairs, d, add):
     """Fold the (key, numerator tuple) pairs of a map over denominator d
     into the map `out` over `den`, rescaling to the least common
     denominator; returns the new (out, den)."""
-    if d != den:
-        lcm = den // math.gcd(den, d) * d
-        if lcm != den:
-            out = _times(out, lcm // den)
-            den = lcm
-        if lcm != d:
-            f = lcm // d
-            pairs = ((k, tuple(x * f for x in v)) for k, v in pairs)
+    out, den, f = _rescale(out, den, d)
+    if f != 1:
+        pairs = ((k, tuple(x * f for x in v)) for k, v in pairs)
     return _fold(out, pairs, add), den
 
 
@@ -512,6 +519,16 @@ class _Terms:
 
     def is_zero(self):
         return not self._map
+
+    def _unit_monomial(self):
+        """The key of a unit monomial, one term whose coefficient is
+        exactly 1 (numerators of one over denominator 1), else None;
+        maps of such a key may return their memoized image as it is."""
+        if self._den == 1 and len(self._map) == 1:
+            (k, n), = self._map.items()
+            if n == self._ring(self)._one:
+                return k
+        return None
 
     def min_h_order(self):
         """Smallest h power carried by any coefficient; ring order if zero."""

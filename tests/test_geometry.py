@@ -251,6 +251,8 @@ def test_perturbation_suite_catches_every_shift():
     rep = perturbation_suite(levi_civita(metric), metric, seed=11, trials=20)
     assert rep.passed, rep.to_text()
     assert len(rep.checks) == 20
+    # each trial is timed, as search rows are
+    assert all(c.seconds > 0 for c in rep.checks), [c.seconds for c in rep.checks]
 
 
 def test_perturbation_suite_skew():

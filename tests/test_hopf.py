@@ -5,6 +5,7 @@ worklist-based rewriter kept here in the tests; expected values for
 specific products/coproducts are frozen by hand.
 """
 
+import itertools
 import json
 import math
 import random
@@ -12,6 +13,8 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidcalc.cli import Scenario
 from braidcalc.errors import JacobiViolation
@@ -259,6 +262,143 @@ def test_contract_matches_leg_product(heisenberg):
         assert dict(t.contract().terms) == leg_product_oracle(t), t
 
 
+# =====================================================================
+# legwise tensor product against a Fraction reference
+# =====================================================================
+
+
+SERIES3 = Ring("series", 3)
+# [X1, X2] = X3 / 2: leg products carry denominator 2 (x2 x1 =
+# x1 x2 - x3 / 2) or 1, so the product rescales to common denominators
+HALF_HEISENBERG = {
+    ring: LieAlgebra(ring, ("X1", "X2", "X3"), {(0, 1): {2: Fraction(1, 2)}})
+    for ring in (RATIONAL, SERIES3)
+}
+
+
+def _coefficients(ring):
+    out = [ring.scalar(v) for v in (1, -1, 2, Fraction(1, 3), Fraction(-3, 2))]
+    if ring.is_series:
+        h = ring.h()
+        # h^2 * h^2 vanishes mod h^3: truncated products drop
+        out += [h * ring.scalar(Fraction(1, 2)), ring.scalar(Fraction(1, 3)) + h,
+                h * h]
+    return out
+
+
+def _series_mul(a, b):
+    """Product of two Fraction coefficient tuples, truncated at len(a)."""
+    return tuple(sum(a[i] * b[k - i] for i in range(k + 1)) for k in range(len(a)))
+
+
+def tensor_product_oracle(a, b):
+    """{key: Fraction tuple} of the legwise product a b: every term pair,
+    every leg product from `monomial_product`, summed with Fractions."""
+    lie = a.lie
+    zero = (Fraction(0),) * lie.ring.order
+    out = {}
+    for ka, ca in a.terms.items():
+        for kb, cb in b.terms.items():
+            c = _series_mul(ca.c, cb.c)
+            legs = [lie.monomial_product(ea, eb).terms.items()
+                    for ea, eb in zip(ka, kb)]
+            for picks in itertools.product(*legs):
+                v = c
+                for _, s in picks:
+                    v = _series_mul(v, s.c)
+                key = tuple(e for e, _ in picks)
+                out[key] = tuple(map(sum, zip(out.get(key, zero), v)))
+    return {k: v for k, v in out.items() if any(v)}
+
+
+@st.composite
+def tensor_pairs(draw):
+    ring = draw(st.sampled_from((RATIONAL, SERIES3)))
+    rank = draw(st.sampled_from((2, 3)))
+    lie = HALF_HEISENBERG[ring]
+    keys = st.tuples(*[st.sampled_from(lie.monomials_up_to(2))] * rank)
+    terms = st.dictionaries(keys, st.sampled_from(_coefficients(ring)),
+                            min_size=1, max_size=4)
+    return (TensorElement(lie, rank, draw(terms)),
+            TensorElement(lie, rank, draw(terms)))
+
+
+@given(tensor_pairs())
+@settings(max_examples=60, deadline=None)
+def test_tensor_product_matches_fraction_reference(pair):
+    a, b = pair
+    got = {k: s.c for k, s in (a * b).terms.items()}
+    assert got == tensor_product_oracle(a, b)
+
+
+@pytest.mark.parametrize("rank", (2, 3))
+def test_tensor_product_drops_cancelled_keys(rank):
+    """(x1 (x) 1 + 1 (x) x1)(1 (x) x1 - x1 (x) 1): the two x1 (x) x1
+    contributions cancel, so their key is written and deleted."""
+    lie = HALF_HEISENBERG[RATIONAL]
+    x1, one = lie.gen(0), lie.unit()
+    pad = (one,) * (rank - 2)
+    a = pure(x1, one, *pad) + pure(one, x1, *pad)
+    b = pure(one, x1, *pad) - pure(x1, one, *pad)
+    got = a * b
+    assert got == pure(one, x1 * x1, *pad) - pure(x1 * x1, one, *pad)
+    assert ((1, 0, 0), (1, 0, 0)) + ((0, 0, 0),) * (rank - 2) not in got.terms
+    assert {k: s.c for k, s in got.terms.items()} == tensor_product_oracle(a, b)
+
+
+# =====================================================================
+# unit monomials: maps return their memoized image
+# =====================================================================
+
+
+def _moyal_twist():
+    data = json.loads((SCENARIOS / "moyal.json").read_text())
+    return Scenario(data).twist
+
+
+def test_unit_monomial_coproduct_is_the_memoized_tensor(heisenberg):
+    twisted = _moyal_twist().hopf
+    for hopf in (HopfStructure(heisenberg), twisted):
+        lie = hopf.lie
+        for e in lie.monomials_up_to(2):
+            xi = lie.monomial(e)
+            assert hopf.coproduct(xi) is hopf.coproduct_monomial(e)
+            assert hopf.antipode(xi) is hopf.antipode_monomial(e)
+    assert twisted.coproduct_monomial((1, 0)) is not twisted.lie.coproduct_monomial((1, 0))
+
+
+def test_other_elements_take_the_general_path(heisenberg):
+    """A coefficient of 2 or h, or two terms, is no unit monomial: the
+    maps expand it and give the linear extension of the monomial maps."""
+    twisted = _moyal_twist().hopf
+    h = twisted.lie.ring.h()
+    for hopf, scalars in ((HopfStructure(heisenberg), (2,)), (twisted, (2, h))):
+        lie = hopf.lie
+        e, f = lie.monomials_up_to(2)[1:3]
+        for c in scalars:
+            xi = lie.monomial(e).scale(c)
+            assert xi._unit_monomial() is None
+            got = hopf.coproduct(xi)
+            assert got is not hopf.coproduct_monomial(e)
+            assert got == hopf.coproduct_monomial(e).scale(c)
+            assert hopf.antipode(xi) == hopf.antipode_monomial(e).scale(c)
+        both = lie.monomial(e) + lie.monomial(f)
+        assert both._unit_monomial() is None
+        assert hopf.coproduct(both) == (hopf.coproduct_monomial(e)
+                                        + hopf.coproduct_monomial(f))
+
+
+def test_unit_monomial_products_are_memoized(heisenberg):
+    x2, x1 = heisenberg.gen(1), heisenberg.gen(0)
+    assert x2 * x1 is heisenberg.monomial_product((0, 1, 0), (1, 0, 0))
+    two = x2.scale(2)
+    assert two * x1 == (x2 * x1).scale(2)
+    assert (x2 + x1) * x1 == x2 * x1 + x1 * x1
+    assert pure(x2, x1).contract() == x2 * x1
+    assert pure(x2, x1, x2).contract() == x2 * x1 * x2
+    assert pure(x2).contract() == x2
+
+
 class TestSuites:
     def test_check_hopf_passes(self, abelian2, heisenberg, sl2):
         for lie in (abelian2, heisenberg, sl2):
@@ -276,6 +416,15 @@ class TestSuites:
         )
         failing = {c.name for c in rep.failing()}
         assert failing == {"antipode"}
+
+    def test_wrong_antipode_scenario_fails_only_antipode(self):
+        data = json.loads(
+            (SCENARIOS / "falsification" / "wrong-antipode.json").read_text())
+        scenario = Scenario(data)
+        rep = check_hopf(scenario.lie, depth=3,
+                         antipode_table=scenario.antipode_table())
+        assert [(rep.title, c.name) for c in rep.failing()] == [
+            ("hopf", "antipode")]
 
     def test_true_antipode_table_on_one_generator_passes(self, heisenberg):
         """Generators the table leaves out keep S(x_i) = -x_i."""

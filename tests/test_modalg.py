@@ -5,13 +5,15 @@ bare exponent dicts: for F = exp(h P1 (x) P2) acting by partial
 derivatives, a * b = sum_k (-h)^k / k! (dx^k a)(dy^k b).
 """
 
+import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from braidcalc.cli import parse_poly
+from braidcalc.cli import main, parse_poly
 from braidcalc.errors import BracketIncompatible, EngineError, UnknownModule, WrongRing
 from braidcalc.hopf import HopfStructure, LieAlgebra, TensorElement
 from braidcalc.modalg import (
@@ -25,6 +27,9 @@ from braidcalc.modalg import (
 )
 from braidcalc.ring import RATIONAL, AlgebraElement, PolyAlgebra, Ring
 from braidcalc.twist import exp_twist
+
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 
 # -- independent polynomial oracle ------------------------------------
@@ -160,6 +165,22 @@ def test_monomial_action_composes_and_matches_oracle():
     assert element_layers(got, 1)[0] == want
 
 
+def test_unit_monomial_action_is_the_memoized_image():
+    M = moyal_instance()
+    act, alg, ring = M.action, M.algebra, M.lie.ring
+    a = parse_poly(alg, "x^3 y^2 + y")
+    for e in M.lie.monomials_up_to(2):
+        assert act.act(M.lie.monomial(e), a) is act.act_monomial(e, a)
+    # a coefficient of 2 or h, or two terms, takes the general path
+    e, f = (1, 0), (0, 1)
+    for c in (ring.scalar(2), ring.h()):
+        got = act.act(M.lie.monomial(e, c), a)
+        assert got is not act.act_monomial(e, a)
+        assert got == act.act_monomial(e, a).scale(c)
+    both = M.lie.monomial(e) + M.lie.monomial(f)
+    assert act.act(both, a) == act.act_monomial(e, a) + act.act_monomial(f, a)
+
+
 def test_action_through_localized_unit():
     alg = PolyAlgebra(
         RATIONAL, ("x", "y"), unit={(2, 0): RATIONAL.scalar(1),
@@ -274,6 +295,23 @@ def test_moyal_associativity_suite():
     M = moyal_instance()
     rep = star_product_suite(M, degree=3)
     assert rep.passed, rep.to_text()
+
+
+def test_associativity_counterexample_under_non_cocycle_twist(tmp_path, capsys):
+    """F = 1 (x) 1 + h P1 (x) P2 is no cocycle, so its star product is
+    not associative: the row, which reads a b and b c from a table of
+    pair products, still names the first failing a, b, c only."""
+    data = json.loads((SCENARIOS / "moyal.json").read_text())
+    data["twist"] = {"kind": "tensor",
+                     "terms": [["1", "1", "1"], ["P1", "P2", "h"]]}
+    path = tmp_path / "non-cocycle.json"
+    path.write_text(json.dumps(data))
+    assert main(["star", str(path), "--format", "structured"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    failing = [(r["title"], c["name"], c["counterexample"])
+               for r in out["reports"] for c in r["checks"] if not c["passed"]]
+    assert failing == [("star-product", "associativity",
+                        {"a": "1*x", "b": "1*x", "c": "1*y^2"})]
 
 
 def test_heisenberg_twisted_instance():
