@@ -312,20 +312,18 @@ class Frame:
 class GradedObject(_Terms):
     """Coefficient-per-word normal form {strictly increasing word:
     AlgebraElement}; MultiVector and DifferentialForm tell the kinds
-    apart."""
+    apart.  The grade is part of the value: equality and the hash read
+    it (as `_data`), so zeros of different grades differ, and a sum
+    needs equal grades.  A zero may carry a negative grade, which is
+    what inserting a field of higher grade leaves."""
 
     kind = ""
 
-    __slots__ = ("cal", "grade")
+    __slots__ = ("cal", "grade", "_data")
     _ring = operator.attrgetter("cal.ring")
-    # the class tells the kinds apart, and nonzero terms pin the grade,
-    # so zeros of any grade coincide
-    _data = None
     _scalar_coefficients = False
 
     def __init__(self, cal, grade, terms):
-        if grade < 0:
-            raise GradeMismatch(grade)
         dim = cal.dim
         for word in terms:
             if len(word) != grade:
@@ -337,14 +335,14 @@ class GradedObject(_Terms):
                 if word[0] < 0 or word[-1] >= dim:
                     raise IndexOutOfRange((word, dim))
         self.cal = cal
-        self.grade = grade
+        self.grade = self._data = grade
         _Terms.__init__(self, terms)
 
     def _like(self, terms):
         """A sibling over the same words; they need no validation."""
         new = object.__new__(type(self))
         new.cal = self.cal
-        new.grade = self.grade
+        new.grade = new._data = self.grade
         _Terms.__init__(new, terms)
         return new
 
@@ -352,8 +350,7 @@ class GradedObject(_Terms):
         kind = getattr(other, "kind", None)
         if kind != self.kind:
             raise GradeMismatch((self.kind, kind))
-        # a vanishing summand absorbs into any grade
-        if other.grade != self.grade and self.terms and other.terms:
+        if other.grade != self.grade:
             raise GradeMismatch((self.grade, other.grade))
 
     def left_mul(self, a):
@@ -449,6 +446,7 @@ class Calculus:
 
     # -- Hopf action on graded objects -------------------------------------
 
+    @_memo
     def word_act(self, exp, word, dual):
         """Monomial action on a frame (or coframe) word:
         {word': Scalar}, legs split by the coproduct in force."""
@@ -456,10 +454,6 @@ class Calculus:
             if any(exp):
                 return {}
             return {(): self.ring.scalar(1)}
-        return self._word_act(exp, word, dual)
-
-    @_memo
-    def _word_act(self, exp, word, dual):
         if len(word) == 1:
             return {(b,): s for b, s in
                     self.frame.act_exp(exp, word[0], dual).items()}
@@ -479,8 +473,9 @@ class Calculus:
 
     def h_act_exp(self, exp, obj):
         """One PBW monomial acting on a multivector or form.  The unit
-        and a zero return obj before the memo, where zeros of every grade
-        are one key."""
+        and a zero return obj itself before the memo: nearly half of
+        all calls take that path, and `_SuiteValues.legged` relies on
+        the unit returning the field itself."""
         if not any(exp) or obj.is_zero():
             return obj
         return self._h_act_exp(exp, obj)
@@ -523,16 +518,11 @@ class Calculus:
 
     # -- grade-1 application and brackets ----------------------------------
 
+    @_memo
     def apply_field(self, X, f):
-        """A grade-1 field on an algebra element, product in force.  The
-        grade is checked before the memo, where zeros of every grade are
-        one key."""
+        """A grade-1 field on an algebra element, product in force."""
         if X.grade != 1:
             raise GradeMismatch(X.grade)
-        return self._apply_field(X, f)
-
-    @_memo
-    def _apply_field(self, X, f):
         if f.is_zero():
             return f
         out = self.alg.zero()
@@ -569,29 +559,22 @@ class Calculus:
 
     # -- Schouten bracket ---------------------------------------------------
 
+    @_memo
     def schouten(self, X, Y):
         """Braided Schouten bracket [[X, Y]] of grade k + l - 1 (k, l the
-        grades of X, Y; grade-0 pairs give 0), computed by its defining
-        laws.  On grade 1 and 0 it is [[X, a]] = X(a) and [[X, Y]] =
-        [X, Y].  A right word of grade >= 2 is peeled by the graded
-        braided Leibniz rule,
+        grades of X, Y; a pair of functions gives the zero of grade -1),
+        computed by its defining laws.  On grade 1 and 0 it is
+        [[X, a]] = X(a) and [[X, Y]] = [X, Y].  A right word of grade
+        >= 2 is peeled by the graded braided Leibniz rule,
           [[X, c e_u ^ Z]] = [[X, c e_u]] ^ Z
                              + (-1)^(k-1) sum (Rinv1 |> c e_u) ^ [[Rinv2 |> X, Z]],
         and graded braided skew-symmetry puts the lower grade on the left
         in every other case,
           [[X, Y]] = -(-1)^((k-1)(l-1)) sum [[Rinv1 |> Y, Rinv2 |> X]].
-        Memoized per pair of nonzero arguments: a zero argument gives
-        the zero of that grade before the memo, where zeros of every
-        grade are one key."""
-        if X.is_zero() or Y.is_zero():
-            return self.zero_mv(max(X.grade + Y.grade - 1, 0))
-        return self._schouten(X, Y)
-
-    @_memo
-    def _schouten(self, X, Y):
+        Memoized per pair of arguments."""
         k, l = X.grade, Y.grade
-        if k == 0 and l == 0:
-            return self.zero_mv(0)
+        if X.is_zero() or Y.is_zero() or k == l == 0:
+            return self.zero_mv(k + l - 1)
         if k == 1 and l == 0:
             return self.function(self.apply_field(X, Y.terms.get((), self.alg.zero())))
         if k == 1 and l == 1:
@@ -637,12 +620,8 @@ class Calculus:
             if a is None:
                 return self.zero_form(om.grade)
             return om.left_mul(a)
-        if X.grade > om.grade:
-            return self.zero_form(0)
         res = self.zero_form(om.grade - X.grade)
-        if om.is_zero():
-            # before the memoized contractions, where zeros of every
-            # grade are one key
+        if X.grade > om.grade or om.is_zero():
             return res
         for w, c in X.terms.items():
             cur = om
@@ -672,13 +651,21 @@ class Calculus:
     # -- differential ---------------------------------------------------------
 
     @_memo
+    def structure_constants(self, a, b):
+        """{w: the e_w component} of the braided frame bracket
+        [e_a, e_b], which the coframe differentials and
+        `geometry.levi_civita` read; per pair, since the differentials
+        read only the pairs a < b."""
+        ab = self.bracket(self.frame_field(a), self.frame_field(b))
+        return {w: c for (w,), c in ab.terms.items()}
+
+    @_memo
     def _structure_forms(self):
         """Coframe differentials from the braided frame bracket:
         d theta^a = -sum_{b<c} [e_b, e_c]^a theta^b ^ theta^c."""
         out = [{} for _ in range(self.dim)]
         for b, c in combinations(range(self.dim), 2):
-            ebc = self.bracket(self.frame_field(b), self.frame_field(c))
-            for (a,), f in ebc.terms.items():
+            for a, f in self.structure_constants(b, c).items():
                 out[a][(b, c)] = -f
         return [DifferentialForm(self, 2, terms) for terms in out]
 
@@ -695,18 +682,13 @@ class Calculus:
             res = res - self.wedge(self.coframe(w[0]), drest)
         return res
 
+    @_memo
     def d(self, om):
-        """The differential of a form, memoized per nonzero form: a zero
-        gives the zero of the next grade before the memo, where zeros of
-        every grade are one key."""
+        """The differential of a form, memoized per form."""
         if om.kind != "form":
             raise UnknownModule(om.kind)
         if om.is_zero():
             return self.zero_form(om.grade + 1)
-        return self._d(om)
-
-    @_memo
-    def _d(self, om):
         out = {}
         extra = self.zero_form(om.grade + 1)
         for w, a in om.terms.items():
@@ -727,18 +709,12 @@ class Calculus:
 
     # -- Lie derivative ----------------------------------------------------
 
-    def lie_derivative(self, X, om):
-        """The Lie derivative L_X om, memoized per pair of nonzero
-        arguments: the Cartan checks ask for most pairs many times.  A
-        zero argument gives the zero of grade |om| + 1 - |X| (0 when
-        negative) before the memo, where zeros of every grade are one
-        key."""
-        if X.is_zero() or om.is_zero():
-            return self.zero_form(max(om.grade + 1 - X.grade, 0))
-        return self._lie_derivative(X, om)
-
     @_memo
-    def _lie_derivative(self, X, om):
+    def lie_derivative(self, X, om):
+        """The Lie derivative L_X om, memoized per pair of arguments: the
+        Cartan checks ask for most pairs many times."""
+        if X.is_zero() or om.is_zero():
+            return self.zero_form(om.grade + 1 - X.grade)
         return self.lie_derivative_unmemoized(X, om)
 
     def lie_derivative_unmemoized(self, X, om):
@@ -772,7 +748,7 @@ def graded_commutator(cal, A, B, om, inner, legs):
     if pa is None or pb is None:
         second = fb(pb, fa(pa, om))
     else:
-        second = cal.zero_form(max(om.grade + da + db, 0))
+        second = cal.zero_form(om.grade + da + db)
         for c, Bp, Aom in legs:
             second = second + fb(Bp, Aom).scale(c)
     return first - second if (da * db) % 2 == 0 else first + second

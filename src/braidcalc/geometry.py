@@ -82,16 +82,11 @@ class Connection:
             if not g.is_zero()
         ))
 
+    @_memo
     def nabla(self, X, s):
-        """Covariant derivative of the grade-1 field s along X.  The
-        kinds and grades are checked before the memo, where zeros of
-        every grade are one key."""
+        """Covariant derivative of the grade-1 field s along X."""
         if X.kind != "mv" or s.kind != "mv" or X.grade != 1 or s.grade != 1:
             raise GradeMismatch((X.grade, s.grade))
-        return self._nabla(X, s)
-
-    @_memo
-    def _nabla(self, X, s):
         cal = self.cal
         out = {}
         for (v,), d in s.terms.items():
@@ -212,15 +207,11 @@ class Metric:
         self.matrix = matrix
         self.inverse = _inverse(cal.M.mul, matrix, "metric inverse in force")
 
+    @_memo
     def __call__(self, X, Y):
-        """g(X, Y) of grade-1 fields.  The kinds and grades are checked
-        before the memo, where zeros of every grade are one key."""
+        """g(X, Y) of grade-1 fields."""
         if X.kind != "mv" or Y.kind != "mv" or X.grade != 1 or Y.grade != 1:
             raise GradeMismatch((X.grade, Y.grade))
-        return self._pairing(X, Y)
-
-    @_memo
-    def _pairing(self, X, Y):
         cal = self.cal
         tot = cal.alg.zero()
         for (u,), cu in X.terms.items():
@@ -263,14 +254,6 @@ def check_metric(metric, coeff_degree=1):
     return rep
 
 
-def _structure_coefficients(cal):
-    """f[a][b] maps frame index w to the e_w component of [e_a, e_b]_R,
-    the bracket the coframe differentials are read from."""
-    frame = [cal.frame_field(a) for a in range(cal.dim)]
-    return [[{w: c for (w,), c in cal.bracket(ea, eb).terms.items()}
-             for eb in frame] for ea in frame]
-
-
 def levi_civita(metric):
     """The unique torsion-free metric connection, solved from the Koszul
     combination by right-contraction with the metric inverse."""
@@ -284,7 +267,7 @@ def levi_civita(metric):
                 raise MetricCheckFailed(
                     "frame matrix not symmetric at (%d, %d)" % (u, v)
                 )
-    f = _structure_coefficients(cal)
+    f = cal.structure_constants
     half = Fraction(1, 2)
 
     def koszul(a, b, c):
@@ -295,13 +278,13 @@ def levi_civita(metric):
             - cal.frame.apply_base(c, g[a][b])
         )
         for w in range(dim):
-            fab = f[a][b].get(w)
+            fab = f(a, b).get(w)
             if fab is not None:
                 val = val + M.mul(fab, g[w][c])
-            fac = f[a][c].get(w)
+            fac = f(a, c).get(w)
             if fac is not None:
                 val = val - M.mul(fac, g[w][b])
-            fbc = f[b][c].get(w)
+            fbc = f(b, c).get(w)
             if fbc is not None:
                 val = val - M.mul(fbc, g[w][a])
         return val

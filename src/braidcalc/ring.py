@@ -474,8 +474,10 @@ class _Terms:
       * `_check(other)`, raising its own error for an incompatible operand;
       * `_like(terms, den=None)`, a sibling with the same extra data;
       * `_data`, the extra data that equality and the hash take besides
-        the terms: a slot set at construction or a class constant, so
-        that reading it costs no call;
+        the terms, a slot set at construction so that reading it costs
+        no call: the algebra (with a unit power), the Lie algebra (with
+        a rank) or the grade, so that two elements are one memo key
+        only when they are one value;
       * `_ring`, a getter of its coefficient ring.
     """
 

@@ -6,6 +6,8 @@ from itertools import product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from braidcalc import calculus
 from braidcalc.calculus import (
@@ -395,7 +397,7 @@ def test_differential_and_insertion_equivariance(make):
             assert cal.h_act_exp(e, cal.d(om)) == cal.d(cal.h_act_exp(e, om))
             for X in fields:
                 lhs = cal.h_act_exp(e, cal.insert(X, om))
-                rhs = cal.zero_form(max(om.grade - X.grade, 0))
+                rhs = cal.zero_form(om.grade - X.grade)
                 for l, r, c in cal.cop_pairs(e):
                     Xa = cal.h_act_exp(l, X)
                     oma = cal.h_act_exp(r, om)
@@ -603,7 +605,7 @@ def expanded_schouten(cal, X, Y):
     A grade-0 first argument goes through braided skew-symmetry."""
     k, l = X.grade, Y.grade
     if k == 0 and l == 0:
-        return cal.zero_mv(0)
+        return cal.zero_mv(-1)
     one = cal.alg.one()
     Rinv = cal.M.hopf.Rinv.pairs()
 
@@ -769,9 +771,8 @@ def test_schouten_braided_graded_jacobi(name):
 
 @pytest.mark.parametrize("name", ["heisenberg-twisted", "abelian-plane"])
 def test_memoized_kernels_match_plain_computation(name):
-    """`apply_field` (memoized as `_apply_field` behind its grade check)
-    and `_insert_base`, memoized per Calculus, agree with their plain
-    bodies on the cartan suite's grade-1 fields,
+    """`apply_field` and `_insert_base`, memoized per Calculus, agree
+    with their plain bodies on the cartan suite's grade-1 fields,
     coefficients and forms of a twisted scenario and of one over a
     non-coordinate frame.  Every memo entry is made before the first
     comparison, so an entry stored under a wrong key shows; a repeated
@@ -787,7 +788,7 @@ def test_memoized_kernels_match_plain_computation(name):
                 for u in range(cal.dim) for om in forms}
     assert sum(not v.is_zero() for v in applied.values()) > len(fields)
     assert sum(not v.is_zero() for v in inserted.values()) >= len(forms)
-    plain_apply = Calculus._apply_field.__wrapped__
+    plain_apply = Calculus.apply_field.__wrapped__
     plain_insert = Calculus._insert_base.__wrapped__
     for (X, a), got in applied.items():
         assert got == plain_apply(cal, X, a), (X, a)
@@ -825,6 +826,35 @@ def test_memoized_operators_keep_the_grade_of_a_zero():
     assert cal.lie_derivative(e0, cal.zero_form(2)).grade == 2
     assert cal.h_act_exp((1, 0), cal.zero_form(0)).grade == 0
     assert cal.h_act_exp((1, 0), cal.zero_form(2)).grade == 2
+
+
+_HT = Scenario(json.loads((Path(__file__).resolve().parent.parent / "scenarios"
+                           / "heisenberg-twisted.json").read_text())).calculus()
+_HT_COEFFS = coordinate_monomials(_HT.alg, 1)
+_HT_FIELDS = (graded_family(_HT.mv, _HT.dim, range(3), _HT_COEFFS)
+              + [_HT.zero_mv(k) for k in range(3)])
+_HT_FORMS = (graded_family(_HT.form, _HT.dim, range(3), _HT_COEFFS)
+             + [_HT.zero_form(k) for k in range(3)])
+
+
+@given(st.sampled_from(_HT_FIELDS), st.sampled_from(_HT_FIELDS),
+       st.sampled_from(_HT_FORMS), st.sampled_from(_HT_FORMS),
+       st.sampled_from(_HT.lie.monomials_up_to(2)))
+@settings(max_examples=200, deadline=None)
+def test_grades_add_up(X, Y, om, eta, e):
+    """Every operator's result has the grade its degree gives, with no
+    clamp at zero: a field of higher grade inserted into a form leaves a
+    zero of negative grade, and the Schouten bracket of two functions is
+    the zero of grade -1."""
+    k, l, p = X.grade, Y.grade, om.grade
+    assert _HT.d(om).grade == p + 1
+    assert _HT.insert(X, om).grade == p - k
+    assert _HT.lie_derivative(X, om).grade == p + 1 - k
+    assert _HT.schouten(X, Y).grade == k + l - 1
+    assert _HT.wedge(X, Y).grade == k + l
+    assert _HT.wedge(om, eta).grade == p + eta.grade
+    assert _HT.h_act_exp(e, X).grade == k
+    assert _HT.h_act_exp(e, om).grade == p
 
 
 # ---------------------------------------------------------------------

@@ -318,6 +318,27 @@ def test_larger_cartan_families_keep_structured_output(capsys, name, digest):
     assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
+BENCHMARK_REFERENCE = json.loads(
+    (SCENARIOS.parent / "perfbench" / "reference.json").read_text())
+
+
+@pytest.mark.parametrize("item", sorted(BENCHMARK_REFERENCE))
+def test_benchmark_items_keep_their_reference_verdicts(capsys, monkeypatch,
+                                                       item):
+    """Each benchmark item, run in-process as perfbench/run.py runs it,
+    keeps the exit status, the failing (report, check) pairs and the
+    sha256 of the structured output recorded in perfbench/reference.json
+    (the digest at the scenario's own seed)."""
+    ref = BENCHMARK_REFERENCE[item]
+    monkeypatch.chdir(SCENARIOS.parent)
+    assert main(item.split() + ["--format", "structured"]) == ref["status"]
+    out = capsys.readouterr().out
+    failing = sorted([r["title"], c["name"]] for r in json.loads(out)["reports"]
+                     for c in r["checks"] if not c["passed"])
+    assert failing == ref["failing"]
+    assert hashlib.sha256(out.encode()).hexdigest() == ref["sha256"]
+
+
 def test_text_rows_carry_search_time(capsys):
     """A text row shows how long its check's search took; the structured
     output carries no wall time and stays byte-identical."""

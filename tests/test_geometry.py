@@ -283,7 +283,7 @@ def test_geometry_twist_suite_curved():
 
 def test_memoized_nabla_and_metric_match_plain_computation():
     """`Connection.nabla` and `Metric.__call__`, memoized per connection
-    and metric behind their grade checks, agree with their plain bodies on curved-metric's solved
+    and metric, agree with their plain bodies on curved-metric's solved
     and twisted connections over the degree-1 field family.  Every memo
     entry is checked, the solve's own frame entries too; a repeated call
     returns the identical object."""
@@ -301,13 +301,13 @@ def test_memoized_nabla_and_metric_match_plain_computation():
             assert conn.nabla(X, s) is got
         for (X, Y), got in values.items():
             assert g(X, Y) is got
-        nablas = conn.__dict__["_memo__nabla"]
-        metrics = g.__dict__["_memo__pairing"]
+        nablas = conn.__dict__["_memo_nabla"]
+        metrics = g.__dict__["_memo___call__"]
         assert len(nablas) >= len(derived) and len(metrics) >= len(values)
         for args, got in nablas.items():
-            assert got == Connection._nabla.__wrapped__(conn, *args), args
+            assert got == Connection.nabla.__wrapped__(conn, *args), args
         for args, got in metrics.items():
-            assert got == Metric._pairing.__wrapped__(g, *args), args
+            assert got == Metric.__call__.__wrapped__(g, *args), args
 
 
 def test_nabla_and_metric_check_the_grade_of_a_zero_field():

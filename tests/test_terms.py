@@ -138,15 +138,21 @@ def test_shared_contract(case):
 
 @given(st.sampled_from([CAL.mv, CAL.form]), st.integers(0, 2),
        st.integers(0, 2), rational_polys)
-def test_graded_zeros_of_any_grade_coincide(make, g1, g2, coeff):
+def test_graded_zeros_keep_their_grade(make, g1, g2, coeff):
+    """The grade is part of the value: zeros are equal iff their grades
+    are, and a sum across grades raises, a vanishing summand too."""
     z1, z2 = make(g1, {}), make(g2, {})
-    assert z1 == z2 and hash(z1) == hash(z2)
+    assert (z1 == z2) == (g1 == g2)
+    if g1 == g2:
+        assert hash(z1) == hash(z2)
     x = make(g1, {WORDS[g1][0]: coeff})
-    assert x.scale(0) == z2 and hash(x.scale(0)) == hash(z2)
-    assert x + z2 == x and z2 + x == x
-    if g1 != g2 and not coeff.is_zero():
-        with pytest.raises(GradeMismatch):
-            x + make(g2, {WORDS[g2][0]: coeff})
+    assert x.scale(0) == z1 and hash(x.scale(0)) == hash(z1)
+    assert x + z1 == x and z1 + x == x
+    if g1 != g2:
+        for a, b in ((x, z2), (z2, x), (z1, z2),
+                     (x, make(g2, {WORDS[g2][0]: coeff}))):
+            with pytest.raises(GradeMismatch):
+                a + b
 
 
 @given(st.integers(0, 2), st.dictionaries(st.integers(0, 1), rational_polys,
