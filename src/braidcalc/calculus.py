@@ -160,151 +160,6 @@ def _act_rows(rows, vec):
 
 
 # ---------------------------------------------------------------------
-# frames
-# ---------------------------------------------------------------------
-
-
-class Frame:
-    """Plain vector fields with constant adjoint closure, paired with
-    the dual coframe.  Verified at construction; see the module
-    docstring for the hypotheses."""
-
-    def __init__(self, M, images):
-        self.M = M
-        self.alg = M.algebra
-        self.lie = M.lie
-        self.ring = self.alg.ring
-        rows = []
-        for row in images:
-            row = tuple(row)
-            if len(row) != self.alg.arity:
-                raise IndexOutOfRange(("frame image arity", len(row)))
-            rows.append(row)
-        if len(rows) != self.alg.arity:
-            raise RankMismatch(("frame fields", len(rows), self.alg.arity))
-        self.images = tuple(rows)
-        self.dim = len(rows)
-        self._E = [list(r) for r in self.images]
-        self.is_coordinate = self.dim == self.alg.arity and all(
-            self._E[a][j]
-            == (self.alg.one() if a == j else self.alg.zero())
-            for a in range(self.dim)
-            for j in range(self.alg.arity)
-        )
-        self._Einv = (
-            None
-            if self.is_coordinate
-            else _inverse(M.mul, self._E, "frame matrix inverse in force")
-        )
-        self.rho = [self._solve_adjoint(i) for i in range(self.lie.dim)]
-        self.dual_rho = [self._solve_dual(i) for i in range(self.lie.dim)]
-        self._check_r_invariance()
-        self._check_derivation()
-
-    def apply_base(self, a, f):
-        """Frame element a as a plain vector field on an algebra element."""
-        return _derive(self.images[a], f)
-
-    def solve_field(self, imgs):
-        """Left coefficients over the frame, for the product in force."""
-        if self.is_coordinate:
-            return dict(enumerate(imgs))
-        return dict(enumerate(_mmul(self.M.mul, [imgs], self._Einv)[0]))
-
-    def _adjoint_images(self, xi, a):
-        """Coordinate images of xi |> e_a via the structure in force:
-        (xi |> X)(f) = xi_(1) |> (X(S(xi_(2)) |> f))."""
-        hopf, act = self.M.hopf, self.M.action.act
-        cop = hopf.coproduct(xi)
-        out = []
-        for j in range(self.alg.arity):
-            tot = self.alg.zero()
-            for l, r, c in cop.pairs():
-                inner = act(hopf.antipode(self.lie.monomial(r)), self.alg.coord(j))
-                inner = self.apply_base(a, inner)
-                if inner.is_zero():
-                    continue
-                inner = act(self.lie.monomial(l), inner)
-                if not inner.is_zero():
-                    tot = tot + inner.scale(c)
-            out.append(tot)
-        return out
-
-    def _solve_adjoint(self, i):
-        """Generator i on the frame, as rows {b: Scalar} of constant
-        coefficients; constants multiply plainly in force, so the
-        inverse in force finds them."""
-        xi = self.lie.gen(i)
-        rows = []
-        for a in range(self.dim):
-            row = {}
-            for b, c in self.solve_field(self._adjoint_images(xi, a)).items():
-                if c.is_zero():
-                    continue
-                if not c.is_scalar():
-                    raise NotInFrameSpan(
-                        "frame not closed under the adjoint action with "
-                        "constant coefficients: %s |> e%d has coefficient "
-                        "%r on e%d" % (self.lie.generators[i], a, c, b))
-                row[b] = c.constant_scalar()
-            rows.append(row)
-        return rows
-
-    def act_exp(self, exp, a, dual):
-        """The PBW monomial exp on the frame (dual: coframe) basis
-        element a, as {b: Scalar}; its rightmost letter acts first."""
-        rows = self.dual_rho if dual else self.rho
-        vec = {a: self.ring.scalar(1)}
-        for letter in reversed(_exp_to_word(exp)):
-            vec = _act_rows(rows[letter], vec)
-            if not vec:
-                break
-        return vec
-
-    def _solve_dual(self, i):
-        """Coframe action of generator i, from the antipode in force:
-        (xi |> theta^a)(e_b) = theta^a(S(xi) |> e_b)."""
-        S = self.M.hopf.antipode(self.lie.gen(i))
-        rows = [dict() for _ in range(self.dim)]
-        for b in range(self.dim):
-            for e, c in S.terms.items():
-                for a, s in self.act_exp(e, b, False).items():
-                    _add_terms(rows[a], ((b, s * c),))
-        return rows
-
-    def _check_r_invariance(self):
-        hopf = self.M.hopf
-        legs = {e for tensor in (hopf.R, hopf.Rinv) for pair in tensor.terms
-                for e in pair if any(e)}
-        for e in legs:
-            for a in range(self.dim):
-                for dual, what in ((False, "frame"), (True, "coframe")):
-                    if self.act_exp(e, a, dual):
-                        raise UnsupportedFrameBraiding(
-                            ("R leg acts on " + what, e, a)
-                        )
-
-    def _check_derivation(self):
-        """Frame elements must be derivations of the product in force,
-        on coordinate monomials of degree <= 2.  R-invisibility collapses
-        the braided Leibniz rule to this."""
-        M = self.M
-        fam = coordinate_monomials(self.alg, 2)
-        for a in range(self.dim):
-            for f in fam:
-                for g in fam:
-                    lhs = self.apply_base(a, M.mul(f, g))
-                    rhs = M.mul(self.apply_base(a, f), g) + M.mul(
-                        f, self.apply_base(a, g)
-                    )
-                    if lhs != rhs:
-                        raise UnsupportedFrameBraiding(
-                            ("frame element is not a derivation in force",
-                             a, repr(f), repr(g))
-                        )
-
-
-# ---------------------------------------------------------------------
 # graded objects
 # ---------------------------------------------------------------------
 
@@ -386,23 +241,139 @@ class DifferentialForm(GradedObject):
 
 class Calculus:
     """All Cartan operators of one instance: a module algebra with its
-    product and R-matrix in force, over a fixed frame."""
+    product and R-matrix in force, over a fixed frame.  The frame is
+    one row of coordinate images per coordinate (`images`; the
+    coordinate frame by default), checked at construction against the
+    hypotheses in the module docstring."""
 
     def __init__(self, M, frame_images=None):
         self.M = M
         self.alg = M.algebra
         self.lie = M.lie
         self.ring = self.alg.ring
-        if frame_images is None:
-            frame_images = [
-                tuple(
-                    self.alg.one() if a == j else self.alg.zero()
-                    for j in range(self.alg.arity)
-                )
-                for a in range(self.alg.arity)
-            ]
-        self.frame = Frame(M, frame_images)
-        self.dim = self.frame.dim
+        self.dim = n = self.alg.arity
+        coordinate = [tuple(self.alg.one() if a == j else self.alg.zero()
+                            for j in range(n)) for a in range(n)]
+        rows = []
+        for row in coordinate if frame_images is None else frame_images:
+            row = tuple(row)
+            if len(row) != n:
+                raise IndexOutOfRange(("frame image arity", len(row)))
+            rows.append(row)
+        if len(rows) != n:
+            raise RankMismatch(("frame fields", len(rows), n))
+        self.images = tuple(rows)
+        # None for the coordinate frame, whose solve is the identity
+        self._Einv = (None if rows == coordinate else
+                      _inverse(M.mul, rows, "frame matrix inverse in force"))
+        self.rho = [self._solve_adjoint(i) for i in range(self.lie.dim)]
+        self.dual_rho = [self._solve_dual(i) for i in range(self.lie.dim)]
+        self._check_r_invariance()
+        self._check_derivation()
+
+    # -- the frame ------------------------------------------------------
+
+    def apply_base(self, a, f):
+        """Frame element a as a plain vector field on an algebra element."""
+        return _derive(self.images[a], f)
+
+    def field_from_images(self, imgs):
+        """The grade-1 field with coordinate images imgs, its left
+        coefficients over the frame solved for the product in force."""
+        if self._Einv is not None:
+            imgs = _mmul(self.M.mul, [imgs], self._Einv)[0]
+        return MultiVector(self, 1, {(b,): c for b, c in enumerate(imgs)})
+
+    def _adjoint_images(self, xi, a):
+        """Coordinate images of xi |> e_a via the structure in force:
+        (xi |> X)(f) = xi_(1) |> (X(S(xi_(2)) |> f))."""
+        hopf, act = self.M.hopf, self.M.action.act
+        cop = hopf.coproduct(xi)
+        out = []
+        for j in range(self.alg.arity):
+            tot = self.alg.zero()
+            for l, r, c in cop.pairs():
+                inner = act(hopf.antipode(self.lie.monomial(r)), self.alg.coord(j))
+                inner = self.apply_base(a, inner)
+                if inner.is_zero():
+                    continue
+                inner = act(self.lie.monomial(l), inner)
+                if not inner.is_zero():
+                    tot = tot + inner.scale(c)
+            out.append(tot)
+        return out
+
+    def _solve_adjoint(self, i):
+        """Generator i on the frame, as rows {b: Scalar} of constant
+        coefficients; constants multiply plainly in force, so the
+        inverse in force finds them."""
+        xi = self.lie.gen(i)
+        rows = []
+        for a in range(self.dim):
+            row = {}
+            field = self.field_from_images(self._adjoint_images(xi, a))
+            for (b,), c in field.terms.items():
+                if not c.is_scalar():
+                    raise NotInFrameSpan(
+                        "frame not closed under the adjoint action with "
+                        "constant coefficients: %s |> e%d has coefficient "
+                        "%r on e%d" % (self.lie.generators[i], a, c, b))
+                row[b] = c.constant_scalar()
+            rows.append(row)
+        return rows
+
+    def act_exp(self, exp, a, dual):
+        """The PBW monomial exp on the frame (dual: coframe) basis
+        element a, as {b: Scalar}; its rightmost letter acts first."""
+        rows = self.dual_rho if dual else self.rho
+        vec = {a: self.ring.scalar(1)}
+        for letter in reversed(_exp_to_word(exp)):
+            vec = _act_rows(rows[letter], vec)
+            if not vec:
+                break
+        return vec
+
+    def _solve_dual(self, i):
+        """Coframe action of generator i, from the antipode in force:
+        (xi |> theta^a)(e_b) = theta^a(S(xi) |> e_b)."""
+        S = self.M.hopf.antipode(self.lie.gen(i))
+        rows = [dict() for _ in range(self.dim)]
+        for b in range(self.dim):
+            for e, c in S.terms.items():
+                for a, s in self.act_exp(e, b, False).items():
+                    _add_terms(rows[a], ((b, s * c),))
+        return rows
+
+    def _check_r_invariance(self):
+        hopf = self.M.hopf
+        legs = {e for tensor in (hopf.R, hopf.Rinv) for pair in tensor.terms
+                for e in pair if any(e)}
+        for e in legs:
+            for a in range(self.dim):
+                for dual, what in ((False, "frame"), (True, "coframe")):
+                    if self.act_exp(e, a, dual):
+                        raise UnsupportedFrameBraiding(
+                            ("R leg acts on " + what, e, a)
+                        )
+
+    def _check_derivation(self):
+        """Frame elements must be derivations of the product in force,
+        on coordinate monomials of degree <= 2.  R-invisibility collapses
+        the braided Leibniz rule to this."""
+        M = self.M
+        fam = coordinate_monomials(self.alg, 2)
+        for a in range(self.dim):
+            for f in fam:
+                for g in fam:
+                    lhs = self.apply_base(a, M.mul(f, g))
+                    rhs = M.mul(self.apply_base(a, f), g) + M.mul(
+                        f, self.apply_base(a, g)
+                    )
+                    if lhs != rhs:
+                        raise UnsupportedFrameBraiding(
+                            ("frame element is not a derivation in force",
+                             a, repr(f), repr(g))
+                        )
 
     # -- constructors ---------------------------------------------------
 
@@ -456,7 +427,7 @@ class Calculus:
             return {(): self.ring.scalar(1)}
         if len(word) == 1:
             return {(b,): s for b, s in
-                    self.frame.act_exp(exp, word[0], dual).items()}
+                    self.act_exp(exp, word[0], dual).items()}
         out = {}
         for l, r, c in self.cop_pairs(exp):
             head = self.word_act(l, word[:1], dual)
@@ -527,15 +498,10 @@ class Calculus:
             return f
         out = self.alg.zero()
         for (u,), c in X.terms.items():
-            ef = self.frame.apply_base(u, f)
+            ef = self.apply_base(u, f)
             if not ef.is_zero():
                 out = out + self.M.mul(c, ef)
         return out
-
-    def field_from_images(self, imgs):
-        return MultiVector(self, 1, {
-            (b,): c for b, c in self.frame.solve_field(imgs).items()
-        })
 
     def bracket(self, X, Y):
         """Braided commutator of grade-1 fields, re-expressed over the
@@ -693,7 +659,7 @@ class Calculus:
         extra = self.zero_form(om.grade + 1)
         for w, a in om.terms.items():
             for u in range(self.dim):
-                ea = self.frame.apply_base(u, a)
+                ea = self.apply_base(u, a)
                 if ea.is_zero():
                     continue
                 m = merge_words((u,), w)

@@ -273,9 +273,9 @@ def levi_civita(metric):
     def koszul(a, b, c):
         """2 g(nabla_{e_a} e_b, e_c) by the Koszul formula."""
         val = (
-            cal.frame.apply_base(a, g[b][c])
-            + cal.frame.apply_base(b, g[a][c])
-            - cal.frame.apply_base(c, g[a][b])
+            cal.apply_base(a, g[b][c])
+            + cal.apply_base(b, g[a][c])
+            - cal.apply_base(c, g[a][b])
         )
         for w in range(dim):
             fab = f(a, b).get(w)

@@ -637,6 +637,9 @@ class PolyAlgebra:
             unit = {tuple(e): c for e, c in unit.items() if not c.is_zero()}
             if not unit:
                 raise SchemaError("declared unit must be nonzero")
+            if not any(any(e) for e in unit):
+                # every element divides by a constant: it localizes nothing
+                raise SchemaError("declared unit must not be constant")
         self.unit = unit
         self._hash = hash((ring, names,
                            None if unit is None else frozenset(unit.items())))

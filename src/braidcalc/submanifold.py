@@ -182,7 +182,7 @@ class Projection:
         qM = ModuleAlgebra(qaction, twist=cal.M.twist)
         qframe = [
             tuple(
-                ideal.to_quotient(cal.frame.images[u][j], qalg)
+                ideal.to_quotient(cal.images[u][j], qalg)
                 for j in ideal.tangent
             )
             for u in self.tangent_idx

@@ -506,8 +506,8 @@ def test_braided_d_oracle_on_frame_pairs(make):
                 eb, ec = cal.frame_field(b), cal.frame_field(c)
                 lhs = cal.eval_form(cal.d(om), [eb, ec])
                 rhs = (
-                    cal.frame.apply_base(b, cal.eval_form(om, [ec]))
-                    - cal.frame.apply_base(c, cal.eval_form(om, [eb]))
+                    cal.apply_base(b, cal.eval_form(om, [ec]))
+                    - cal.apply_base(c, cal.eval_form(om, [eb]))
                     - cal.eval_form(om, [cal.bracket(eb, ec)])
                 )
                 assert lhs == rhs, (om, b, c)

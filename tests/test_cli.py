@@ -23,6 +23,7 @@ from braidcalc.errors import MissingSection, SchemaError, UnknownName
 from braidcalc.ring import RATIONAL, PolyAlgebra, Ring
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+FIXTURES = Path(__file__).resolve().parent / "fixtures"
 
 SERIES = Ring("series", 3)
 
@@ -175,6 +176,23 @@ def test_all_passes_on_working_scenario(capsys, name):
     failing = [(r["title"], c["name"]) for r in out["reports"]
                for c in r["checks"] if not c["passed"]]
     assert out["passed"] and not failing, failing
+
+
+@pytest.mark.parametrize("command", ["cartan", "levi-civita"])
+def test_filiform_frame_passes(capsys, command):
+    """The filiform frame e0 = d_x, e1 = d_y + x d_z + x^2/2 d_w,
+    e2 = d_z + x d_w, e3 = d_w on 4 coordinates, with the identity
+    metric.  Two of its coframe differentials are nonzero and a 3-form
+    survives, so `cartan` sees the sign of theta^{w0} ^ d theta^{w1} in
+    the differential of a word; `levi-civita` sees the sign of the
+    f_bc g_wa term of the Koszul formula.  No bundled scenario sees
+    either."""
+    path = str(FIXTURES / "filiform.json")
+    code = main([command, path, "--degree", "0", "--format", "structured"])
+    out = json.loads(capsys.readouterr().out)
+    failing = [(r["title"], c["name"]) for r in out["reports"]
+               for c in r["checks"] if not c["passed"]]
+    assert code == 0 and not failing, failing
 
 
 def test_main_failure_exit_one(capsys):
@@ -523,6 +541,18 @@ def _zero_unit(data):
     data["action"]["unit"] = "0"
 
 
+def _unit_one(data):
+    data["action"]["unit"] = "1"
+
+
+def _unit_half(data):
+    data["action"]["unit"] = "1/2"
+
+
+def _unit_two(data):
+    data["action"]["unit"] = "2"
+
+
 def _ideal_without_tangent(data):
     data["ideal"]["normal_coordinates"] = list(data["action"]["coordinates"])
 
@@ -535,10 +565,11 @@ def _boolean_depth(data):
     data["params"]["depth"] = True
 
 
-@pytest.mark.parametrize("edit", [_zero_unit, _ideal_without_tangent,
+@pytest.mark.parametrize("edit", [_zero_unit, _unit_one, _unit_half,
+                                  _unit_two, _ideal_without_tangent,
                                   _boolean_order, _boolean_depth])
 def test_degenerate_declarations_refused_under_python_O(tmp_path, edit):
-    """A zero declared unit, an ideal with no tangent coordinate and a
+    """A zero or constant declared unit, an ideal with no tangent coordinate and a
     JSON boolean where an integer belongs are scenario errors: exit 2
     with a typed message, also under -O."""
     data = json.loads((SCENARIOS / "surface.json").read_text())

@@ -2,14 +2,15 @@
 
 Each example changes one thing in a bundled scenario: it replaces one
 value by a small JSON value of another type, or renames one object key.
-The mutated scenario runs in-process on a cheap subcommand; whatever the
-change, the command must end with exit status 0, 1 or 2 and never let an
-exception escape.
+The mutated scenario runs in-process on a subcommand at cheap knobs;
+whatever the change, the command must end with exit status 0, 1 or 2
+within TIMEOUT_S seconds and never let an exception escape.
 """
 
 import contextlib
 import io
 import json
+import signal
 from pathlib import Path
 
 from hypothesis import HealthCheck, given, settings
@@ -20,7 +21,10 @@ from braidcalc.cli import main
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 BUNDLED = sorted(SCENARIOS.glob("*.json")) + sorted(
     SCENARIOS.glob("falsification/*.json"))
-COMMANDS = ("check-hopf", "check-twist", "star")
+COMMANDS = ("check-hopf", "check-twist", "star", "levi-civita", "project")
+# Seconds one example may take; a hang then fails that example with a
+# traceback instead of stalling the run.
+TIMEOUT_S = 20
 # Strings a scenario might plausibly hold: names, monomials, rationals,
 # polynomials and some malformed ones; none asks for a large degree.
 STRINGS = ("", "1", "-1", "0", "1/0", "3/2", "0.5", "h", "h^2", "x", "y",
@@ -60,6 +64,14 @@ def _parent(data, path):
     return data
 
 
+class ExampleTimeout(Exception):
+    """Raised by SIGALRM in an example that ran out of time."""
+
+
+def _timed_out(signum, frame):
+    raise ExampleTimeout("example ran longer than %d s" % TIMEOUT_S)
+
+
 @st.composite
 def mutated_scenarios(draw):
     data = json.loads(draw(st.sampled_from(BUNDLED)).read_text())
@@ -83,7 +95,13 @@ def test_mutated_scenario_exits_cleanly(tmp_path, data, command):
     path = tmp_path / "mutated.json"
     path.write_text(json.dumps(data))
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        status = main([command, str(path), "--depth", "1", "--degree", "1"])
+    previous = signal.signal(signal.SIGALRM, _timed_out)
+    signal.alarm(TIMEOUT_S)
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            status = main([command, str(path), "--depth", "1", "--degree", "1"])
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
     assert status in (0, 1, 2), (status, err.getvalue())
     assert "Traceback" not in err.getvalue()
