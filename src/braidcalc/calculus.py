@@ -578,7 +578,8 @@ class Calculus:
         primitive of the calculus.  Unmemoized, as is `bracket`: a
         memo would keep every distinct result, and the check families
         make many; the bare-letter contractions it is built from are
-        memoized."""
+        memoized.  The sum starts from the first contraction that
+        survives; the memoized zero is returned only when none does."""
         if X.kind != "mv" or om.kind != "form":
             raise UnknownModule((X.kind, om.kind))
         if X.grade == 0:
@@ -586,18 +587,18 @@ class Calculus:
             if a is None:
                 return self.zero_form(om.grade)
             return om.left_mul(a)
-        res = self.zero_form(om.grade - X.grade)
-        if X.grade > om.grade or om.is_zero():
-            return res
-        for w, c in X.terms.items():
-            cur = om
-            for u in reversed(w):
-                cur = self._insert_base(u, cur)
-                if cur.is_zero():
-                    break
-            if not cur.is_zero():
-                res = res + cur.left_mul(c)
-        return res
+        res = None
+        if X.grade <= om.grade and not om.is_zero():
+            for w, c in X.terms.items():
+                cur = om
+                for u in reversed(w):
+                    cur = self._insert_base(u, cur)
+                    if cur.is_zero():
+                        break
+                else:
+                    cur = cur.left_mul(c)
+                    res = cur if res is None else res + cur
+        return self.zero_form(om.grade - X.grade) if res is None else res
 
     def eval_form(self, om, fields):
         """Evaluation on grade-1 fields, derived from insertion via the
@@ -681,15 +682,16 @@ class Calculus:
         Cartan checks ask for most pairs many times."""
         if X.is_zero() or om.is_zero():
             return self.zero_form(om.grade + 1 - X.grade)
-        return self.lie_derivative_unmemoized(X, om)
+        return self.lie_from_insert(X, om, self.insert(X, om))
 
-    def lie_derivative_unmemoized(self, X, om):
-        """L_X om = [i_X, d] om, the one home of its formula, keeping
-        nothing: for callers whose pairs never repeat, such as both
-        sides of `submanifold.projection_suite`, where a memo would keep
-        every value and hit none."""
+    def lie_from_insert(self, X, om, inserted):
+        """L_X om = [i_X, d] om given inserted = i_X om, the one home of
+        its formula, keeping nothing: for callers that hold i_X om
+        already, such as both sides of `submanifold.projection_suite`,
+        whose pairs never repeat, so a memo would keep every value and
+        hit none."""
         first = self.insert(X, self.d(om))
-        second = self.d(self.insert(X, om))
+        second = self.d(inserted)
         # [i_X, d] with deg i_X = -|X|: i_X d - (-1)^{|X|} d i_X
         return first + second if X.grade % 2 else first - second
 

@@ -862,11 +862,20 @@ class AlgebraElement(_Terms):
             raise NotInvertible("zero algebra element")
         alg = self.algebra
         num, den, uk = self._map, self._den, 0
-        while True:
+        # an exact division takes the unit's leading exponent off the
+        # numerator's (the leading coefficient of the unit is
+        # invertible), and that exponent is not zero, the unit not being
+        # constant; total degrees of the whole polynomials need not add
+        # up over series coefficients, so the leading ones bound the loop
+        calls = 1 if alg._unit is None else (
+            sum(max(num)) // sum(alg._unit_lead[0]) + 1)
+        for _ in range(calls):
             q = alg._divide_by_unit(num)
             if q is None:
                 break
             num, den, uk = q[0], den * q[1], uk + 1
+        else:
+            raise NotInvertible("unit division past its degree bound")
         rest = AlgebraElement(alg, num, 0, den)
         zero_e = (0,) * alg.arity
         c0 = rest.terms.get(zero_e)

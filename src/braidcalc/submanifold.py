@@ -18,7 +18,7 @@ solve on the quotient.
 import operator
 from itertools import product
 
-from .calculus import Calculus, graded_family
+from .calculus import Calculus, graded_family, increasing_words
 from .errors import (
     AxiomOneUnwitnessed,
     GradeMismatch,
@@ -65,14 +65,19 @@ class SubmanifoldIdeal:
                     )
         self.generators = [algebra.coord(j) for j in normal]
 
-    def reduce(self, a):
-        """Normal form of an ambient element modulo the ideal."""
+    def _drop_normal(self, a, target, fn):
+        """a with every exponent that carries a normal letter dropped and
+        fn applied to the rest, as an element of target."""
         if not isinstance(a, AlgebraElement) or a.algebra != self.algebra:
             raise RingMismatch(("element of another algebra", self.algebra,
                                 getattr(a, "algebra", a)))
         normal = self.normal
-        return a._remap(self.algebra, lambda e: None if any(
-            e[j] for j in normal) else e)
+        return a._remap(target, lambda e: None if any(
+            e[j] for j in normal) else fn(e))
+
+    def reduce(self, a):
+        """Normal form of an ambient element modulo the ideal."""
+        return self._drop_normal(a, self.algebra, lambda e: e)
 
     def contains(self, a):
         return self.reduce(a).is_zero()
@@ -92,10 +97,11 @@ class SubmanifoldIdeal:
         return type(alg)(alg.ring, names, unit=unit)
 
     def to_quotient(self, a, qalg):
-        """The class of a in the quotient algebra qalg."""
+        """The class of a in the quotient algebra qalg, in one pass:
+        reduced and renumbered together."""
         tangent = self.tangent
-        return self.reduce(a)._remap(
-            qalg, lambda e: tuple(e[j] for j in tangent))
+        return self._drop_normal(
+            a, qalg, lambda e: tuple(e[j] for j in tangent))
 
     def lift(self, abar):
         """Tautological section of the quotient map, monomial by monomial."""
@@ -167,7 +173,13 @@ class Projection:
             raise NoBlockSplit(
                 ("tangent frame block has wrong size", self.tangent_idx)
             )
-        self._pos = {u: k for k, u in enumerate(self.tangent_idx)}
+        # each increasing ambient frame word -> its quotient word, or None
+        # when it holds a normal letter
+        pos = {u: k for k, u in enumerate(self.tangent_idx)}
+        self._words = {
+            w: tuple(pos[u] for u in w) if all(u in pos for u in w) else None
+            for k in range(cal.dim + 1) for w in increasing_words(cal.dim, k)
+        }
 
         qalg = ideal.quotient_algebra()
         self.qalg = qalg
@@ -208,19 +220,19 @@ class Projection:
 
     def _push(self, obj):
         """The words of obj over tangent frame letters, renumbered for
-        the quotient frame, with projected coefficients; words with a
-        normal letter drop."""
+        the quotient frame by the word table, with projected
+        coefficients; words with a normal letter drop."""
+        words = self._words
         return type(obj)(self.q, obj.grade, {
-            tuple(self._pos[u] for u in w): self.function(c)
-            for w, c in obj.terms.items()
-            if all(u in self._pos for u in w)
+            qw: self.function(c) for w, c in obj.terms.items()
+            if (qw := words[w]) is not None
         })
 
     def multivector(self, X):
         """Project a tangent multivector; NotTangent when a word with a
         normal letter carries a coefficient outside the ideal."""
         for w, c in X.terms.items():
-            if any(u not in self._pos for u in w) and not self.ideal.contains(c):
+            if self._words[w] is None and not self.ideal.contains(c):
                 raise NotTangent((w, c))
         return self._push(X)
 
@@ -330,14 +342,41 @@ def check_sequence(proj, coeff_degree=2):
     return rep
 
 
+def _insertion_tables(proj, pushed_fields, pushed_forms):
+    """Two row tables over the pushed fields x the pushed forms: the
+    ambient (i_X w, pr(i_X w)) and the quotient i_{pr X} pr w, each
+    insertion computed once.  Equal values are interned to one object
+    through a dict per side (a zero form of the quotient equals an
+    ambient zero form of the same grade, so the sides keep apart), and
+    each distinct ambient value is pushed once."""
+    cal, q = proj.cal, proj.q
+    ambient, quotient = {}, {}
+
+    def pushed(v):
+        entry = ambient.get(v)
+        if entry is None:
+            entry = ambient[v] = (v, proj.form(v))
+        return entry
+
+    return (
+        [[pushed(cal.insert(X, om)) for om, _ in pushed_forms]
+         for X, _ in pushed_fields],
+        [[quotient.setdefault(v := q.insert(Xq, omq), v)
+          for _, omq in pushed_forms] for _, Xq in pushed_fields])
+
+
 def projection_suite(proj, coeff_degree=2):
     """All commutation laws of the quotient map with the calculus, at
     the Hopf monomial depth the projection was built with.  Each field
     and form is pushed once and carried beside it in the cases.  The
-    lie-derivative row computes L_X w on both sides with
-    `Calculus.lie_derivative_unmemoized`: the ambient (field, form) pairs
-    never repeat, nor do the pushed pairs with no zero member, so a memo
-    would keep every value and hit none."""
+    insertion and lie-derivative rows share one table of i_X w and
+    i_{pr X} pr w per (field, form) pair, built just before the
+    insertion row, so an engine error in a shared value surfaces when
+    the table is built.  The lie-derivative row forms L_X w on both
+    sides from the stored i_X w with `Calculus.lie_from_insert`,
+    unmemoized: the ambient (field, form) pairs never repeat, nor do
+    the pushed pairs with no zero member, so a memo would keep every
+    value and hit none."""
     cal, ideal = proj.cal, proj.ideal
     q = proj.q
     depth = proj.depth
@@ -373,18 +412,23 @@ def projection_suite(proj, coeff_degree=2):
         ((om, proj.form(cal.d(om)), q.d(omq)) for om, omq in pushed_forms),
         lambda om, lhs, rhs: lhs == rhs))
 
-    def commutes(op, qop):
-        """Whether pr(op_X w) = qop_{pr(X)} pr(w)."""
-        return lambda X, om, omq, Xq: proj.form(op(X, om)) == qop(Xq, omq)
+    ambient, quotient = _insertion_tables(proj, pushed_fields, pushed_forms)
+
+    def cases():
+        """(X, w, pr X, pr w, i_X w, pr(i_X w), i_{pr X} pr w) per
+        pair, in family order."""
+        for (X, Xq), row, qrow in zip(pushed_fields, ambient, quotient):
+            for (om, omq), (ins, pushed), qins in zip(pushed_forms, row, qrow):
+                yield X, om, Xq, omq, ins, pushed, qins
 
     rep.check("insertion", "pr(i_X w) = i_{pr(X)} pr(w)", violations(
-        ("field", "form"),
-        carried(pushed_fields, pushed_forms),
-        commutes(cal.insert, q.insert)))
+        ("field", "form"), cases(),
+        lambda X, om, Xq, omq, ins, pushed, qins: pushed == qins))
     rep.check("lie-derivative", "pr(L_X w) = L_{pr(X)} pr(w)", violations(
-        ("field", "form"),
-        carried(pushed_fields, pushed_forms),
-        commutes(cal.lie_derivative_unmemoized, q.lie_derivative_unmemoized)))
+        ("field", "form"), cases(),
+        lambda X, om, Xq, omq, ins, pushed, qins:
+            proj.form(cal.lie_from_insert(X, om, ins))
+            == q.lie_from_insert(Xq, omq, qins)))
     rep.check("bracket", "pr([X, Y]) = [pr(X), pr(Y)]", violations(
         ("X", "Y"), carried(pushed_fields, pushed_fields),
         lambda X, Y, Yq, Xq: proj.multivector(cal.bracket(X, Y))

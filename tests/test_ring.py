@@ -8,6 +8,7 @@ from the engine.
 import math
 import os
 import random
+import signal
 import subprocess
 import sys
 import textwrap
@@ -413,6 +414,40 @@ class TestPolyAlgebra:
             x.inverse()
         with pytest.raises(NotInvertible):
             (qxy.one() + x).inverse()
+
+    def test_inverse_stops_a_unit_division_that_never_ends(self, qxy, monkeypatch):
+        """A unit division that never shrinks the numerator (here one
+        that returns its input as the quotient) is refused past the
+        degree bound, where a plain loop would spin; the alarm turns a
+        hang into a failure."""
+        monkeypatch.setattr(PolyAlgebra, "_divide_by_unit",
+                            lambda self, num: (num, 1))
+
+        def hang(signum, frame):
+            raise TimeoutError("inverse() did not stop")
+
+        previous = signal.signal(signal.SIGALRM, hang)
+        signal.alarm(5)
+        try:
+            x, y = qxy.coord(0), qxy.coord(1)
+            with pytest.raises(NotInvertible):
+                (x * x * y + qxy.scalar(2)).inverse()
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+
+    def test_inverse_strips_unit_powers_past_the_total_degree(self):
+        """Over series coefficients the total degree of a product can
+        fall short of the sum: (x + h y^2)^5 has degree 7 and its unit
+        degree 2, yet five unit factors divide out.  The loop bound
+        reads the leading exponents, whose degrees do add up."""
+        ring = Ring("series", 3)
+        alg = PolyAlgebra(ring, ("x", "y"),
+                          unit={(1, 0): ring.one(), (0, 2): ring.h()})
+        p = alg.unit_element() ** 5
+        assert max(map(sum, p.terms)) == 7
+        inv = p.inverse()
+        assert inv.du == 5 and inv * p == alg.one()
 
     def test_inverse_of_a_fraction(self, qxy):
         # (3 / (1 + x^2)^2)^-1 = (x^4 + 2 x^2 + 1) / 3

@@ -2,12 +2,13 @@
 projected calculus and geometry, and twisted projections."""
 
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 from braidcalc import submanifold
-from braidcalc.calculus import Calculus, GradedObject
+from braidcalc.calculus import Calculus, GradedObject, graded_family
 from braidcalc.cli import Scenario
 from braidcalc.errors import (
     AxiomOneUnwitnessed,
@@ -16,7 +17,7 @@ from braidcalc.errors import (
 )
 from braidcalc.geometry import Metric, field_family, levi_civita
 from braidcalc.hopf import LieAlgebra, TensorElement
-from braidcalc.modalg import Action, ModuleAlgebra
+from braidcalc.modalg import Action, ModuleAlgebra, coordinate_monomials
 from braidcalc.report import violations
 from braidcalc.ring import RATIONAL, AlgebraElement, PolyAlgebra, Ring
 from braidcalc.submanifold import (
@@ -313,6 +314,66 @@ def test_projection_suites_push_and_lift_each_member_once(monkeypatch):
     counts = calls_per_member(
         [m for m in members if isinstance(m, GradedObject)], lifted)
     assert len(counts) == 6 and set(counts) == {1}, counts
+
+
+def test_projection_suite_inserts_each_pair_once(monkeypatch):
+    """The insertion and lie-derivative rows share i_X w for every
+    ambient (field, form) pair and i_{pr X} pr w for every pushed pair:
+    each pair is inserted exactly once, by identity."""
+    cal = curved_ambient_cal()
+    proj = Projection(cal, z_ideal(cal))
+    members = recorded_members(monkeypatch)
+    images = {}
+    for name in ("multivector", "form"):
+        def pushing(self, obj, method=getattr(Projection, name)):
+            images[id(obj)] = image = method(self, obj)
+            return image
+        monkeypatch.setattr(Projection, name, pushing)
+    calls = []
+    insert = Calculus.insert
+
+    def counting(self, X, om):
+        calls.append((X, om))
+        return insert(self, X, om)
+
+    monkeypatch.setattr(Calculus, "insert", counting)
+    assert projection_suite(proj, coeff_degree=1).passed
+    inserted = Counter((id(X), id(om)) for X, om in calls)
+    ambient = {id(m): m for m in members
+               if isinstance(m, GradedObject) and m.cal is cal}.values()
+    pairs = [(X, om) for X in ambient if X.kind == "mv"
+             for om in ambient if om.kind == "form"]
+    pairs += [(images[id(X)], images[id(om)]) for X, om in pairs]
+    assert len(pairs) == 2 * 8 * 24
+    assert [inserted[id(X), id(om)] for X, om in pairs] == [1] * len(pairs)
+
+
+def test_quotient_d_slip_on_functions_fails_only_the_lie_derivative():
+    """A quotient differential that flips the sign on grade-0 forms
+    only fails the lie-derivative row, which reads d of the stored
+    i_{pr X} pr w, while the insertion and differential rows, which
+    share or precede those values, still pass.  The counterexample
+    names the ambient field and form of the first pair, in family
+    order, whose quotient insertion is a function with a nonzero
+    differential."""
+    cal = curved_ambient_cal()
+    proj = Projection(cal, z_ideal(cal))
+    q = proj.q
+    fields = field_family(cal, 1, frame=proj.tangent_idx)
+    forms = graded_family(cal.form, cal.dim, (1, 2),
+                          coordinate_monomials(cal.alg, 1))
+    first = next(
+        (X, om) for X in fields for om in forms
+        if (iq := q.insert(proj.multivector(X), proj.form(om))).grade == 0
+        and not q.d(iq).is_zero())
+
+    d = q.d
+    q.d = lambda om: -d(om) if om.grade == 0 else d(om)
+    rep = projection_suite(proj, coeff_degree=1)
+    failing = {c.name: c.counterexample for c in rep.failing()}
+    assert failing == {
+        "lie-derivative": {"field": repr(first[0]), "form": repr(first[1])},
+    }
 
 
 def test_mixed_metric_entry_refuses_to_split():
