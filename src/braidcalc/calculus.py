@@ -723,47 +723,64 @@ def graded_commutator(cal, A, B, om, inner, legs):
 
 
 class _SuiteValues:
-    """Values the cases of one suite's triple rows share, built when the
-    suite starts, in lists aligned with the suite's fields, the legs
-    (l, r, c) of Rinv in force and its forms.  It holds the left images
-    l |> Y of the fields taken as Y (`ys`) and, for each leg whose left
-    image survives on some Y, the right image r |> X of every field.
-    Operator values are rows over the forms: `rows` for the operator in
-    B position, `legged` for the one in A position."""
+    """Values the cases of one suite's triple rows share, in lists
+    aligned with the suite's fields, the legs (l, r, c) of Rinv in force
+    and its forms: the left images l |> Y of the fields taken as Y
+    (`ys`), for each leg whose left image survives on some Y the right
+    image r |> X of every field, and operator values as rows over the
+    forms (`rows` for an operator in B position, `legged` for one in A
+    position).  Each is built once, when a row's cases first read it,
+    so the build is timed into the first row that reads it."""
 
     def __init__(self, cal, fields, ys, forms):
-        self.fields, self.ys, self.forms = fields, ys, forms
-        legs = cal.M.hopf.Rinv.pairs()
-        # per Y, (k, c, l |> Y) for each leg k whose image survives
-        self.left = [[(k, c, lY) for k, (l, _, c) in enumerate(legs)
-                      if not (lY := cal.h_act_exp(l, Y)).is_zero()] for Y in ys]
+        self.cal, self.fields, self.ys, self.forms = cal, fields, ys, forms
+
+    @property
+    @_memo
+    def left(self):
+        """Per Y, (k, c, l |> Y) for each leg k whose image survives."""
+        cal = self.cal
+        return [[(k, c, lY) for k, (l, _, c) in enumerate(cal.M.hopf.Rinv.pairs())
+                 if not (lY := cal.h_act_exp(l, Y)).is_zero()] for Y in self.ys]
+
+    @property
+    @_memo
+    def right(self):
+        """Per X, {k: r |> X} for each leg k whose left image survives
+        on some Y and whose right image survives."""
+        cal, legs = self.cal, self.cal.M.hopf.Rinv.pairs()
         live = sorted({k for row in self.left for k, _, _ in row})
-        # per X, {k: r |> X} for each live leg k whose image survives
-        self.right = [
-            {k: rX for k in live
-             if not (rX := cal.h_act_exp(legs[k][1], X)).is_zero()}
-            for X in fields]
+        return [{k: rX for k in live
+                 if not (rX := cal.h_act_exp(legs[k][1], X)).is_zero()}
+                for X in self.fields]
 
-    def rows(self, apply, objs):
-        """apply(Z, w) per Z of objs and form w."""
-        return [[apply(Z, om) for om in self.forms] for Z in objs]
+    @_memo
+    def rows(self, apply, over_ys):
+        """apply(Z, w) per Z of the ys (over_ys) or of the fields, and
+        per form w."""
+        return [[apply(Z, om) for om in self.forms]
+                for Z in (self.ys if over_ys else self.fields)]
 
-    def legged(self, apply, rows):
+    @_memo
+    def legged(self, apply):
         """Per field X, {k: the row of apply(r |> X, w) over the forms}
-        over the legs k of `right`, given the rows of apply over the
-        fields: h_act_exp returns X itself for a unit r, whose row is
-        then X's own."""
+        over the legs k of the right images: h_act_exp returns X itself
+        for a unit r, whose row is then X's own (the rows over the ys
+        when the ys are the fields)."""
+        rows = self.rows(apply, self.ys is self.fields)
         return [{k: row if rX is X else [apply(rX, om) for om in self.forms]
                  for k, rX in right.items()}
                 for X, right, row in zip(self.fields, self.right, rows)]
 
-    def cases(self, outer, inner, work=None):
+    def cases(self, a, b, work=None):
         """Cases (X, Y, w[, work(X, Y)], B_Y w, legs) over fields x ys x
-        forms, in that order, carrying what graded_commutator takes:
-        B_Y w from `inner` (rows over ys) and, from `outer` (made by
-        `legged`), (c, l |> Y, A_{r |> X} w) per leg where neither image
-        vanishes.  work(X, Y), when given, is done once per pair ahead
-        of its forms, as in `report.hoisted`."""
+        forms, in that order, carrying what graded_commutator takes for
+        A = a(r |> X, .) and B = b(Y, .): B_Y w from the rows of b over
+        the ys and, from the legged rows of a, (c, l |> Y, A_{r |> X} w)
+        per leg where neither image vanishes.  work(X, Y), when given,
+        is done once per pair ahead of its forms, as in
+        `report.hoisted`."""
+        outer, inner = self.legged(a), self.rows(b, True)
         for X, at in zip(self.fields, outer):
             for Y, left, row in zip(self.ys, self.left, inner):
                 shared = () if work is None else (work(X, Y),)
@@ -794,7 +811,9 @@ def cartan_suite(cal, coeff_degree=2):
     the forms the frame words of grade <= 2 with coefficient 1 and x.
     The three triple rows share, through one `_SuiteValues`, the leg
     images of each field and the values i_Y w, L_Y w, i_{r |> X} w and
-    L_{r |> X} w, each computed once when the suite starts."""
+    L_{r |> X} w, each computed once, inside the search of the first
+    row that reads it: the leg images and insertions in insert-insert,
+    the Lie derivatives in lie-insert."""
     rep = Report(
         "cartan",
         {"wedge_grade": 2, "coeff_degree": coeff_degree,
@@ -813,10 +832,6 @@ def cartan_suite(cal, coeff_degree=2):
         return (1 - X.grade, X, cal.lie_derivative)
 
     values = _SuiteValues(cal, fields, fields, form_family)
-    ins = values.rows(cal.insert, fields)
-    lie = values.rows(cal.lie_derivative, fields)
-    ins_legs = values.legged(cal.insert, ins)
-    lie_legs = values.legged(cal.lie_derivative, lie)
     forms = list(product(form_family))
     rep.check("d-squared", "d . d = 0", violations(
         ("form",), forms, lambda om: cal.d(cal.d(om)).is_zero()))
@@ -829,15 +844,17 @@ def cartan_suite(cal, coeff_degree=2):
         lambda X, om: graded_commutator(
             cal, L(X), d, om, cal.d(om), None).is_zero()))
     rep.check("insert-insert", "[i_X, i_Y] = 0", violations(
-        ("X", "Y", "form"), values.cases(ins_legs, ins),
+        ("X", "Y", "form"), values.cases(cal.insert, cal.insert),
         lambda X, Y, om, iYom, legs:
             graded_commutator(cal, i(X), i(Y), om, iYom, legs).is_zero()))
     rep.check("lie-insert", "[L_X, i_Y] = i_{[[X,Y]]}", violations(
-        ("X", "Y", "form"), values.cases(lie_legs, ins, cal.schouten),
+        ("X", "Y", "form"),
+        values.cases(cal.lie_derivative, cal.insert, cal.schouten),
         lambda X, Y, om, Z, iYom, legs:
             graded_commutator(cal, L(X), i(Y), om, iYom, legs) == cal.insert(Z, om)))
     rep.check("lie-lie", "[L_X, L_Y] = L_{[[X,Y]]}", violations(
-        ("X", "Y", "form"), values.cases(lie_legs, lie, cal.schouten),
+        ("X", "Y", "form"),
+        values.cases(cal.lie_derivative, cal.lie_derivative, cal.schouten),
         lambda X, Y, om, Z, LYom, legs:
             graded_commutator(cal, L(X), L(Y), om, LYom, legs)
             == cal.lie_derivative(Z, om)))
@@ -859,8 +876,8 @@ def schouten_suite(cal, coeff_degree=1):
     """Defining properties of the Schouten bracket on small families.
     The graded-leibniz row shares, through one `_SuiteValues` with the
     grade-1 fields as its forms, the leg images of each field and the
-    values Y ^ Z and [[r |> X, Z]], each computed once when the suite
-    starts."""
+    values Y ^ Z and [[r |> X, Z]], each computed once, inside that
+    row's search."""
     rep = Report("schouten", {"coeff_degree": coeff_degree})
     coeffs = coordinate_monomials(cal.alg, coeff_degree)
     fields = graded_family(cal.mv, cal.dim, (1, 2), coeffs)
@@ -897,10 +914,8 @@ def schouten_suite(cal, coeff_degree=1):
     rep.check(
         "graded-leibniz",
         "[[X, Y^Z]] = [[X,Y]]^Z + (-1)^{(k-1)l} (Rinv1|>Y)^[[Rinv2|>X, Z]]",
-        violations(("X", "Y", "Z"), values.cases(
-            values.legged(cal.schouten, values.rows(cal.schouten, fields)),
-            values.rows(cal.wedge, grade1)),
-            leibniz),
+        violations(("X", "Y", "Z"), values.cases(cal.schouten, cal.wedge),
+                   leibniz),
     )
     return rep
 

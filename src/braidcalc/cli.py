@@ -54,7 +54,6 @@ from .report import Report
 from .ring import RATIONAL, AlgebraElement, PolyAlgebra, Ring, _memo
 from .submanifold import (
     Projection,
-    SubmanifoldIdeal,
     check_sequence,
     projection_geometry_suite,
     projection_suite,
@@ -478,9 +477,6 @@ class Scenario:
     def connection(self, cal):
         return Connection(cal, self._parse_connection())
 
-    def ideal(self):
-        return SubmanifoldIdeal(self.algebra, normal_coords=self._parse_ideal())
-
     def antipode_table(self):
         if self.params.get("antipode_override") is None:
             return None
@@ -595,7 +591,7 @@ def run_levi_civita(sc, opts):
 def run_project(sc, opts):
     depth = sc.knob(opts, "depth", 2)
     degree = sc.knob(opts, "degree", 2)
-    proj = Projection(sc.calculus(), sc.ideal(), depth=depth)
+    proj = Projection(sc.calculus(), sc._parse_ideal(), depth=depth)
     suite = (twist_projection_suite if sc.data.get("twist") is not None
              else projection_suite)
     reports = [suite(proj, degree), check_sequence(proj, degree)]

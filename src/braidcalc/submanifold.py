@@ -1,10 +1,15 @@
 """Quotients by coordinate ideals: the calculus on a submanifold.
 
 A submanifold is cut out by an ideal of the coordinate algebra that the
-symmetry action preserves.  Everything downstream is organized around
-one Projection object: it builds the quotient module algebra and its
-calculus over the reduced frame, and pushes functions, multivector
-fields, forms, metrics and connections through the quotient map.
+symmetry action preserves: the ideal generated by some of the
+coordinates, the normal ones.  Everything downstream is organized
+around one Projection object, built from a calculus and the indices of
+the normal coordinates.  It owns the ideal (its generators, reduction,
+membership and the tangency of fields), refuses an ideal the action,
+the declared unit or the product in force does not preserve, builds the
+quotient module algebra and its calculus over the reduced frame, and
+pushes functions, multivector fields, forms, metrics and connections
+through the quotient map.
 
 Fields only project when they are tangent (coefficients of normal frame
 directions lie in the ideal); forms always project, with normal coframe
@@ -38,138 +43,67 @@ from .ring import AlgebraElement
 _SAMPLE_DEGREE = 2
 
 
-class SubmanifoldIdeal:
-    """Functions vanishing on a submanifold of the coordinate algebra:
-    the ideal generated by a subset of the coordinates, reduced by
-    substituting them to zero."""
+class Projection:
+    """Quotient map of one calculus instance by the ideal of functions
+    vanishing on a submanifold: the ideal generated by the coordinates
+    indexed by `normal_coords`, reduced by substituting them to zero.
 
-    def __init__(self, algebra, normal_coords):
-        self.algebra = algebra
+    Builds the quotient module algebra (same symmetry, same twist, the
+    reduced action) and the quotient calculus over the tangent block of
+    the frame, then projects the graded objects.  Construction refuses,
+    in this order: SchemaError when there is no normal or no tangent
+    coordinate (IndexOutOfRange for a normal index outside the
+    algebra); NotTangent when the declared unit depends on a normal
+    coordinate, when a Hopf monomial of degree <= depth pushes a
+    generator out of the ideal, or when the product in force leaves it
+    on a sample; and NoBlockSplit when the frame has no tangent/normal
+    partition matching the quotient dimension.
+    """
+
+    def __init__(self, cal, normal_coords, depth=2):
+        alg = cal.alg
         normal = tuple(sorted(set(normal_coords)))
         if not normal:
             raise SchemaError("the ideal needs a normal coordinate")
         for j in normal:
-            if not 0 <= j < algebra.arity:
-                raise IndexOutOfRange(("normal coordinate", j, algebra.arity))
-        self.normal = normal
-        self.tangent = tuple(
-            j for j in range(algebra.arity) if j not in normal
-        )
-        if not self.tangent:
+            if not 0 <= j < alg.arity:
+                raise IndexOutOfRange(("normal coordinate", j, alg.arity))
+        tangent = tuple(j for j in range(alg.arity) if j not in normal)
+        if not tangent:
             raise SchemaError("the ideal leaves no tangent coordinate")
-        if algebra.unit is not None:
-            for e in algebra.unit:
-                if any(e[j] for j in self.normal):
-                    raise NotTangent(
-                        "localized unit depends on a normal coordinate"
-                    )
-        self.generators = [algebra.coord(j) for j in normal]
-
-    def _drop_normal(self, a, target, fn):
-        """a with every exponent that carries a normal letter dropped and
-        fn applied to the rest, as an element of target."""
-        if not isinstance(a, AlgebraElement) or a.algebra != self.algebra:
-            raise RingMismatch(("element of another algebra", self.algebra,
-                                getattr(a, "algebra", a)))
-        normal = self.normal
-        return a._remap(target, lambda e: None if any(
-            e[j] for j in normal) else fn(e))
-
-    def reduce(self, a):
-        """Normal form of an ambient element modulo the ideal."""
-        return self._drop_normal(a, self.algebra, lambda e: e)
-
-    def contains(self, a):
-        return self.reduce(a).is_zero()
-
-    # -- quotient data ------------------------------------------------
-
-    def quotient_algebra(self):
-        """Coordinate algebra of the submanifold."""
-        alg = self.algebra
-        names = tuple(alg.names[j] for j in self.tangent)
-        unit = None
-        if alg.unit is not None:
-            unit = {
-                tuple(e[j] for j in self.tangent): c
-                for e, c in alg.unit.items()
-            }
-        return type(alg)(alg.ring, names, unit=unit)
-
-    def to_quotient(self, a, qalg):
-        """The class of a in the quotient algebra qalg, in one pass:
-        reduced and renumbered together."""
-        tangent = self.tangent
-        return self._drop_normal(
-            a, qalg, lambda e: tuple(e[j] for j in tangent))
-
-    def lift(self, abar):
-        """Tautological section of the quotient map, monomial by monomial."""
-        arity, tangent = self.algebra.arity, self.tangent
-
-        def full(e):
-            out = [0] * arity
-            for pos, j in enumerate(tangent):
-                out[j] = e[pos]
-            return tuple(out)
-
-        return abar._remap(self.algebra, full)
-
-
-def ideal_invariance(M, ideal, depth=2):
-    """First Hopf monomial (degree <= depth) pushing a generator out of
-    the ideal, or None.  The quotient action is well defined only when
-    this returns None."""
-    for exp in M.lie.monomials_up_to(depth):
-        if not any(exp):
-            continue
-        for g in ideal.generators:
-            img = M.action.act_monomial(exp, g)
-            if not ideal.contains(img):
-                return {"monomial": exp, "generator": g, "image": img}
-    return None
-
-
-def is_tangent(cal, ideal, X):
-    """A grade-1 field is tangent when it maps the ideal into itself,
-    checked on the generators."""
-    for g in ideal.generators:
-        if not ideal.contains(cal.apply_field(X, g)):
-            return False
-    return True
-
-
-class Projection:
-    """Quotient map of one calculus instance by a preserved ideal.
-
-    Builds the quotient module algebra (same symmetry, same twist, the
-    reduced action) and the quotient calculus over the tangent block of
-    the frame, then projects the graded objects.  Construction raises
-    NotTangent when the action or the product in force fails to
-    preserve the ideal, and NoBlockSplit when the frame has no
-    tangent/normal partition matching the quotient dimension.
-    """
-
-    def __init__(self, cal, ideal, depth=2):
-        if ideal.algebra != cal.alg:
-            raise RingMismatch(("ideal over another algebra", ideal.algebra, cal.alg))
+        if alg.unit is not None and any(
+                e[j] for e in alg.unit for j in normal):
+            raise NotTangent("localized unit depends on a normal coordinate")
         self.cal = cal
-        self.ideal = ideal
         self.depth = depth
-        bad = ideal_invariance(cal.M, ideal, depth)
-        if bad is not None:
-            raise NotTangent(bad)
-        self._check_star_ideal()
+        self.normal, self.tangent = normal, tangent
+        self.generators = [alg.coord(j) for j in normal]
+
+        # the quotient action is well defined only when no Hopf monomial
+        # pushes a generator out of the ideal
+        M = cal.M
+        for exp in cal.lie.monomials_up_to(depth):
+            if not any(exp):
+                continue
+            for g in self.generators:
+                img = M.action.act_monomial(exp, g)
+                if not self.contains(img):
+                    raise NotTangent(
+                        {"monomial": exp, "generator": g, "image": img})
+        for g in self.generators:
+            for a in coordinate_monomials(alg, _SAMPLE_DEGREE):
+                if not self.contains(M.mul(g, a)):
+                    raise NotTangent(("left product leaves ideal", g, a))
+                if not self.contains(M.mul(a, g)):
+                    raise NotTangent(("right product leaves ideal", a, g))
 
         self.tangent_idx = [
-            u
-            for u in range(cal.dim)
-            if is_tangent(cal, ideal, cal.frame_field(u))
+            u for u in range(cal.dim) if self.is_tangent(cal.frame_field(u))
         ]
         self.normal_idx = [
             u for u in range(cal.dim) if u not in self.tangent_idx
         ]
-        if len(self.tangent_idx) != len(ideal.tangent):
+        if len(self.tangent_idx) != len(tangent):
             raise NoBlockSplit(
                 ("tangent frame block has wrong size", self.tangent_idx)
             )
@@ -181,42 +115,83 @@ class Projection:
             for k in range(cal.dim + 1) for w in increasing_words(cal.dim, k)
         }
 
-        qalg = ideal.quotient_algebra()
-        self.qalg = qalg
+        unit = None
+        if alg.unit is not None:
+            unit = {tuple(e[j] for j in tangent): c
+                    for e, c in alg.unit.items()}
+        self.qalg = type(alg)(
+            alg.ring, tuple(alg.names[j] for j in tangent), unit=unit)
         qimages = {
-            i: tuple(
-                ideal.to_quotient(cal.M.action.images[i][j], qalg)
-                for j in ideal.tangent
-            )
+            i: tuple(self.function(M.action.images[i][j]) for j in tangent)
             for i in range(cal.lie.dim)
         }
-        qaction = Action(cal.lie, qalg, qimages)
-        qM = ModuleAlgebra(qaction, twist=cal.M.twist)
+        qM = ModuleAlgebra(Action(cal.lie, self.qalg, qimages), twist=M.twist)
         qframe = [
-            tuple(
-                ideal.to_quotient(cal.images[u][j], qalg)
-                for j in ideal.tangent
-            )
+            tuple(self.function(cal.images[u][j]) for j in tangent)
             for u in self.tangent_idx
         ]
         self.q = Calculus(qM, qframe)
 
-    def _check_star_ideal(self):
-        M = self.cal.M
-        for g in self.ideal.generators:
-            for a in coordinate_monomials(self.cal.alg, _SAMPLE_DEGREE):
-                if not self.ideal.contains(M.mul(g, a)):
-                    raise NotTangent(("left product leaves ideal", g, a))
-                if not self.ideal.contains(M.mul(a, g)):
-                    raise NotTangent(("right product leaves ideal", a, g))
+    # -- the ideal -----------------------------------------------------
+
+    def _drop_normal(self, a, target, fn):
+        """a with every exponent that carries a normal letter dropped and
+        fn applied to the rest, as an element of target."""
+        alg = self.cal.alg
+        if not isinstance(a, AlgebraElement) or a.algebra != alg:
+            raise RingMismatch(("element of another algebra", alg,
+                                getattr(a, "algebra", a)))
+        normal = self.normal
+        return a._remap(target, lambda e: None if any(
+            e[j] for j in normal) else fn(e))
+
+    def reduce(self, a):
+        """Normal form of an ambient element modulo the ideal."""
+        return self._drop_normal(a, self.cal.alg, lambda e: e)
+
+    def contains(self, a):
+        return self.reduce(a).is_zero()
+
+    def is_tangent(self, X):
+        """A grade-1 field is tangent when it maps the ideal into itself,
+        checked on the generators."""
+        return all(self.contains(self.cal.apply_field(X, g))
+                   for g in self.generators)
+
+    def axiom_one_witness(self, X):
+        """Exhibit a projection-kernel field as an ideal-coefficient
+        combination of frame fields.  Raises AxiomOneUnwitnessed when some
+        coefficient sits outside the ideal."""
+        if X.kind != "mv" or X.grade != 1:
+            raise GradeMismatch(
+                ("kernel witness needs a grade-1 field", X.kind, X.grade))
+        out = []
+        for (u,), c in X.terms.items():
+            if not self.contains(c):
+                raise AxiomOneUnwitnessed((u, c))
+            out.append((c, u))
+        return out
 
     # -- pushforward of graded objects ---------------------------------
 
     def function(self, a):
-        return self.ideal.to_quotient(a, self.qalg)
+        """The class of a in the quotient algebra, in one pass: reduced
+        and renumbered together."""
+        tangent = self.tangent
+        return self._drop_normal(
+            a, self.qalg, lambda e: tuple(e[j] for j in tangent))
 
     def lift_function(self, abar):
-        return self.ideal.lift(abar)
+        """Tautological section of the quotient map, monomial by monomial."""
+        arity, tangent = self.cal.alg.arity, self.tangent
+
+        def full(e):
+            out = [0] * arity
+            for pos, j in enumerate(tangent):
+                out[j] = e[pos]
+            return tuple(out)
+
+        return abar._remap(self.cal.alg, full)
 
     def _push(self, obj):
         """The words of obj over tangent frame letters, renumbered for
@@ -232,7 +207,7 @@ class Projection:
         """Project a tangent multivector; NotTangent when a word with a
         normal letter carries a coefficient outside the ideal."""
         for w, c in X.terms.items():
-            if self._words[w] is None and not self.ideal.contains(c):
+            if self._words[w] is None and not self.contains(c):
                 raise NotTangent((w, c))
         return self._push(X)
 
@@ -257,10 +232,8 @@ class Projection:
             raise RingMismatch(("metric of another calculus", metric.cal.alg))
         for u in self.tangent_idx:
             for n in self.normal_idx:
-                if not (
-                    self.ideal.contains(metric.matrix[u][n])
-                    and self.ideal.contains(metric.matrix[n][u])
-                ):
+                if not (self.contains(metric.matrix[u][n])
+                        and self.contains(metric.matrix[n][u])):
                     raise NoBlockSplit(("mixed metric entry", u, n))
         block = [
             [self.function(metric.matrix[u][v]) for v in self.tangent_idx]
@@ -273,31 +246,10 @@ class Projection:
         projection of a block-split geometry."""
         if conn.cal is not self.cal:
             raise RingMismatch(("connection of another calculus", conn.cal.alg))
-        gamma = [
-            [
-                [
-                    self.function(conn.gamma[a][b][c])
-                    for c in self.tangent_idx
-                ]
-                for b in self.tangent_idx
-            ]
-            for a in self.tangent_idx
-        ]
+        t = self.tangent_idx
+        gamma = [[[self.function(conn.gamma[a][b][c]) for c in t] for b in t]
+                 for a in t]
         return Connection(self.q, gamma)
-
-
-def axiom_one_witness(proj, X):
-    """Exhibit a projection-kernel field as an ideal-coefficient
-    combination of frame fields.  Raises AxiomOneUnwitnessed when some
-    coefficient sits outside the ideal."""
-    if X.kind != "mv" or X.grade != 1:
-        raise GradeMismatch(("kernel witness needs a grade-1 field", X.kind, X.grade))
-    out = []
-    for (u,), c in X.terms.items():
-        if not proj.ideal.contains(c):
-            raise AxiomOneUnwitnessed((u, c))
-        out.append((c, u))
-    return out
 
 
 def check_sequence(proj, coeff_degree=2):
@@ -305,7 +257,7 @@ def check_sequence(proj, coeff_degree=2):
     and lifted-then-projected is the identity; kernel fields are
     witnessed ideal combinations of the frame."""
     rep = Report("sequence", {"coeff_degree": coeff_degree})
-    cal, ideal = proj.cal, proj.ideal
+    cal = proj.cal
 
     rep.check("lift-section", "pr(lift(X)) = X", violations(
         ("field", "round_trip"),
@@ -315,7 +267,7 @@ def check_sequence(proj, coeff_degree=2):
 
     def kernel_witness():
         kernel = []
-        for g in ideal.generators:
+        for g in proj.generators:
             for u in range(cal.dim):
                 kernel.append(cal.mv(1, {(u,): g}))
                 for m in coordinate_monomials(cal.alg, coeff_degree):
@@ -326,7 +278,7 @@ def check_sequence(proj, coeff_degree=2):
             if not proj.multivector(X).is_zero():
                 yield {"field": repr(X), "note": "kernel not killed"}
             try:
-                pieces = axiom_one_witness(proj, X)
+                pieces = proj.axiom_one_witness(X)
             except AxiomOneUnwitnessed as exc:
                 yield {"field": repr(X), "unwitnessed": repr(exc.args)}
                 continue
@@ -370,15 +322,14 @@ def projection_suite(proj, coeff_degree=2):
     the Hopf monomial depth the projection was built with.  Each field
     and form is pushed once and carried beside it in the cases.  The
     insertion and lie-derivative rows share one table of i_X w and
-    i_{pr X} pr w per (field, form) pair, built just before the
-    insertion row, so an engine error in a shared value surfaces when
-    the table is built.  The lie-derivative row forms L_X w on both
+    i_{pr X} pr w per (field, form) pair, built inside the insertion
+    row's search, so its timing carries the build and an engine error
+    in a shared value surfaces there.  The lie-derivative row forms L_X w on both
     sides from the stored i_X w with `Calculus.lie_from_insert`,
     unmemoized: the ambient (field, form) pairs never repeat, nor do
     the pushed pairs with no zero member, so a memo would keep every
     value and hit none."""
-    cal, ideal = proj.cal, proj.ideal
-    q = proj.q
+    cal, q = proj.cal, proj.q
     depth = proj.depth
     rep = Report(
         "projection",
@@ -412,11 +363,16 @@ def projection_suite(proj, coeff_degree=2):
         ((om, proj.form(cal.d(om)), q.d(omq)) for om, omq in pushed_forms),
         lambda om, lhs, rhs: lhs == rhs))
 
-    ambient, quotient = _insertion_tables(proj, pushed_fields, pushed_forms)
+    tables = None
 
     def cases():
         """(X, w, pr X, pr w, i_X w, pr(i_X w), i_{pr X} pr w) per
-        pair, in family order."""
+        pair, in family order.  The first row that asks builds the
+        tables, inside its timed search; the next one reads them."""
+        nonlocal tables
+        if tables is None:
+            tables = _insertion_tables(proj, pushed_fields, pushed_forms)
+        ambient, quotient = tables
         for (X, Xq), row, qrow in zip(pushed_fields, ambient, quotient):
             for (om, omq), (ins, pushed), qins in zip(pushed_forms, row, qrow):
                 yield X, om, Xq, omq, ins, pushed, qins
@@ -438,10 +394,10 @@ def projection_suite(proj, coeff_degree=2):
                   ("monomial", "generator", "frame", "coefficient"),
                   ((exp, g, u, c)
                    for exp in cal.lie.monomials_up_to(depth) if any(exp)
-                   for g in ideal.generators
+                   for g in proj.generators
                    for u in range(cal.dim)
                    for c in cal.h_act_exp(exp, cal.mv(1, {(u,): g})).terms.values()),
-                  lambda exp, g, u, c: ideal.contains(c)))
+                  lambda exp, g, u, c: proj.contains(c)))
     return rep
 
 

@@ -28,9 +28,7 @@ from braidcalc.modalg import (
 from braidcalc.ring import RATIONAL, PolyAlgebra, Ring
 from braidcalc.submanifold import (
     Projection,
-    SubmanifoldIdeal,
     check_sequence,
-    is_tangent,
     projection_geometry_suite,
     projection_suite,
     twist_projection_suite,
@@ -174,14 +172,13 @@ def ambient_threespace(ring=RATIONAL, unit=None):
 
 def test_submanifold_projection_and_quotient_geometry():
     cal = ambient_threespace()
-    ideal = SubmanifoldIdeal(cal.alg, normal_coords=(2,))
+    proj = Projection(cal, (2,))
     zcoord = cal.alg.coord(2)
     fields = [cal.frame_field(0), cal.frame_field(1), cal.frame_field(2),
               cal.mv(1, {(2,): zcoord})]
-    assert [is_tangent(cal, ideal, X) for X in fields] == [
+    assert [proj.is_tangent(X) for X in fields] == [
         True, True, False, True]
 
-    proj = Projection(cal, ideal)
     require(projection_suite(proj, coeff_degree=2),
             ("product", "field-application", "differential",
              "insertion", "lie-derivative", "bracket"))
@@ -198,7 +195,7 @@ def test_submanifold_projection_and_quotient_geometry():
         [zero, ualg.unit_element(), zero],
         [zero, zero, one],
     ])
-    uproj = Projection(ucal, SubmanifoldIdeal(ualg, normal_coords=(2,)))
+    uproj = Projection(ucal, (2,))
     require(projection_geometry_suite(uproj, metric),
             ("block-split", "quotient-solve", "metric-restriction"))
     assert uproj.connection(levi_civita(metric)) == levi_civita(
@@ -209,8 +206,7 @@ def test_submanifold_projection_and_quotient_geometry():
     biv = TensorElement(tcal.lie, 2, {((1, 0), (0, 1)): ring.h()})
     twisted = Calculus(ModuleAlgebra(tcal.M.action,
                                      twist=exp_twist(tcal.lie, biv)))
-    tideal = SubmanifoldIdeal(twisted.alg, normal_coords=(2,))
-    rep = twist_projection_suite(Projection(twisted, tideal), coeff_degree=2)
+    rep = twist_projection_suite(Projection(twisted, (2,)), coeff_degree=2)
     require(rep, ("star-naturality", "classical-shadow", "product",
                   "field-application"))
 

@@ -1,6 +1,7 @@
 """Cartan calculus engine: frozen classical values, independent
 evaluation oracles, braided identities and gauge transports."""
 
+import functools
 import json
 from itertools import product
 from pathlib import Path
@@ -33,8 +34,8 @@ from braidcalc.errors import (
 )
 from braidcalc.hopf import LieAlgebra, TensorElement
 from braidcalc.modalg import Action, ModuleAlgebra, coordinate_monomials
-from braidcalc.report import violations
-from braidcalc.ring import RATIONAL, PolyAlgebra, Ring
+from braidcalc.report import Report, violations
+from braidcalc.ring import RATIONAL, PolyAlgebra, Ring, _memo
 from braidcalc.twist import exp_twist
 
 
@@ -909,6 +910,66 @@ def test_schouten_leibniz_row_sees_a_wrong_braiding(make):
     assert failing == {
         "graded-leibniz": {"X": "(1*y)e0", "Y": "(1*x)e0", "Z": "(1*x)e1"},
     }
+
+
+def rows_in_progress(monkeypatch):
+    """Patch Report.check to keep the name of the row whose search is
+    running; the returned list is empty between rows."""
+    running = []
+    check = Report.check
+
+    def checking(self, name, law, found):
+        running.append(name)
+        try:
+            check(self, name, law, found)
+        finally:
+            running.pop()
+
+    monkeypatch.setattr(Report, "check", checking)
+    return running
+
+
+@pytest.mark.parametrize("suite, want", [
+    (cartan_suite, [("legged insert", "insert-insert"),
+                    ("rows of insert", "insert-insert"),
+                    ("right images", "insert-insert"),
+                    ("left images", "insert-insert"),
+                    ("legged lie_derivative", "lie-insert"),
+                    ("rows of lie_derivative", "lie-insert")]),
+    (schouten_suite, [("legged schouten", "graded-leibniz"),
+                      ("rows of schouten", "graded-leibniz"),
+                      ("right images", "graded-leibniz"),
+                      ("left images", "graded-leibniz"),
+                      ("rows of wedge", "graded-leibniz")]),
+], ids=["cartan", "schouten"])
+def test_shared_tables_are_built_in_the_first_row_that_reads_them(
+        monkeypatch, suite, want):
+    """Each table of a suite's `_SuiteValues` is built once, inside the
+    timed search of the first row that reads it, so the text timings
+    carry the build."""
+    running = rows_in_progress(monkeypatch)
+    built = []
+
+    def recording(what, fn):
+        @functools.wraps(fn)
+        def build(self, *args):
+            built.append((what(*args), running[-1] if running else None))
+            return fn(self, *args)
+        return _memo(build)
+
+    values = calculus._SuiteValues
+    for side in ("left", "right"):
+        monkeypatch.setattr(values, side, property(recording(
+            lambda side=side: side + " images",
+            getattr(values, side).fget.__wrapped__)))
+    monkeypatch.setattr(values, "rows", recording(
+        lambda apply, over_ys: "rows of " + apply.__name__,
+        values.rows.__wrapped__))
+    monkeypatch.setattr(values, "legged", recording(
+        lambda apply: "legged " + apply.__name__, values.legged.__wrapped__))
+    rep = suite(moyal_cal(), coeff_degree=1)
+    assert rep.passed, rep.to_text()
+    assert built == want
 
 
 def test_lie_derivative_frozen():

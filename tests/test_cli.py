@@ -585,6 +585,33 @@ def test_degenerate_declarations_refused_under_python_O(tmp_path, edit):
         assert "SchemaError" in run.stderr, run.stderr
 
 
+def test_unit_on_a_normal_coordinate_refused_under_python_O(tmp_path):
+    """A declared unit that depends on a normal coordinate is refused
+    when the projection is built, after the normal coordinates check
+    out and before the ideal's invariance is searched: one failing
+    construction row, the same under -O."""
+    data = json.loads((SCENARIOS / "surface.json").read_text())
+    data["action"]["unit"] = "1 + z^2"
+    path = tmp_path / "sc.json"
+    path.write_text(json.dumps(data))
+    args = ["project", str(path), "--format", "structured"]
+    plain = run_cli(args, optimize=False)
+    opt = run_cli(args, optimize=True)
+    assert plain.returncode == opt.returncode == 1, plain.stderr
+    assert opt.stdout == plain.stdout
+    assert plain.stderr == opt.stderr == ""
+    checks = [check for report in json.loads(plain.stdout)["reports"]
+              for check in report["checks"]]
+    assert checks == [{
+        "name": "construction",
+        "law": "instance builds without engine errors",
+        "passed": False,
+        "counterexample": {
+            "error": "NotTangent",
+            "detail": "localized unit depends on a normal coordinate"},
+    }]
+
+
 def _run_edited(tmp_path, capsys, name, edit, argv):
     """Run `argv` on the bundled scenario `name` after `edit(data)`;
     returns (exit status, stdout, stderr)."""

@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from braidcalc import geometry
 from braidcalc.calculus import Calculus
 from braidcalc.cli import Scenario
 from braidcalc.errors import (
@@ -253,6 +254,26 @@ def test_perturbation_suite_catches_every_shift():
     assert len(rep.checks) == 20
     # each trial is timed, as search rows are
     assert all(c.seconds > 0 for c in rep.checks), [c.seconds for c in rep.checks]
+
+
+def test_uncaught_perturbation_names_its_shift(monkeypatch):
+    """With both searches patched to find nothing, every trial fails,
+    and its counterexample is the shift its law names, in the seeded
+    order."""
+    cal = curved_cal()
+    metric = curved_metric(cal)
+    conn = levi_civita(metric)
+    monkeypatch.setattr(geometry, "_torsion_violations", lambda *a: iter(()))
+    monkeypatch.setattr(geometry, "_metricity_violations", lambda *a: iter(()))
+    rep = perturbation_suite(conn, metric, seed=11, trials=20)
+    assert rep.failing() == rep.checks
+    assert [c.counterexample for c in rep.checks] == [
+        {"delta": d} for d in (
+            "-9/4", "-8/5", "3", "1", "-4/9", "1/4", "3/2", "7/2", "-1/4",
+            "-1", "-2/5", "-2", "-9/4", "-7/2", "-5", "-3/4", "-7/2", "1",
+            "7/3", "4/3")]
+    for c in rep.checks:
+        assert c.law.endswith(" by %s breaks a law" % c.counterexample["delta"])
 
 
 def test_perturbation_suite_skew():

@@ -18,15 +18,11 @@ from braidcalc.errors import (
 from braidcalc.geometry import Metric, field_family, levi_civita
 from braidcalc.hopf import LieAlgebra, TensorElement
 from braidcalc.modalg import Action, ModuleAlgebra, coordinate_monomials
-from braidcalc.report import violations
+from braidcalc.report import Report, violations
 from braidcalc.ring import RATIONAL, AlgebraElement, PolyAlgebra, Ring
 from braidcalc.submanifold import (
     Projection,
-    SubmanifoldIdeal,
-    axiom_one_witness,
     check_sequence,
-    ideal_invariance,
-    is_tangent,
     projection_geometry_suite,
     projection_suite,
     twist_projection_suite,
@@ -43,10 +39,6 @@ def ambient_cal(ring=RATIONAL):
         1: (alg.zero(), alg.one(), alg.zero()),
     })
     return Calculus(ModuleAlgebra(action))
-
-
-def z_ideal(cal):
-    return SubmanifoldIdeal(cal.alg, normal_coords=(2,))
 
 
 def curved_ambient_cal(ring=RATIONAL):
@@ -99,32 +91,37 @@ def normal_leg_cal(order=3):
 def test_reduce_and_contains():
     cal = ambient_cal()
     alg = cal.alg
-    ideal = z_ideal(cal)
+    proj = Projection(cal, (2,))
     x, y, z = alg.coord(0), alg.coord(1), alg.coord(2)
-    assert ideal.reduce(x + z * y) == x
-    assert ideal.contains(z * x * x)
-    assert not ideal.contains(x)
-    assert ideal.generators == [z]
+    assert proj.reduce(x + z * y) == x
+    assert proj.contains(z * x * x)
+    assert not proj.contains(x)
+    assert proj.generators == [z]
 
 
 def test_quotient_algebra_and_round_trip():
     cal = curved_ambient_cal()
-    ideal = z_ideal(cal)
-    qalg = ideal.quotient_algebra()
+    proj = Projection(cal, (2,))
+    qalg = proj.qalg
     assert qalg.names == ("x", "y")
     assert qalg.unit == {(0, 0): RATIONAL.scalar(1),
                         (2, 0): RATIONAL.scalar(1)}
     alg = cal.alg
     a = alg.coord(0) * alg.coord(1) + alg.coord(0)
-    assert ideal.lift(ideal.to_quotient(a, qalg)) == a
-    assert ideal.to_quotient(alg.coord(2), qalg).is_zero()
+    assert proj.lift_function(proj.function(a)) == a
+    assert proj.function(alg.coord(2)).is_zero()
 
 
 def test_localized_unit_must_be_tangent():
     unit = {(0, 0, 0): RATIONAL.scalar(1), (0, 0, 2): RATIONAL.scalar(1)}
     alg = PolyAlgebra(RATIONAL, ("x", "y", "z"), unit=unit)
+    lie = LieAlgebra(RATIONAL, ("P1", "P2"), {})
+    action = Action(lie, alg, {
+        0: (alg.one(), alg.zero(), alg.zero()),
+        1: (alg.zero(), alg.one(), alg.zero()),
+    })
     with pytest.raises(NotTangent):
-        SubmanifoldIdeal(alg, normal_coords=(2,))
+        Projection(Calculus(ModuleAlgebra(action)), (2,))
 
 
 # ---------------------------------------------------------------------
@@ -134,12 +131,12 @@ def test_localized_unit_must_be_tangent():
 
 def test_tangency_table():
     cal = ambient_cal()
-    ideal = z_ideal(cal)
+    proj = Projection(cal, (2,))
     z = cal.alg.coord(2)
-    assert is_tangent(cal, ideal, cal.frame_field(0))
-    assert is_tangent(cal, ideal, cal.frame_field(1))
-    assert not is_tangent(cal, ideal, cal.frame_field(2))
-    assert is_tangent(cal, ideal, cal.mv(1, {(2,): z}))
+    assert proj.is_tangent(cal.frame_field(0))
+    assert proj.is_tangent(cal.frame_field(1))
+    assert not proj.is_tangent(cal.frame_field(2))
+    assert proj.is_tangent(cal.mv(1, {(2,): z}))
 
 
 def test_invariance_counterexample():
@@ -151,11 +148,11 @@ def test_invariance_counterexample():
         1: (alg.zero(), alg.zero(), alg.one()),
     })
     cal = Calculus(ModuleAlgebra(action))
-    ideal = z_ideal(cal)
-    bad = ideal_invariance(cal.M, ideal, depth=2)
-    assert bad is not None and bad["monomial"] == (0, 1)
-    with pytest.raises(NotTangent):
-        Projection(cal, ideal)
+    with pytest.raises(NotTangent) as refused:
+        Projection(cal, (2,), depth=2)
+    bad = refused.value.args[0]
+    assert set(bad) == {"monomial", "generator", "image"}
+    assert bad["monomial"] == (0, 1)
 
 
 # ---------------------------------------------------------------------
@@ -165,7 +162,7 @@ def test_invariance_counterexample():
 
 def test_projection_construction():
     cal = ambient_cal()
-    proj = Projection(cal, z_ideal(cal))
+    proj = Projection(cal, (2,))
     assert proj.tangent_idx == [0, 1]
     assert proj.normal_idx == [2]
     assert proj.q.dim == 2
@@ -174,7 +171,7 @@ def test_projection_construction():
 
 def test_project_fields_and_forms():
     cal = ambient_cal()
-    proj = Projection(cal, z_ideal(cal))
+    proj = Projection(cal, (2,))
     alg, q = cal.alg, proj.q
     x, z = alg.coord(0), alg.coord(2)
 
@@ -192,7 +189,7 @@ def test_project_fields_and_forms():
 
 def test_field_application_through_projection():
     cal = ambient_cal()
-    proj = Projection(cal, z_ideal(cal))
+    proj = Projection(cal, (2,))
     alg = cal.alg
     x, y, z = alg.coord(0), alg.coord(1), alg.coord(2)
     X = cal.mv(1, {(0,): y})
@@ -205,27 +202,27 @@ def test_field_application_through_projection():
 
 def test_projection_suite_classical():
     cal = ambient_cal()
-    proj = Projection(cal, z_ideal(cal))
+    proj = Projection(cal, (2,))
     rep = projection_suite(proj, coeff_degree=2)
     assert rep.passed, [c.name for c in rep.failing()]
 
 
 def test_check_sequence():
     cal = ambient_cal()
-    proj = Projection(cal, z_ideal(cal))
+    proj = Projection(cal, (2,))
     rep = check_sequence(proj, coeff_degree=2)
     assert rep.passed, [c.name for c in rep.failing()]
 
 
 def test_axiom_one_witness():
     cal = ambient_cal()
-    proj = Projection(cal, z_ideal(cal))
+    proj = Projection(cal, (2,))
     alg = cal.alg
     z = alg.coord(2)
     X = cal.mv(1, {(0,): z, (2,): z * z})
-    assert axiom_one_witness(proj, X) == [(z, 0), (z * z, 2)]
+    assert proj.axiom_one_witness(X) == [(z, 0), (z * z, 2)]
     with pytest.raises(AxiomOneUnwitnessed):
-        axiom_one_witness(proj, cal.mv(1, {(0,): alg.coord(0)}))
+        proj.axiom_one_witness(cal.mv(1, {(0,): alg.coord(0)}))
 
 
 # ---------------------------------------------------------------------
@@ -235,7 +232,7 @@ def test_axiom_one_witness():
 
 def test_projected_levi_civita_matches_surface():
     cal = curved_ambient_cal()
-    proj = Projection(cal, z_ideal(cal))
+    proj = Projection(cal, (2,))
     qmetric = proj.metric(curved_ambient_metric(cal))
     conn = levi_civita(qmetric)
     qalg = proj.q.alg
@@ -250,7 +247,7 @@ def test_projected_levi_civita_matches_surface():
 
 def test_projection_geometry_suite():
     cal = curved_ambient_cal()
-    proj = Projection(cal, z_ideal(cal))
+    proj = Projection(cal, (2,))
     rep = projection_geometry_suite(
         proj, curved_ambient_metric(cal), coeff_degree=1
     )
@@ -297,7 +294,7 @@ def test_projection_suites_push_and_lift_each_member_once(monkeypatch):
     and every quotient field of projection_geometry_suite lifted once;
     each row reads the image from there, outer member included."""
     cal = curved_ambient_cal()
-    proj = Projection(cal, z_ideal(cal))
+    proj = Projection(cal, (2,))
     members = recorded_members(monkeypatch)
     fields = counting_calls(monkeypatch, "multivector")
     forms = counting_calls(monkeypatch, "form")
@@ -321,7 +318,7 @@ def test_projection_suite_inserts_each_pair_once(monkeypatch):
     ambient (field, form) pair and i_{pr X} pr w for every pushed pair:
     each pair is inserted exactly once, by identity."""
     cal = curved_ambient_cal()
-    proj = Projection(cal, z_ideal(cal))
+    proj = Projection(cal, (2,))
     members = recorded_members(monkeypatch)
     images = {}
     for name in ("multivector", "form"):
@@ -348,6 +345,30 @@ def test_projection_suite_inserts_each_pair_once(monkeypatch):
     assert [inserted[id(X), id(om)] for X, om in pairs] == [1] * len(pairs)
 
 
+def test_insertion_tables_are_built_in_the_insertion_row(monkeypatch):
+    """The shared i_X w tables are built once, inside the insertion
+    row's timed search, so its text timing carries the build."""
+    running, built = [], []
+    check, tables = Report.check, submanifold._insertion_tables
+
+    def checking(self, name, law, found):
+        running.append(name)
+        try:
+            check(self, name, law, found)
+        finally:
+            running.pop()
+
+    def building(*args):
+        built.append(running[-1] if running else None)
+        return tables(*args)
+
+    monkeypatch.setattr(Report, "check", checking)
+    monkeypatch.setattr(submanifold, "_insertion_tables", building)
+    cal = curved_ambient_cal()
+    assert projection_suite(Projection(cal, (2,)), coeff_degree=1).passed
+    assert built == ["insertion"]
+
+
 def test_quotient_d_slip_on_functions_fails_only_the_lie_derivative():
     """A quotient differential that flips the sign on grade-0 forms
     only fails the lie-derivative row, which reads d of the stored
@@ -357,7 +378,7 @@ def test_quotient_d_slip_on_functions_fails_only_the_lie_derivative():
     order, whose quotient insertion is a function with a nonzero
     differential."""
     cal = curved_ambient_cal()
-    proj = Projection(cal, z_ideal(cal))
+    proj = Projection(cal, (2,))
     q = proj.q
     fields = field_family(cal, 1, frame=proj.tangent_idx)
     forms = graded_family(cal.form, cal.dim, (1, 2),
@@ -378,7 +399,7 @@ def test_quotient_d_slip_on_functions_fails_only_the_lie_derivative():
 
 def test_mixed_metric_entry_refuses_to_split():
     cal = curved_ambient_cal()
-    proj = Projection(cal, z_ideal(cal))
+    proj = Projection(cal, (2,))
     one = cal.alg.one()
     kappa = cal.alg.unit_element()
     z = cal.alg.zero()
@@ -394,13 +415,13 @@ def test_mixed_metric_entry_refuses_to_split():
 
 def test_twist_projection_suite_passes():
     cal = moyal_ambient_cal(order=3)
-    rep = twist_projection_suite(Projection(cal, z_ideal(cal)), coeff_degree=1)
+    rep = twist_projection_suite(Projection(cal, (2,)), coeff_degree=1)
     assert rep.passed, [c.name for c in rep.failing()]
 
 
 def test_twisted_quotient_star_frozen():
     cal = moyal_ambient_cal(order=3)
-    proj = Projection(cal, z_ideal(cal))
+    proj = Projection(cal, (2,))
     q = proj.q
     ring = cal.ring
     qx, qy = q.alg.coord(0), q.alg.coord(1)
@@ -413,7 +434,7 @@ def test_twisted_quotient_star_frozen():
 def test_normal_twist_leg_rejected():
     cal = normal_leg_cal(order=3)
     with pytest.raises(NotTangent):
-        Projection(cal, z_ideal(cal))
+        Projection(cal, (2,))
 
 
 def test_sign_slip_in_quotient_names_ambient_values():
@@ -429,7 +450,7 @@ def test_sign_slip_in_quotient_names_ambient_values():
         1: (alg.zero(), alg.zero(), alg.one()),
     })
     cal = Calculus(ModuleAlgebra(action))
-    proj = Projection(cal, SubmanifoldIdeal(alg, normal_coords=(0,)))
+    proj = Projection(cal, (0,))
     q = proj.q
     y = alg.coord(1)
     form = cal.form(1, {(1,): y})
@@ -470,7 +491,7 @@ def test_projection_suite_keeps_no_ambient_lie_derivative_memo():
     entry."""
     path = Path(__file__).resolve().parent.parent / "scenarios" / "surface.json"
     sc = Scenario(json.loads(path.read_text()))
-    proj = Projection(sc.calculus(), sc.ideal(), depth=3)
+    proj = Projection(sc.calculus(), sc._parse_ideal(), depth=3)
     rep = projection_suite(proj, 2)
     assert rep.passed, rep.to_text()
     assert _lie_memo_entries(proj.cal) == 0
