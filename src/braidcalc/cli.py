@@ -528,7 +528,7 @@ def run_check_twist(sc, opts):
     tw = sc.twist
     return [
         check_cocycle(tw),
-        check_twisted_hopf(tw.hopf, depth),
+        check_twisted_hopf(tw, depth),
     ]
 
 

@@ -18,10 +18,11 @@ anti-map (word reversal with sign), the counit picks the coefficient of
 the unit monomial.
 
 TensorElement holds rank 1..3 tensors over the envelope with leg-wise
-multiplication, leg embedding, leg permutation and leg maps; these are
-the raw material for coproduct identities, R-matrices and twists.
-HopfStructure holds the coproduct and antipode in force, each given on
-PBW monomials, and the R-matrix (with its inverse).
+multiplication, leg embedding, the flip of two legs, leg maps and the
+contraction of all legs; these are the raw material for coproduct
+identities, R-matrices and twists.  HopfStructure holds the coproduct
+and antipode in force, each given on PBW monomials, and the R-matrix
+(with its inverse); twist.Twist is the structure a twist F gives.
 """
 
 import operator
@@ -30,7 +31,6 @@ from math import comb
 
 from .errors import (
     BadPositions,
-    BetaNotInvertible,
     IndexOutOfRange,
     JacobiViolation,
     RankMismatch,
@@ -49,7 +49,6 @@ from .ring import (
     _exponents_up_to,
     _memo,
     _monomials_repr,
-    _neumann,
     _rescale,
 )
 
@@ -266,32 +265,12 @@ class HopfElement(_Terms):
                         p._den, add)
         return HopfElement(self.lie, out, den * self._den * other._den)
 
-    def _expand(self, images):
-        """Sum of c * images(e) over the terms c x^e, `images` giving
-        elements, as (numerator map, denominator)."""
-        mul, add = self.lie.ring._mul, self.lie.ring._add
-        out, den = {}, 1
-        for e, n in self._map.items():
-            img = images(e)
-            out, den = _accumulate(
-                out, den, ((k, mul(n, s)) for k, s in img._map.items()),
-                img._den, add)
-        return out, den * self._den
-
     # -- Hopf maps ----------------------------------------------------
 
     def counit(self):
         ring = self.lie.ring
         n = self._map.get((0,) * self.lie.dim)
         return ring.zero() if n is None else Scalar(ring, n, self._den)
-
-    def series_inverse(self):
-        """Invert 1 + O(h) elements by a terminating Neumann series."""
-        one = self.lie.unit()
-        n = one - self
-        if n.min_h_order() < 1:
-            raise BetaNotInvertible("element is not 1 + O(h)")
-        return _neumann(one, n, self.lie.ring.order)
 
     def __repr__(self):
         return _monomials_repr(self.terms, self.lie.generators)
@@ -412,16 +391,12 @@ class TensorElement(_Terms):
             out[tuple(key)] = n
         return TensorElement(self.lie, rank, out, self._den)
 
-    def permute(self, perm):
-        """New tensor with leg i of the result = leg perm[i] of self."""
-        perm = tuple(perm)
-        if sorted(perm) != list(range(self.rank)):
-            raise BadPositions(perm)
-        out = {tuple(k[p] for p in perm): n for k, n in self._map.items()}
-        return TensorElement(self.lie, self.rank, out, self._den)
-
     def flip(self):
-        return self.permute((1, 0))
+        """The two legs of a rank-2 tensor swapped (R21, cop_op)."""
+        if self.rank != 2:
+            raise BadPositions((1, 0))
+        return TensorElement(self.lie, 2, {(r, l): n for (l, r), n
+                                           in self._map.items()}, self._den)
 
     def map_leg(self, idx, fn, out_rank_delta=0):
         """Replace leg idx by fn(exponent tuple) -> HopfElement or
@@ -451,25 +426,20 @@ class TensorElement(_Terms):
                for k, n in self._map.items() if k[idx] == zero}
         return TensorElement(self.lie, self.rank - 1, out, self._den)
 
-    def antipode_leg(self, idx):
-        return self.map_leg(idx, self.lie.antipode_monomial)
-
     def contract(self):
         """Multiply all legs together into one HopfElement, every term's
-        leg product folded into one numerator map."""
+        leg product expanded into one numerator map."""
         lie = self.lie
         prod = lie.monomial_product
-        mul, add = lie.ring._mul, lie.ring._add
-        out, den = {}, 1
         zero = (0,) * lie.dim
-        for k, n in self._map.items():
+
+        def legs(k):
             p = prod(k[0], k[1] if self.rank > 1 else zero)
             for e in k[2:]:
                 p = p * prod(zero, e)
-            out, den = _accumulate(
-                out, den, ((e, mul(n, s)) for e, s in p._map.items()),
-                p._den, add)
-        return HopfElement(lie, out, den * self._den)
+            return p
+
+        return HopfElement(lie, *self._expand(legs))
 
     def as_hopf(self):
         if self.rank != 1:
@@ -504,8 +474,8 @@ class TensorElement(_Terms):
 class HopfStructure:
     """The triangular Hopf structure in force on an envelope: its own
     coproduct and antipode, and the R-matrix R = Rinv = 1(x)1.  It is
-    the twist of itself by F = 1(x)1; twist.TwistedHopfData is the twist
-    by any other F.  Both maps are given on PBW monomials, by
+    the twist of itself by F = 1(x)1; its subclass twist.Twist is the
+    twist by any other F.  Both maps are given on PBW monomials, by
     `coproduct_monomial` and `antipode_monomial`, and extended linearly
     here.  Each class names its laws and antipode counterexample keys."""
 

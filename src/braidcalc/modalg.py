@@ -8,10 +8,11 @@ bracket table is verified at construction.
 
 A ModuleAlgebra bundles the action with the Hopf structure and product
 *in force*: the envelope's own structure (R = 1(x)1) and the plain
-product for a classical instance, or the twisted structure (R_F =
-F21 Finv) and the star product a * b = mu (Finv |> (a (x) b)) for a
-twisted instance, whose coproduct and antipode (used by every braided
-formula downstream) are cop_F and S_F.
+product for a classical instance, or the twist itself, which is the
+twisted structure (R_F = F21 Finv), and the star product
+a * b = mu (Finv |> (a (x) b)) for a twisted instance, whose coproduct
+and antipode (used by every braided formula downstream) are cop_F and
+S_F.
 """
 
 import operator
@@ -110,7 +111,7 @@ class ModuleAlgebra:
             twist = Twist.trivial(self.lie)
         self.twist = twist
         self.is_twisted = not twist.is_trivial
-        self.hopf = twist.hopf if self.is_twisted else HopfStructure(self.lie)
+        self.hopf = twist if self.is_twisted else HopfStructure(self.lie)
 
     def __repr__(self):
         return "ModuleAlgebra(%r, twisted=%r)" % (

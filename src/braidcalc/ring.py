@@ -532,6 +532,19 @@ class _Terms:
                 return k
         return None
 
+    def _expand(self, images):
+        """Sum of c * images(k) over the terms c k, `images` giving
+        elements with Scalar coefficients, as (numerator map,
+        denominator); for Scalar-coefficient elements only."""
+        mul, add = self._ring(self)._mul, self._ring(self)._add
+        out, den = {}, 1
+        for key, n in self._map.items():
+            img = images(key)
+            out, den = _accumulate(
+                out, den, ((k, mul(n, s)) for k, s in img._map.items()),
+                img._den, add)
+        return out, den * self._den
+
     def min_h_order(self):
         """Smallest h power carried by any coefficient; ring order if zero."""
         if not self._map:

@@ -51,23 +51,25 @@ class Projection:
     Builds the quotient module algebra (same symmetry, same twist, the
     reduced action) and the quotient calculus over the tangent block of
     the frame, then projects the graded objects.  Construction refuses,
-    in this order: SchemaError when there is no normal or no tangent
-    coordinate (IndexOutOfRange for a normal index outside the
-    algebra); NotTangent when the declared unit depends on a normal
-    coordinate, when a Hopf monomial of degree <= depth pushes a
-    generator out of the ideal, or when the product in force leaves it
-    on a sample; and NoBlockSplit when the frame has no tangent/normal
-    partition matching the quotient dimension.
+    in this order: IndexOutOfRange for a normal index that is not an
+    int (a bool is not) of the algebra's range; SchemaError when there
+    is no normal or no tangent coordinate; NotTangent when the declared
+    unit depends on a normal coordinate, when a Hopf monomial of degree
+    <= depth pushes a generator out of the ideal, or when the product in
+    force leaves it on a sample; and NoBlockSplit when the frame has no
+    tangent/normal partition matching the quotient dimension.
     """
 
     def __init__(self, cal, normal_coords, depth=2):
         alg = cal.alg
+        normal_coords = tuple(normal_coords)
+        # type, not isinstance: True is no coordinate index
+        for j in normal_coords:
+            if type(j) is not int or not 0 <= j < alg.arity:
+                raise IndexOutOfRange(("normal coordinate", j, alg.arity))
         normal = tuple(sorted(set(normal_coords)))
         if not normal:
             raise SchemaError("the ideal needs a normal coordinate")
-        for j in normal:
-            if not 0 <= j < alg.arity:
-                raise IndexOutOfRange(("normal coordinate", j, alg.arity))
         tangent = tuple(j for j in range(alg.arity) if j not in normal)
         if not tangent:
             raise SchemaError("the ideal leaves no tangent coordinate")

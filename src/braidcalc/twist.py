@@ -1,11 +1,12 @@
-"""Drinfel'd twists and twisted Hopf data.
+"""Drinfel'd twists, each the Hopf structure it twists the envelope to.
 
 A twist is an invertible rank-2 tensor F over the envelope, of the
 shape 1(x)1 + higher h-order, satisfying the 2-cocycle and counit
 normalization conditions.  Twisting replaces the coproduct by
 cop_F(xi) = F cop(xi) Finv, the antipode by S_F(xi) = beta S(xi)
 betainv with beta = mu(id (x) S)(F), and the R-matrix R = 1(x)1 of the
-envelope by R_F = F21 Finv.
+envelope by R_F = F21 Finv.  A `Twist` is that twisted Hopf structure:
+it builds beta, R_F and their inverses when it is constructed.
 
 Exponential twists exp(B) of a bivector B with pairwise commuting legs
 of positive h-order are built by the truncated exponential series; the
@@ -35,18 +36,25 @@ from .report import Report, violations
 from .ring import _memo, _neumann
 
 
-def _tensor_series_inverse(t):
-    """Inverse of unit + O(h) rank-2 tensors by Neumann series."""
-    unit = TensorElement.unit(t.lie, t.rank)
-    n = unit - t
+def _neumann_inverse(x, unit, error):
+    """Inverse of x = unit + O(h) by a terminating Neumann series;
+    raises `error` when x is not of that shape."""
+    n = unit - x
     if n.min_h_order() < 1:
-        raise WrongRing("tensor is not 1(x)1 + O(h); no series inverse")
-    return _neumann(unit, n, t.lie.ring.order)
+        raise error
+    return _neumann(unit, n, x.lie.ring.order)
 
 
-class Twist:
-    """Invertible normalized rank-2 tensor; carries its exact inverse
-    and builds the Hopf structure it twists to once."""
+class Twist(HopfStructure):
+    """Invertible normalized rank-2 tensor F with its exact inverse, and
+    the Hopf structure F twists the envelope to: coproduct F cop(xi)
+    Finv, antipode beta S(xi) betainv and R-matrix R_F = F21 Finv, the
+    twist of R = 1(x)1.  Both maps are memoized per PBW monomial."""
+
+    laws = ("(cop_F (x) id)cop_F = (id (x) cop_F)cop_F",
+            "(eps (x) id)cop_F = id = (id (x) eps)cop_F",
+            "mu(S_F (x) id)cop_F = eta eps = mu(id (x) S_F)cop_F")
+    antipode_keys = ("monomial", "lhs", "rhs")
 
     def __init__(self, lie, F, Finv):
         if F.rank != 2 or Finv.rank != 2:
@@ -57,6 +65,16 @@ class Twist:
         self.lie = lie
         self.F = F
         self.Finv = Finv
+        # beta = mu (id (x) S) F
+        one = lie.unit()
+        self.beta = F.map_leg(1, lie.antipode_monomial).contract()
+        self.beta_inv = _neumann_inverse(
+            self.beta, one, BetaNotInvertible("element is not 1 + O(h)"))
+        if self.beta * self.beta_inv != one or self.beta_inv * self.beta != one:
+            raise BetaNotInvertible(repr(self.beta))
+        self.R, self.Rinv = F.flip() * Finv, F * Finv.flip()
+        if self.R * self.Rinv != unit or self.Rinv * self.R != unit:
+            raise CocycleViolation("twisted R-matrix inverse mismatch")
 
     @classmethod
     def trivial(cls, lie):
@@ -65,7 +83,9 @@ class Twist:
 
     @classmethod
     def from_tensor(cls, lie, F):
-        return cls(lie, F, _tensor_series_inverse(F))
+        return cls(lie, F, _neumann_inverse(
+            F, TensorElement.unit(lie, 2),
+            WrongRing("tensor is not 1(x)1 + O(h); no series inverse")))
 
     def swapped(self):
         """Roles of F and Finv exchanged (wrong transport direction;
@@ -76,12 +96,23 @@ class Twist:
     def is_trivial(self):
         return self.F == TensorElement.unit(self.lie, 2)
 
-    @property
     @_memo
-    def hopf(self):
-        """The Hopf structure twisted by F; every user of this twist
-        shares it, and with it its per-monomial memos."""
-        return TwistedHopfData(self.lie, self)
+    def coproduct_monomial(self, exp):
+        """F cop(x^exp) Finv, built as the algebra map it is (conjugation
+        by F is multiplicative): F cop(x_j) Finv on a generator or the
+        unit, and cop_F(x^(exp - d_j)) cop_F(x_j) for the last letter
+        x_j of a longer monomial, a product that needs no reordering."""
+        if sum(exp) <= 1:
+            return self.F * self.lie.coproduct_monomial(exp) * self.Finv
+        j = max(i for i, k in enumerate(exp) if k)
+        rest = exp[:j] + (exp[j] - 1,) + exp[j + 1:]
+        gen = (0,) * j + (1,) + (0,) * (len(exp) - j - 1)
+        return self.coproduct_monomial(rest) * self.coproduct_monomial(gen)
+
+    @_memo
+    def antipode_monomial(self, exp):
+        """beta S(x^exp) betainv."""
+        return self.beta * self.lie.antipode_monomial(exp) * self.beta_inv
 
     def __repr__(self):
         return "Twist(F=%r)" % (self.F,)
@@ -158,60 +189,10 @@ def check_cocycle(twist):
     return rep
 
 
-class TwistedHopfData(HopfStructure):
-    """The Hopf structure twisted by F: coproduct F cop(xi) Finv,
-    antipode beta S(xi) betainv and R-matrix R_F = F21 Finv, the twist
-    of R = 1(x)1.  Both maps are memoized per PBW monomial."""
-
-    laws = ("(cop_F (x) id)cop_F = (id (x) cop_F)cop_F",
-            "(eps (x) id)cop_F = id = (id (x) eps)cop_F",
-            "mu(S_F (x) id)cop_F = eta eps = mu(id (x) S_F)cop_F")
-    antipode_keys = ("monomial", "lhs", "rhs")
-
-    def __init__(self, lie, twist):
-        self.lie = lie
-        self.twist = twist
-        F, Finv = twist.F, twist.Finv
-        # beta = mu (id (x) S) F
-        self.beta = F.antipode_leg(1).contract()
-        self.beta_inv = self.beta.series_inverse()
-        if (
-            self.beta * self.beta_inv != lie.unit()
-            or self.beta_inv * self.beta != lie.unit()
-        ):
-            raise BetaNotInvertible(repr(self.beta))
-        self.R, self.Rinv = F.flip() * Finv, F * Finv.flip()
-        unit2 = TensorElement.unit(lie, 2)
-        if self.R * self.Rinv != unit2 or self.Rinv * self.R != unit2:
-            raise CocycleViolation("twisted R-matrix inverse mismatch")
-
-    @_memo
-    def coproduct_monomial(self, exp):
-        """F cop(x^exp) Finv, built as the algebra map it is (conjugation
-        by F is multiplicative): F cop(x_j) Finv on a generator or the
-        unit, and cop_F(x^(exp - d_j)) cop_F(x_j) for the last letter
-        x_j of a longer monomial, a product that needs no reordering."""
-        if sum(exp) <= 1:
-            return (self.twist.F * self.lie.coproduct_monomial(exp)
-                    * self.twist.Finv)
-        j = max(i for i, k in enumerate(exp) if k)
-        rest = exp[:j] + (exp[j] - 1,) + exp[j + 1:]
-        gen = (0,) * j + (1,) + (0,) * (len(exp) - j - 1)
-        return self.coproduct_monomial(rest) * self.coproduct_monomial(gen)
-
-    @_memo
-    def antipode_monomial(self, exp):
-        """beta S(x^exp) betainv."""
-        return self.beta * self.lie.antipode_monomial(exp) * self.beta_inv
-
-    def __repr__(self):
-        return "TwistedHopfData(%r)" % (self.twist,)
-
-
-def check_twisted_hopf(data, depth=3):
+def check_twisted_hopf(twist, depth=3):
     """Hopf axioms for the twisted structure maps plus the full
     triangular suite for R_F against cop_F."""
     rep = Report("twisted-hopf", {"depth": depth})
-    hopf_axioms(rep, data, depth)
-    rep.extend(check_triangular(data, depth=depth))
+    hopf_axioms(rep, twist, depth)
+    rep.extend(check_triangular(twist, depth=depth))
     return rep

@@ -34,7 +34,6 @@ from braidcalc.submanifold import (
     twist_projection_suite,
 )
 from braidcalc.twist import (
-    TwistedHopfData,
     check_cocycle,
     check_twisted_hopf,
     exp_twist,
@@ -98,7 +97,7 @@ def test_translation_twist_laws_at_order_four():
     biv = TensorElement(lie, 2, {((1, 0), (0, 1)): ring.h()})
     tw = exp_twist(lie, biv)
     require(check_cocycle(tw), ("cocycle", "normalization", "inverse-cocycle"))
-    require(check_twisted_hopf(TwistedHopfData(lie, tw), 3),
+    require(check_twisted_hopf(tw, 3),
             ("coassociativity", "counit", "antipode",
              "quasi-cocommutativity", "hexagon-left", "hexagon-right",
              "unitarity", "qybe"))

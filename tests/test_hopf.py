@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from braidcalc.cli import Scenario
-from braidcalc.errors import JacobiViolation
+from braidcalc.errors import BadPositions, JacobiViolation
 from braidcalc.hopf import (
     HopfStructure,
     LieAlgebra,
@@ -216,6 +216,8 @@ class TestTensorLegs:
         expect = pure(p1, abelian2.unit(), p2)
         assert t13 == expect
         assert t.flip() == pure(p2, p1)
+        with pytest.raises(BadPositions):
+            t13.flip()
 
     def test_legwise_multiplication_straightens(self, heisenberg):
         x1, x2 = heisenberg.gen(0), heisenberg.gen(1)
@@ -357,7 +359,7 @@ def _moyal_twist():
 
 
 def test_unit_monomial_coproduct_is_the_memoized_tensor(heisenberg):
-    twisted = _moyal_twist().hopf
+    twisted = _moyal_twist()
     for hopf in (HopfStructure(heisenberg), twisted):
         lie = hopf.lie
         for e in lie.monomials_up_to(2):
@@ -370,7 +372,7 @@ def test_unit_monomial_coproduct_is_the_memoized_tensor(heisenberg):
 def test_other_elements_take_the_general_path(heisenberg):
     """A coefficient of 2 or h, or two terms, is no unit monomial: the
     maps expand it and give the linear extension of the monomial maps."""
-    twisted = _moyal_twist().hopf
+    twisted = _moyal_twist()
     h = twisted.lie.ring.h()
     for hopf, scalars in ((HopfStructure(heisenberg), (2,)), (twisted, (2, h))):
         lie = hopf.lie

@@ -318,6 +318,7 @@ def test_heisenberg_twisted_instance():
     """Coproduct in force differs from the untwisted one here."""
     M = heisenberg_twisted()
     xi = M.lie.gen(1)
+    assert M.hopf is M.twist
     assert M.hopf.coproduct(xi) != HopfStructure(M.lie).coproduct(xi)
     rep = check_module_algebra(M, depth=2, degree=2)
     assert rep.passed, rep.to_text()

@@ -306,9 +306,11 @@ class TestTypedErrors:
                 lambda: LieAlgebra("rational", ["P"]),
                 lambda: TensorElement(lie, 5, {}),
                 lambda: unit2.as_hopf(),
-                lambda: unit2.permute((0, 0)),
+                lambda: unit2.embed(3, (0, 0)),
                 lambda: Projection(cal, []),
                 lambda: Projection(cal, [2]),
+                lambda: Projection(cal, ["y"]),
+                lambda: Projection(cal, [True]),
             ):
                 try:
                     print("returned", case())
@@ -346,7 +348,7 @@ class TestTypedErrors:
             "IndexOutOfRange", "ArityMismatch", "IndexOutOfRange",
             "SchemaError", "WrongRing", "RankMismatch", "RankMismatch",
             "BadPositions", "SchemaError",
-            "IndexOutOfRange",
+            "IndexOutOfRange", "IndexOutOfRange", "IndexOutOfRange",
             "RingMismatch: element of another algebra",
             "RingMismatch: metric of another calculus",
             "RingMismatch: connection of another calculus",

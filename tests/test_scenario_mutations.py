@@ -1,7 +1,9 @@
 """Mutation fuzzing of the bundled scenarios through the command line.
 
 Each example changes one thing in a bundled scenario: it replaces one
-value by a small JSON value of another type, or renames one object key.
+value by a small JSON value of another type (a string also by another
+string of STRINGS, so that a unit or polynomial may become a constant),
+or renames one object key.
 The mutated scenario runs in-process on a subcommand at cheap knobs;
 whatever the change, the command must end with exit status 0, 1 or 2
 within TIMEOUT_S seconds and never let an exception escape.
@@ -82,8 +84,12 @@ def mutated_scenarios(draw):
         new_key = draw(st.sampled_from(KEYS).filter(lambda k: k != key))
         parent[new_key] = parent.pop(key)
     else:
-        old = _json_type(parent[key])
-        parent[key] = draw(small_json.filter(lambda v: _json_type(v) is not old))
+        old = parent[key]
+        kind = _json_type(old)
+        new = small_json.filter(lambda v: _json_type(v) is not kind)
+        if kind is str:
+            new = new | st.sampled_from(STRINGS).filter(lambda v: v != old)
+        parent[key] = draw(new)
     return data
 
 
