@@ -284,40 +284,38 @@ class Calculus:
             imgs = _mmul(self.M.mul, [imgs], self._Einv)[0]
         return MultiVector(self, 1, {(b,): c for b, c in enumerate(imgs)})
 
-    def _adjoint_images(self, xi, a):
-        """Coordinate images of xi |> e_a via the structure in force:
-        (xi |> X)(f) = xi_(1) |> (X(S(xi_(2)) |> f))."""
-        hopf, act = self.M.hopf, self.M.action.act
-        cop = hopf.coproduct(xi)
-        out = []
-        for j in range(self.alg.arity):
-            tot = self.alg.zero()
-            for l, r, c in cop.pairs():
-                inner = act(hopf.antipode(self.lie.monomial(r)), self.alg.coord(j))
-                inner = self.apply_base(a, inner)
-                if inner.is_zero():
-                    continue
-                inner = act(self.lie.monomial(l), inner)
-                if not inner.is_zero():
-                    tot = tot + inner.scale(c)
-            out.append(tot)
-        return out
-
     def _solve_adjoint(self, i):
         """Generator i on the frame, as rows {b: Scalar} of constant
         coefficients; constants multiply plainly in force, so the
-        inverse in force finds them."""
-        xi = self.lie.gen(i)
+        inverse in force finds them.  The coordinate images of xi |> e_a
+        come from the structure in force,
+        (xi |> X)(f) = xi_(1) |> (X(S(xi_(2)) |> f)),
+        with each S(xi_(2)) |> x_j formed once for every frame element."""
+        hopf, act, lie, alg = self.M.hopf, self.M.action.act, self.lie, self.alg
+        legs = [(lie.monomial(l), c,
+                 [act(hopf.antipode(lie.monomial(r)), alg.coord(j))
+                  for j in range(alg.arity)])
+                for l, r, c in hopf.coproduct(lie.gen(i)).pairs()]
         rows = []
         for a in range(self.dim):
+            images = []
+            for j in range(alg.arity):
+                tot = alg.zero()
+                for l, c, pulled in legs:
+                    inner = self.apply_base(a, pulled[j])
+                    if inner.is_zero():
+                        continue
+                    inner = act(l, inner)
+                    if not inner.is_zero():
+                        tot = tot + inner.scale(c)
+                images.append(tot)
             row = {}
-            field = self.field_from_images(self._adjoint_images(xi, a))
-            for (b,), c in field.terms.items():
+            for (b,), c in self.field_from_images(images).terms.items():
                 if not c.is_scalar():
                     raise NotInFrameSpan(
                         "frame not closed under the adjoint action with "
                         "constant coefficients: %s |> e%d has coefficient "
-                        "%r on e%d" % (self.lie.generators[i], a, c, b))
+                        "%r on e%d" % (lie.generators[i], a, c, b))
                 row[b] = c.constant_scalar()
             rows.append(row)
         return rows
@@ -359,17 +357,21 @@ class Calculus:
     def _check_derivation(self):
         """Frame elements must be derivations of the product in force,
         on coordinate monomials of degree <= 2.  R-invisibility collapses
-        the braided Leibniz rule to this."""
-        M = self.M
+        the braided Leibniz rule to this.  Each product f g is formed
+        once, and e_a of each f and of each distinct product once per a;
+        the cases are compared in the order a, f, g, so the first failing
+        one is reported."""
+        mul = self.M.mul
         fam = coordinate_monomials(self.alg, 2)
+        distinct = {}          # equal products share one object
+        prods = [[distinct.setdefault(p, p) for p in (mul(f, g) for g in fam)]
+                 for f in fam]
         for a in range(self.dim):
-            for f in fam:
-                for g in fam:
-                    lhs = self.apply_base(a, M.mul(f, g))
-                    rhs = M.mul(self.apply_base(a, f), g) + M.mul(
-                        f, self.apply_base(a, g)
-                    )
-                    if lhs != rhs:
+            moved = [self.apply_base(a, f) for f in fam]
+            derived = {p: self.apply_base(a, p) for p in distinct}
+            for f, df, row in zip(fam, moved, prods):
+                for g, dg, fg in zip(fam, moved, row):
+                    if derived[fg] != mul(df, g) + mul(f, dg):
                         raise UnsupportedFrameBraiding(
                             ("frame element is not a derivation in force",
                              a, repr(f), repr(g))

@@ -630,25 +630,23 @@ def run_all(sc, opts):
 
 
 def build_parser():
+    commands = [name for name, _, _ in _RUNNERS] + ["all"]
     parser = argparse.ArgumentParser(
         prog="braidcalc",
+        usage="%(prog)s COMMAND SCENARIO [--depth N] [--degree N] [--order N]"
+              " [--seed N] [--format text|structured]",
         description="verify braided Cartan calculus laws on a scenario file",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    commands = [name for name, _, _ in _RUNNERS] + ["all"]
-    for name in commands:
-        p = sub.add_parser(name)
-        p.add_argument("scenario", help="path to a scenario JSON file")
-        p.add_argument("--depth", type=int, default=None,
-                       help="Hopf monomial degree bound")
-        p.add_argument("--degree", type=int, default=None,
-                       help="coefficient degree bound for check families")
-        p.add_argument("--order", type=int, default=None,
-                       help="series truncation order override")
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed for the perturbation falsifier")
-        p.add_argument("--format", choices=("text", "structured"),
-                       default="text", help="report rendering")
+    parser.add_argument("command", choices=commands, metavar="command",
+                        help="one of: " + ", ".join(commands))
+    parser.add_argument("scenario", help="path to a scenario JSON file")
+    for flag, what in (("--depth", "Hopf monomial degree bound"),
+                       ("--degree", "coefficient degree bound for check families"),
+                       ("--order", "series truncation order override"),
+                       ("--seed", "seed for the perturbation falsifier")):
+        parser.add_argument(flag, type=int, metavar="N", help=what)
+    parser.add_argument("--format", choices=("text", "structured"),
+                        default="text", help="report rendering")
     return parser
 
 

@@ -1105,6 +1105,30 @@ def test_frame_braiding_unsupported_under_twist():
         Calculus(cal.M, frame_images=images)
 
 
+class _SkewedProduct(ModuleAlgebra):
+    """The plain product plus y d_x(a) d_y(b): d_x is still a derivation
+    of it, d_y is not, and nothing else about the instance changes."""
+
+    def mul(self, a, b):
+        return a * b + self.algebra.coord(1) * a.deriv(0) * b.deriv(1)
+
+
+def test_frame_off_the_product_in_force_is_refused_at_its_first_case():
+    """The derivation hypothesis alone fails: the coordinate frame over
+    a product d_y does not differentiate.  The refusal names the first
+    failing (frame element, f, g) in the order frame element, then f,
+    then g over the monomials of degree <= 2: e1 on (x, y), not (y, x)."""
+    lie = translations(RATIONAL)
+    alg = PolyAlgebra(RATIONAL, ("x", "y"))
+    action = Action(lie, alg, {0: (alg.one(), alg.zero()),
+                               1: (alg.zero(), alg.one())})
+    Calculus(ModuleAlgebra(action))
+    with pytest.raises(UnsupportedFrameBraiding) as exc:
+        Calculus(_SkewedProduct(action))
+    assert exc.value.args == (
+        ("frame element is not a derivation in force", 1, "1*x", "1*y"),)
+
+
 @pytest.mark.parametrize("rows", [1, 3])
 def test_frame_needs_one_field_per_coordinate(rows):
     """A frame matrix that is not square has no inverse: refused with a

@@ -14,6 +14,7 @@ import pytest
 
 from braidcalc.cli import (
     Scenario,
+    build_parser,
     main,
     parse_hopf_monomial,
     parse_poly,
@@ -153,6 +154,68 @@ def test_reversed_bracket_key_builds_the_same_algebra():
     forward, reversed_ = heisenberg("X1 X2", "1"), heisenberg("X2 X1", "-1")
     assert reversed_.brackets == forward.brackets
     assert reversed_.brackets == {(0, 1): {2: RATIONAL.one()}}
+
+
+COMMANDS = ("check-hopf", "check-twist", "star", "cartan", "gauge",
+            "levi-civita", "project", "all")
+
+
+def _namespace(command, scenario, **given):
+    """The parsed options of one command line: `given` over the defaults."""
+    out = {"command": command, "scenario": scenario, "depth": None,
+           "degree": None, "order": None, "seed": None, "format": "text"}
+    out.update(given)
+    return out
+
+
+# (command line, its parsed options): every command, then the option
+# spellings of the README, the CI steps and perfbench's items
+PARSES = [([name, "s.json"], _namespace(name, "s.json")) for name in COMMANDS] + [
+    (["levi-civita", "scenarios/curved-metric.json", "--format", "structured"],
+     _namespace("levi-civita", "scenarios/curved-metric.json",
+                format="structured")),
+    (["star", "scenarios/moyal.json", "--order", "4", "--degree", "3"],
+     _namespace("star", "scenarios/moyal.json", order=4, degree=3)),
+    (["check-hopf", "scenarios/heisenberg.json", "--depth", "8", "--format",
+      "structured"],
+     _namespace("check-hopf", "scenarios/heisenberg.json", depth=8,
+                format="structured")),
+    (["cartan", "tests/fixtures/filiform.json", "--degree", "0"],
+     _namespace("cartan", "tests/fixtures/filiform.json", degree=0)),
+    (["all", "scenarios/moyal.json", "--order", "6", "--format", "structured",
+      "--seed", "1"],
+     _namespace("all", "scenarios/moyal.json", order=6, seed=1,
+                format="structured")),
+    (["project", "--degree=4", "--format=text", "scenarios/surface.json"],
+     _namespace("project", "scenarios/surface.json", degree=4)),
+    (["gauge", "--depth", "1", "--degree", "1", "m.json"],
+     _namespace("gauge", "m.json", depth=1, degree=1)),
+]
+
+
+@pytest.mark.parametrize("argv, parsed", PARSES,
+                         ids=[" ".join(argv) for argv, _ in PARSES])
+def test_command_lines_parse_to_their_options(argv, parsed):
+    assert vars(build_parser().parse_args(argv)) == parsed
+
+
+@pytest.mark.parametrize("argv", [
+    [], ["star"], ["stars", "s.json"], ["star", "s.json", "--format", "xml"],
+    ["star", "s.json", "--depth", "two"]])
+def test_unusable_command_lines_exit_two(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2
+    assert err.startswith("usage: braidcalc") and "Traceback" not in err
+
+
+def test_help_names_every_command(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["-h"])
+    out = capsys.readouterr().out
+    assert exc.value.code == 0
+    assert all(name in out for name in COMMANDS)
 
 
 def test_main_pass_exit_zero(capsys):

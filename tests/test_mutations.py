@@ -1,18 +1,22 @@
 """Mutation checks: a deliberately broken engine method must make the
 named check rows fail, and only those, while the unbroken method
-passes them all.  Each case patches one method of one class with
-monkeypatch and runs one bundled command line in-process."""
+passes them all.  Each case patches one method of one class (or one
+function of a module) with monkeypatch and runs one command line
+in-process, on a bundled scenario or a test fixture."""
 
+import inspect
 import json
+import textwrap
 from pathlib import Path
 
 import pytest
 
-from braidcalc.cli import main
+from braidcalc import cli
+from braidcalc.calculus import Calculus
 from braidcalc.submanifold import Projection
 from braidcalc.twist import Twist
 
-SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def _lift_reversed(self, abar):
@@ -65,45 +69,78 @@ def _coproduct_conjugated_backwards(self, exp):
     return self.Finv * self.lie.coproduct_monomial(exp) * self.F
 
 
+def _respelled(fn, old, new):
+    """fn compiled again from its own source, with the one occurrence of
+    `old` replaced by `new`, in the globals of its module (decorators
+    included, so a memoized method stays memoized)."""
+    fn = inspect.unwrap(fn)
+    source = textwrap.dedent(inspect.getsource(fn))
+    assert source.count(old) == 1, old
+    namespace = {}
+    exec(compile(source.replace(old, new), inspect.getsourcefile(fn), "exec"),
+         fn.__globals__, namespace)
+    return namespace[fn.__name__]
+
+
+# d(theta^w) with the sign of theta^{w0} ^ d theta^{w1...} flipped; only
+# a frame with two nonzero coframe differentials and a surviving 3-form
+# (the filiform fixture) sees it
+_d_word_sign_flipped = _respelled(
+    Calculus._d_word, "res = res - self.wedge", "res = res + self.wedge")
+
+# the Koszul formula with the f_bc g_wa term added where it is
+# subtracted; the solve's own torsion and metricity re-check refuses it
+_koszul_fbc_sign_flipped = _respelled(
+    cli.levi_civita, "val = val - M.mul(fbc, g[w][a])",
+    "val = val + M.mul(fbc, g[w][a])")
+
+
 PROJECTION_ROWS = ["projection/" + name for name in (
     "field-application", "differential", "insertion", "lie-derivative",
     "bracket")]
 
-# (name, class, method, its mutant, command line, failing rows)
+# (name, class or module, attribute, its mutant, command line with the
+# path from the repository root, failing rows)
 CASES = [
     ("lift-reversed", Projection, "lift_function", _lift_reversed,
-     ["project", "surface.json"],
+     ["project", "scenarios/surface.json"],
      ["sequence/lift-section", "projected-geometry/metric-restriction"]),
     ("push-drops-e0", Projection, "_push", _push_dropping_e0,
-     ["project", "surface.json"],
+     ["project", "scenarios/surface.json"],
      PROJECTION_ROWS + ["sequence/lift-section"]),
     ("function-reversed", Projection, "function", _function_reversed,
-     ["project", "surface-twisted.json"],
+     ["project", "scenarios/surface-twisted.json"],
      ["twist-projection/" + name for name in (
          "star-naturality", "product", "field-application", "differential",
          "insertion", "lie-derivative", "bracket")]
      + ["sequence/lift-section"]),
     ("twist-r-swapped", Twist, "__init__", _init_swapping_r,
-     ["star", "moyal.json"],
+     ["star", "scenarios/moyal.json"],
      ["braided-commutative/braided-commutativity",
       "star-product/braided-commutativity"]),
     # the moyal envelope is commutative, where betainv S beta = beta S
     # betainv, so only a non-abelian envelope can see this
     ("twist-antipode-backwards", Twist, "antipode_monomial",
      _antipode_conjugated_backwards,
-     ["check-twist", "heisenberg-twisted.json"],
+     ["check-twist", "scenarios/heisenberg-twisted.json"],
      ["twisted-hopf/antipode"]),
     ("twist-coproduct-backwards", Twist, "coproduct_monomial",
      _coproduct_conjugated_backwards,
-     ["star", "heisenberg-twisted.json"],
+     ["star", "scenarios/heisenberg-twisted.json"],
      ["module-algebra/leibniz"]),
+    ("d-word-sign", Calculus, "_d_word", _d_word_sign_flipped,
+     ["cartan", "tests/fixtures/filiform.json", "--degree", "0"],
+     ["cartan/lie-insert", "cartan/lie-lie"]),
+    ("koszul-fbc-sign", cli, "levi_civita", _koszul_fbc_sign_flipped,
+     ["levi-civita", "tests/fixtures/filiform.json", "--degree", "0"],
+     ["levi-civita/construction"]),
 ]
 
 
 def failing_rows(argv, capsys):
     """The title/name of every failing row of one structured run."""
-    command, scenario = argv
-    main([command, str(SCENARIOS / scenario), "--format", "structured"])
+    command, path, *options = argv
+    cli.main([command, str(ROOT / path), *options, "--format", "structured"])
     payload = json.loads(capsys.readouterr().out)
     return sorted("%s/%s" % (report["title"], check["name"])
                   for report in payload["reports"]

@@ -1,9 +1,9 @@
 """Mutation fuzzing of the bundled scenarios through the command line.
 
 Each example changes one thing in a bundled scenario: it replaces one
-value by a small JSON value of another type (a string also by another
-string of STRINGS, so that a unit or polynomial may become a constant),
-or renames one object key.
+string by another string of STRINGS (so that a unit or polynomial may
+become a constant), replaces one value by a small JSON value of another
+type, or renames one object key.
 The mutated scenario runs in-process on a subcommand at cheap knobs;
 whatever the change, the command must end with exit status 0, 1 or 2
 within TIMEOUT_S seconds and never let an exception escape.
@@ -15,7 +15,7 @@ import json
 import signal
 from pathlib import Path
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, find, given, settings
 from hypothesis import strategies as st
 
 from braidcalc.cli import main
@@ -74,22 +74,35 @@ def _timed_out(signum, frame):
     raise ExampleTimeout("example ran longer than %d s" % TIMEOUT_S)
 
 
+def _slot(path):
+    """The keys of a path, its list indices dropped: where in the schema
+    the value sits."""
+    return tuple(k for k in path if isinstance(k, str))
+
+
 @st.composite
 def mutated_scenarios(draw):
     data = json.loads(draw(st.sampled_from(BUNDLED)).read_text())
     paths = list(_paths(data))
+    if draw(st.booleans()):
+        # a string by another string, drawn by its slot first: the unit
+        # is then drawn as often as the metric table, not as one string
+        # among dozens
+        strings = [p for p in paths if isinstance(_parent(data, p)[p[-1]], str)]
+        slot = draw(st.sampled_from(sorted({_slot(p) for p in strings})))
+        path = draw(st.sampled_from([p for p in strings if _slot(p) == slot]))
+        parent, key = _parent(data, path), path[-1]
+        old = parent[key]
+        parent[key] = draw(st.sampled_from(STRINGS).filter(lambda v: v != old))
+        return data
     path = draw(st.sampled_from(paths))
     parent, key = _parent(data, path), path[-1]
     if isinstance(parent, dict) and draw(st.booleans()):
         new_key = draw(st.sampled_from(KEYS).filter(lambda k: k != key))
         parent[new_key] = parent.pop(key)
     else:
-        old = parent[key]
-        kind = _json_type(old)
-        new = small_json.filter(lambda v: _json_type(v) is not kind)
-        if kind is str:
-            new = new | st.sampled_from(STRINGS).filter(lambda v: v != old)
-        parent[key] = draw(new)
+        kind = _json_type(parent[key])
+        parent[key] = draw(small_json.filter(lambda v: _json_type(v) is not kind))
     return data
 
 
@@ -111,3 +124,18 @@ def test_mutated_scenario_exits_cleanly(tmp_path, data, command):
         signal.signal(signal.SIGALRM, previous)
     assert status in (0, 1, 2), (status, err.getvalue())
     assert "Traceback" not in err.getvalue()
+
+
+def test_a_constant_unit_is_drawn(tmp_path, capsys):
+    """The string draw reaches the declared unit: some example makes it
+    a constant, which the scenario load refuses."""
+    constants = ("1", "-1", "0", "3/2", "h", "h^2")
+    data = find(mutated_scenarios(),
+                lambda d: isinstance(d.get("action"), dict)
+                and d["action"].get("unit") in constants,
+                settings=settings(max_examples=2000, derandomize=True,
+                                  database=None))
+    path = tmp_path / "constant-unit.json"
+    path.write_text(json.dumps(data))
+    assert main(["star", str(path)]) == 2
+    assert "unit" in capsys.readouterr().err
