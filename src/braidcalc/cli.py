@@ -92,8 +92,8 @@ _SECTION_KEYS = {
 }
 # The key holding the tensor of each twist kind.
 _TWIST_KINDS = {"exp": "bivector", "tensor": "terms"}
-# The sections with a parser `Scenario._parse_<section>`, run by `check`.
-_PARSED = ("action", "twist", "frame", "metric", "connection", "ideal")
+# The sections read over the action's coordinates.
+_ON_COORDINATES = ("frame", "metric", "connection", "ideal")
 # Errors in the scenario's shape: fatal, exit status 2.
 _SHAPE_ERRORS = (SchemaError, MissingSection, UnknownName)
 
@@ -175,8 +175,6 @@ def _parse_factors(ring, term, names):
                 raise SchemaError("h needs a series ring")
             hpow += power
             continue
-        if base == "1" or _RATIONAL.match(base):
-            raise SchemaError(("malformed factor", factor))
         if not _NAME.match(base):
             raise SchemaError(("malformed factor", factor))
         exps[_index(names, base)] += power
@@ -226,6 +224,27 @@ def _poly_table(alg, sec, dim, rank, what):
     return [_poly_table(alg, row, dim, rank - 1, what) for row in sec]
 
 
+def _frame(alg, sec):
+    """The frame rows: one coordinate row per frame field."""
+    _require(isinstance(sec, list) and len(sec) == alg.arity, SchemaError,
+             "frame must be a list of one row per coordinate")
+    return tuple(_coordinate_row(alg, row, ("frame row must be an object", row))
+                 for row in sec)
+
+
+def _normal_coordinates(alg, sec):
+    """The indices of the ideal's normal coordinates."""
+    _require(isinstance(sec, dict), SchemaError, "ideal must be an object")
+    coords = sec.get("normal_coordinates")
+    _require(
+        isinstance(coords, list) and coords
+        and all(isinstance(c, str) for c in coords),
+        SchemaError,
+        "normal_coordinates must be a non-empty list of names",
+    )
+    return tuple(_index(alg.names, c) for c in coords)
+
+
 def parse_hopf_monomial(lie, text):
     """PBW exponent tuple from "P1^2 P2"; "1" is the unit."""
     _require(isinstance(text, str), SchemaError, ("monomial must be a string", text))
@@ -242,10 +261,13 @@ def parse_hopf_monomial(lie, text):
 
 
 class Scenario:
-    """A scenario file read once: the ring and the symmetry up front,
-    each other section parsed on first use (`_parse_<section>`), and
-    each structure built once over the parsed values.  `check` parses
-    every section present, so that a malformed one is refused at load."""
+    """A scenario file read in one pass.  Construction validates the
+    params and the suites list and parses every section present into a
+    plain attribute (None where the section is absent), so that a
+    malformed section is refused whatever the command; each structure
+    is built once, on first use, over the parsed values.  An engine
+    error that is not a shape error is left to the suite that builds on
+    the section, which reports it as a failing `construction` row."""
 
     def __init__(self, data, ring_override=None):
         _require(isinstance(data, dict), SchemaError, "scenario must be a JSON object")
@@ -260,18 +282,12 @@ class Scenario:
         ring = self._parse_ring(_section(data, "ring"))
         self.ring = ring_override or ring
         self.lie = self._parse_lie(_section(data, "lie_algebra"))
-
-    def check(self):
-        """Validate the params and the suites list and parse every section
-        present.  An engine error that is not a shape error is left to the
-        suite that builds on the section, which reports it as a failing
-        `construction` row."""
         for name in _COUNTS:
             self.knob(None, name, 0)
         for name in _FLAGS:
             got = self.params.get(name, False)
             _require(type(got) is bool, SchemaError, ("%s must be true or false" % name, got))
-        wanted = self.data.get("suites")
+        wanted = data.get("suites")
         if wanted is not None:
             _require(
                 isinstance(wanted, list) and all(isinstance(w, str) for w in wanted),
@@ -281,29 +297,40 @@ class Scenario:
             known = [name for name, _, _ in _RUNNERS]
             for w in wanted:
                 _index(known, w)
-        if self.data.get("action") is not None:
+        # every section present, parsed once; the order decides which of
+        # two malformed sections is refused
+        alg = None
+        if data.get("action") is not None:
             try:
-                self.algebra
+                alg = self.algebra
             except _SHAPE_ERRORS:
                 raise
             except EngineError:
                 # a refused unit is a construction row of each suite that
-                # builds the algebra; the sections are still checked for
-                # shape, over the coordinates without the unit
-                action = dict(self.data["action"], unit=None)
-                return Scenario(dict(self.data, action=action), self.ring).check()
-        present = [s for s in _PARSED if self.data.get(s) is not None]
-        if self.params.get("antipode_override") is not None:
-            present.append("antipode_override")
-        for name in present:
-            try:
-                getattr(self, "_parse_" + name)()
-            except _SHAPE_ERRORS:
-                raise
-            except EngineError:
-                pass
+                # builds the algebra; the sections are still parsed for
+                # shape, over the coordinates alone
+                alg = PolyAlgebra(self.ring, data["action"]["coordinates"])
+        self.images = (None if alg is None
+                       else self._parse_images(alg, data["action"].get("images")))
+        self.twist_tensor = (None if data.get("twist") is None
+                             else self._parse_twist(data["twist"]))
+        if alg is None and any(data.get(s) is not None for s in _ON_COORDINATES):
+            raise MissingSection("action")
+        self.frame_images = (None if data.get("frame") is None
+                             else _frame(alg, data["frame"]))
+        # a frame has one field per coordinate, so the tables are
+        # arity-square whether or not the scenario declares a frame
+        self.metric_table = (None if data.get("metric") is None
+                             else _poly_table(alg, data["metric"], alg.arity, 2, "metric"))
+        self.connection_table = (
+            None if data.get("connection") is None
+            else _poly_table(alg, data["connection"], alg.arity, 3, "connection"))
+        self.normal_coordinates = (None if data.get("ideal") is None
+                                   else _normal_coordinates(alg, data["ideal"]))
+        override = self.params.get("antipode_override")
+        self.antipode_table = None if override is None else self._parse_antipode(override)
 
-    # -- parsers: one per section, each run once ---------------------------
+    # -- parsers -----------------------------------------------------------
 
     @staticmethod
     def _parse_ring(sec):
@@ -336,22 +363,8 @@ class Scenario:
                                 for g, c in val.items()}
         return LieAlgebra(self.ring, gens, brackets)
 
-    @property
-    @_memo
-    def algebra(self):
-        sec = _section(self.data, "action")
-        _require(isinstance(sec, dict), SchemaError, "action must be an object")
-        coords = _names(sec.get("coordinates"), "coordinate")
-        unit = None
-        if sec.get("unit") is not None:
-            unit = dict(parse_poly(PolyAlgebra(self.ring, coords), sec["unit"]).terms)
-        return PolyAlgebra(self.ring, coords, unit=unit)
-
-    @_memo
-    def _parse_action(self):
+    def _parse_images(self, alg, images):
         """The generator images: {generator index: coordinate row}."""
-        alg = self.algebra
-        images = self.data["action"].get("images")
         if images is None:
             images = {}
         _require(isinstance(images, dict), SchemaError, "images must be an object")
@@ -377,10 +390,8 @@ class Scenario:
             out[key] = out.get(key, self.ring.zero()) + parse_scalar(self.ring, item[width])
         return out
 
-    @_memo
-    def _parse_twist(self):
-        """(kind, rank-2 tensor) of the twist section."""
-        sec = _section(self.data, "twist")
+    def _parse_twist(self, sec):
+        """The rank-2 tensor of the twist section."""
         _require(isinstance(sec, dict), SchemaError, "twist must be an object")
         kind = sec.get("kind")
         _require(isinstance(kind, str) and kind in _TWIST_KINDS, SchemaError,
@@ -388,49 +399,10 @@ class Scenario:
         key = _TWIST_KINDS[kind]
         terms = self._term_list(sec.get(key), 2, key)
         _require(terms, SchemaError, "%s must be a non-empty list of [left, right, coeff]" % key)
-        return kind, TensorElement(self.lie, 2, terms)
+        return TensorElement(self.lie, 2, terms)
 
-    @_memo
-    def _parse_frame(self):
-        sec = self.data["frame"]
-        alg = self.algebra
-        _require(isinstance(sec, list) and len(sec) == alg.arity, SchemaError,
-                 "frame must be a list of one row per coordinate")
-        return tuple(_coordinate_row(alg, row, ("frame row must be an object", row))
-                     for row in sec)
-
-    # A frame has one field per coordinate, so the tables below are
-    # arity-square whether or not the scenario declares a frame.
-
-    @_memo
-    def _parse_metric(self):
-        alg = self.algebra
-        return _poly_table(alg, _section(self.data, "metric"), alg.arity, 2, "metric")
-
-    @_memo
-    def _parse_connection(self):
-        alg = self.algebra
-        return _poly_table(alg, _section(self.data, "connection"), alg.arity, 3,
-                           "connection")
-
-    @_memo
-    def _parse_ideal(self):
-        """The indices of the normal coordinates."""
-        sec = _section(self.data, "ideal")
-        _require(isinstance(sec, dict), SchemaError, "ideal must be an object")
-        coords = sec.get("normal_coordinates")
-        _require(
-            isinstance(coords, list) and coords
-            and all(isinstance(c, str) for c in coords),
-            SchemaError,
-            "normal_coordinates must be a non-empty list of names",
-        )
-        return tuple(_index(self.algebra.names, c) for c in coords)
-
-    @_memo
-    def _parse_antipode_override(self):
+    def _parse_antipode(self, sec):
         """{generator index: HopfElement} replacing S on single generators."""
-        sec = self.params["antipode_override"]
         _require(isinstance(sec, dict), SchemaError, "antipode_override must be an object")
         table = {}
         for gname, terms in sec.items():
@@ -445,15 +417,26 @@ class Scenario:
 
     @property
     @_memo
+    def algebra(self):
+        sec = _section(self.data, "action")
+        _require(isinstance(sec, dict), SchemaError, "action must be an object")
+        coords = _names(sec.get("coordinates"), "coordinate")
+        unit = None
+        if sec.get("unit") is not None:
+            unit = dict(parse_poly(PolyAlgebra(self.ring, coords), sec["unit"]).terms)
+        return PolyAlgebra(self.ring, coords, unit=unit)
+
+    @property
+    @_memo
     def action(self):
-        return Action(self.lie, self.algebra, self._parse_action())
+        return Action(self.lie, self.algebra, self.images)
 
     @property
     @_memo
     def twist(self):
-        kind, tensor = self._parse_twist()
+        kind = _section(self.data, "twist")["kind"]
         build = exp_twist if kind == "exp" else Twist.from_tensor
-        return build(self.lie, tensor)
+        return build(self.lie, self.twist_tensor)
 
     def module_algebra(self, twisted=True):
         twist = None
@@ -461,26 +444,20 @@ class Scenario:
             twist = self.twist
         return ModuleAlgebra(self.action, twist=twist)
 
-    def frame_images(self):
-        return None if self.data.get("frame") is None else self._parse_frame()
-
     def calculus(self, twisted=True):
         return self._calculus(bool(twisted))
 
     @_memo
     def _calculus(self, twisted):
-        return Calculus(self.module_algebra(twisted), self.frame_images())
+        return Calculus(self.module_algebra(twisted), self.frame_images)
 
     def metric(self, cal):
-        return Metric(cal, self._parse_metric())
+        _section(self.data, "metric")
+        return Metric(cal, self.metric_table)
 
     def connection(self, cal):
-        return Connection(cal, self._parse_connection())
-
-    def antipode_table(self):
-        if self.params.get("antipode_override") is None:
-            return None
-        return self._parse_antipode_override()
+        _section(self.data, "connection")
+        return Connection(cal, self.connection_table)
 
     # -- knobs -----------------------------------------------------------
 
@@ -515,7 +492,7 @@ def _guarded(title, fn):
 
 def run_check_hopf(sc, opts):
     depth = sc.knob(opts, "depth", 3)
-    table = sc.antipode_table()
+    table = sc.antipode_table
     lie = sc.lie
     return [
         check_hopf(lie, depth, antipode_table=table),
@@ -561,7 +538,7 @@ def run_gauge(sc, opts):
     if sc.params.get("transport_swap"):
         # falsification knob: transports run against the inverse twist
         bad = ModuleAlgebra(sc.action, twist=sc.twist.swapped())
-        transport_cal = Calculus(bad, sc.frame_images())
+        transport_cal = Calculus(bad, sc.frame_images)
     return [gauge_suite(cl, tw, sc.params.get("classical_shadow", False),
                         transport_cal)]
 
@@ -591,7 +568,9 @@ def run_levi_civita(sc, opts):
 def run_project(sc, opts):
     depth = sc.knob(opts, "depth", 2)
     degree = sc.knob(opts, "degree", 2)
-    proj = Projection(sc.calculus(), sc._parse_ideal(), depth=depth)
+    cal = sc.calculus()
+    _section(sc.data, "ideal")
+    proj = Projection(cal, sc.normal_coordinates, depth=depth)
     suite = (twist_projection_suite if sc.data.get("twist") is not None
              else projection_suite)
     reports = [suite(proj, degree), check_sequence(proj, degree)]
@@ -668,9 +647,7 @@ def _load_scenario(opts):
         )
         _require(opts.order >= 1, SchemaError, ("bad --order", opts.order))
         ring_override = Ring("series", opts.order)
-    sc = Scenario(data, ring_override=ring_override)
-    sc.check()
-    return sc
+    return Scenario(data, ring_override=ring_override)
 
 
 def main(argv=None):

@@ -87,21 +87,14 @@ class Connection:
         if X.kind != "mv" or s.kind != "mv" or X.grade != 1 or s.grade != 1:
             raise GradeMismatch((X.grade, s.grade))
         cal = self.cal
-        out = {}
+        out = cal.zero_mv(1)
         for (v,), d in s.terms.items():
-            _add_terms(out, (((v,), cal.apply_field(X, d)),))
-            for t1, t2, c in cal.M.hopf.Rinv.pairs():
-                da = cal.M.action.act_monomial(t1, d)
-                if da.is_zero():
-                    continue
-                Xa = cal.h_act_exp(t2, X)
-                if Xa.is_zero():
-                    continue
-                _add_terms(out, (
-                    (w, cal.M.mul(da, g).scale(c))
-                    for w, g in self._nabla_frame_arg(Xa, v).items()
-                ))
-        return cal.mv(1, out)
+            out = _leg_sum(
+                cal.M.hopf.Rinv.pairs(), cal.act_any, d, X,
+                lambda da, Xa: cal.mv(1, self._nabla_frame_arg(Xa, v)).left_mul(da),
+                out + cal.mv(1, {(v,): cal.apply_field(X, d)}),
+            )
+        return out
 
     def nabla_form(self, X, om):
         """Dual derivative on grade-1 forms, solved through the pairing:

@@ -122,7 +122,9 @@ class ModuleAlgebra:
     # -- product in force ----------------------------------------------
 
     def mul(self, a, b):
-        if not self.is_twisted:
+        """The product in force; a zero factor gives the plain product,
+        zero, without a star memo entry."""
+        if not self.is_twisted or a.is_zero() or b.is_zero():
             return a * b
         return self._star(a, b)
 

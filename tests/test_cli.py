@@ -85,8 +85,9 @@ def test_parse_poly_unknown_coordinate():
 
 def test_parse_poly_malformed_factor():
     alg = PolyAlgebra(RATIONAL, ("x", "y"))
-    with pytest.raises(SchemaError):
-        parse_poly(alg, "x^y")
+    for text in ("x^y", "2x", "1/2^3", "^2"):
+        with pytest.raises(SchemaError):
+            parse_poly(alg, text)
 
 
 def test_parse_hopf_monomial():
@@ -143,10 +144,21 @@ def test_scenario_rejects_h_as_generator():
         Scenario(data)
 
 
+def test_scenario_refuses_a_malformed_section_at_construction():
+    """A Scenario built directly, not through the command line, parses
+    every section present: a malformed metric is refused before any
+    structure is built."""
+    data = json.loads((SCENARIOS / "curved-metric.json").read_text())
+    data["metric"] = [["1"]]
+    with pytest.raises(SchemaError):
+        Scenario(data)
+
+
 def test_reversed_bracket_key_builds_the_same_algebra():
     """[X2, X1] = -X3 declares the same bracket as [X1, X2] = X3."""
     def heisenberg(key, coeff):
         data = plane_data()
+        del data["action"]          # its images name P1 and P2
         data["lie_algebra"] = {"generators": ["X1", "X2", "X3"],
                                "brackets": {key: {"X3": coeff}}}
         return Scenario(data).lie
@@ -765,6 +777,78 @@ def test_malformed_section_refused_at_load(tmp_path, capsys, name, edit,
     code, out, err = _run_edited(tmp_path, capsys, name, edit, argv)
     assert code == 2, out
     assert error in err and "Traceback" not in err
+
+
+def _edits(*edits):
+    def edit(data):
+        for one in edits:
+            one(data)
+    return edit
+
+
+def _drop(key):
+    def edit(data):
+        del data[key]
+    return edit
+
+
+@pytest.mark.parametrize("name, edit, argv, line", [
+    ("heisenberg.json",
+     _edits(_set_param("depth", "x"), _set("metric", "garbage")),
+     ["check-hopf"], "error: SchemaError: ('bad depth', 'x')"),
+    ("heisenberg.json",
+     _edits(_set("frame", "garbage"), _set("metric", "garbage")),
+     ["check-hopf"],
+     "error: SchemaError: frame must be a list of one row per coordinate"),
+    ("moyal.json",
+     _edits(_twist_kind("bogus"),
+            _set("ideal", {"normal_coordinates": ["nope"]})),
+     ["check-hopf"],
+     "error: SchemaError: ('twist kind must be exp or tensor', 'bogus')"),
+    ("moyal.json",
+     _edits(_set_param("classical_shadow", "no"), _set("suites", ["bogus"])),
+     ["check-hopf"],
+     "error: SchemaError: ('classical_shadow must be true or false', 'no')"),
+    ("heisenberg.json",
+     _edits(_set("suites", ["bogus"]), _images(False)),
+     ["star"], "error: UnknownName: ('bogus', ('check-hopf', 'check-twist',"
+     " 'star', 'cartan', 'gauge', 'levi-civita', 'project'))"),
+    ("heisenberg.json",
+     _edits(_set_param("antipode_override", {"X1": [["X9", "1"]]}),
+            _set("connection", [["x"]])),
+     ["check-hopf"],
+     "error: SchemaError: connection must be a dim x dim x dim table of"
+     " polynomials"),
+    ("heisenberg-twisted.json",
+     _edits(_drop("action"), _twist_kind("bogus"),
+            _set("frame", "garbage")),
+     ["check-hopf"],
+     "error: SchemaError: ('twist kind must be exp or tensor', 'bogus')"),
+    ("heisenberg.json",
+     _edits(_drop("action"), _set("metric", [["1"]]),
+            _set_param("antipode_override", {"X1": [["X9", "1"]]})),
+     ["check-hopf"], "error: MissingSection: action"),
+    ("curved-metric.json",
+     _edits(_refused_unit("garbage"), _set("metric", "garbage")),
+     ["check-hopf"],
+     "error: SchemaError: frame must be a list of one row per coordinate"),
+    ("curved-metric.json",
+     _edits(_refused_unit([{"x": "1"}, {"y": "1"}]), _set("metric", "garbage")),
+     ["check-hopf"],
+     "error: SchemaError: metric must be a dim x dim table of polynomials"),
+], ids=["knob-then-metric", "frame-then-metric", "twist-kind-then-ideal",
+        "flag-then-suites", "suites-then-images", "connection-then-override",
+        "twist-then-missing-action", "missing-action-then-override",
+        "refused-unit-frame-then-metric", "refused-unit-then-metric"])
+def test_first_malformed_section_in_load_order_is_refused(
+        tmp_path, capsys, name, edit, argv, line):
+    """With two malformed sections the load refuses the first in its
+    order: the params, the suites list, then the sections (action, twist,
+    frame, metric, connection, ideal, antipode override), a section read
+    over the coordinates needing the action first."""
+    code, out, err = _run_edited(tmp_path, capsys, name, edit, argv)
+    assert code == 2, out
+    assert err.splitlines() == [line]
 
 
 @pytest.mark.parametrize("param, value", [

@@ -112,9 +112,11 @@ def test_levi_civita_frozen_curved():
 def test_levi_civita_matches_sympy_christoffel_symbols():
     """Independent oracle: the classical Christoffel symbols of
     diag(1, 1 + x^2), computed by sympy from the textbook formula, equal
-    the Levi-Civita solve on the rational shadow of curved-metric.json."""
+    the Levi-Civita solve on the rational shadow of curved-metric.json,
+    read without its twist, whose coefficients carry h."""
     import sympy
     data = json.loads((SCENARIOS / "curved-metric.json").read_text())
+    del data["twist"]
     sc = Scenario(data, ring_override=RATIONAL)
     conn = levi_civita(sc.metric(sc.calculus(twisted=False)))
 

@@ -424,7 +424,7 @@ class TestSuites:
             (SCENARIOS / "falsification" / "wrong-antipode.json").read_text())
         scenario = Scenario(data)
         rep = check_hopf(scenario.lie, depth=3,
-                         antipode_table=scenario.antipode_table())
+                         antipode_table=scenario.antipode_table)
         assert [(rep.title, c.name) for c in rep.failing()] == [
             ("hopf", "antipode")]
 

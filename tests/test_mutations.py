@@ -94,6 +94,17 @@ _koszul_fbc_sign_flipped = _respelled(
     cli.levi_civita, "val = val - M.mul(fbc, g[w][a])",
     "val = val + M.mul(fbc, g[w][a])")
 
+# the wedge with its coefficients multiplied in reverse order; the
+# moyal star product does not commute, so the gauge transport of the
+# twisted wedge, T(U ^_F V) = T(U) ^ T(V), sees it
+_wedge_factors_reversed = _respelled(
+    Calculus.wedge, "self.M.mul(c1, c2)", "self.M.mul(c2, c1)")
+
+# the coframe differentials with the sign of the frame bracket kept
+# where it is negated
+_structure_forms_sign_flipped = _respelled(
+    Calculus._structure_forms, "out[a][(b, c)] = -f", "out[a][(b, c)] = f")
+
 
 PROJECTION_ROWS = ["projection/" + name for name in (
     "field-application", "differential", "insertion", "lie-derivative",
@@ -134,6 +145,12 @@ CASES = [
     ("koszul-fbc-sign", cli, "levi_civita", _koszul_fbc_sign_flipped,
      ["levi-civita", "tests/fixtures/filiform.json", "--degree", "0"],
      ["levi-civita/construction"]),
+    ("wedge-factors-reversed", Calculus, "wedge", _wedge_factors_reversed,
+     ["gauge", "scenarios/moyal.json"], ["gauge/wedge"]),
+    ("structure-forms-sign", Calculus, "_structure_forms",
+     _structure_forms_sign_flipped, ["cartan", "scenarios/abelian-plane.json"],
+     ["cartan/" + name for name in (
+         "d-squared", "lie-d", "lie-insert", "lie-lie")]),
 ]
 
 

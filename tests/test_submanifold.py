@@ -491,7 +491,7 @@ def test_projection_suite_keeps_no_ambient_lie_derivative_memo():
     entry."""
     path = Path(__file__).resolve().parent.parent / "scenarios" / "surface.json"
     sc = Scenario(json.loads(path.read_text()))
-    proj = Projection(sc.calculus(), sc._parse_ideal(), depth=3)
+    proj = Projection(sc.calculus(), sc.normal_coordinates, depth=3)
     rep = projection_suite(proj, 2)
     assert rep.passed, rep.to_text()
     assert _lie_memo_entries(proj.cal) == 0
