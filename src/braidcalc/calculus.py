@@ -37,7 +37,7 @@ from .errors import (
     UnknownModule,
     UnsupportedFrameBraiding,
 )
-from .hopf import _exp_to_word
+from .hopf import TensorElement, _exp_to_word
 from .modalg import coordinate_monomials
 from .report import Report, carried, hoisted, violations
 from .ring import (
@@ -268,7 +268,7 @@ class Calculus:
                       _inverse(M.mul, rows, "frame matrix inverse in force"))
         self.rho = [self._solve_adjoint(i) for i in range(self.lie.dim)]
         self.dual_rho = [self._solve_dual(i) for i in range(self.lie.dim)]
-        self._check_r_invariance()
+        self._check_invisible_legs((M.hopf.R, M.hopf.Rinv), "R leg")
         self._check_derivation()
 
     # -- the frame ------------------------------------------------------
@@ -342,16 +342,18 @@ class Calculus:
                     _add_terms(rows[a], ((b, s * c),))
         return rows
 
-    def _check_r_invariance(self):
-        hopf = self.M.hopf
-        legs = {e for tensor in (hopf.R, hopf.Rinv) for pair in tensor.terms
+    def _check_invisible_legs(self, tensors, label):
+        """Every non-unit leg of the rank-2 tensors acts as zero on the
+        frame and on the coframe; `label` names the legs in the
+        refusal."""
+        legs = {e for tensor in tensors for pair in tensor.terms
                 for e in pair if any(e)}
         for e in legs:
             for a in range(self.dim):
                 for dual, what in ((False, "frame"), (True, "coframe")):
                     if self.act_exp(e, a, dual):
                         raise UnsupportedFrameBraiding(
-                            ("R leg acts on " + what, e, a)
+                            (label + " acts on " + what, e, a)
                         )
 
     def _check_derivation(self):
@@ -927,37 +929,31 @@ def schouten_suite(cal, coeff_degree=1):
 # ---------------------------------------------------------------------
 
 
-def gauge_transport(cl, tw, obj):
+def gauge_transport(cl, tw, twist, obj):
     """Structural conversion of classical-instance objects into the
-    twisted instance over the same coordinates and frame."""
+    twisted instance over the same coordinates and frame, under the
+    hypothesis `gauge_suite` checks: functions and forms keep their
+    coefficients, a grade-1 field is solved from the images of the
+    coordinates under its deformation by `twist`, and a higher word is
+    its first letter's transported field wedged with the bare letters
+    after it."""
     if isinstance(obj, AlgebraElement):
         return obj
     if not isinstance(obj, GradedObject):
         raise UnknownModule(type(obj))
-    kind = type(obj)
-    if obj.grade == 0:
-        return kind(tw, 0, obj.terms)
+    if obj.kind == "form" or obj.grade == 0:
+        return type(obj)(tw, obj.grade, obj.terms)
     if obj.grade == 1:
-        if obj.kind == "mv":
-            return _transport_field(cl, tw, obj)
-        return _transport_oneform(cl, tw, obj)
-    res = kind(tw, obj.grade, {})
-    F = tw.M.twist.F.pairs()
+        return _transport_field(cl, tw, twist, obj)
+    res = tw.zero_mv(obj.grade)
     for w, c in obj.terms.items():
-        head = kind(cl, obj.grade - 1, {w[:-1]: c})
-        tail = kind(cl, 1, {w[-1:]: cl.alg.one()})
-        res = _leg_sum(
-            F, cl.h_act_exp, head, tail,
-            lambda ha, ta: tw.wedge(
-                gauge_transport(cl, tw, ha), gauge_transport(cl, tw, ta)
-            ),
-            res,
-        )
+        head = _transport_field(cl, tw, twist, cl.mv(1, {w[:1]: c}))
+        res = res + tw.wedge(head, tw.mv(obj.grade - 1, {w[1:]: tw.alg.one()}))
     return res
 
 
-def _transport_field(cl, tw, X):
-    Finv = tw.M.twist.Finv.pairs()
+def _transport_field(cl, tw, twist, X):
+    Finv = twist.Finv.pairs()
     return tw.field_from_images([
         _leg_sum(Finv, cl.act_any, X, cl.alg.coord(j), cl.apply_field,
                  cl.alg.zero())
@@ -965,50 +961,39 @@ def _transport_field(cl, tw, X):
     ])
 
 
-@_memo
-def _pairing_inverse(tw, cl):
-    """Inverse in force of the pairing of the classical frame transported
-    into `tw`; computed once per pair of calculi and kept on `tw`."""
-    n = cl.dim
-    frame_t = [
-        _transport_field(cl, tw, cl.frame_field(b)) for b in range(n)
-    ]
-    G = [
-        [frame_t[b].terms.get((c,), tw.alg.zero()) for c in range(n)]
-        for b in range(n)
-    ]
-    return _inverse(tw.M.mul, G, "twisted pairing inverse")
-
-
-def _transport_oneform(cl, tw, om):
-    n = cl.dim
-    rhs = [[om.terms.get((b,), cl.alg.zero())] for b in range(n)]
-    sol = _mmul(tw.M.mul, _pairing_inverse(tw, cl), rhs)
-    return tw.form(1, {(c,): sol[c][0] for c in range(n)})
-
-
-def deformed_binary(cl, tw, op, U, V):
+def deformed_binary(cl, twist, op, U, V):
     """Twist deformation of a binary operation on classical objects:
     op_F(U, V) = sum op(Finv1 |> U, Finv2 |> V)."""
-    res = _leg_sum(tw.M.twist.Finv.pairs(), cl.h_act_exp, U, V, op, None)
+    res = _leg_sum(twist.Finv.pairs(), cl.h_act_exp, U, V, op, None)
     if res is None:
         # only reachable when an input is already zero
         return op(U, V)
     return res
 
 
-def gauge_suite(cl, tw, shadow=False, transport_cal=None):
+def gauge_suite(cl, tw, shadow=False, transport_twist=None):
     """Transport intertwinings between the untwisted and the twisted
     calculus: deformed wedge, Schouten bracket, Lie derivative,
     insertion and the differential, plus (when `shadow`) the classical
     shadow: T(obj), read back in the untwisted calculus, differs from
     obj by O(h).
 
-    transport_cal reroutes the transport maps through another twisted
-    instance; the falsification harness uses it to demonstrate that a
-    wrong transport direction is caught."""
+    The structural transport rests on a hypothesis, checked before any
+    row and refused with UnsupportedFrameBraiding otherwise: the two
+    calculi have the same frame rows, the twist is normalized, and every
+    non-unit leg of F and Finv acts as zero on the frame and on the
+    coframe.  transport_twist replaces the twist of `tw` in the
+    deformations and the transport; the falsification harness passes
+    the swapped twist to demonstrate that a wrong transport direction
+    is caught."""
+    twist = tw.M.twist if transport_twist is None else transport_twist
+    if tw.images != cl.images:
+        raise UnsupportedFrameBraiding("the twisted calculus has another frame")
+    unit = TensorElement.unit(twist.lie, 1)
+    if twist.F.counit_leg(0) != unit or twist.F.counit_leg(1) != unit:
+        raise UnsupportedFrameBraiding(("twist is not normalized", repr(twist.F)))
+    cl._check_invisible_legs((twist.F, twist.Finv), "F leg")
     rep = Report("gauge", {"order": cl.ring.order})
-    tcal = tw if transport_cal is None else transport_cal
     x = cl.alg.coord(0)
     y = cl.alg.coord(1) if cl.alg.arity > 1 else cl.alg.coord(0)
     fields = [
@@ -1028,7 +1013,7 @@ def gauge_suite(cl, tw, shadow=False, transport_cal=None):
         forms.append(cl.form(2, {(0, 1): x}))
 
     def tr(obj):
-        return gauge_transport(cl, tcal, obj)
+        return gauge_transport(cl, tw, twist, obj)
 
     # each member transported once and carried beside it in the cases
     tfields = [(U, tr(U)) for U in fields]
@@ -1037,7 +1022,7 @@ def gauge_suite(cl, tw, shadow=False, transport_cal=None):
     def intertwines(op, twisted_op):
         """Whether transport intertwines op_F with the twisted op."""
         return lambda U, V, tV, tU: (
-            tr(deformed_binary(cl, tcal, op, U, V)) == twisted_op(tU, tV))
+            tr(deformed_binary(cl, twist, op, U, V)) == twisted_op(tU, tV))
 
     rep.check("wedge", "T(U ^_F V) = T(U) ^ T(V)", violations(
         ("U", "V"), carried(tfields, tfields),

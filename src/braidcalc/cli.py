@@ -534,13 +534,10 @@ def run_gauge(sc, opts):
     _section(sc.data, "twist")
     cl = sc.calculus(twisted=False)
     tw = sc.calculus(twisted=True)
-    transport_cal = None
-    if sc.params.get("transport_swap"):
-        # falsification knob: transports run against the inverse twist
-        bad = ModuleAlgebra(sc.action, twist=sc.twist.swapped())
-        transport_cal = Calculus(bad, sc.frame_images)
+    # falsification knob: transports run against the inverse twist
+    swapped = sc.twist.swapped() if sc.params.get("transport_swap") else None
     return [gauge_suite(cl, tw, sc.params.get("classical_shadow", False),
-                        transport_cal)]
+                        swapped)]
 
 
 def run_levi_civita(sc, opts):

@@ -393,7 +393,7 @@ def twist_metric(metric, cl, tw):
     recomputed for the product in force."""
     frame = [cl.frame_field(u) for u in range(cl.dim)]
     return Metric(tw, [
-        [deformed_binary(cl, tw, metric, eu, ev) for ev in frame]
+        [deformed_binary(cl, tw.M.twist, metric, eu, ev) for ev in frame]
         for eu in frame
     ])
 
@@ -407,7 +407,7 @@ def twist_connection(conn, cl, tw):
     for ea in frame:
         row = []
         for eb in frame:
-            nab = deformed_binary(cl, tw, conn.nabla, ea, eb)
+            nab = deformed_binary(cl, tw.M.twist, conn.nabla, ea, eb)
             row.append([nab.terms.get((w,), cl.alg.zero())
                         for w in range(cl.dim)])
         gamma.append(row)

@@ -36,7 +36,7 @@ from braidcalc.hopf import LieAlgebra, TensorElement
 from braidcalc.modalg import Action, ModuleAlgebra, coordinate_monomials
 from braidcalc.report import Report, violations
 from braidcalc.ring import RATIONAL, PolyAlgebra, Ring, _memo
-from braidcalc.twist import exp_twist
+from braidcalc.twist import Twist, exp_twist
 
 
 def translations(ring):
@@ -999,14 +999,15 @@ def test_act_any_rejects_an_unknown_module():
 
 def test_gauge_transport_frozen():
     cl, tw = moyal_pair()
+    twist = tw.M.twist
     x, y = cl.alg.coord(0), cl.alg.coord(1)
     X = cl.mv(1, {(1,): x})
-    assert gauge_transport(cl, tw, X) == tw.mv(1, {(1,): x})
-    U = deformed_binary(cl, tw, cl.wedge, cl.mv(1, {(0,): x}),
+    assert gauge_transport(cl, tw, twist, X) == tw.mv(1, {(1,): x})
+    U = deformed_binary(cl, twist, cl.wedge, cl.mv(1, {(0,): x}),
                         cl.mv(1, {(1,): y}))
     h = cl.ring.h()
     assert U.terms == {(0, 1): x * y - cl.alg.one().scale(h)}
-    got = gauge_transport(cl, tw, U)
+    got = gauge_transport(cl, tw, twist, U)
     want = tw.wedge(tw.mv(1, {(0,): x}), tw.mv(1, {(1,): y}))
     assert got == want
 
@@ -1018,17 +1019,30 @@ def test_gauge_suite_moyal():
     assert "classical-shadow" in [c.name for c in rep.checks]
 
 
-def test_gauge_shadow_row_sees_order_zero():
-    """The shadow row compares inside the series ring, and fails when
-    transport runs through a calculus that differs at h^0: the Moyal
-    twist over the frame (2 d_x, d_y)."""
+def test_gauge_suite_refuses_another_frame():
+    """Forms keep their coefficients under transport only between
+    calculi over one frame: the Moyal twist over the frame (2 d_x, d_y)
+    is refused before any row."""
     cl, tw = moyal_pair()
     zero, one = cl.alg.zero(), cl.alg.one()
     scaled = Calculus(tw.M, ((one.scale(2), zero), (zero, one)))
-    rep = gauge_suite(cl, tw, shadow=True, transport_cal=scaled)
-    shadow = [c for c in rep.checks if c.name == "classical-shadow"]
-    assert len(shadow) == 1 and not shadow[0].passed
-    assert shadow[0].counterexample is not None
+    with pytest.raises(UnsupportedFrameBraiding) as exc:
+        gauge_suite(cl, scaled, shadow=True)
+    assert "another frame" in str(exc.value)
+
+
+def test_gauge_suite_refuses_an_unnormalized_twist():
+    """F = 1 (x) 1 + h 1 (x) P1 is invertible and its legs fix the
+    coordinate frame, but (eps (x) id)F = 1 + h P1: refused before any
+    row."""
+    cl, _ = moyal_pair()
+    lie, ring = cl.lie, cl.ring
+    F = TensorElement(lie, 2, {((0, 0), (0, 0)): ring.one(),
+                               ((0, 0), (1, 0)): ring.h()})
+    tw = Calculus(ModuleAlgebra(cl.M.action, twist=Twist.from_tensor(lie, F)))
+    with pytest.raises(UnsupportedFrameBraiding) as exc:
+        gauge_suite(cl, tw)
+    assert exc.value.args[0][0] == "twist is not normalized"
 
 
 def test_gauge_suite_heisenberg():
@@ -1068,9 +1082,9 @@ def test_gauge_suite_transports_each_member_once(monkeypatch, make):
     transported = []
     transport = calculus.gauge_transport
 
-    def counting(cl, tw, obj):
+    def counting(cl, tw, twist, obj):
         transported.append(obj)
-        return transport(cl, tw, obj)
+        return transport(cl, tw, twist, obj)
 
     monkeypatch.setattr(calculus, "gauge_transport", counting)
     rep = gauge_suite(cl, tw, shadow=True)
@@ -1101,8 +1115,9 @@ def test_frame_braiding_unsupported_under_twist():
     cal = moyal_cal()
     x = cal.alg.coord(0)
     images = [(cal.alg.one(), cal.alg.zero()), (x, cal.alg.one())]
-    with pytest.raises(UnsupportedFrameBraiding):
+    with pytest.raises(UnsupportedFrameBraiding) as exc:
         Calculus(cal.M, frame_images=images)
+    assert exc.value.args[0][0].startswith("R leg acts on ")
 
 
 class _SkewedProduct(ModuleAlgebra):

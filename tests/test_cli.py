@@ -270,6 +270,47 @@ def test_filiform_frame_passes(capsys, command):
     assert code == 0 and not failing, failing
 
 
+def _structured(capsys, argv):
+    """Exit status and failing rows (title, name, counterexample) of one
+    structured run."""
+    code = main(argv + ["--format", "structured"])
+    out = json.loads(capsys.readouterr().out)
+    return code, [(r["title"], c["name"], c["counterexample"])
+                  for r in out["reports"] for c in r["checks"] if not c["passed"]]
+
+
+FIXTURE_PASSES = [
+    ("check-twist", "rotation-frame", []), ("star", "rotation-frame", []),
+    ("cartan", "rotation-frame", ["--degree", "1"]),
+    ("levi-civita", "twisted-metric", [])]
+
+
+@pytest.mark.parametrize("command, fixture, options", FIXTURE_PASSES,
+                         ids=["%s-%s" % case[:2] for case in FIXTURE_PASSES])
+def test_fixture_passes(capsys, command, fixture, options):
+    """rotation-frame: the frame d_x, d_y, y d_x - x d_y + d_z under the
+    symmetric twist exp(h (P1 (x) P1 + P2 (x) P2)), so R_F = 1 and every
+    suite but `gauge` holds (CI runs `all` on it at the default degree).
+    twisted-metric: a curved equivariant metric under exp(h P1 ^ P2),
+    whose R_F is not the identity, so every R leg of the twisted
+    geometry is read."""
+    code, failing = _structured(
+        capsys, [command, str(FIXTURES / (fixture + ".json"))] + options)
+    assert code == 0 and not failing, failing
+
+
+def test_rotation_frame_gauge_is_refused(capsys):
+    """The legs of F move the rotation field, so the structural gauge
+    transport does not apply: one refusal row, no law row."""
+    code, failing = _structured(
+        capsys, ["gauge", str(FIXTURES / "rotation-frame.json")])
+    assert code == 1
+    assert [(title, name) for title, name, _ in failing] == [
+        ("gauge", "construction")]
+    assert failing[0][2]["error"] == "UnsupportedFrameBraiding"
+    assert "F leg" in failing[0][2]["detail"]
+
+
 def test_main_failure_exit_one(capsys):
     code = main(["all", str(SCENARIOS / "falsification" / "wrong-antipode.json")])
     out = capsys.readouterr().out

@@ -2,7 +2,9 @@
 named check rows fail, and only those, while the unbroken method
 passes them all.  Each case patches one method of one class (or one
 function of a module) with monkeypatch and runs one command line
-in-process, on a bundled scenario or a test fixture."""
+in-process, on a bundled scenario or a test fixture.  A mutant that no
+row can see is recorded apart, as equivalent code, and one that only a
+library check sees is checked there."""
 
 import inspect
 import json
@@ -11,8 +13,14 @@ from pathlib import Path
 
 import pytest
 
-from braidcalc import cli
+from braidcalc import calculus, cli
 from braidcalc.calculus import Calculus
+from braidcalc.geometry import (
+    Connection,
+    check_connection,
+    levi_civita,
+    twist_metric,
+)
 from braidcalc.submanifold import Projection
 from braidcalc.twist import Twist
 
@@ -106,6 +114,31 @@ _structure_forms_sign_flipped = _respelled(
     Calculus._structure_forms, "out[a][(b, c)] = -f", "out[a][(b, c)] = f")
 
 
+# d on a function with the sign of e_u(a) theta^u flipped
+_d_coefficient_sign_flipped = _respelled(
+    Calculus.d, "ea if m[0] > 0 else -ea", "-ea if m[0] > 0 else ea")
+
+# the braided commutator of fields read through R where it takes Rinv
+_bracket_reads_r = _respelled(
+    Calculus.bracket, "Rinv = self.M.hopf.Rinv.pairs()",
+    "Rinv = self.M.hopf.R.pairs()")
+
+# the torsion read through R where it takes Rinv; R_F = 1 on every
+# bundled scenario that solves a twisted connection, so only the
+# twisted-metric fixture, twisted by exp(h P1 ^ P2), sees it
+_torsion_reads_r = _respelled(
+    Connection.torsion, "cal.M.hopf.Rinv.pairs()", "cal.M.hopf.R.pairs()")
+
+_transport_field = calculus._transport_field
+
+
+def _transport_field_doubled(cl, tw, twist, X):
+    """_transport_field with its result scaled by 2: wrong at h^0, so
+    the classical-shadow row sees it as well as the intertwinings of a
+    transported field; `differential` transports forms only."""
+    return _transport_field(cl, tw, twist, X).scale(2)
+
+
 PROJECTION_ROWS = ["projection/" + name for name in (
     "field-application", "differential", "insertion", "lie-derivative",
     "bracket")]
@@ -151,7 +184,23 @@ CASES = [
      _structure_forms_sign_flipped, ["cartan", "scenarios/abelian-plane.json"],
      ["cartan/" + name for name in (
          "d-squared", "lie-d", "lie-insert", "lie-lie")]),
+    ("d-coefficient-sign", Calculus, "d", _d_coefficient_sign_flipped,
+     ["cartan", "scenarios/moyal.json"], ["cartan/lie-insert", "cartan/lie-lie"]),
+    ("bracket-reads-r", Calculus, "bracket", _bracket_reads_r,
+     ["gauge", "scenarios/moyal.json"], ["gauge/schouten"]),
+    ("torsion-reads-r", Connection, "torsion", _torsion_reads_r,
+     ["levi-civita", "tests/fixtures/twisted-metric.json"],
+     ["geometry-twist/twisted-torsion-free"]),
+    ("transport-field-doubled", calculus, "_transport_field",
+     _transport_field_doubled, ["gauge", "scenarios/moyal.json"],
+     ["gauge/" + name for name in (
+         "wedge", "schouten", "lie", "insert", "classical-shadow")]),
 ]
+
+# the coproduct legs of `word_act` read in the other order
+_word_act_legs_swapped = _respelled(
+    Calculus.word_act, "for l, r, c in self.cop_pairs(exp):",
+    "for r, l, c in self.cop_pairs(exp):")
 
 
 def failing_rows(argv, capsys):
@@ -171,3 +220,51 @@ def test_mutant_fails_exactly_its_rows(monkeypatch, capsys, name, cls, method,
     assert failing_rows(argv, capsys) == []
     monkeypatch.setattr(cls, method, mutant)
     assert failing_rows(argv, capsys) == sorted(rows)
+
+
+def test_word_act_leg_order_is_equivalent_code(monkeypatch, capsys):
+    """No row sees the legs of `word_act` swapped, on any instance the
+    calculus accepts: it refuses an R leg that moves a frame element, so
+    cop^op = R cop R^-1 acts on a pair of frame words as cop does, and no
+    row acts on a word of grade 2 or more by anything but the legs of R
+    or F and the unit.  The mutant is reached on such words by non-unit
+    monomials on the one non-abelian twisted scenario, and changes no
+    verdict."""
+    reached = []
+
+    def counted(self, exp, word, dual):
+        if any(exp) and len(word) > 1:
+            reached.append(exp)
+        return _word_act_legs_swapped(self, exp, word, dual)
+
+    monkeypatch.setattr(Calculus, "word_act", counted)
+    assert failing_rows(["cartan", "scenarios/heisenberg-twisted.json"],
+                        capsys) == []
+    assert reached
+
+
+# evaluation of a form read through Rinv where it takes R
+_eval_form_reads_rinv = _respelled(
+    Calculus.eval_form, "self.M.hopf.R.pairs()", "self.M.hopf.Rinv.pairs()")
+
+
+def _twisted_connection_failing_rows():
+    """Failing rows of check_connection on the Levi-Civita connection of
+    the twisted-metric fixture's metric pushed through its twist, built
+    afresh."""
+    data = json.loads((ROOT / "tests/fixtures/twisted-metric.json").read_text(
+        encoding="utf-8"))
+    sc = cli.Scenario(data)
+    cl, tw = sc.calculus(twisted=False), sc.calculus()
+    conn = levi_civita(twist_metric(sc.metric(cl), cl, tw))
+    return [c.name for c in check_connection(conn).checks if not c.passed]
+
+
+def test_eval_form_braiding_fails_the_twisted_dual_pairing(monkeypatch):
+    """No command line checks the axioms of a twisted connection, so no
+    row sees eval_form read through Rinv; the dual-pairing row of the
+    twisted Levi-Civita connection of a metric under exp(h P1 ^ P2),
+    whose R_F is not 1, does."""
+    assert _twisted_connection_failing_rows() == []
+    monkeypatch.setattr(Calculus, "eval_form", _eval_form_reads_rinv)
+    assert _twisted_connection_failing_rows() == ["dual-pairing"]
